@@ -47,7 +47,7 @@ def write_bench_result(name: str, payload: dict) -> Path:
     """Write one bench's result to ``BENCH_<name>.json`` at the repo root.
 
     Args:
-        name: Bench identifier (``algorithm1``, ``runtime``, ``sweep``).
+        name: Bench identifier (``ensemble``, ``runtime``, ``sweep``).
         payload: The bench's result matrix (JSON-serializable).
 
     Returns:

@@ -1,16 +1,16 @@
-"""Bench ``ensemble``: cross-run throughput, per-run vectorized vs batched.
+"""Bench ``ensemble``: cross-run throughput, solo runs vs one stacked pass.
 
-``bench_algorithm1`` tracks the speed of one run; this bench tracks the
-quantity the paper protocol actually spends — the wall-clock of a whole
-100-run same-cell ensemble.  For each paper model it times
+This bench tracks the quantity the paper protocol actually spends — the
+wall-clock of a whole 100-run same-cell ensemble.  For each paper model
+it times
 
-* the per-run baseline: a serial loop of ``engine="vectorized"`` runs,
-  discarding each result (the best a single core does run-by-run), and
-* the batched engine: one ``run_batched`` pass advancing every run at
+* the per-run baseline: a serial loop of batch-of-one ``run_batched``
+  calls, discarding each result (what run-by-run dispatch costs), and
+* the stacked pass: one ``run_batched`` call advancing every run at
   once through stacked arrays (DESIGN.md §7),
 
-then verifies — outside the timed regions — that the batched runs are
-bit-identical to their per-run vectorized counterparts, run by run.
+then verifies — outside the timed regions — that every stacked run is
+bit-identical to its solo counterpart, run by run.
 
 The acceptance target is a ≥3× batched speedup for every model at the
 paper-scale cell (100 runs, ITA at scale 1.0) on a single core.
@@ -78,22 +78,26 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _runs_identical(model, spec, seeds) -> bool:
-    """Untimed: batched results equal per-run vectorized, run by run.
+def _solo(model, spec, seed):
+    return run_batched(model, spec, [rng_from_seed(seed)])[0]
 
-    The batched list is cheap to hold (a lazy view over one shared
-    tensor); the vectorized runs are produced, compared, and discarded
-    one at a time so the check never holds two eager ensembles.
+
+def _runs_identical(model, spec, seeds) -> bool:
+    """Untimed: stacked results equal solo runs, run by run.
+
+    The stacked list is cheap to hold (a lazy view over one shared
+    tensor); the solo runs are produced, compared, and discarded one at
+    a time so the check never holds two ensembles.
     """
-    batched = run_batched(
+    stacked = run_batched(
         model, spec, [rng_from_seed(seed) for seed in seeds]
     )
-    for seed, batched_run in zip(seeds, batched):
-        vectorized = model.run(spec, seed=seed, engine="vectorized")
+    for seed, stacked_run in zip(seeds, stacked):
+        solo = _solo(model, spec, seed)
         if (
-            batched_run.transactions != vectorized.transactions
-            or batched_run.trace != vectorized.trace
-            or batched_run.final_pool_size != vectorized.final_pool_size
+            stacked_run.transactions != solo.transactions
+            or stacked_run.trace != solo.trace
+            or stacked_run.final_pool_size != solo.final_pool_size
         ):
             return False
     return True
@@ -115,16 +119,16 @@ def run_ensemble_matrix(
     for name in model_names:
         model = create_model(name)
 
-        def run_vectorized_loop():
+        def run_solo_loop():
             for seed in seeds:
-                model.run(spec, seed=seed, engine="vectorized")
+                _solo(model, spec, seed)
 
         def run_batched_pass():
             run_batched(
                 model, spec, [rng_from_seed(seed) for seed in seeds]
             )
 
-        vec_seconds = _best_of(run_vectorized_loop, repeats)
+        solo_seconds = _best_of(run_solo_loop, repeats)
         batched_seconds = _best_of(run_batched_pass, repeats)
         if verify:
             bit_identical = bit_identical and _runs_identical(
@@ -133,11 +137,11 @@ def run_ensemble_matrix(
         rows.append(
             {
                 "model": name,
-                "vectorized_seconds": vec_seconds,
+                "solo_seconds": solo_seconds,
                 "batched_seconds": batched_seconds,
-                "vectorized_runs_per_second": n_runs / vec_seconds,
+                "solo_runs_per_second": n_runs / solo_seconds,
                 "batched_runs_per_second": n_runs / batched_seconds,
-                "speedup": vec_seconds / batched_seconds,
+                "speedup": solo_seconds / batched_seconds,
             }
         )
     speedups = [row["speedup"] for row in rows]
@@ -162,18 +166,18 @@ def run_ensemble_matrix(
 def _render(result: dict) -> str:
     spec = result["spec"]
     lines = [
-        f"ensemble engines: {result['n_runs']} runs, {result['region']} @ "
+        f"ensemble: {result['n_runs']} runs, {result['region']} @ "
         f"scale {result['scale']} (|I|={spec['n_ingredients']}, "
         f"N={spec['n_recipes']}, s={spec['recipe_size']}); bit-identical: "
         f"{result['bit_identical']}",
-        f"{'model':<8}{'vec s':>10}{'batched s':>11}{'vec runs/s':>12}"
+        f"{'model':<8}{'solo s':>10}{'batched s':>11}{'solo runs/s':>12}"
         f"{'bat runs/s':>12}{'speedup':>9}",
     ]
     for row in result["rows"]:
         lines.append(
-            f"{row['model']:<8}{row['vectorized_seconds']:>10.3f}"
+            f"{row['model']:<8}{row['solo_seconds']:>10.3f}"
             f"{row['batched_seconds']:>11.3f}"
-            f"{row['vectorized_runs_per_second']:>12.1f}"
+            f"{row['solo_runs_per_second']:>12.1f}"
             f"{row['batched_runs_per_second']:>12.1f}"
             f"{row['speedup']:>8.2f}x"
         )
@@ -260,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.fast or smoke_write_enabled():
         write_bench_result("ensemble", result)
     if not result["bit_identical"]:
-        print("FAIL: batched results diverge from vectorized")
+        print("FAIL: stacked results diverge from solo runs")
         return 1
     if args.check:
         floor = _floor(scale, n_runs)

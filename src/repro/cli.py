@@ -30,11 +30,10 @@ Every stochastic command accepts ``--seed`` for exact reproducibility.
 Commands that execute model ensembles (``experiment``, ``evolve``,
 ``report``, ``sweep``) also accept ``--backend
 {serial,thread,process,distributed}``, ``--jobs N`` (0 = all cores),
-``--cache-dir PATH`` and ``--engine {reference,vectorized,batched}`` —
-results are bit-identical across backends for a fixed seed (per engine;
-the batched engine is also bit-identical to vectorized, see DESIGN.md
-§5/§7), and the run cache lets repeated invocations reuse completed
-runs.  The distributed backend additionally honors ``--spool-dir PATH``
+``--cache-dir PATH`` and ``--engine {reference,batched}`` — results
+are bit-identical across backends for a fixed seed (per engine, see
+DESIGN.md §5/§7), and the run cache lets repeated invocations reuse
+completed runs.  The distributed backend additionally honors ``--spool-dir PATH``
 (the shared work-queue directory that external ``repro worker``
 processes serve) and ``--local-workers N`` (worker processes the
 coordinator spawns itself; 0 = external only) — see DESIGN.md §8.
@@ -111,11 +110,9 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
         help=(
-            "simulation engine for model runs (default: vectorized; "
-            "'reference' runs the scalar executable-spec loop; "
-            "'batched' stacks same-cell runs into one pass, "
-            "bit-identical to vectorized — CM-V falls back to "
-            "vectorized)"
+            "simulation engine for model runs (default: batched, which "
+            "stacks same-cell runs into one pass; 'reference' runs the "
+            "scalar executable-spec loop — CM-V always runs there)"
         ),
     )
     parser.add_argument(

@@ -76,12 +76,14 @@ class MiningConfig:
         max_size: Optional cap on itemset size; ``None`` mines all sizes.
             The paper mines "size 1 and greater" with no stated cap.
         algorithm: Mining algorithm name registered in
-            :mod:`repro.analysis.itemsets`.
+            :mod:`repro.analysis.itemsets` (default ``"bitset"``, the
+            packed-bit fast path, as on the CLI; every registered miner
+            returns identical results).
     """
 
     min_support: float = PAPER.combination_min_support
     max_size: int | None = None
-    algorithm: str = "eclat"
+    algorithm: str = "bitset"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.min_support <= 1.0:

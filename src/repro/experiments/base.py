@@ -58,11 +58,10 @@ class ExperimentContext:
             serial with no cache, and results are backend-independent
             for a fixed ``seed``.
         engine: Simulation engine for every model the experiments
-            instantiate (``"reference"``/``"vectorized"``/
-            ``"batched"``); ``None`` keeps each model's default
-            (vectorized).  ``"batched"`` executes each ensemble's
-            uncached runs as one stacked pass, bit-identical to
-            vectorized (CM-V degrades to vectorized; DESIGN.md §7).
+            instantiate (``"reference"`` or ``"batched"``); ``None``
+            keeps each model's default (batched, which executes each
+            ensemble's uncached runs as one stacked pass; CM-V runs on
+            reference; DESIGN.md §7).
             Part of the run cache key, so switching engines never
             replays another engine's cached runs.
     """
@@ -104,8 +103,8 @@ class ExperimentContext:
                 one).
             runtime: Execution runtime configuration (default serial).
             engine: Simulation engine for model runs —
-                ``"reference"``, ``"vectorized"`` or ``"batched"``
-                (default: each model's own, i.e. vectorized).
+                ``"reference"`` or ``"batched"`` (default: each
+                model's own, i.e. batched).
             corpus_path: Open a packed columnar corpus (DESIGN.md §11)
                 instead of generating one; ``scale``/``seed``/
                 ``region_codes`` then do not shape the corpus (seed

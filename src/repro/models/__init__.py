@@ -48,19 +48,10 @@ from repro.models.registry import (
     create_model,
     register_model,
 )
-from repro.models.state import (
-    ArrayEvolutionState,
-    EvolutionState,
-    EvolutionTraceCounters,
-)
+from repro.models.state import EvolutionState, EvolutionTraceCounters
 from repro.models.statistics import EnsembleStatistics, summarize_ensemble
-from repro.models.vectorized import (
-    VECTORIZED_STREAM_VERSION,
-    run_vectorized,
-)
 
 __all__ = [
-    "ArrayEvolutionState",
     "BATCHED_KINDS",
     "BATCHED_STREAM_VERSION",
     "BatchedTransactions",
@@ -74,9 +65,7 @@ __all__ = [
     "MigrationTopology",
     "island_seed_streams",
     "run_island_ensemble",
-    "VECTORIZED_STREAM_VERSION",
     "run_batched",
-    "run_vectorized",
     "CopyMutateBase",
     "CulinaryEvolutionModel",
     "EvolutionRun",

@@ -17,13 +17,11 @@ steps proceed anyway (nothing else can change ∂).
 Engines (DESIGN.md §5, §7): :meth:`CulinaryEvolutionModel.run`
 dispatches on the selected engine.  The scalar loop in this module is
 the ``"reference"`` engine — the executable specification.  The
-``"vectorized"`` engine (:mod:`repro.models.vectorized`, the default)
-replays the same dynamics over array-backed state with batched RNG
-draws; the ``"batched"`` engine (:mod:`repro.models.batched`) stacks a
-whole same-cell ensemble and advances every run together, bit-identical
-to ``"vectorized"`` run for run.  Models opt in by declaring
-``vectorized_kind`` on their class; unsupported requests degrade down
-the chain (batched → vectorized → reference) automatically.
+``"batched"`` engine (:mod:`repro.models.batched`, the default) replays
+the same dynamics over stacked array state with block-buffered RNG
+draws, advancing a whole same-cell ensemble together; a single run is a
+batch of one.  Models opt in by declaring ``batched_kind`` on their
+class; any other model runs on the reference engine.
 """
 
 from __future__ import annotations
@@ -35,6 +33,11 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from repro.errors import ModelError
+from repro.models.batched import (
+    BATCHED_KINDS,
+    BATCHED_STREAM_VERSION,
+    run_batched,
+)
 from repro.models.fitness import FitnessStrategy, UniformFitness
 from repro.models.params import ENGINES, CuisineSpec, ModelParams
 from repro.models.state import EvolutionState, EvolutionTraceCounters
@@ -56,8 +59,8 @@ class EvolutionRun:
         model_name: Registry name of the model that produced it.
         region_code: Cuisine simulated.
         transactions: Final recipe pool as ingredient-id sets.  The
-            reference and vectorized engines store an eager
-            ``list``; the batched engine stores a lazy, equal-comparing
+            reference engine stores an eager ``list``; the batched
+            engine stores a lazy, equal-comparing
             :class:`~repro.models.batched.BatchedTransactions` view
             that materializes recipes on read and pickles as the plain
             list.
@@ -103,20 +106,20 @@ class CulinaryEvolutionModel(abc.ABC):
         params: Model parameters (Sec. VI defaults).
         fitness: Fitness strategy (paper: Uniform(0, 1)).
         engine: Convenience override for ``params.engine``
-            (``"reference"``, ``"vectorized"`` or ``"batched"``);
-            ``None`` keeps the params' choice.
+            (``"reference"`` or ``"batched"``); ``None`` keeps the
+            params' choice.
     """
 
     #: Registry name, e.g. ``"CM-R"`` — set by concrete classes.
     name: ClassVar[str] = ""
 
-    #: Vectorized recipe-step kind (``"pool"``/``"category"``/
-    #: ``"mixture"``/``"null"``), declared by classes the vectorized
-    #: engine supports.  Deliberately looked up on the *exact* class
-    #: (never inherited): a subclass that changes mutation behavior
-    #: without redeclaring it falls back to the reference engine
-    #: instead of running a mismatched vectorized step.
-    vectorized_kind: ClassVar[str | None] = None
+    #: Batched recipe-step kind (``"pool"``/``"category"``/
+    #: ``"mixture"``/``"null"``), declared by classes the batched engine
+    #: supports.  Deliberately looked up on the *exact* class (never
+    #: inherited): a subclass that changes mutation behavior without
+    #: redeclaring it falls back to the reference engine instead of
+    #: running a mismatched batched step.
+    batched_kind: ClassVar[str | None] = None
 
     def __init__(
         self,
@@ -145,14 +148,11 @@ class CulinaryEvolutionModel(abc.ABC):
             engine: Per-run override; ``None`` uses ``params.engine``.
 
         Returns:
-            ``"batched"``, ``"vectorized"`` or ``"reference"``.
-            Requests degrade along the capability chain instead of
-            erroring: a batched request resolves to ``"vectorized"``
-            when the model's kind cannot be run-stacked (CM-V's
-            variable-length recipes), and a vectorized (or degraded
-            batched) request resolves to ``"reference"`` when the
-            model's class does not declare ``vectorized_kind`` itself
-            (extensions with custom recipe steps).
+            ``"batched"`` or ``"reference"``.  A batched request
+            resolves to ``"reference"`` instead of erroring when the
+            model's exact class does not declare a ``batched_kind`` in
+            :data:`~repro.models.batched.BATCHED_KINDS` (extensions
+            with custom recipe steps, such as CM-V).
 
         Raises:
             ModelError: On an unknown engine name.
@@ -162,16 +162,12 @@ class CulinaryEvolutionModel(abc.ABC):
             raise ModelError(
                 f"unknown engine {requested!r}; available: {ENGINES}"
             )
-        kind = type(self).__dict__.get("vectorized_kind")
-        if requested == "batched":
-            from repro.models.batched import BATCHED_KINDS
-
-            if kind in BATCHED_KINDS:
-                return "batched"
-            requested = "vectorized"
-        if requested == "vectorized" and kind is None:
-            return "reference"
-        return requested
+        if (
+            requested == "batched"
+            and type(self).__dict__.get("batched_kind") in BATCHED_KINDS
+        ):
+            return "batched"
+        return "reference"
 
     def engine_contract(self, engine: str | None = None) -> dict[str, object]:
         """The resolved engine plus its RNG-stream contract version.
@@ -181,25 +177,12 @@ class CulinaryEvolutionModel(abc.ABC):
         differently must never share a cache entry.
         """
         resolved = self.resolve_engine(engine)
-        if resolved == "batched":
-            from repro.models.batched import BATCHED_STREAM_VERSION
-
-            # Batched runs are bit-identical to vectorized ones, but the
-            # key space is deliberately not shared: bit-identity is a
-            # tested invariant of the engines, not a property the cache
-            # should assume (DESIGN.md §7).
-            return {
-                "engine": resolved,
-                "stream_version": BATCHED_STREAM_VERSION,
-            }
-        if resolved == "vectorized":
-            from repro.models.vectorized import VECTORIZED_STREAM_VERSION
-
-            return {
-                "engine": resolved,
-                "stream_version": VECTORIZED_STREAM_VERSION,
-            }
-        return {"engine": resolved, "stream_version": REFERENCE_STREAM_VERSION}
+        version = (
+            BATCHED_STREAM_VERSION
+            if resolved == "batched"
+            else REFERENCE_STREAM_VERSION
+        )
+        return {"engine": resolved, "stream_version": version}
 
     # ------------------------------------------------------------------
     # The shared loop
@@ -218,24 +201,22 @@ class CulinaryEvolutionModel(abc.ABC):
         Args:
             spec: Cuisine inputs (``I``, ``s̄``, ``N``, ``φ``).
             seed: RNG seed; fixed seeds reproduce runs exactly (per
-                engine — ``"batched"`` and ``"vectorized"`` runs are
-                bit-identical to each other, while the ``"reference"``
-                engine consumes the stream in a different order, so the
-                same seed yields a different, equally valid run there).
+                engine — the ``"reference"`` engine consumes the stream
+                in a different order from ``"batched"``, so the same
+                seed yields a different, equally valid run there).
             record_history: Also record the ``(m, n)`` trajectory after
                 every iteration (pool growth analysis).
             engine: Per-run engine override (default:
-                ``params.engine``): ``"reference"``, ``"vectorized"``
-                or ``"batched"`` — the last two are supported by the
-                four paper models, while CM-V supports ``"vectorized"``
-                only (a batched request on it degrades there); see
-                :meth:`resolve_engine`.
+                ``params.engine``): ``"reference"`` or ``"batched"`` —
+                the latter is supported by the four paper models, and a
+                batched request on any other model (CM-V, extensions)
+                runs on the reference engine; see :meth:`resolve_engine`.
             checkpointer: Optional
                 :class:`repro.runtime.checkpoint.RunCheckpointer` for
                 crash-consistent periodic snapshots and bit-identical
-                resume (DESIGN.md §9).  Honored by the vectorized and
-                batched engines; the reference engine ignores it (it is
-                the executable specification, not a production path).
+                resume (DESIGN.md §9).  Honored by the batched engine;
+                the reference engine ignores it (it is the executable
+                specification, not a production path).
 
         Returns:
             The completed :class:`EvolutionRun`.
@@ -243,11 +224,8 @@ class CulinaryEvolutionModel(abc.ABC):
         rng = ensure_rng(seed)
         resolved = self.resolve_engine(engine)
         if resolved == "batched":
-            from repro.models.batched import run_batched
-
             # A single run is a batch of one; run_batched keeps every
-            # run bit-identical to the vectorized engine regardless of
-            # batch composition.
+            # run's result independent of batch composition.
             return run_batched(
                 self,
                 spec,
@@ -255,16 +233,6 @@ class CulinaryEvolutionModel(abc.ABC):
                 record_history=record_history,
                 checkpointer=checkpointer,
             )[0]
-        if resolved == "vectorized":
-            from repro.models.vectorized import run_vectorized
-
-            return run_vectorized(
-                self,
-                spec,
-                rng=rng,
-                record_history=record_history,
-                checkpointer=checkpointer,
-            )
         fitness_values = np.asarray(
             self.fitness.assign(spec.ingredient_ids, rng), dtype=np.float64
         )

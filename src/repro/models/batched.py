@@ -1,11 +1,11 @@
-"""The cross-run batched ensemble engine (``engine="batched"``).
+"""The batched Algorithm 1 engine (``engine="batched"``, the default).
 
-The vectorized engine (DESIGN.md §5) batches the draws *within* one
-run; an ensemble still pays per-run Python dispatch — 100 runs walk
-22k+ recipe steps each, one step at a time.  This engine stacks an
+The reference engine (DESIGN.md §5) executes one scalar ``Generator``
+round-trip per random decision, and an ensemble of 100 paper-scale runs
+walks 22k+ recipe steps each, one step at a time.  This engine stacks an
 entire same-cell ensemble into ``(runs, …)`` arrays and advances **all**
-runs together.  Two structural facts make that possible without
-changing any run's result:
+runs together; a single run is a batch of one.  Two structural facts
+make that possible without changing any run's result:
 
 * **Lockstep trajectories.**  The ∂-vs-φ alternation is a pure function
   of ``(m₀, n₀, φ, N, |I|)`` — no random draw enters the branch
@@ -20,25 +20,21 @@ changing any run's result:
   arrays, falling back to small follow-up waves only for the rare steps
   whose mother was itself created earlier in the same segment.
 
-**Bit-identity to the vectorized engine** (DESIGN.md §7): each stacked
-run keeps its *own* ``Generator`` and its own row of the block buffer,
-and :class:`BatchedStreams` replays the exact
-:class:`~repro.models.vectorized.UniformBuffer` consumption pattern per
-run — same block size, same refill-drops-tail semantics, same
-full-block bypass.  A run executed through this engine is therefore
-bit-identical to the same ``(model, spec, seed)`` run under
-``engine="vectorized"``: same transactions, same trace, same history.
-The batch composition is immaterial — any subset of seeds, in any
-order, yields the same per-run results — which is what keeps per-run
-results individually cacheable (:data:`BATCHED_STREAM_VERSION` is the
-stream-contract version the run-cache key carries).
+**Per-run streams** (DESIGN.md §7): each stacked run keeps its *own*
+``Generator`` and consumes it as uniform [0, 1) variates through its
+own row of a block buffer (:class:`BatchedStreams`), with integer draws
+derived as ``⌊u·k⌋``.  A run's draw sequence therefore depends only on
+its own seed: the batch composition is immaterial — any subset of
+seeds, in any order, yields the same per-run transactions, trace and
+history — which is what keeps per-run results individually cacheable
+(:data:`BATCHED_STREAM_VERSION` is the stream-contract version the
+run-cache key carries; ``tests/models/engine_digests.json`` pins it).
 
-Models opt in through their ``vectorized_kind``: the copy-mutate kinds
-(``"pool"``/``"category"``/``"mixture"``) and ``"null"`` are supported
-(:data:`BATCHED_KINDS`); CM-V's variable-length recipes have no fixed
-row width to stack, so a batched request on it resolves to the
-vectorized engine instead (see
-:meth:`repro.models.base.CulinaryEvolutionModel.resolve_engine`).
+Models opt in through their ``batched_kind``: the copy-mutate kinds
+(``"pool"``/``"category"``/``"mixture"``) and ``"null"``
+(:data:`BATCHED_KINDS`).  Any other model — CM-V's variable-length
+recipes have no fixed row width to stack — runs on the reference engine
+(see :meth:`repro.models.base.CulinaryEvolutionModel.resolve_engine`).
 """
 
 from __future__ import annotations
@@ -53,8 +49,6 @@ from repro.models.state import (
     CATEGORY_CODES,
     EvolutionTraceCounters,
 )
-from repro.models.vectorized import BLOCK_SIZE
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
     from repro.models.params import CuisineSpec
@@ -68,16 +62,19 @@ __all__ = [
 ]
 
 #: Version of the batched engine's RNG-stream contract.  The contract
-#: is *per run*: every stacked run consumes its own generator exactly
-#: like the vectorized engine's ``UniformBuffer`` would, so version 1
-#: is defined as "bit-identical to VECTORIZED_STREAM_VERSION 1 per
-#: run".  Bump on any change to the per-run draw sequence; cached runs
+#: is *per run*: the order, count and interpretation of the variates
+#: each run draws from its own generator through :class:`BatchedStreams`
+#: (fitness, pool and initial-recipe draws first, then the buffered
+#: main-loop stream).  Bump on any change to that sequence; cached runs
 #: then key differently instead of replaying a stale stream.
 BATCHED_STREAM_VERSION = 1
 
-#: ``vectorized_kind`` values the batched engine can stack.  CM-V's
-#: ``"variable"`` kind is absent: its recipes change length, so there is
-#: no fixed row width to lay the ensemble out on.
+#: Uniform variates drawn per buffer refill.  Part of the stream
+#: contract: refills discard any unconsumed tail, so changing the block
+#: size changes the stream (bump :data:`BATCHED_STREAM_VERSION`).
+BLOCK_SIZE = 16384
+
+#: ``batched_kind`` values the batched engine can stack.
 BATCHED_KINDS = ("pool", "category", "mixture", "null")
 
 #: Largest number of recipe steps resolved in one array pass.  Bounds
@@ -91,12 +88,15 @@ _MAX_SEGMENT = 4096
 class BatchedStreams:
     """Per-run block-buffered uniform streams over stacked generators.
 
-    One :class:`~repro.models.vectorized.UniformBuffer` per run, stored
+    One block of :data:`BLOCK_SIZE` pre-drawn variates per run, stored
     as one ``(runs, BLOCK_SIZE)`` matrix with a per-run cursor — the
-    "per-run stream offsets" of DESIGN.md §7.  Every method reproduces
-    the buffer's semantics run by run (refills drop the unconsumed
-    tail; requests of at least a full block bypass the buffer), which
-    is what pins batched runs bit-identical to vectorized ones.
+    "per-run stream offsets" of DESIGN.md §7.  Per run, the semantics
+    are those of a plain buffered stream: ``one`` serves the next
+    variate, ``take(count)`` the next ``count``; a request that does not
+    fit the rest of the block refills it and drops the unconsumed tail;
+    a request of at least a full block is drawn straight from the
+    generator, bypassing the buffer.  Nothing here depends on the other
+    runs, which is what makes batch composition immaterial.
     """
 
     __slots__ = ("_rngs", "_blocks", "_index", "_size", "_rows")
@@ -113,7 +113,7 @@ class BatchedStreams:
         self._rows = np.arange(len(self._rngs))
 
     def one_each(self) -> np.ndarray:
-        """One variate per run — each run's ``UniformBuffer.one()``."""
+        """One variate per run (each run's next buffered variate)."""
         index = self._index
         size = self._size
         if (index >= size).any():
@@ -128,8 +128,8 @@ class BatchedStreams:
         """Per run, ``takes`` successive ``take(count)`` calls.
 
         Returns a ``(runs, takes, count)`` array whose row ``r`` holds
-        exactly the variates ``takes`` consecutive
-        ``UniformBuffer.take(count)`` calls would return for run ``r``.
+        exactly the variates ``takes`` consecutive ``take(count)``
+        requests return for run ``r`` (see the class docstring).
         """
         runs = len(self._rngs)
         size = self._size
@@ -185,9 +185,9 @@ class BatchedStreams:
         """``takes`` successive ``take(count)`` calls for a single run.
 
         Lets the NM collision repair gather all of one run's repair
-        draws in one buffered walk; per-take semantics are exactly
-        ``UniformBuffer.take`` (refill drops the tail, full-block
-        requests bypass the buffer without moving the cursor).
+        draws in one buffered walk; per-take semantics are the class's
+        (refill drops the tail, full-block requests bypass the buffer
+        without moving the cursor).
         """
         if count >= self._size:
             rng = self._rngs[row]
@@ -236,15 +236,14 @@ class BatchedTransactions(Sequence):
     (shared with the sibling runs of its batch) plus the cuisine's
     canonical ingredient-id objects, from which recipe sets are
     materialized only when read.  Every recipe of every run references
-    the same few hundred id objects, exactly as the other engines'
+    the same few hundred id objects, exactly as the reference engine's
     eager lists do.
 
     The view behaves as the ``Sequence[frozenset[int]]`` the rest of
     the codebase consumes: it iterates, indexes (slices return eager
-    lists), and compares equal to the eager list the vectorized engine
-    would produce for the same run.  It also *pickles as* that plain
-    list, so a cached batched run round-trips to the eager
-    representation (DESIGN.md §7).
+    lists), and compares equal to the eager list of the same recipes.
+    It also *pickles as* that plain list, so a cached batched run
+    round-trips to the eager representation (DESIGN.md §7).
 
     Reads are deliberately not memoized — iterating twice materializes
     twice, keeping memory bounded for consumers that stream over an
@@ -328,7 +327,7 @@ def run_batched(
     """Execute one Algorithm 1 run per generator, all runs stacked.
 
     Args:
-        model: A model whose ``vectorized_kind`` is in
+        model: A model whose ``batched_kind`` is in
             :data:`BATCHED_KINDS`.
         spec: Cuisine inputs, shared by every run.
         rngs: One generator per run (from
@@ -347,20 +346,20 @@ def run_batched(
 
     Returns:
         One :class:`~repro.models.base.EvolutionRun` per generator,
-        each bit-identical to the same run under ``engine="vectorized"``.
+        each identical to the same seed run alone.
 
     Raises:
-        ModelError: If the model's kind cannot be stacked (unset, or
-            CM-V's variable-length ``"variable"`` kind).
+        ModelError: If the model's exact class declares no stackable
+            ``batched_kind``.
     """
     from repro.models.base import EvolutionRun
 
-    kind = type(model).__dict__.get("vectorized_kind")
+    kind = type(model).__dict__.get("batched_kind")
     if kind not in BATCHED_KINDS:
         raise ModelError(
             f"model {type(model).__qualname__} does not support the "
-            f"batched engine (vectorized_kind={kind!r}); run it with "
-            "engine='vectorized' or engine='reference'"
+            f"batched engine (batched_kind={kind!r}); run it with "
+            "engine='reference'"
         )
     runs = len(rngs)
     if runs == 0:
@@ -411,10 +410,10 @@ def run_batched(
 
     snapshot = checkpointer.load() if checkpointer is not None else None
     if snapshot is None:
-        # Per-run initialization replays the vectorized engine's draw
-        # order exactly: fitness assignment, then the pool `choice`,
-        # then one `choice` per initial recipe, then the first buffer
-        # block (drawn by BatchedStreams below).  Runs are independent
+        # Per-run initialization draw order (part of the stream
+        # contract): fitness assignment, then the pool `choice`, then
+        # one `choice` per initial recipe, then the first buffer block
+        # (drawn by BatchedStreams below).  Runs are independent
         # generators, so the cross-run loop order is immaterial.
         for row, rng in enumerate(rngs):
             fitness[row] = np.asarray(
@@ -525,8 +524,8 @@ def run_batched(
         ``draws`` is the entries' ``(entries, draws_per_step)`` variate
         rows; ``run_of`` maps each entry back to its run for state
         lookups and counter attribution.  The gate order per mutation is
-        the vectorized engine's exactly: no-candidate skip, candidate ==
-        victim, fitness, in-row duplicate.
+        the reference loop's: no-candidate skip, candidate == victim,
+        fitness, in-row duplicate.
         """
         nonlocal attempted
         entries, length = rows.shape
@@ -670,8 +669,9 @@ def run_batched(
     while n < target:
         if m / n < phi and rem:
             # Pool growth, all runs at once: one buffered variate per
-            # run selects its remaining-universe victim; the swap-move
-            # and the per-category append mirror ArrayEvolutionState.
+            # run selects its remaining-universe victim; an O(1)
+            # swap-move keeps the remaining columns contiguous, and the
+            # pool and per-category lists are append-only.
             u = streams.one_each()
             drawn = (u * rem).astype(np.intp)
             position = remaining[row_index, drawn]
@@ -691,10 +691,12 @@ def run_batched(
                 checkpointer.after_step(step, _capture)
             continue
         if null_mode:
-            # NM: the vectorized engine already batches each frozen-pool
-            # stretch within a run; here the same stretch is drawn for
-            # all runs at once and only within-row collisions fall back
-            # to per-row Floyd repair on that run's own stream.
+            # NM: the pool is frozen until ∂ next drops below φ, so the
+            # whole stretch of recipe steps is drawn for all runs at
+            # once: rejection-sample whole rows (exactly uniform over
+            # distinct index sets, conditional on acceptance) and repair
+            # only rows with within-row collisions by Floyd's sampling
+            # on that run's own stream.
             if rem:
                 cap = int(m / phi)
                 while m / (cap + 1) >= phi:

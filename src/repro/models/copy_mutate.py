@@ -27,7 +27,7 @@ class CopyMutateRandom(CopyMutateBase):
     """CM-R: unrestricted replacement choice."""
 
     name = "CM-R"
-    vectorized_kind = "pool"
+    batched_kind = "pool"
 
     @classmethod
     def default_params(cls) -> ModelParams:
@@ -46,7 +46,7 @@ class CopyMutateCategory(CopyMutateBase):
     """CM-C: replacement restricted to the victim's category."""
 
     name = "CM-C"
-    vectorized_kind = "category"
+    batched_kind = "category"
 
     @classmethod
     def default_params(cls) -> ModelParams:
@@ -70,7 +70,7 @@ class CopyMutateMixture(CopyMutateBase):
     """CM-M: category-restricted exactly half the time."""
 
     name = "CM-M"
-    vectorized_kind = "mixture"
+    batched_kind = "mixture"
 
     @classmethod
     def default_params(cls) -> ModelParams:

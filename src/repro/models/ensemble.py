@@ -335,13 +335,13 @@ def run_ensemble(
             (:mod:`repro.runtime`); ``None`` executes serially with no
             cache.  Results are bit-identical across backends for a
             fixed ``seed``.
-        engine: Per-run engine override (``"reference"``,
-            ``"vectorized"`` or ``"batched"``; ``None`` keeps the
-            model's ``params.engine``).  The whole ensemble is one
-            same-cell group, so an engine that resolves to
-            ``"batched"`` — the four paper models; CM-V degrades to
-            vectorized — executes the uncached runs as one stacked
-            pass instead of ``n_runs`` dispatches (DESIGN.md §7).
+        engine: Per-run engine override (``"reference"`` or
+            ``"batched"``; ``None`` keeps the model's
+            ``params.engine``).  The whole ensemble is one same-cell
+            group, so an engine that resolves to ``"batched"`` — the
+            four paper models; CM-V resolves to reference — executes
+            the uncached runs as one stacked pass instead of
+            ``n_runs`` dispatches (DESIGN.md §7).
 
     Returns:
         An :class:`EnsembleResult`.

@@ -1,13 +1,5 @@
 """Model extensions implementing the paper's stated future work."""
 
-from repro.models.extensions.horizontal import (
-    ExchangeOutcome,
-    HorizontalExchangeSimulation,
-)
 from repro.models.extensions.variable_size import VariableSizeCopyMutate
 
-__all__ = [
-    "ExchangeOutcome",
-    "HorizontalExchangeSimulation",
-    "VariableSizeCopyMutate",
-]
+__all__ = ["VariableSizeCopyMutate"]

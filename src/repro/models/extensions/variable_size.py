@@ -37,15 +37,13 @@ class VariableSizeCopyMutate(CopyMutateBase):
         min_size: Smallest allowed recipe (paper bound: 2).
         max_size: Largest allowed recipe (paper bound: 38).
         engine: Convenience override for ``params.engine``.  CM-V
-            supports ``"reference"`` and ``"vectorized"`` (the
-            ``"variable"`` kind); its recipes change length, so there
-            is no fixed row width for the batched engine to stack —
-            an ``engine="batched"`` request resolves to
-            ``"vectorized"`` instead (DESIGN.md §7).
+            declares no ``batched_kind``: its recipes change length, so
+            there is no fixed row width for the batched engine to
+            stack, and every run executes on the ``"reference"``
+            engine (which takes no checkpoints; DESIGN.md §7, §9).
     """
 
     name = "CM-V"
-    vectorized_kind = "variable"
 
     def __init__(
         self,

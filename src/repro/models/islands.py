@@ -38,10 +38,6 @@ dispatchable model: its result is a pure function of
 through :func:`~repro.runtime.runner.dispatch_requests` (thread /
 process / distributed backends), where consecutive same-seed members
 regroup into single archipelago executions.
-
-The legacy
-:class:`~repro.models.extensions.horizontal.HorizontalExchangeSimulation`
-is a thin compat wrapper over a full-mesh topology.
 """
 
 from __future__ import annotations
@@ -657,7 +653,7 @@ class IslandMemberModel(CulinaryEvolutionModel):
 
         The island engine is reference-dynamics by construction (its
         bit-identity contract is against isolated reference runs), so
-        vectorized/batched requests do not apply.
+        batched requests do not apply.
         """
         return "reference"
 

@@ -39,7 +39,7 @@ class NullModel(CulinaryEvolutionModel):
     """
 
     name = "NM"
-    vectorized_kind = "null"
+    batched_kind = "null"
 
     def __init__(
         self,

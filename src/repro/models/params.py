@@ -23,13 +23,10 @@ __all__ = ["ENGINES", "ModelParams", "CuisineSpec"]
 
 #: Recognized simulation engines (see DESIGN.md §5 and §7).
 #: ``"reference"`` is the scalar Algorithm 1 loop kept as the executable
-#: specification; ``"vectorized"`` is the array-backed engine with
-#: batched RNG draws (the default — ≥3× single-run throughput, same
-#: dynamics under its own versioned determinism contract);
-#: ``"batched"`` stacks a whole same-cell ensemble into ``(runs, …)``
-#: arrays and advances every run per step in one numpy pass, with
-#: per-run results bit-identical to ``"vectorized"``.
-ENGINES: tuple[str, ...] = ("reference", "vectorized", "batched")
+#: specification; ``"batched"`` (the default) stacks a whole same-cell
+#: ensemble into ``(runs, …)`` arrays and advances every run per step in
+#: one numpy pass, under its own versioned per-run determinism contract.
+ENGINES: tuple[str, ...] = ("reference", "batched")
 
 
 @dataclass(frozen=True)
@@ -53,14 +50,12 @@ class ModelParams:
         mixture_category_probability: CM-M's probability of using the
             category-restricted choice (paper: exactly half the time).
         engine: Simulation engine executing Algorithm 1:
-            ``"vectorized"`` (default; array-backed state, batched RNG
-            draws), ``"batched"`` (whole-ensemble run stacking;
-            per-run results bit-identical to ``"vectorized"``) or
-            ``"reference"`` (the scalar loop, kept as the executable
-            spec).  All are deterministic per seed; the reference
-            engine consumes the RNG stream in a different order from
-            the other two, so its runs — and its run-cache keys —
-            differ (DESIGN.md §5, §7).
+            ``"batched"`` (default; whole-ensemble run stacking, a
+            single run is a batch of one) or ``"reference"`` (the
+            scalar loop, kept as the executable spec).  Both are
+            deterministic per seed; the reference engine consumes the
+            RNG stream in a different order, so its runs — and its
+            run-cache keys — differ (DESIGN.md §5, §7).
     """
 
     initial_pool_size: int = PAPER.model_initial_pool_size
@@ -69,7 +64,7 @@ class ModelParams:
     duplicate_policy: str = "skip"
     category_fallback: str = "skip"
     mixture_category_probability: float = 0.5
-    engine: str = "vectorized"
+    engine: str = "batched"
 
     def __post_init__(self) -> None:
         if self.initial_pool_size < 1:

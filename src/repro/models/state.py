@@ -1,27 +1,18 @@
-"""Mutable simulation state for Algorithm 1, in two representations.
+"""Mutable simulation state of the reference Algorithm 1 engine.
 
-Both engines (DESIGN.md §5) track the ingredient universe ``I``, the
+:class:`EvolutionState` tracks the ingredient universe ``I``, the
 growing pool ``I₀``, the growing recipe pool ``R₀``, per-ingredient
-fitness, and the pool-ratio bookkeeping (∂ = m/n vs φ):
+fitness, and the pool-ratio bookkeeping (∂ = m/n vs φ) for the scalar
+loop of DESIGN.md §5.  Its public surface speaks ingredient *ids*
+(recipes are lists of ids, draws return ids) because the scalar loop,
+the island engine and the extensions (:mod:`repro.models.extensions`)
+are written in id space.  Internally fitness and category live in dense
+position-indexed arrays behind one id→position index, and per-category
+pool membership is a contiguous list per category code.  (The batched
+engine keeps its own stacked position planes; see
+:mod:`repro.models.batched`.)
 
-* :class:`EvolutionState` — the **reference** representation.  Its public
-  surface speaks ingredient *ids* (recipes are lists of ids, draws
-  return ids) because the scalar loop and the extensions
-  (:mod:`repro.models.extensions`) are written in id space.  Internally
-  fitness and category live in dense position-indexed arrays — a single
-  id→position index replaces the old per-quantity dicts — and
-  per-category pool membership is a contiguous list per category code.
-* :class:`ArrayEvolutionState` — the **vectorized** representation.
-  Everything is a dense integer *position* (the index into
-  ``spec.ingredient_ids``): fitness and category are arrays indexed by
-  position, the pool/remaining partition is a pair of index lists with
-  O(1) swap-moves, per-category pool membership is one contiguous,
-  append-only index list per category (the pool never shrinks), and
-  recipes hold positions until :meth:`~ArrayEvolutionState.transactions`
-  maps them back to ids.  The vectorized engine
-  (:mod:`repro.models.vectorized`) drives it with batched RNG draws.
-
-Shared invariants (enforced by the property tests):
+Invariants (enforced by the property tests):
 
 * the pool is always a subset of the original universe;
 * pool and remaining universe are disjoint and their union is constant;
@@ -30,7 +21,6 @@ Shared invariants (enforced by the property tests):
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +30,6 @@ from repro.lexicon.categories import Category
 from repro.models.params import CuisineSpec
 
 __all__ = [
-    "ArrayEvolutionState",
     "CATEGORY_CODES",
     "EvolutionState",
     "EvolutionTraceCounters",
@@ -82,14 +71,6 @@ class EvolutionTraceCounters:
     recipes_borrowed: int = 0
 
 
-def _position_index(ingredient_ids: tuple[int, ...]) -> dict[int, int]:
-    """The id → dense-position index shared by both representations."""
-    return {
-        int(ingredient_id): position
-        for position, ingredient_id in enumerate(ingredient_ids)
-    }
-
-
 class EvolutionState:
     """Live state of one reference-engine Algorithm 1 run (id space)."""
 
@@ -112,9 +93,12 @@ class EvolutionState:
 
         self.spec = spec
         self._rng = rng
-        # Dense position-indexed value arrays; one id→position index
-        # replaces the per-quantity dicts the state used to carry.
-        self._position_of = _position_index(spec.ingredient_ids)
+        # Dense position-indexed value arrays behind one id→position
+        # index.
+        self._position_of = {
+            int(ingredient_id): position
+            for position, ingredient_id in enumerate(spec.ingredient_ids)
+        }
         self._fitness_list: list[float] = (
             np.asarray(fitness, dtype=np.float64).tolist()
         )
@@ -278,175 +262,3 @@ class EvolutionState:
     def transactions(self) -> list[frozenset[int]]:
         """Recipe pool as itemset transactions (mining input)."""
         return [frozenset(recipe) for recipe in self.recipes]
-
-
-class ArrayEvolutionState:
-    """Dense position-indexed state for the vectorized engine.
-
-    All quantities are integer *positions* into ``spec.ingredient_ids``;
-    ids only reappear when :meth:`transactions` converts the finished
-    recipe pool.  Containers are kept as plain Python lists of machine
-    ints — the vectorized engine batches its RNG draws into numpy calls
-    but applies them through scalar bookkeeping, and list indexing beats
-    per-element ndarray access there.
-
-    Args:
-        spec: Cuisine inputs.
-        fitness: Fitness per position (aligned with
-            ``spec.ingredient_ids``).
-        rng: Generator used for the one-time initialization draws (the
-            main loop consumes a block-buffered uniform stream instead;
-            see :class:`repro.models.vectorized.UniformBuffer`).
-        initial_pool_size: ``m`` before capping at the universe size.
-        initial_recipes: ``n₀``.
-    """
-
-    __slots__ = (
-        "spec",
-        "fitness",
-        "category_codes",
-        "pool",
-        "remaining",
-        "pool_by_code",
-        "recipes",
-        "trace",
-    )
-
-    def __init__(
-        self,
-        spec: CuisineSpec,
-        fitness: np.ndarray,
-        rng: np.random.Generator,
-        initial_pool_size: int,
-        initial_recipes: int,
-    ):
-        if fitness.shape != (len(spec.ingredient_ids),):
-            raise ModelError(
-                f"fitness must align with the universe: {fitness.shape} vs "
-                f"{len(spec.ingredient_ids)}"
-            )
-        universe_size = len(spec.ingredient_ids)
-        m = min(initial_pool_size, universe_size)
-        if m < 1:
-            raise ModelError("initial pool must hold at least one ingredient")
-
-        self.spec = spec
-        #: Fitness by position, as Python floats (hot-loop lookups).
-        self.fitness: list[float] = (
-            np.asarray(fitness, dtype=np.float64).tolist()
-        )
-        #: Category code by position (see :data:`CATEGORY_CODES`).
-        self.category_codes: list[int] = [
-            CATEGORY_CODES[category] for category in spec.categories
-        ]
-
-        # Step 2: I0 <- m random positions; I <- I - I0.  Same draw shape
-        # as the reference state (one `choice` without replacement).
-        picked = rng.choice(universe_size, size=m, replace=False)
-        mask = np.zeros(universe_size, dtype=bool)
-        mask[picked] = True
-        #: Pool positions, in insertion order (append-only).
-        self.pool: list[int] = np.nonzero(mask)[0].tolist()
-        #: Remaining universe positions; shrinks by O(1) swap-moves.
-        self.remaining: list[int] = np.nonzero(~mask)[0].tolist()
-        #: Contiguous pool positions per category code (append-only).
-        self.pool_by_code: list[list[int]] = [[] for _ in CATEGORIES_BY_CODE]
-        category_codes = self.category_codes
-        for position in self.pool:
-            self.pool_by_code[category_codes[position]].append(position)
-
-        # R0 <- n recipes of s̄ distinct pool positions each.
-        size = min(spec.recipe_size, len(self.pool))
-        pool = self.pool
-        self.recipes: list[list[int]] = [
-            [pool[int(row)] for row in rng.choice(len(pool), size=size,
-                                                  replace=False)]
-            for _ in range(initial_recipes)
-        ]
-        self.trace = EvolutionTraceCounters()
-
-    @property
-    def m(self) -> int:
-        """Current ingredient pool size."""
-        return len(self.pool)
-
-    @property
-    def n(self) -> int:
-        """Current recipe pool size."""
-        return len(self.recipes)
-
-    def can_grow_pool(self) -> bool:
-        """Whether the remaining universe is non-empty."""
-        return bool(self.remaining)
-
-    def grow_pool(self, u: float) -> int:
-        """Move the ``⌊u·|remaining|⌋``-th remaining position into the pool.
-
-        ``u`` is a uniform [0, 1) variate from the engine's buffered
-        stream; the swap-move keeps the remaining list contiguous in
-        O(1).
-        """
-        remaining = self.remaining
-        if not remaining:
-            raise ModelError("ingredient universe is exhausted")
-        row = int(u * len(remaining))
-        position = remaining[row]
-        remaining[row] = remaining[-1]
-        remaining.pop()
-        self.pool.append(position)
-        self.pool_by_code[self.category_codes[position]].append(position)
-        self.trace.ingredients_added += 1
-        return position
-
-    def transactions(self) -> list[frozenset[int]]:
-        """Recipe pool as id-space itemset transactions (mining input)."""
-        id_of = list(self.spec.ingredient_ids).__getitem__
-        return [
-            frozenset(map(id_of, recipe)) for recipe in self.recipes
-        ]
-
-    # ------------------------------------------------------------------
-    # Checkpointing (DESIGN.md §9)
-    # ------------------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """A picklable deep snapshot of the mutable state.
-
-        Everything :meth:`restore` needs that is not derivable from the
-        spec: the containers are copied (the engine keeps mutating the
-        originals after the snapshot), fitness is immutable-by-contract
-        but cheap enough to copy anyway, and the trace counters travel
-        as a plain dict.  ``category_codes`` is deliberately absent —
-        it is a pure function of the spec and is recomputed on restore.
-        """
-        return {
-            "fitness": list(self.fitness),
-            "pool": list(self.pool),
-            "remaining": list(self.remaining),
-            "pool_by_code": [list(members) for members in self.pool_by_code],
-            "recipes": [list(recipe) for recipe in self.recipes],
-            "trace": dataclasses.asdict(self.trace),
-        }
-
-    @classmethod
-    def restore(cls, spec: CuisineSpec, payload: dict) -> "ArrayEvolutionState":
-        """Rebuild a state from :meth:`export_state` output.
-
-        Bypasses ``__init__`` entirely — the constructor consumes RNG
-        draws (the pool/recipe ``choice`` sequence), and a resumed run
-        must consume *no* draws the uninterrupted run would not.
-        """
-        state = object.__new__(cls)
-        state.spec = spec
-        state.fitness = list(payload["fitness"])
-        state.category_codes = [
-            CATEGORY_CODES[category] for category in spec.categories
-        ]
-        state.pool = list(payload["pool"])
-        state.remaining = list(payload["remaining"])
-        state.pool_by_code = [
-            list(members) for members in payload["pool_by_code"]
-        ]
-        state.recipes = [list(recipe) for recipe in payload["recipes"]]
-        state.trace = EvolutionTraceCounters(**payload["trace"])
-        return state

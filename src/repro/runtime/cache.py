@@ -64,6 +64,10 @@ __all__ = [
 #: layout changed (``EvolutionTraceCounters`` gained
 #: ``recipes_borrowed``), so pre-v4 entries would unpickle traces
 #: missing the attribute; they miss and re-run instead.
+#: Retiring the ``"vectorized"`` engine needed no bump: ``reference``
+#: and ``batched`` keys keep their meaning, and ``vectorized`` keys
+#: (CM-V's included — it now resolves to reference) are never looked
+#: up again.
 CACHE_FORMAT_VERSION = 4
 
 

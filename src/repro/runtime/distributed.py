@@ -52,7 +52,7 @@ import tempfile
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -65,7 +65,12 @@ from repro.runtime.executor import (
     SerialExecutor,
 )
 from repro.runtime.checkpoint import disarm_kill, resume_events
-from repro.runtime.faults import FaultPlan, inject_fault
+from repro.runtime.faults import (
+    FaultPlan,
+    fire_fault,
+    fired_faults,
+    inject_fault,
+)
 
 __all__ = [
     "DistributedExecutor",
@@ -110,6 +115,7 @@ class Spool:
           results/   result payloads      <task>.result.pkl
           workers/   worker liveness      <worker>.alive
           faults.json    optional fault-injection plan
+          faults.fired/  one record per fault that fired
           attempts.jsonl appended TaskAttempt records (coordinator)
           stop           sentinel telling idle workers to exit
 
@@ -139,6 +145,10 @@ class Spool:
     @property
     def fault_path(self) -> Path:
         return self.root / "faults.json"
+
+    @property
+    def fired_dir(self) -> Path:
+        return self.root / "faults.fired"
 
     @property
     def attempts_path(self) -> Path:
@@ -460,6 +470,8 @@ class TaskAttempt:
         resumed_from_step: Engine step of the checkpoint snapshot this
             attempt resumed from (DESIGN.md §9); ``None`` when the
             attempt started from scratch (or checkpointing was off).
+        fault: Action of the planned fault injected into this attempt
+            (:mod:`repro.runtime.faults`), or ``None``.
     """
 
     task_index: int
@@ -469,6 +481,7 @@ class TaskAttempt:
     error: str | None = None
     elapsed_seconds: float | None = None
     resumed_from_step: int | None = None
+    fault: str | None = None
 
 
 #: Attempts observed in this process, in observation order — the
@@ -623,7 +636,10 @@ def run_worker(
                 # before deserialization, so an injected kill leaves
                 # exactly a real crash's on-disk state (faults.py).
                 if fault_plan is not None:
-                    spec = fault_plan.for_task(worker_id, summary.claimed)
+                    spec = fire_fault(
+                        fault_plan, spool.fired_dir, worker_id,
+                        summary.claimed, base,
+                    )
                     if spec is not None:
                         inject_fault(spec)
                 started = time.perf_counter()
@@ -859,6 +875,10 @@ class _MapSession:
         return f"{self._nonce}-{index:05d}"
 
     def _record(self, attempt: TaskAttempt) -> None:
+        fault = fired_faults(self._spool.fired_dir).get(
+            f"{self._task_id(attempt.task_index)}.a{attempt.attempt:02d}"
+        )
+        attempt = replace(attempt, fault=fault)
         _TASK_ATTEMPTS.append(attempt)
         try:
             with self._spool.attempts_path.open("a", encoding="utf-8") as f:
@@ -1104,10 +1124,13 @@ class _MapSession:
                 self._spool.fault_path.unlink()
             except OSError:
                 pass
+            shutil.rmtree(self._spool.fired_dir, ignore_errors=True)
 
     def run(self) -> list:
         self._serialize()
         if self._settings.fault_plan is not None:
+            # A fresh plan fires afresh: drop an earlier session's records.
+            shutil.rmtree(self._spool.fired_dir, ignore_errors=True)
             self._settings.fault_plan.save(self._spool.fault_path)
         started = time.time()
         try:

@@ -20,6 +20,14 @@ the first heartbeat, *before* the task payload is deserialized.  A
 ``kill`` therefore leaves exactly the on-disk state a real worker crash
 leaves — a claim file whose heartbeat goes stale — which is what the
 lease-expiry tests in ``tests/runtime/test_fault_injection.py`` rely on.
+
+Every fault that fires leaves a record first (:func:`fire_fault`), one
+small JSON file per firing in the spool's ``faults.fired`` directory,
+naming the claimed task attempt.  The coordinator attaches it to that
+attempt's :class:`~repro.runtime.distributed.TaskAttempt` as ``fault``,
+so a test can prove its fault fired instead of passing vacuously when
+the targeted worker never claims anything.  The same exclusive-create
+is what makes :data:`ANY_WORKER` targeting fire exactly once.
 """
 
 from __future__ import annotations
@@ -33,10 +41,13 @@ from pathlib import Path
 from repro.errors import ExecutionError
 
 __all__ = [
+    "ANY_WORKER",
     "FAULT_KINDS",
     "FAULT_KILL_EXIT_CODE",
     "FaultPlan",
     "FaultSpec",
+    "fire_fault",
+    "fired_faults",
     "inject_fault",
 ]
 
@@ -64,6 +75,11 @@ FAULT_KINDS: tuple[str, ...] = ("kill", "hang", "delay", "kill_at_step")
 #: crashes in worker logs and test assertions.
 FAULT_KILL_EXIT_CODE = 47
 
+#: ``FaultSpec.worker`` value targeting whichever worker first reaches
+#: the spec's ``nth_task``-th claim: the fault fires exactly once per
+#: plan, independent of which worker wins the race for the queue.
+ANY_WORKER = "*"
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -75,9 +91,11 @@ class FaultSpec:
             counted per worker (``nth_task=1`` fires on a worker's first
             claimed task).
         worker: Worker id the fault targets (coordinator-spawned local
-            workers are named ``local-0``, ``local-1``, ...); ``None``
-            targets every worker, which is how "kill each worker's
-            first task" retry-exhaustion plans are written.
+            workers are named ``local-0``, ``local-1``, ...);
+            :data:`ANY_WORKER` fires once, on the first worker to reach
+            its ``nth_task``-th claim; ``None`` targets every worker,
+            which is how "kill each worker's first task"
+            retry-exhaustion plans are written.
         seconds: Sleep duration for ``hang``/``delay`` (ignored by
             ``kill``/``kill_at_step``).
         at_step: 1-based engine step at which ``kill_at_step`` fires
@@ -112,8 +130,9 @@ class FaultSpec:
     def matches(self, worker_id: str, claim_ordinal: int) -> bool:
         """Whether this fault fires for ``worker_id``'s Nth claim."""
         return (
-            self.worker is None or self.worker == worker_id
-        ) and self.nth_task == claim_ordinal
+            self.worker in (None, ANY_WORKER, worker_id)
+            and self.nth_task == claim_ordinal
+        )
 
 
 @dataclass(frozen=True)
@@ -210,6 +229,56 @@ class FaultPlan:
                 f"unreadable fault plan at {path}: {exc}"
             ) from exc
         return cls.from_payload(payload)
+
+
+def fire_fault(
+    plan: FaultPlan,
+    fired_dir: Path,
+    worker_id: str,
+    claim_ordinal: int,
+    task: str,
+) -> FaultSpec | None:
+    """Decide whether a claim fires its planned fault, recording it if so.
+
+    The record — ``{"task", "worker", "action"}`` for the claimed task
+    attempt ``task`` — is created exclusively under a name unique to
+    the spec and, unless it targets :data:`ANY_WORKER`, the worker.  It
+    lands before the fault is injected, so even a ``kill`` leaves one;
+    an :data:`ANY_WORKER` spec whose record already exists has fired
+    elsewhere and does not fire again.
+
+    Returns:
+        The spec to pass to :func:`inject_fault`, or ``None``.
+    """
+    spec = plan.for_task(worker_id, claim_ordinal)
+    if spec is None:
+        return None
+    index = plan.faults.index(spec)
+    name = (
+        f"{index}.json" if spec.worker == ANY_WORKER
+        else f"{index}.{worker_id}.json"
+    )
+    fired_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        fd = os.open(fired_dir / name, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return None
+    record = {"task": task, "worker": worker_id, "action": spec.action}
+    with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, sort_keys=True)
+    return spec
+
+
+def fired_faults(fired_dir: Path) -> dict[str, str]:
+    """Fired fault actions by claimed task attempt (``<task>.aNN``)."""
+    fired: dict[str, str] = {}
+    for path in fired_dir.glob("*.json"):
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            continue  # a firing worker died mid-write: nothing to attach
+        fired[record["task"]] = record["action"]
+    return fired
 
 
 def inject_fault(spec: FaultSpec) -> None:

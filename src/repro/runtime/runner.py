@@ -115,8 +115,8 @@ class RunRequest:
         seed: Integer child seed from :func:`repro.rng.spawn_seeds`.
         record_history: Forwarded to ``model.run``.
         engine: Per-run engine override forwarded to ``model.run``
-            (``"reference"``, ``"vectorized"`` or ``"batched"``;
-            ``None`` uses the model's ``params.engine``).  The cache
+            (``"reference"`` or ``"batched"``; ``None`` uses the
+            model's ``params.engine``).  The cache
             key covers the resolved engine either way.
         checkpoint: Optional crash-consistency policy (DESIGN.md §9).
             An execution concern, not part of the run's identity:
@@ -616,12 +616,11 @@ def execute_runs(
         cache: Explicit cache instance (overrides ``runtime.cache_dir``;
             useful for inspecting hit/miss stats).
         engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``;
-            default: the model's ``params.engine``).  An engine
-            resolving to ``"batched"`` executes same-cell cache
-            misses as stacked group passes — bit-identical to
-            per-run vectorized execution (DESIGN.md §7); CM-V
-            degrades to vectorized.
+            (``"reference"`` or ``"batched"``; default: the model's
+            ``params.engine``).  An engine resolving to ``"batched"``
+            executes same-cell cache misses as stacked group passes,
+            each run identical to its solo execution (DESIGN.md §7);
+            CM-V resolves to reference.
 
     Returns:
         Runs aligned with ``seeds``.

@@ -125,14 +125,14 @@ class SweepPlan:
             from the root generator, and the order results come back.
         record_history: Forwarded to every run.
         engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``;
-            ``None``: each cell's model decides via ``params.engine``).
+            (``"reference"`` or ``"batched"``; ``None``: each cell's
+            model decides via ``params.engine``).
             Carried on the plan so one grid can be re-executed on
             another engine without rebuilding the models, and so the
             cache keys of a sweep cover the engine its runs actually
             used.  Under ``"batched"`` the dispatcher stacks each
             cell's uncached runs into one pass (DESIGN.md §7); models
-            without batched support (CM-V) degrade to vectorized.
+            without batched support (CM-V) run on reference.
         checkpoint_every: Snapshot each dispatched run's engine state
             every N steps (DESIGN.md §9).  ``None`` defers to the
             runtime config at execution time; carried on the plan so a
@@ -191,8 +191,7 @@ def plan_cells(
             exactly as the per-cell path would advance it.
         record_history: Forwarded to every run.
         engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``; see
-            :class:`SweepPlan`).
+            (``"reference"`` or ``"batched"``; see :class:`SweepPlan`).
         checkpoint_every: Snapshot period in engine steps (see
             :class:`SweepPlan`); ``None`` defers to the runtime config.
 
@@ -238,8 +237,7 @@ def plan_grid(
         seed: Root seed or generator.
         record_history: Forwarded to every run.
         engine: Per-run engine override forwarded to every run
-            (``"reference"``, ``"vectorized"`` or ``"batched"``; see
-            :class:`SweepPlan`).
+            (``"reference"`` or ``"batched"``; see :class:`SweepPlan`).
         checkpoint_every: Snapshot period in engine steps (see
             :class:`SweepPlan`); ``None`` defers to the runtime config.
 

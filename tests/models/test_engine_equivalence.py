@@ -1,4 +1,4 @@
-"""Reference-vs-vectorized engine equivalence (DESIGN.md §5).
+"""Reference-vs-batched engine equivalence (DESIGN.md §5, §7).
 
 The two engines consume the RNG stream in different orders, so their
 runs are not bit-identical for a given seed.  The contract tested here
@@ -15,12 +15,10 @@ instead has three layers:
    curves), and recipe-size profiles agree within ensemble tolerance
    across all four models, both duplicate policies, and both category
    fallbacks.
-3. **The vectorized engine is itself exactly deterministic** — fixed
-   seed → bit-identical runs, across serial/thread/process backends.
-4. **The batched engine is bit-identical to vectorized** (DESIGN.md
-   §7): stacking runs never changes any individual run — transactions,
-   trace, and history match exactly, for every batchable model, at any
-   batch size or composition.
+3. **The batched engine is itself exactly deterministic** — fixed
+   seed → bit-identical runs, whatever the batch composition; routing a
+   run through ``model.run`` or :func:`run_batched` is immaterial.  Its
+   per-run stream is pinned bit for bit by ``test_batched_digests.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +33,7 @@ from repro.models.batched import run_batched
 from repro.models.null_model import NullModel
 from repro.models.params import CuisineSpec, ModelParams
 from repro.models.registry import PAPER_MODELS, create_model
-from repro.rng import ensure_rng, rng_from_seed, spawn_seeds
-from repro.runtime import RuntimeConfig, execute_runs
+from repro.rng import rng_from_seed
 
 N_SEEDS = 12
 
@@ -57,10 +54,10 @@ def _pair(name, seed, spec, record_history=False, **kwargs):
     reference = create_model(name, engine="reference", **kwargs).run(
         spec, seed=seed, record_history=record_history
     )
-    vectorized = create_model(name, engine="vectorized", **kwargs).run(
+    batched = create_model(name, engine="batched", **kwargs).run(
         spec, seed=seed, record_history=record_history
     )
-    return reference, vectorized
+    return reference, batched
 
 
 def _ingredient_frequencies(runs) -> np.ndarray:
@@ -88,11 +85,11 @@ def test_trajectories_identical(name):
     """(m, n) histories and final pool sizes match run for run."""
     spec = _spec()
     for seed in range(N_SEEDS):
-        reference, vectorized = _pair(name, seed, spec, record_history=True)
-        assert reference.history == vectorized.history
-        assert reference.final_pool_size == vectorized.final_pool_size
-        assert reference.initial_recipes == vectorized.initial_recipes
-        assert reference.n_recipes == vectorized.n_recipes
+        reference, batched = _pair(name, seed, spec, record_history=True)
+        assert reference.history == batched.history
+        assert reference.final_pool_size == batched.final_pool_size
+        assert reference.initial_recipes == batched.initial_recipes
+        assert reference.n_recipes == batched.n_recipes
 
 
 @pytest.mark.parametrize("name", PAPER_MODELS)
@@ -100,17 +97,15 @@ def test_deterministic_counters_identical(name):
     """Counters fixed by the trajectory (not by draws) match exactly."""
     spec = _spec()
     for seed in range(N_SEEDS):
-        reference, vectorized = _pair(name, seed, spec)
-        assert (
-            reference.trace.recipes_added == vectorized.trace.recipes_added
-        )
+        reference, batched = _pair(name, seed, spec)
+        assert reference.trace.recipes_added == batched.trace.recipes_added
         assert (
             reference.trace.ingredients_added
-            == vectorized.trace.ingredients_added
+            == batched.trace.ingredients_added
         )
         assert (
             reference.trace.mutations_attempted
-            == vectorized.trace.mutations_attempted
+            == batched.trace.mutations_attempted
         )
 
 
@@ -118,8 +113,8 @@ def test_exhausted_universe_trajectory():
     """Tiny universe: pool exhausts mid-run; trajectories still match."""
     spec = _spec(n_ingredients=6, n_recipes=80, avg_size=3.0, phi=0.5)
     for name in PAPER_MODELS:
-        reference, vectorized = _pair(name, 3, spec, record_history=True)
-        assert reference.history == vectorized.history
+        reference, batched = _pair(name, 3, spec, record_history=True)
+        assert reference.history == batched.history
         assert reference.final_pool_size == spec.n_ingredients
 
 
@@ -138,16 +133,16 @@ def test_acceptance_rates_close(name):
     """Mean mutation acceptance rates agree within ensemble tolerance."""
     spec = _spec()
     rates = {}
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         runs = _ensemble(name, spec, engine)
         attempted = sum(run.trace.mutations_attempted for run in runs)
         accepted = sum(run.trace.mutations_accepted for run in runs)
         rates[engine] = accepted / attempted if attempted else 0.0
     if name == "NM":
-        assert rates["reference"] == rates["vectorized"] == 0.0
+        assert rates["reference"] == rates["batched"] == 0.0
     else:
         assert rates["reference"] > 0
-        assert rates["vectorized"] == pytest.approx(
+        assert rates["batched"] == pytest.approx(
             rates["reference"], rel=0.15
         )
 
@@ -157,13 +152,13 @@ def test_ingredient_frequency_curves_close(name):
     """Mean per-ingredient usage distributions agree (MAE tolerance)."""
     spec = _spec()
     reference = _ingredient_frequencies(_ensemble(name, spec, "reference"))
-    vectorized = _ingredient_frequencies(_ensemble(name, spec, "vectorized"))
-    size = max(reference.size, vectorized.size)
+    batched = _ingredient_frequencies(_ensemble(name, spec, "batched"))
+    size = max(reference.size, batched.size)
     reference = np.pad(reference, (0, size - reference.size))
-    vectorized = np.pad(vectorized, (0, size - vectorized.size))
+    batched = np.pad(batched, (0, size - batched.size))
     # Mean frequency is 1/40 = 0.025; a 0.004 MAE bound keeps the two
     # ensembles statistically indistinguishable at this size.
-    assert float(np.abs(reference - vectorized).mean()) < 0.004
+    assert float(np.abs(reference - batched).mean()) < 0.004
 
 
 @pytest.mark.parametrize("policy", ["skip", "allow"])
@@ -172,13 +167,13 @@ def test_duplicate_policies_equivalent(policy):
     spec = _spec(n_ingredients=24, n_recipes=300, avg_size=6.0)
     params = ModelParams(mutations=8, duplicate_policy=policy)
     sizes = {}
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         runs = _ensemble("CM-R", spec, engine, params=params)
         sizes[engine] = Counter(
             len(transaction) for run in runs for transaction in run.transactions
         )
     if policy == "skip":
-        assert set(sizes["reference"]) == set(sizes["vectorized"]) == {6}
+        assert set(sizes["reference"]) == set(sizes["batched"]) == {6}
     else:
         # Both engines must produce shrunken recipes at a similar rate.
         def shrink_rate(counter):
@@ -186,7 +181,7 @@ def test_duplicate_policies_equivalent(policy):
             return sum(v for k, v in counter.items() if k < 6) / total
 
         assert shrink_rate(sizes["reference"]) > 0
-        assert shrink_rate(sizes["vectorized"]) == pytest.approx(
+        assert shrink_rate(sizes["batched"]) == pytest.approx(
             shrink_rate(sizes["reference"]), rel=0.3
         )
 
@@ -202,7 +197,7 @@ def test_category_fallbacks_equivalent(name, fallback):
     spec = _spec(n_ingredients=6, n_recipes=120, avg_size=3.0, phi=0.3)
     params = ModelParams(mutations=6, category_fallback=fallback)
     skipped = {}
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         runs = _ensemble(name, spec, engine, params=params)
         attempted = sum(run.trace.mutations_attempted for run in runs)
         skipped[engine] = (
@@ -210,17 +205,17 @@ def test_category_fallbacks_equivalent(name, fallback):
             / attempted
         )
     if fallback == "random":
-        assert skipped["reference"] == skipped["vectorized"] == 0.0
+        assert skipped["reference"] == skipped["batched"] == 0.0
     else:
-        assert skipped["vectorized"] == pytest.approx(
+        assert skipped["batched"] == pytest.approx(
             skipped["reference"], abs=0.05
         )
 
 
-def test_cm_c_category_preservation_vectorized():
-    """CM-C's category-multiset invariant holds on the vectorized engine."""
+def test_cm_c_category_preservation_batched():
+    """CM-C's category-multiset invariant holds on the batched engine."""
     spec = _spec(n_ingredients=40, n_recipes=200, avg_size=6.0)
-    run = create_model("CM-C", engine="vectorized").run(spec, seed=6)
+    run = create_model("CM-C", engine="batched").run(spec, seed=6)
 
     def category_vector(transaction):
         counts = [0, 0, 0, 0]
@@ -243,55 +238,26 @@ def test_null_model_sampling_modes_equivalent(sample_from):
     reference = NullModel(sample_from=sample_from, engine="reference").run(
         spec, seed=2, record_history=True
     )
-    vectorized = NullModel(sample_from=sample_from, engine="vectorized").run(
+    batched = NullModel(sample_from=sample_from, engine="batched").run(
         spec, seed=2, record_history=True
     )
-    assert reference.history == vectorized.history
+    assert reference.history == batched.history
     universe = set(spec.ingredient_ids)
-    for run in (reference, vectorized):
+    for run in (reference, batched):
         assert all(len(t) == spec.recipe_size for t in run.transactions)
         assert all(t <= universe for t in run.transactions)
     # Pool-mode recipes drawn before the pool finished growing can only
     # use pool members; compare how tightly early recipes concentrate.
     if sample_from == "pool":
         early_ref = set().union(*reference.transactions[:20])
-        early_vec = set().union(*vectorized.transactions[:20])
+        early_batched = set().union(*batched.transactions[:20])
         assert len(early_ref) < spec.n_ingredients
-        assert len(early_vec) < spec.n_ingredients
+        assert len(early_batched) < spec.n_ingredients
 
 
 # ----------------------------------------------------------------------
-# Layer 3: vectorized determinism across backends
+# Engine selection
 # ----------------------------------------------------------------------
-
-
-def test_vectorized_deterministic_per_seed():
-    """Same seed → bit-identical vectorized runs, every model."""
-    spec = _spec()
-    for name in PAPER_MODELS:
-        model = create_model(name, engine="vectorized")
-        first = model.run(spec, seed=42, record_history=True)
-        second = model.run(spec, seed=42, record_history=True)
-        assert first.transactions == second.transactions
-        assert first.trace == second.trace
-        assert first.history == second.history
-
-
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_vectorized_bit_identical_across_backends(backend):
-    """Serial vs parallel backends agree bit-for-bit (vectorized)."""
-    spec = _spec(n_ingredients=30, n_recipes=40, avg_size=4.0, phi=0.6)
-    model = create_model("CM-M", engine="vectorized")
-    seeds = spawn_seeds(ensure_rng(5), 4)
-    serial = execute_runs(model, spec, seeds)
-    parallel = execute_runs(
-        model, spec, seeds,
-        runtime=RuntimeConfig(backend=backend, jobs=2),
-    )
-    assert [run.transactions for run in serial] == [
-        run.transactions for run in parallel
-    ]
-    assert [run.trace for run in serial] == [run.trace for run in parallel]
 
 
 def test_engine_override_beats_params():
@@ -299,14 +265,14 @@ def test_engine_override_beats_params():
     spec = _spec(n_recipes=60)
     model = create_model("CM-R", engine="reference")
     assert model.resolve_engine() == "reference"
-    assert model.resolve_engine("vectorized") == "vectorized"
-    override = model.run(spec, seed=1, engine="vectorized")
-    vectorized = create_model("CM-R", engine="vectorized").run(spec, seed=1)
-    assert override.transactions == vectorized.transactions
+    assert model.resolve_engine("batched") == "batched"
+    override = model.run(spec, seed=1, engine="batched")
+    batched = create_model("CM-R", engine="batched").run(spec, seed=1)
+    assert override.transactions == batched.transactions
 
 
 def test_unsupported_model_falls_back_to_reference():
-    """A model with no vectorized step degrades all the way down."""
+    """A model class with no batched step of its own runs on reference."""
     from repro.models.base import CopyMutateBase
 
     class NoKind(CopyMutateBase):
@@ -318,111 +284,66 @@ def test_unsupported_model_falls_back_to_reference():
         def _choose_replacement(self, state, victim, rng):
             return None  # pragma: no cover - unused
 
-    model = NoKind(engine="vectorized")
+    model = NoKind(engine="batched")
     assert model.resolve_engine() == "reference"
     assert model.resolve_engine("batched") == "reference"
 
 
 # ----------------------------------------------------------------------
-# CM-V: the "variable" vectorized kind (no batched support)
+# CM-V: no batched kind, so always the reference engine
 # ----------------------------------------------------------------------
 
 
-def _cm_v_pair(seed, spec, record_history=False):
+def test_cm_v_runs_on_reference():
+    """CM-V resolves to reference, so a batched request changes nothing."""
     from repro.models.extensions.variable_size import VariableSizeCopyMutate
 
-    reference = VariableSizeCopyMutate(engine="reference").run(
-        spec, seed=seed, record_history=record_history
-    )
-    vectorized = VariableSizeCopyMutate(engine="vectorized").run(
-        spec, seed=seed, record_history=record_history
-    )
-    return reference, vectorized
-
-
-def test_cm_v_resolves_vectorized_and_degrades_batched():
-    """CM-V runs vectorized; a batched request degrades to vectorized."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    model = VariableSizeCopyMutate(engine="vectorized")
-    assert model.resolve_engine() == "vectorized"
-    assert model.resolve_engine("batched") == "vectorized"
+    model = VariableSizeCopyMutate()
+    assert model.resolve_engine() == "reference"
+    assert model.resolve_engine("batched") == "reference"
     spec = _spec(n_recipes=60)
-    batched_request = model.run(spec, seed=4)
-    vectorized = model.run(spec, seed=4, engine="batched")
-    assert batched_request.transactions == vectorized.transactions
+    batched_request = model.run(spec, seed=4, engine="batched")
+    reference = model.run(spec, seed=4, engine="reference")
+    assert batched_request.transactions == reference.transactions
 
 
 def test_cm_v_trajectories_identical():
-    """CM-V deterministic structure matches between its two engines."""
+    """CM-V keeps Algorithm 1's deterministic (m, n) structure.
+
+    The trajectory depends on no draw and no recipe step, so CM-V on the
+    reference engine walks exactly the batched CM-R trajectory (both
+    default to M = 4).
+    """
+    from repro.models.extensions.variable_size import VariableSizeCopyMutate
+
     spec = _spec()
     for seed in range(N_SEEDS):
-        reference, vectorized = _cm_v_pair(seed, spec, record_history=True)
-        assert reference.history == vectorized.history
-        assert reference.final_pool_size == vectorized.final_pool_size
+        variable = VariableSizeCopyMutate().run(
+            spec, seed=seed, record_history=True
+        )
+        batched = create_model("CM-R").run(
+            spec, seed=seed, record_history=True
+        )
+        assert variable.history == batched.history
+        assert variable.final_pool_size == batched.final_pool_size
         assert (
-            reference.trace.mutations_attempted
-            == vectorized.trace.mutations_attempted
+            variable.trace.mutations_attempted
+            == batched.trace.mutations_attempted
         )
 
 
-def test_cm_v_sizes_drift_within_bounds_both_engines():
-    """Insert/delete moves change sizes on both engines, within [2, 38]."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    spec = _spec(n_ingredients=30, n_recipes=200, avg_size=6.0)
-    for engine in ("reference", "vectorized"):
-        model = VariableSizeCopyMutate(engine=engine)
-        run = model.run(spec, seed=9)
-        sizes = {len(t) for t in run.transactions}
-        assert len(sizes) > 1, f"no size drift on {engine}"
-        assert min(sizes) >= model.min_size
-        assert max(sizes) <= model.max_size
-
-
-def test_cm_v_acceptance_rates_close():
-    """CM-V acceptance rates agree across engines within tolerance."""
-    from repro.models.extensions.variable_size import VariableSizeCopyMutate
-
-    spec = _spec()
-    rates = {}
-    for engine in ("reference", "vectorized"):
-        model = VariableSizeCopyMutate(engine=engine)
-        runs = [model.run(spec, seed=1000 + seed) for seed in range(N_SEEDS)]
-        attempted = sum(run.trace.mutations_attempted for run in runs)
-        accepted = sum(run.trace.mutations_accepted for run in runs)
-        rates[engine] = accepted / attempted
-    assert rates["reference"] > 0
-    assert rates["vectorized"] == pytest.approx(rates["reference"], rel=0.15)
-
-
 # ----------------------------------------------------------------------
-# Layer 4: batched engine bit-identity (DESIGN.md §7)
+# Batched engine determinism (DESIGN.md §7)
 # ----------------------------------------------------------------------
 
 
-def _assert_runs_identical(batched, vectorized):
-    assert batched.transactions == vectorized.transactions
-    assert vectorized.transactions == batched.transactions
-    assert batched.trace == vectorized.trace
-    assert batched.history == vectorized.history
-    assert batched.final_pool_size == vectorized.final_pool_size
-    assert batched.initial_recipes == vectorized.initial_recipes
-
-
-@pytest.mark.parametrize("name", PAPER_MODELS)
-def test_batched_bit_identical_to_vectorized(name):
-    """Whole-batch results equal per-run vectorized results exactly."""
-    spec = _spec()
-    model = create_model(name, engine="vectorized")
-    seeds = list(range(N_SEEDS))
-    batched = run_batched(
-        model, spec, [rng_from_seed(seed) for seed in seeds],
-        record_history=True,
-    )
-    for seed, batched_run in zip(seeds, batched):
-        vectorized = model.run(spec, seed=seed, record_history=True)
-        _assert_runs_identical(batched_run, vectorized)
+def _assert_runs_identical(first, second):
+    assert first.transactions == second.transactions
+    assert second.transactions == first.transactions
+    assert first.trace == second.trace
+    assert first.history == second.history
+    assert first.final_pool_size == second.final_pool_size
+    assert first.initial_recipes == second.initial_recipes
 
 
 @pytest.mark.parametrize("name", PAPER_MODELS)
@@ -463,11 +384,11 @@ def test_batched_engine_override_resolution():
     """engine="batched" resolves per model class, and run() honors it."""
     spec = _spec(n_recipes=60)
     for name in PAPER_MODELS:
-        model = create_model(name)
+        model = create_model(name, engine="reference")
         assert model.resolve_engine("batched") == "batched"
         via_run = model.run(spec, seed=2, engine="batched")
-        vectorized = model.run(spec, seed=2, engine="vectorized")
-        _assert_runs_identical(via_run, vectorized)
+        direct = run_batched(model, spec, [rng_from_seed(2)])[0]
+        _assert_runs_identical(via_run, direct)
 
 
 def test_batched_non_uniform_recipe_lengths():
@@ -484,11 +405,13 @@ def test_batched_non_uniform_recipe_lengths():
     ]
     for name, params in cases:
         model = create_model(name, params=params)
-        batched = run_batched(model, spec, [rng_from_seed(11)])[0]
-        vectorized = model.run(spec, seed=11, engine="vectorized")
+        batched = run_batched(
+            model, spec, [rng_from_seed(seed) for seed in (4, 11)]
+        )[1]
+        alone = model.run(spec, seed=11)
         lengths = {len(t) for t in batched.transactions}
         assert len(lengths) > 1, f"{name} did not produce mixed lengths"
-        assert batched.transactions == vectorized.transactions
+        assert batched.transactions == alone.transactions
 
 
 def test_batched_deterministic_per_seed():

@@ -267,6 +267,73 @@ def test_transactions_stay_inside_pool_under_migration():
                 assert set(transaction) <= pool
 
 
+def test_tiny_pool_borrow_does_not_hang():
+    """Regression: an early borrow-refill loop drew pool ingredients and
+    rejected duplicates until the mother matched the donor recipe's
+    length — an infinite spin whenever the borrower's pool held fewer
+    distinct ingredients than the donor recipe was long.  Refills cap at
+    the pool size and the mother truncates, so this completes."""
+    categories = list(Category)[:4]
+    tiny = CuisineSpec(
+        region_code="TINY",
+        ingredient_ids=tuple(range(4)),
+        categories=tuple(categories[i % 4] for i in range(4)),
+        avg_recipe_size=3.0,
+        n_recipes=40,
+        phi=0.8,  # n0 = round(20 / 0.8) = 25 < 40: real recipe steps
+    )
+    donor = _spec("BIG")  # 6-ingredient recipes
+    simulation = IslandSimulation(
+        CopyMutateRandom(),
+        [tiny, donor],
+        MigrationTopology.full_mesh(("TINY", "BIG"), 0.9),
+    )
+    outcome = simulation.run(seed=11)
+    assert outcome.borrow_events["TINY"] > 0  # the hang path was exercised
+    assert outcome.runs["TINY"].n_recipes == 40
+    pool = set(outcome.pools["TINY"])
+    assert len(pool) <= 4
+    for transaction in outcome.runs["TINY"].transactions:
+        # Truncated mothers never exceed the borrower's pool.
+        assert set(transaction) <= pool
+
+
+def test_borrowed_mothers_respect_pool_accounting():
+    """Regression: an early exchange loop filtered borrowed mothers
+    against the borrower's raw *universe*, so foreign-but-known
+    ingredients entered transactions without ever joining the pool —
+    breaking the transactions ⊆ pool invariant and the m/n bookkeeping.
+    They route through ``adopt_ingredient`` and are counted in
+    ``ingredients_added``."""
+    categories = list(Category)[:4]
+    spec_a = _spec("A", n_ingredients=30)
+    spec_b = CuisineSpec(
+        region_code="B",
+        ingredient_ids=tuple(range(20, 60)),  # overlaps A on 20..29
+        categories=tuple(categories[i % 4] for i in range(40)),
+        avg_recipe_size=6.0,
+        n_recipes=80,
+        phi=0.5,
+    )
+    simulation = IslandSimulation(
+        CopyMutateRandom(),
+        [spec_a, spec_b],
+        MigrationTopology.full_mesh(("A", "B"), 0.6),
+    )
+    outcome = simulation.run(seed=7)
+    assert sum(outcome.borrow_events.values()) > 0
+    for spec in (spec_a, spec_b):
+        run = outcome.runs[spec.region_code]
+        pool = set(outcome.pools[spec.region_code])
+        for transaction in run.transactions:
+            assert set(transaction) <= pool
+        # Pool growth stays fully accounted: every ingredient beyond the
+        # initial pool (min(20, universe)) was counted as added, whether
+        # it arrived via ∂-growth or adoption from a borrowed mother.
+        initial = min(20, spec.n_ingredients)
+        assert run.final_pool_size == initial + run.trace.ingredients_added
+
+
 def test_category_inner_model_runs():
     simulation = IslandSimulation(
         CopyMutateCategory(),
@@ -298,7 +365,7 @@ def test_member_model_matches_whole_archipelago():
 def test_member_model_contract_and_validation():
     simulation = IslandSimulation(CopyMutateRandom(), [_spec("A"), _spec("B")])
     member = simulation.member(0)
-    assert member.resolve_engine("vectorized") == "reference"
+    assert member.resolve_engine("batched") == "reference"
     assert member.engine_contract() == {
         "engine": "islands",
         "stream_version": ISLANDS_STREAM_VERSION,

@@ -59,7 +59,7 @@ def test_with_mutations():
 
 
 def test_engine_default_and_with_engine():
-    assert ModelParams().engine == "vectorized"
+    assert ModelParams().engine == "batched"
     params = ModelParams().with_engine("reference")
     assert params.engine == "reference"
     assert params.initial_pool_size == 20

@@ -6,7 +6,7 @@ executes each group as one stacked pass.  The contract tested here:
 
 * grouping is same-cell and identity-based — other engines, other
   models, and singleton misses stay plain per-run requests;
-* results are bit-identical to per-run vectorized execution on every
+* results are bit-identical to solo (batch-of-one) execution on every
   backend, regardless of how cache hits split a group;
 * cached batched runs interoperate with per-run replay: each run is
   individually cacheable and its lazy transactions pickle back as a
@@ -94,13 +94,13 @@ def test_plan_work_respects_cell_boundaries(tiny_spec):
 
 def test_plan_work_leaves_other_engines_alone(tiny_spec):
     model = create_model("CM-R")
-    requests = _requests(model, tiny_spec, range(3), engine="vectorized")
+    requests = _requests(model, tiny_spec, range(3), engine="reference")
     work = _plan_work(requests, list(range(3)))
     assert all(isinstance(item, RunRequest) for item in work)
 
 
 def test_plan_work_degrades_unbatchable_models(tiny_spec):
-    """CM-V resolves to vectorized, so its requests never group."""
+    """CM-V resolves to reference, so its requests never group."""
     model = VariableSizeCopyMutate()
     requests = _requests(model, tiny_spec, range(3))
     work = _plan_work(requests, list(range(3)))
@@ -112,12 +112,12 @@ def test_plan_work_degrades_unbatchable_models(tiny_spec):
 # ----------------------------------------------------------------------
 
 
-def test_execute_runs_batched_equals_vectorized(tiny_spec):
+def test_execute_runs_batched_equals_solo_runs(tiny_spec):
     model = create_model("CM-M")
     seeds = spawn_seeds(ensure_rng(7), 6)
     batched = execute_runs(model, tiny_spec, seeds, engine="batched")
-    vectorized = execute_runs(model, tiny_spec, seeds, engine="vectorized")
-    assert _signature(batched) == _signature(vectorized)
+    solo = [model.run(tiny_spec, seed=seed) for seed in seeds]
+    assert _signature(batched) == _signature(solo)
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -133,12 +133,12 @@ def test_batched_bit_identical_across_backends(tiny_spec, backend):
 
 
 def test_cm_v_dispatches_through_batched_request(tiny_spec):
-    """engine="batched" on CM-V silently runs vectorized, per run."""
+    """engine="batched" on CM-V silently runs reference, per run."""
     model = VariableSizeCopyMutate()
     seeds = spawn_seeds(ensure_rng(3), 3)
     batched = execute_runs(model, tiny_spec, seeds, engine="batched")
-    vectorized = execute_runs(model, tiny_spec, seeds, engine="vectorized")
-    assert _signature(batched) == _signature(vectorized)
+    reference = execute_runs(model, tiny_spec, seeds, engine="reference")
+    assert _signature(batched) == _signature(reference)
 
 
 # ----------------------------------------------------------------------
@@ -181,17 +181,6 @@ def test_partial_warm_cache_splits_group_safely(tiny_spec, tmp_path):
     # an uncached full-batch execution.
     uncached = execute_runs(model, tiny_spec, seeds, engine="batched")
     assert _signature(runs) == _signature(uncached)
-
-
-def test_batched_and_vectorized_keys_are_distinct(tiny_spec, tmp_path):
-    cache = RunCache(tmp_path)
-    model = create_model("CM-R")
-    seeds = spawn_seeds(ensure_rng(2), 2)
-    execute_runs(model, tiny_spec, seeds, cache=cache, engine="batched")
-    execute_runs(model, tiny_spec, seeds, cache=cache, engine="vectorized")
-    # Same results, but separate key spaces — no cross-engine hits.
-    assert cache.stats.hits == 0
-    assert cache.stats.stores == 4
 
 
 # ----------------------------------------------------------------------

@@ -237,29 +237,29 @@ def test_cache_stats_hit_rate():
 
 
 def test_engine_distinguishes_cache_keys(tiny_spec):
-    """Reference and vectorized runs must never share a cache entry."""
+    """Reference and batched runs must never share a cache entry."""
     seed = spawn_seeds(ensure_rng(1), 1)[0]
     reference = run_fingerprint(
         create_model("CM-R", engine="reference"), tiny_spec, seed
     )
-    vectorized = run_fingerprint(
-        create_model("CM-R", engine="vectorized"), tiny_spec, seed
+    batched = run_fingerprint(
+        create_model("CM-R", engine="batched"), tiny_spec, seed
     )
-    assert reference != vectorized
+    assert reference != batched
     # Per-request engine override is keyed too, and a request override
     # matching the params engine keys identically.
     overridden = run_fingerprint(
-        create_model("CM-R", engine="vectorized"), tiny_spec, seed,
+        create_model("CM-R", engine="batched"), tiny_spec, seed,
         engine="reference",
     )
-    assert overridden != vectorized
+    assert overridden != batched
     assert run_fingerprint(
-        create_model("CM-R", engine="vectorized"), tiny_spec, seed,
-        engine="vectorized",
-    ) == vectorized
+        create_model("CM-R", engine="batched"), tiny_spec, seed,
+        engine="batched",
+    ) == batched
 
 
-def test_cached_reference_runs_not_served_to_vectorized(tiny_spec, tmp_path):
+def test_cached_reference_runs_not_served_to_batched(tiny_spec, tmp_path):
     """End to end: switching engines misses instead of replaying."""
     cache = RunCache(tmp_path)
     seeds = spawn_seeds(ensure_rng(2), 3)
@@ -269,7 +269,7 @@ def test_cached_reference_runs_not_served_to_vectorized(tiny_spec, tmp_path):
     )
     assert cache.stats.stores == 3
     execute_runs(
-        create_model("CM-R", engine="vectorized"), tiny_spec, seeds,
+        create_model("CM-R", engine="batched"), tiny_spec, seeds,
         cache=cache,
     )
     assert cache.stats.hits == 0

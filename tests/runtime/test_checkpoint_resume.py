@@ -73,11 +73,13 @@ _SETTINGS = settings(
     kill_at=st.integers(min_value=1, max_value=400),
     record_history=st.booleans(),
 )
-def test_vectorized_resume_is_bit_identical(
+def test_single_run_resume_is_bit_identical(
     tiny_spec, tmp_path_factory, model_name, seed, every, kill_at,
     record_history,
 ):
+    """The default ``model.run`` path (a batched run of one)."""
     model = create_model(model_name)
+    assert model.resolve_engine() == "batched"
     uninterrupted = model.run(
         tiny_spec, seed=seed, record_history=record_history
     )

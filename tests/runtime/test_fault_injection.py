@@ -6,9 +6,12 @@ merely delayed — and assert the two things the contract promises: the
 sweep still completes with results **bit-identical** to serial
 execution, and every failure shows up in the structured
 :class:`~repro.runtime.distributed.TaskAttempt` record with the right
-outcome.  Plan plumbing (JSON round-trip through the spool) is covered
-here too, because a fault plan that silently fails to load would turn
-every test above into a vacuous happy-path run.
+outcome.  Every test targets its fault at :data:`ANY_WORKER` (or at
+every worker) rather than at one named worker, so it fires whichever
+worker wins the race for the queue, and asserts from the attempt log
+(``TaskAttempt.fault``) that it did fire — a fault that never fires
+would turn the test into a vacuous happy-path run.  Plan plumbing (JSON
+round-trip through the spool) is covered here too, for the same reason.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ from repro.runtime import (
     get_executor,
     task_attempts,
 )
-from repro.runtime.faults import FAULT_KINDS
+from repro.runtime.faults import (
+    ANY_WORKER,
+    FAULT_KINDS,
+    fire_fault,
+    fired_faults,
+)
 
 
 def _double(x: int) -> int:
@@ -63,6 +71,13 @@ def _config(plan: FaultPlan | None = None, **overrides) -> RuntimeConfig:
     )
 
 
+def _fired(action):
+    """Attempts the given fault was injected into (must be non-empty)."""
+    attempts = [a for a in task_attempts() if a.fault == action]
+    assert attempts, f"the planned {action!r} fault never fired"
+    return attempts
+
+
 def _run_signature(runs):
     return [
         (run.transactions, run.final_pool_size, run.initial_recipes,
@@ -90,9 +105,28 @@ def test_fault_spec_matching():
     assert spec.matches("local-1", 2)
     assert not spec.matches("local-1", 1)
     assert not spec.matches("local-0", 2)
-    # worker=None targets every worker.
+    # worker=None targets every worker; ANY_WORKER matches anyone too
+    # (fire_fault then lets only the first of them fire).
     broadcast = FaultSpec(action="kill", nth_task=1)
     assert broadcast.matches("anyone", 1)
+    assert FaultSpec(action="kill", worker=ANY_WORKER).matches("anyone", 1)
+
+
+def test_any_worker_fault_fires_once_and_is_recorded(tmp_path):
+    plan = FaultPlan(faults=(
+        FaultSpec(action="delay", worker=ANY_WORKER),
+        FaultSpec(action="hang", nth_task=2),
+    ))
+    fired = tmp_path / "fired"
+    assert fire_fault(plan, fired, "w0", 1, "t-00000.a01").action == "delay"
+    assert fire_fault(plan, fired, "w1", 1, "t-00001.a01") is None
+    assert fire_fault(plan, fired, "w1", 2, "t-00002.a01").action == "hang"
+    assert fire_fault(plan, fired, "w0", 2, "t-00003.a01").action == "hang"
+    assert fired_faults(fired) == {
+        "t-00000.a01": "delay",
+        "t-00002.a01": "hang",
+        "t-00003.a01": "hang",
+    }
 
 
 def test_fault_plan_first_match_wins_and_round_trips(tmp_path):
@@ -125,16 +159,12 @@ def test_fault_plan_load_failures_are_loud(tmp_path):
 
 def test_worker_kill_is_reclaimed_and_retried():
     plan = FaultPlan(faults=(
-        FaultSpec(action="kill", nth_task=1, worker="local-0"),
+        FaultSpec(action="kill", nth_task=1, worker=ANY_WORKER),
     ))
     result = get_executor(_config(plan)).map(_double, list(range(12)))
     assert result == [x * 2 for x in range(12)]
-    outcomes = [a.outcome for a in task_attempts()]
-    assert "lease_expired" in outcomes  # the kill was noticed...
-    expired = next(
-        a for a in task_attempts() if a.outcome == "lease_expired"
-    )
-    assert expired.worker == "local-0"
+    (expired,) = _fired("kill")
+    assert expired.outcome == "lease_expired"  # the kill was noticed...
     # ...and that exact task completed on a later attempt.
     retried = [
         a for a in task_attempts()
@@ -148,13 +178,16 @@ def test_worker_hang_hits_task_timeout():
     # stuck), so only the per-task timeout — not lease expiry — may
     # reclaim it.
     plan = FaultPlan(faults=(
-        FaultSpec(action="hang", nth_task=1, worker="local-1", seconds=30.0),
+        FaultSpec(
+            action="hang", nth_task=1, worker=ANY_WORKER, seconds=30.0
+        ),
     ))
     config = _config(plan, task_timeout=0.3, lease_timeout=1.0)
     result = get_executor(config).map(_double, list(range(8)))
     assert result == [x * 2 for x in range(8)]
+    (hung,) = _fired("hang")
+    assert hung.outcome == "timed_out"
     outcomes = [a.outcome for a in task_attempts()]
-    assert "timed_out" in outcomes
     assert "lease_expired" not in outcomes
 
 
@@ -165,6 +198,7 @@ def test_delay_fault_is_benign():
     result = get_executor(_config(plan)).map(_double, list(range(6)))
     assert result == [x * 2 for x in range(6)]
     assert {a.outcome for a in task_attempts()} == {"completed"}
+    _fired("delay")
 
 
 def test_retry_exhaustion_raises_with_attempt_log():
@@ -179,7 +213,7 @@ def test_retry_exhaustion_raises_with_attempt_log():
     with pytest.raises(TaskRetryExhaustedError, match="2 attempts"):
         get_executor(config).map(_double, [1, 2, 3])
     expired = [
-        a for a in task_attempts() if a.outcome == "lease_expired"
+        a for a in _fired("kill") if a.outcome == "lease_expired"
     ]
     assert len(expired) >= 2  # both attempts of the exhausted task died
 
@@ -191,14 +225,15 @@ def test_retry_exhaustion_raises_with_attempt_log():
 
 @pytest.mark.parametrize("action", FAULT_KINDS)
 def test_simulation_results_bit_identical_under_fault(tiny_spec, action):
+    # The five same-cell batched runs travel as one stacked task, so the
+    # fault must fire on whichever worker claims it.
     model = create_model("CM-R")
     seeds = spawn_seeds(ensure_rng(23), 5)
     serial = execute_runs(model, tiny_spec, seeds)
     plan = FaultPlan(faults=(
-        FaultSpec(action=action, nth_task=1, worker="local-0", seconds=30.0)
-        if action == "hang"
-        else FaultSpec(
-            action=action, nth_task=1, worker="local-0", seconds=0.05
+        FaultSpec(
+            action=action, nth_task=1, worker=ANY_WORKER,
+            seconds=30.0 if action == "hang" else 0.05,
         ),
     ))
     config = _config(
@@ -210,6 +245,13 @@ def test_simulation_results_bit_identical_under_fault(tiny_spec, action):
     assert _run_signature(faulted) == _run_signature(serial), (
         f"results diverged from serial under injected {action!r}"
     )
+    expected = {
+        "kill": "lease_expired",
+        "hang": "timed_out",
+        "delay": "completed",
+        "kill_at_step": "lease_expired",
+    }[action]
+    assert [a.outcome for a in _fired(action)] == [expected]
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +264,17 @@ def test_distributed_kill_at_step_resumes_bit_identical(
 ):
     """A worker killed mid-run is resumed from its snapshot, not replayed.
 
-    ``local-0``'s first claim dies at engine step 4 with snapshots
-    every 2 steps; the reclaimed attempt must (a) resume from a
-    snapshot — recorded as ``resumed_from_step`` on the completed
+    The first claim dies at engine step 4 with snapshots every 2
+    steps; the reclaimed attempt must (a) resume from a snapshot —
+    recorded as ``resumed_from_step`` on the completed
     :class:`TaskAttempt` — and (b) still produce results bit-identical
     to an uninterrupted serial run.
     """
     model = create_model("CM-R")
-    # Enough tasks that local-0 reliably claims one before the queue
-    # drains (mirrors test_worker_kill_is_reclaimed_and_retried).
     seeds = spawn_seeds(ensure_rng(23), 12)
     serial = execute_runs(model, tiny_spec, seeds)
     plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker="local-0",
+        FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
                   at_step=4),
     ))
     config = _config(plan, checkpoint_every=2)
@@ -245,8 +285,8 @@ def test_distributed_kill_at_step_resumes_bit_identical(
     faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)
 
-    outcomes = [a.outcome for a in task_attempts()]
-    assert "lease_expired" in outcomes  # the mid-run death was noticed
+    (killed,) = _fired("kill_at_step")
+    assert killed.outcome == "lease_expired"  # the death was noticed
     resumed = [
         a for a in task_attempts()
         if a.outcome == "completed" and a.resumed_from_step is not None
@@ -279,6 +319,7 @@ def test_distributed_kill_at_step_resumes_batched_engine(
     )
     faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)
+    assert [a.outcome for a in _fired("kill_at_step")] == ["lease_expired"]
     resumed = [
         a for a in task_attempts()
         if a.outcome == "completed" and a.resumed_from_step is not None
@@ -293,13 +334,12 @@ def test_kill_at_step_without_checkpointing_replays_from_scratch(tiny_spec):
     seeds = spawn_seeds(ensure_rng(31), 12)
     serial = execute_runs(model, tiny_spec, seeds)
     plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker="local-0",
+        FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
                   at_step=2),
     ))
     faulted = execute_runs(model, tiny_spec, seeds, runtime=_config(plan))
     assert _run_signature(faulted) == _run_signature(serial)
-    outcomes = [a.outcome for a in task_attempts()]
-    assert "lease_expired" in outcomes
+    assert [a.outcome for a in _fired("kill_at_step")] == ["lease_expired"]
     # No cache dir, no snapshots: nothing can have resumed.
     assert all(
         a.resumed_from_step is None

@@ -187,7 +187,7 @@ def test_backoff_delay_is_bounded_exponential_with_jitter(
 @given(
     seed=st.integers(min_value=0, max_value=2**63 - 1),
     record_history=st.booleans(),
-    engine=st.sampled_from((None, "reference", "vectorized", "batched")),
+    engine=st.sampled_from((None, "reference", "batched")),
     model_name=st.sampled_from(PAPER_MODELS),
 )
 @settings(max_examples=40, deadline=None)

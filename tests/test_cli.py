@@ -235,7 +235,7 @@ def test_evolve_engine_flag(capsys):
 def test_engine_flag_changes_runs_but_not_structure(tmp_path, capsys):
     """The two engines produce distinct cached runs for the same seed."""
     cache_dir = tmp_path / "runs"
-    for engine in ("reference", "vectorized"):
+    for engine in ("reference", "batched"):
         assert main([
             "sweep", "--regions", "KOR", "--models", "NM", "--runs", "2",
             "--scale", "0.02", "--seed", "3", "--engine", engine,

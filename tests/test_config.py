@@ -32,7 +32,7 @@ def test_paper_model_parameters():
 def test_default_mining_matches_paper():
     assert DEFAULT_MINING.min_support == pytest.approx(0.05)
     assert DEFAULT_MINING.max_size is None
-    assert DEFAULT_MINING.algorithm == "eclat"
+    assert DEFAULT_MINING.algorithm == "bitset"
 
 
 @pytest.mark.parametrize("bad_support", [0.0, -0.1, 1.5])
