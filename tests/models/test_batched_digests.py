@@ -18,11 +18,7 @@ per-run block buffer.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -31,9 +27,12 @@ from repro.models.null_model import NullModel
 from repro.models.params import ModelParams
 from repro.models.registry import PAPER_MODELS, create_model
 from repro.rng import rng_from_seed
-from tests.models.test_engine_equivalence import N_SEEDS, _spec
-
-DIGESTS_PATH = Path(__file__).with_name("engine_digests.json")
+from tests.models.test_engine_equivalence import (
+    N_SEEDS,
+    _spec,
+    recorded_digests,
+    run_digest,
+)
 
 #: Seeds that share a stacked batch with each case's own seeds but have
 #: no digest of their own: composition must not matter.
@@ -102,22 +101,9 @@ def _cases():
 CASES = _cases()
 
 
-def run_digest(run) -> str:
-    """SHA-256 over a run's transactions, trace, history and pool sizes."""
-    payload = {
-        "transactions": [sorted(t) for t in run.transactions],
-        "trace": dataclasses.asdict(run.trace),
-        "history": run.history,
-        "final_pool_size": run.final_pool_size,
-        "initial_recipes": run.initial_recipes,
-    }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode()).hexdigest()
-
-
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(DIGESTS_PATH.read_text())["cases"]
+    return recorded_digests()
 
 
 def test_fixture_covers_every_case(recorded):

@@ -17,13 +17,20 @@ instead has three layers:
    fallbacks.
 3. **The batched engine is itself exactly deterministic** — fixed
    seed → bit-identical runs, whatever the batch composition; routing a
-   run through ``model.run`` or :func:`run_batched` is immaterial.  Its
-   per-run stream is pinned bit for bit by ``test_batched_digests.py``.
+   run through ``model.run`` or :func:`run_batched` is immaterial.
+4. **The batched engine is bit-identical to the retired vectorized
+   engine**, run by run: ``engine_digests.json`` holds SHA-256 digests
+   of vectorized runs, and batched runs reproduce them on every backend
+   (the full case matrix lives in ``test_batched_digests.py``).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,11 +38,32 @@ import pytest
 from repro.lexicon.categories import Category
 from repro.models.batched import run_batched
 from repro.models.null_model import NullModel
-from repro.models.params import CuisineSpec, ModelParams
+from repro.models.params import ENGINES, CuisineSpec, ModelParams
 from repro.models.registry import PAPER_MODELS, create_model
 from repro.rng import rng_from_seed
+from repro.runtime import RuntimeConfig, execute_runs
 
 N_SEEDS = 12
+
+DIGESTS_PATH = Path(__file__).with_name("engine_digests.json")
+
+
+def run_digest(run) -> str:
+    """SHA-256 over a run's transactions, trace, history and pool sizes."""
+    payload = {
+        "transactions": [sorted(t) for t in run.transactions],
+        "trace": dataclasses.asdict(run.trace),
+        "history": run.history,
+        "final_pool_size": run.final_pool_size,
+        "initial_recipes": run.initial_recipes,
+    }
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def recorded_digests() -> dict[str, dict[str, str]]:
+    """``{case_id: {seed: digest}}`` recorded from vectorized runs."""
+    return json.loads(DIGESTS_PATH.read_text())["cases"]
 
 
 def _spec(n_ingredients=40, n_recipes=150, avg_size=6.0, phi=None):
@@ -330,6 +358,76 @@ def test_cm_v_trajectories_identical():
             variable.trace.mutations_attempted
             == batched.trace.mutations_attempted
         )
+
+
+def test_cm_v_sizes_drift_within_bounds_both_engines():
+    """Insert/delete moves change sizes whichever engine is requested,
+    within [2, 38]."""
+    from repro.models.extensions.variable_size import VariableSizeCopyMutate
+
+    spec = _spec(n_ingredients=30, n_recipes=200, avg_size=6.0)
+    for engine in ENGINES:
+        model = VariableSizeCopyMutate(engine=engine)
+        run = model.run(spec, seed=9)
+        sizes = {len(t) for t in run.transactions}
+        assert len(sizes) > 1, f"no size drift on {engine}"
+        assert min(sizes) >= model.min_size
+        assert max(sizes) <= model.max_size
+
+
+# ----------------------------------------------------------------------
+# Batched engine bit-identity to the recorded vectorized runs
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", PAPER_MODELS)
+def test_batched_bit_identical_to_vectorized(name):
+    """Whole-batch results equal the per-run vectorized digests exactly."""
+    recorded = recorded_digests()[f"paper/{name}"]
+    spec = _spec()
+    seeds = list(range(N_SEEDS))
+    batched = run_batched(
+        create_model(name), spec, [rng_from_seed(seed) for seed in seeds],
+        record_history=True,
+    )
+    for seed, batched_run in zip(seeds, batched):
+        assert run_digest(batched_run) == recorded[str(seed)], seed
+
+
+def test_vectorized_deterministic_per_seed():
+    """Same seed → bit-identical runs through ``model.run``, every model,
+    and each one is the recorded vectorized run."""
+    spec = _spec()
+    recorded = recorded_digests()
+    for name in PAPER_MODELS:
+        model = create_model(name)
+        first = model.run(spec, seed=7, record_history=True)
+        second = model.run(spec, seed=7, record_history=True)
+        assert first.transactions == second.transactions
+        assert first.trace == second.trace
+        assert first.history == second.history
+        assert run_digest(first) == recorded[f"paper/{name}"]["7"], name
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_vectorized_bit_identical_across_backends(backend):
+    """Serial and parallel backends both reproduce the recorded
+    vectorized runs bit for bit."""
+    recorded = recorded_digests()["paper/CM-M"]
+    spec = _spec()
+    model = create_model("CM-M")
+    seeds = [0, 3, 5, 10]
+    serial = execute_runs(model, spec, seeds, record_history=True)
+    parallel = execute_runs(
+        model, spec, seeds, record_history=True,
+        runtime=RuntimeConfig(backend=backend, jobs=2),
+    )
+    assert [run_digest(run) for run in serial] == [
+        recorded[str(seed)] for seed in seeds
+    ]
+    assert [run_digest(run) for run in parallel] == [
+        recorded[str(seed)] for seed in seeds
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pickle
 
 import pytest
 
+from repro.errors import ModelError
 from repro.models.batched import BatchedTransactions, run_batched
 from repro.models.extensions.variable_size import VariableSizeCopyMutate
 from repro.models.registry import create_model
@@ -181,6 +182,19 @@ def test_partial_warm_cache_splits_group_safely(tiny_spec, tmp_path):
     # an uncached full-batch execution.
     uncached = execute_runs(model, tiny_spec, seeds, engine="batched")
     assert _signature(runs) == _signature(uncached)
+
+
+def test_batched_and_vectorized_keys_are_distinct(tiny_spec, tmp_path):
+    """The retired ``"vectorized"`` engine name is refused before any
+    cache lookup, so batched entries are never replayed under it."""
+    cache = RunCache(tmp_path)
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(2), 2)
+    execute_runs(model, tiny_spec, seeds, cache=cache, engine="batched")
+    with pytest.raises(ModelError, match="unknown engine"):
+        execute_runs(model, tiny_spec, seeds, cache=cache, engine="vectorized")
+    assert cache.stats.hits == 0
+    assert cache.stats.stores == 2
 
 
 # ----------------------------------------------------------------------

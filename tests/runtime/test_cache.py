@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RunCacheError
+from repro.errors import ModelError, ParameterError, RunCacheError
 from repro.models.ensemble import run_ensemble
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
@@ -274,6 +274,27 @@ def test_cached_reference_runs_not_served_to_batched(tiny_spec, tmp_path):
     )
     assert cache.stats.hits == 0
     assert cache.stats.stores == 6
+
+
+def test_cached_reference_runs_not_served_to_vectorized(tiny_spec, tmp_path):
+    """End to end: a request for the retired ``"vectorized"`` engine is
+    refused instead of replaying cached reference runs."""
+    cache = RunCache(tmp_path)
+    seeds = spawn_seeds(ensure_rng(2), 3)
+    execute_runs(
+        create_model("CM-R", engine="reference"), tiny_spec, seeds,
+        cache=cache,
+    )
+    assert cache.stats.stores == 3
+    with pytest.raises(ModelError, match="unknown engine"):
+        execute_runs(
+            create_model("CM-R", engine="reference"), tiny_spec, seeds,
+            cache=cache, engine="vectorized",
+        )
+    with pytest.raises(ParameterError):
+        create_model("CM-R", engine="vectorized")
+    assert cache.stats.hits == 0
+    assert cache.stats.stores == 3
 
 
 def test_prune_older_than_removes_only_stale_entries(tiny_spec, tmp_path):
