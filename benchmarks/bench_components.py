@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.itemsets import apriori, eclat, ingredient_transactions
+from repro.analysis.itemsets import (
+    ingredient_transactions,
+    mine_frequent_itemsets,
+)
 from repro.models.params import CuisineSpec
 from repro.models.registry import create_model
 from repro.synthesis.noise import MentionRenderer
@@ -45,20 +48,8 @@ def test_mention_resolution(benchmark, lexicon):
     assert sum(1 for r in resolutions if r.ingredient is not None) > 190
 
 
-def test_eclat_mining(benchmark, ita_transactions):
-    result = benchmark(eclat, ita_transactions, 0.05)
-    assert len(result) > 10
-
-
-def test_apriori_mining(benchmark, ita_transactions):
-    result = benchmark(apriori, ita_transactions, 0.05)
-    assert len(result) > 10
-
-
-def test_fpgrowth_mining(benchmark, ita_transactions):
-    from repro.analysis.itemsets import fpgrowth
-
-    result = benchmark(fpgrowth, ita_transactions, 0.05)
+def test_itemset_mining(benchmark, ita_transactions):
+    result = benchmark(mine_frequent_itemsets, ita_transactions, 0.05)
     assert len(result) > 10
 
 

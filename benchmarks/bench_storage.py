@@ -9,9 +9,10 @@ frequent combinations at support 0.05* — at 1×, 10× and 100× the
 paper's corpus sizes:
 
 * ``pickle`` — ``load_pickle`` (full object materialization), then
-  the PR-5 bitset miner over ``as_id_sets()``;
+  :func:`~repro.analysis.itemsets.mine_frequent_itemsets` over
+  ``as_id_sets()``;
 * ``columnar`` — ``ColumnarCorpus.open`` (no object materialization),
-  then :func:`~repro.analysis.itemsets_bitset.mine_packed` over the
+  then :func:`~repro.analysis.itemsets.mine_packed` over the
   stored packed-bit planes, zero-copy.
 
 Every measured mode runs in its own subprocess so peak RSS
@@ -115,7 +116,7 @@ def _worker_export_pickle(path: Path, pickle_path: Path) -> dict:
 
 
 def _worker_mine_pickle(pickle_path: Path) -> dict:
-    from repro.analysis.itemsets_bitset import bitset_eclat
+    from repro.analysis.itemsets import mine_frequent_itemsets
     from repro.corpus.io import load_pickle
 
     start = time.perf_counter()
@@ -123,7 +124,7 @@ def _worker_mine_pickle(pickle_path: Path) -> dict:
     transactions = dataset.cuisine(REGION).as_id_sets()
     load_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    result = bitset_eclat(transactions, min_support=MIN_SUPPORT)
+    result = mine_frequent_itemsets(transactions, min_support=MIN_SUPPORT)
     mine_seconds = time.perf_counter() - start
     return {
         "load_seconds": load_seconds,

@@ -25,7 +25,6 @@ models), :mod:`repro.experiments` (per-table/figure drivers),
 
 from repro.analysis import (
     analyze_invariants,
-    available_algorithms,
     combination_curve,
     curve_distance,
     mine_frequent_itemsets,
@@ -91,7 +90,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "analyze_invariants",
-    "available_algorithms",
     "combination_curve",
     "curve_distance",
     "mine_frequent_itemsets",

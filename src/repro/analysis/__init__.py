@@ -23,14 +23,9 @@ from repro.analysis.itemsets import (
     CATEGORY_INDEX,
     FrequentItemset,
     MiningResult,
-    apriori,
-    available_algorithms,
-    bruteforce,
     category_transactions,
-    eclat,
     ingredient_transactions,
     mine_frequent_itemsets,
-    register_algorithm,
 )
 from repro.analysis.mae import (
     PairwiseDistances,
@@ -84,14 +79,9 @@ __all__ = [
     "CATEGORY_INDEX",
     "FrequentItemset",
     "MiningResult",
-    "apriori",
-    "available_algorithms",
-    "bruteforce",
     "category_transactions",
-    "eclat",
     "ingredient_transactions",
     "mine_frequent_itemsets",
-    "register_algorithm",
     "PairwiseDistances",
     "curve_distance",
     "pairwise_distance_matrix",

@@ -8,7 +8,6 @@ pairwise Eq. 2 distances quantifying cross-cuisine similarity.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.analysis.itemsets import (
@@ -51,7 +50,6 @@ def _mine_cached(
         return mine_frequent_itemsets(
             transactions,
             min_support=mining.min_support,
-            algorithm=mining.algorithm,
             max_size=mining.max_size,
         )
     key = curve_key(
@@ -60,14 +58,10 @@ def _mine_cached(
     )
     cached = curve_cache.get(key)
     if isinstance(cached, MiningResult):
-        # Entries are shared across algorithms (the §6 equality
-        # contract), so restamp the tag with what the caller asked for
-        # rather than reporting whichever miner happened to warm it.
-        return dataclasses.replace(cached, algorithm=mining.algorithm)
+        return cached
     result = mine_frequent_itemsets(
         transactions,
         min_support=mining.min_support,
-        algorithm=mining.algorithm,
         max_size=mining.max_size,
     )
     try:
@@ -164,18 +158,9 @@ def combination_curve(
             )
             cached = curve_cache.get(key)
             if isinstance(cached, MiningResult):
-                result = dataclasses.replace(
-                    cached, algorithm=mining.algorithm
-                )
-                return curve_from_mining(result, region_code), result
-        # Bit-identical to every registered miner (the §6 equality
-        # contract), so the packed path can serve any requested
-        # algorithm — restamped like a shared cache entry.
-        result = dataclasses.replace(
-            dataset.mine(
-                region_code, mining.min_support, max_size=mining.max_size
-            ),
-            algorithm=mining.algorithm,
+                return curve_from_mining(cached, region_code), cached
+        result = dataset.mine(
+            region_code, mining.min_support, max_size=mining.max_size
         )
         if curve_cache is not None and key is not None:
             try:

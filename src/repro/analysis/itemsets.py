@@ -2,35 +2,38 @@
 
 The paper considers all ingredient combinations ("of size 1 and greater")
 that appear in at least 5% of a cuisine's recipes — i.e. frequent
-itemsets at relative support 0.05.  Three miners are provided:
+itemsets at relative support 0.05.  One miner does that work:
+:func:`mine_frequent_itemsets`, a depth-first Eclat search over numpy
+packed-bit tidsets.
 
-* ``eclat`` — vertical tidset intersection, depth-first.  The default;
-  fast for the paper's support threshold.
-* ``bitset`` — the same search over numpy packed-bit tidsets with
-  vectorized AND + popcount (:mod:`repro.analysis.itemsets_bitset`,
-  loaded lazily); the fast path for ensemble mining.
-* ``apriori`` — classic level-wise candidate generation over horizontal
-  data.  Independent implementation used to cross-check Eclat.
-* ``fpgrowth`` — FP-tree projection mining; fastest on dense data with
-  long frequent itemsets.
-* ``bruteforce`` — exact subset enumeration; exponential, only for small
-  inputs and property tests.
+1. transactions are packed **once** into a bit matrix
+   (``np.packbits``): row = item, bit = transaction membership;
+2. a depth-first extension intersects the prefix tidset against *every*
+   sibling candidate in one vectorized ``AND`` over the packed bytes;
+3. supports come from a 256-entry popcount lookup table summed per row
+   — no ``unpackbits`` round trip on the hot path.
 
-All miners return identical results (a property the test-suite enforces).
+:func:`mine_packed` runs the same search over a matrix that is already
+packed (the columnar store's stored planes), so both entry points return
+identical results for identical transaction content.  Itemsets are
+ranked by ``(-support, size, items)`` — the order of the Fig. 3/4
+rank-frequency curves.  A pure-Python set-tidset Eclat kept in the test
+suite (``tests/analysis/oracle.py``) is the oracle both are checked
+against (DESIGN.md §6).
+
 Items are integers (lexicon ingredient ids, or category indexes via
-:func:`category_transactions`).  :func:`available_algorithms` lists the
-registered miner names; :func:`register_algorithm` is the extension seam
-new miners (including the lazily-imported bitset engine) register
-through.
+:func:`category_transactions`).
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable
+from fractions import Fraction
+from itertools import chain
+from typing import Iterable
+
+import numpy as np
 
 from repro.corpus.dataset import CuisineView
 from repro.errors import MiningError
@@ -40,13 +43,9 @@ from repro.lexicon.lexicon import Lexicon
 __all__ = [
     "FrequentItemset",
     "MiningResult",
-    "available_algorithms",
     "mine_frequent_itemsets",
-    "register_algorithm",
-    "eclat",
-    "apriori",
-    "fpgrowth",
-    "bruteforce",
+    "mine_packed",
+    "POPCOUNT_TABLE",
     "category_transactions",
     "ingredient_transactions",
     "CATEGORY_INDEX",
@@ -63,6 +62,13 @@ _INDEX_CATEGORY: dict[int, Category] = {
 #: Safety valve: a mining call producing more itemsets than this is almost
 #: certainly misconfigured (e.g. minuscule support on dense data).
 MAX_ITEMSETS = 2_000_000
+
+#: Bits set per byte value — the popcount primitive.  Indexing a packed
+#: row through this table and summing gives the row's support without
+#: unpacking it back to booleans.
+POPCOUNT_TABLE: np.ndarray = np.unpackbits(
+    np.arange(256, dtype=np.uint8).reshape(-1, 1), axis=1
+).sum(axis=1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,11 @@ class MiningResult:
             the rank order used by the Fig. 3/4 rank-frequency curves.
         n_transactions: Transactions mined.
         min_support: Relative support threshold used.
-        algorithm: Miner name.
     """
 
     itemsets: tuple[FrequentItemset, ...]
     n_transactions: int
     min_support: float
-    algorithm: str
 
     def __len__(self) -> int:
         return len(self.itemsets)
@@ -122,22 +126,23 @@ class MiningResult:
 
 
 def _min_count(min_support: float, n_transactions: int) -> int:
+    """Smallest absolute support that meets ``min_support``.
+
+    The threshold is taken as the decimal it prints as, so float error
+    in the product cannot lift the count past an exact boundary:
+    ``0.07 * 100`` is ``7.000000000000001`` in binary floating point,
+    yet 7 recipes of 100 do meet a 7% threshold.
+    """
     if not 0.0 < min_support <= 1.0:
         raise MiningError(f"min_support must be in (0, 1], got {min_support}")
-    return max(1, math.ceil(min_support * n_transactions))
-
-
-def _normalize_transactions(
-    transactions: Iterable[Iterable[int]],
-) -> list[frozenset[int]]:
-    return [frozenset(t) for t in transactions]
+    exact = Fraction(str(float(min_support))) * n_transactions
+    return max(1, math.ceil(exact))
 
 
 def _sorted_result(
     found: dict[tuple[int, ...], int],
     n_transactions: int,
     min_support: float,
-    algorithm: str,
 ) -> MiningResult:
     if len(found) > MAX_ITEMSETS:
         raise MiningError(
@@ -154,392 +159,197 @@ def _sorted_result(
         itemsets=itemsets,
         n_transactions=n_transactions,
         min_support=min_support,
-        algorithm=algorithm,
     )
-
-
-# ---------------------------------------------------------------------------
-# Eclat
-# ---------------------------------------------------------------------------
-
-
-def eclat(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """Depth-first vertical mining with tidset intersections."""
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "eclat")
-    min_count = _min_count(min_support, n)
-
-    tidsets: dict[int, set[int]] = {}
-    for tid, transaction in enumerate(data):
-        for item in transaction:
-            tidsets.setdefault(item, set()).add(tid)
-
-    frequent_items = sorted(
-        item for item, tids in tidsets.items() if len(tids) >= min_count
-    )
-    found: dict[tuple[int, ...], int] = {}
-
-    def extend(
-        prefix: tuple[int, ...],
-        candidates: list[tuple[int, set[int]]],
-    ) -> None:
-        for index, (item, tids) in enumerate(candidates):
-            items = prefix + (item,)
-            found[items] = len(tids)
-            if len(found) > MAX_ITEMSETS:
-                raise MiningError(
-                    f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                    "min_support or cap max_size"
-                )
-            if max_size is not None and len(items) >= max_size:
-                continue
-            next_candidates = []
-            for other, other_tids in candidates[index + 1:]:
-                intersection = tids & other_tids
-                if len(intersection) >= min_count:
-                    next_candidates.append((other, intersection))
-            if next_candidates:
-                extend(items, next_candidates)
-
-    extend((), [(item, tidsets[item]) for item in frequent_items])
-    return _sorted_result(found, n, min_support, "eclat")
-
-
-# ---------------------------------------------------------------------------
-# Apriori
-# ---------------------------------------------------------------------------
-
-
-def apriori(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """Level-wise mining with candidate generation and pruning."""
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "apriori")
-    min_count = _min_count(min_support, n)
-
-    counts: dict[tuple[int, ...], int] = {}
-    for transaction in data:
-        for item in transaction:
-            key = (item,)
-            counts[key] = counts.get(key, 0) + 1
-    current = {items for items, c in counts.items() if c >= min_count}
-    found = {items: counts[items] for items in current}
-
-    size = 1
-    while current and (max_size is None or size < max_size):
-        size += 1
-        # Join step: merge itemsets sharing the first size-2 items.
-        sorted_current = sorted(current)
-        candidates: set[tuple[int, ...]] = set()
-        for i, a in enumerate(sorted_current):
-            for b in sorted_current[i + 1:]:
-                if a[:-1] != b[:-1]:
-                    break
-                candidate = a + (b[-1],)
-                # Prune: all (size-1)-subsets must be frequent.
-                if all(
-                    candidate[:j] + candidate[j + 1:] in current
-                    for j in range(len(candidate))
-                ):
-                    candidates.add(candidate)
-        if not candidates:
-            break
-        level_counts = {candidate: 0 for candidate in candidates}
-        candidate_list = sorted(candidates)
-        for transaction in data:
-            if len(transaction) < size:
-                continue
-            for candidate in candidate_list:
-                if all(item in transaction for item in candidate):
-                    level_counts[candidate] += 1
-        current = {
-            candidate
-            for candidate, count in level_counts.items()
-            if count >= min_count
-        }
-        for candidate in current:
-            found[candidate] = level_counts[candidate]
-        if len(found) > MAX_ITEMSETS:
-            raise MiningError(
-                f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                "min_support or cap max_size"
-            )
-    return _sorted_result(found, n, min_support, "apriori")
-
-
-# ---------------------------------------------------------------------------
-# FP-Growth
-# ---------------------------------------------------------------------------
-
-
-class _FPNode:
-    """One node of an FP-tree: an item with a count and children."""
-
-    __slots__ = ("item", "count", "parent", "children", "link")
-
-    def __init__(self, item: int | None, parent: "_FPNode | None"):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[int, _FPNode] = {}
-        self.link: _FPNode | None = None  # next node holding the same item
-
-
-def _build_fp_tree(
-    itemlists: list[list[int]],
-    counts: list[int],
-) -> tuple[_FPNode, dict[int, "_FPNode"]]:
-    """Build an FP-tree from (ordered item list, count) pairs."""
-    root = _FPNode(None, None)
-    headers: dict[int, _FPNode] = {}
-    tails: dict[int, _FPNode] = {}
-    for items, count in zip(itemlists, counts):
-        node = root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _FPNode(item, node)
-                node.children[item] = child
-                if item in tails:
-                    tails[item].link = child
-                else:
-                    headers[item] = child
-                tails[item] = child
-            child.count += count
-            node = child
-    return root, headers
-
-
-def _fp_mine(
-    headers: dict[int, _FPNode],
-    item_order: dict[int, int],
-    min_count: int,
-    suffix: tuple[int, ...],
-    found: dict[tuple[int, ...], int],
-) -> None:
-    """Recursively mine an FP-tree through conditional projections."""
-    # Process items from least to most frequent (reverse of tree order).
-    for item in sorted(headers, key=lambda i: item_order[i], reverse=True):
-        support = 0
-        node = headers[item]
-        while node is not None:
-            support += node.count
-            node = node.link
-        if support < min_count:
-            continue
-        itemset = tuple(sorted(suffix + (item,)))
-        found[itemset] = support
-        if len(found) > MAX_ITEMSETS:
-            raise MiningError(
-                f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                "min_support or cap max_size"
-            )
-        # Conditional pattern base: prefix paths of every node of `item`.
-        conditional_lists: list[list[int]] = []
-        conditional_counts: list[int] = []
-        node = headers[item]
-        while node is not None:
-            path: list[int] = []
-            ancestor = node.parent
-            while ancestor is not None and ancestor.item is not None:
-                path.append(ancestor.item)
-                ancestor = ancestor.parent
-            if path:
-                path.reverse()
-                conditional_lists.append(path)
-                conditional_counts.append(node.count)
-            node = node.link
-        if not conditional_lists:
-            continue
-        # Keep only items frequent within the conditional base.
-        base_counts: dict[int, int] = {}
-        for path, count in zip(conditional_lists, conditional_counts):
-            for path_item in path:
-                base_counts[path_item] = base_counts.get(path_item, 0) + count
-        keep = {i for i, c in base_counts.items() if c >= min_count}
-        if not keep:
-            continue
-        filtered = [
-            [i for i in path if i in keep] for path in conditional_lists
-        ]
-        pairs = [
-            (path, count)
-            for path, count in zip(filtered, conditional_counts)
-            if path
-        ]
-        if not pairs:
-            continue
-        _root, sub_headers = _build_fp_tree(
-            [path for path, _count in pairs],
-            [count for _path, count in pairs],
-        )
-        _fp_mine(sub_headers, item_order, min_count, itemset, found)
-
-
-def fpgrowth(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """FP-Growth mining via recursive conditional FP-trees.
-
-    ``max_size`` is applied as a post-filter (the tree mines all sizes);
-    the paper's analyses mine unbounded sizes anyway.
-    """
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "fpgrowth")
-    min_count = _min_count(min_support, n)
-
-    item_counts: dict[int, int] = {}
-    for transaction in data:
-        for item in transaction:
-            item_counts[item] = item_counts.get(item, 0) + 1
-    frequent = {i for i, c in item_counts.items() if c >= min_count}
-    # Global order: most frequent first; ties by item id for determinism.
-    ordered = sorted(frequent, key=lambda i: (-item_counts[i], i))
-    item_order = {item: rank for rank, item in enumerate(ordered)}
-
-    itemlists = []
-    for transaction in data:
-        kept = sorted(
-            (i for i in transaction if i in frequent),
-            key=lambda i: item_order[i],
-        )
-        if kept:
-            itemlists.append(kept)
-    _root, headers = _build_fp_tree(itemlists, [1] * len(itemlists))
-
-    found: dict[tuple[int, ...], int] = {}
-    _fp_mine(headers, item_order, min_count, (), found)
-    if max_size is not None:
-        found = {
-            items: support
-            for items, support in found.items()
-            if len(items) <= max_size
-        }
-    return _sorted_result(found, n, min_support, "fpgrowth")
-
-
-# ---------------------------------------------------------------------------
-# Brute force
-# ---------------------------------------------------------------------------
-
-
-def bruteforce(
-    transactions: Iterable[Iterable[int]],
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """Exact enumeration of every subset of every transaction.
-
-    Exponential in transaction size — reference implementation for tests.
-    """
-    data = _normalize_transactions(transactions)
-    n = len(data)
-    if n == 0:
-        return MiningResult((), 0, min_support, "bruteforce")
-    min_count = _min_count(min_support, n)
-
-    counts: dict[tuple[int, ...], int] = {}
-    for transaction in data:
-        items = sorted(transaction)
-        limit = len(items) if max_size is None else min(max_size, len(items))
-        for size in range(1, limit + 1):
-            for subset in combinations(items, size):
-                counts[subset] = counts.get(subset, 0) + 1
-        if len(counts) > MAX_ITEMSETS:
-            raise MiningError(
-                f"bruteforce exceeded {MAX_ITEMSETS} counted subsets"
-            )
-    found = {items: c for items, c in counts.items() if c >= min_count}
-    return _sorted_result(found, n, min_support, "bruteforce")
-
-
-_ALGORITHMS: dict[str, Callable[..., MiningResult]] = {
-    "eclat": eclat,
-    "apriori": apriori,
-    "fpgrowth": fpgrowth,
-    "bruteforce": bruteforce,
-}
-
-#: Miners that live in their own module and register on first use, so
-#: importing :mod:`repro.analysis.itemsets` stays cheap.
-_LAZY_ALGORITHMS: dict[str, str] = {
-    "bitset": "repro.analysis.itemsets_bitset",
-}
-
-
-def register_algorithm(
-    name: str, miner: Callable[..., MiningResult]
-) -> None:
-    """Register a miner under ``name`` (the extension seam).
-
-    The callable must accept ``(transactions, min_support, max_size=)``
-    and honor the shared result contract: identical itemsets/supports to
-    the reference miners, sorted by ``(-support, size, items)``.
-    """
-    _ALGORITHMS[name] = miner
-
-
-def available_algorithms() -> tuple[str, ...]:
-    """Names of every registered mining algorithm, sorted.
-
-    Forces the lazily-registered miners to load first, so the list is
-    complete regardless of import order.
-    """
-    for module in _LAZY_ALGORITHMS.values():
-        importlib.import_module(module)
-    return tuple(sorted(_ALGORITHMS))
-
-
-def _resolve_algorithm(algorithm: str) -> Callable[..., MiningResult]:
-    miner = _ALGORITHMS.get(algorithm)
-    if miner is None and algorithm in _LAZY_ALGORITHMS:
-        importlib.import_module(_LAZY_ALGORITHMS[algorithm])
-        miner = _ALGORITHMS.get(algorithm)
-    if miner is None:
-        raise MiningError(
-            f"unknown mining algorithm {algorithm!r}; "
-            f"available: {list(available_algorithms())}"
-        )
-    return miner
 
 
 def mine_frequent_itemsets(
     transactions: Iterable[Iterable[int]],
     min_support: float,
-    algorithm: str = "eclat",
     max_size: int | None = None,
 ) -> MiningResult:
-    """Mine frequent combinations with the selected algorithm.
+    """Mine frequent combinations by depth-first search over packed bits.
 
     Args:
         transactions: Item collections (ingredient ids or category
             indexes).
-        min_support: Relative support threshold — the paper uses 0.05.
-        algorithm: One of :func:`available_algorithms` — ``"eclat"``
-            (default), ``"bitset"``, ``"apriori"``, ``"fpgrowth"`` or
-            ``"bruteforce"``; all return identical results.
+        min_support: Relative support threshold in ``(0, 1]`` — the
+            paper uses 0.05.
         max_size: Optional cap on itemset size.
 
     Returns:
         A :class:`MiningResult` with itemsets in rank order.
     """
-    miner = _resolve_algorithm(algorithm)
-    return miner(transactions, min_support, max_size=max_size)
+    # Sets pass through untouched (model runs hand us frozensets
+    # already); anything else is deduplicated.
+    data = [
+        transaction
+        if isinstance(transaction, (set, frozenset))
+        else frozenset(transaction)
+        for transaction in transactions
+    ]
+    n = len(data)
+    if n == 0:
+        return MiningResult((), 0, min_support)
+    min_count = _min_count(min_support, n)
+
+    # Flatten once: the only Python-level pass over the data.  Every
+    # later step — counting, frequency filtering, bit-matrix build — is
+    # a vectorized numpy operation over these flat arrays.
+    lengths = np.fromiter(
+        (len(transaction) for transaction in data), dtype=np.intp, count=n
+    )
+    total = int(lengths.sum())
+    if total == 0:
+        return MiningResult((), n, min_support)
+    flat_items = np.fromiter(
+        chain.from_iterable(data), dtype=np.int64, count=total
+    )
+    flat_tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
+
+    unique_items, inverse = np.unique(flat_items, return_inverse=True)
+    item_counts = np.bincount(inverse, minlength=unique_items.size)
+    frequent = item_counts >= min_count
+    if not frequent.any():
+        return MiningResult((), n, min_support)
+    frequent_items = [int(item) for item in unique_items[frequent]]
+    row_of = np.full(unique_items.size, -1, dtype=np.intp)
+    row_of[frequent] = np.arange(int(frequent.sum()), dtype=np.intp)
+    occurrence_rows = row_of[inverse]
+    kept = occurrence_rows >= 0
+
+    mask = np.zeros((len(frequent_items), n), dtype=bool)
+    mask[occurrence_rows[kept], flat_tids[kept]] = True
+    packed = np.packbits(mask, axis=1)
+    supports = item_counts[frequent].astype(np.int64)
+
+    return _mine_over_matrix(
+        frequent_items, packed, supports, n, min_count, min_support, max_size
+    )
+
+
+def _mine_over_matrix(
+    frequent_items: list[int],
+    packed: np.ndarray,
+    supports: np.ndarray,
+    n: int,
+    min_count: int,
+    min_support: float,
+    max_size: int | None,
+) -> MiningResult:
+    """The depth-first extension over an already-frequent packed matrix.
+
+    Shared by :func:`mine_frequent_itemsets` (which packs in memory) and
+    :func:`mine_packed` (which reads stored planes): same search tree,
+    same pruning, same rank order.
+    """
+    found: dict[tuple[int, ...], int] = {}
+
+    def extend(
+        prefix: tuple[int, ...],
+        items: list[int],
+        rows: np.ndarray,
+        sups: np.ndarray,
+    ) -> None:
+        for index, item in enumerate(items):
+            itemset = prefix + (item,)
+            found[itemset] = int(sups[index])
+            if len(found) > MAX_ITEMSETS:
+                raise MiningError(
+                    f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
+                    "min_support or cap max_size"
+                )
+            if max_size is not None and len(itemset) >= max_size:
+                continue
+            if index + 1 == len(items):
+                continue
+            # One vectorized AND + popcount covers every sibling at once.
+            intersections = rows[index + 1:] & rows[index]
+            inter_supports = POPCOUNT_TABLE[intersections].sum(axis=1)
+            keep = np.flatnonzero(inter_supports >= min_count)
+            if keep.size:
+                extend(
+                    itemset,
+                    [items[index + 1 + k] for k in keep],
+                    intersections[keep],
+                    inter_supports[keep],
+                )
+
+    extend((), frequent_items, packed, supports)
+    return _sorted_result(found, n, min_support)
+
+
+#: Rows processed per block when computing supports over a stored
+#: matrix — bounds the int64 popcount intermediate, not the matrix.
+_ROW_BLOCK = 256
+
+
+def mine_packed(
+    matrix: np.ndarray,
+    item_ids: np.ndarray,
+    n_transactions: int,
+    min_support: float,
+    max_size: int | None = None,
+) -> MiningResult:
+    """Mine a stored packed-bit transaction matrix zero-copy.
+
+    The columnar store's ``bits:<code>`` planes are exactly the matrix
+    :func:`mine_frequent_itemsets` builds internally — row = item, bit =
+    transaction, ``np.packbits`` layout — so a memory-mapped plane can
+    be mined without round-tripping through ``Recipe`` objects or
+    frozensets.  Supports are popcounted block-wise straight off the
+    mapping; only the frequent rows (typically a small fraction at the
+    paper's thresholds) are copied into memory for the depth-first
+    extension.
+
+    Args:
+        matrix: ``(len(item_ids), ceil(n_transactions / 8))`` uint8
+            packed membership bits (may be a ``np.memmap`` view); bits
+            past ``n_transactions`` must be zero.
+        item_ids: Ascending item id per matrix row.
+        n_transactions: Number of transactions the bits encode.
+        min_support: Relative support threshold in ``(0, 1]``.
+        max_size: Optional cap on itemset size.
+
+    Returns:
+        A result identical to :func:`mine_frequent_itemsets` over the
+        same transactions.
+    """
+    matrix = np.asarray(matrix)
+    item_ids = np.asarray(item_ids)
+    if matrix.ndim != 2 or matrix.dtype != np.uint8:
+        raise MiningError(
+            f"packed matrix must be 2-D uint8, got {matrix.dtype} "
+            f"ndim={matrix.ndim}"
+        )
+    if matrix.shape[0] != item_ids.size:
+        raise MiningError(
+            f"{matrix.shape[0]} matrix rows vs {item_ids.size} item ids"
+        )
+    if item_ids.size > 1 and not (np.diff(item_ids) > 0).all():
+        raise MiningError("item_ids must be strictly ascending")
+    n = int(n_transactions)
+    if n == 0:
+        return MiningResult((), 0, min_support)
+    min_count = _min_count(min_support, n)
+
+    supports = np.empty(matrix.shape[0], dtype=np.int64)
+    for start in range(0, matrix.shape[0], _ROW_BLOCK):
+        block = matrix[start:start + _ROW_BLOCK]
+        supports[start:start + _ROW_BLOCK] = POPCOUNT_TABLE[block].sum(axis=1)
+    frequent = supports >= min_count
+    if not frequent.any():
+        return MiningResult((), n, min_support)
+    frequent_items = [int(item) for item in item_ids[frequent]]
+    packed = np.ascontiguousarray(matrix[frequent])
+    return _mine_over_matrix(
+        frequent_items,
+        packed,
+        supports[frequent],
+        n,
+        min_count,
+        min_support,
+        max_size,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ def model_curve_from_runs(
         result = mine_frequent_itemsets(
             transactions,
             min_support=mining.min_support,
-            algorithm=mining.algorithm,
             max_size=mining.max_size,
         )
         curves.append(curve_from_mining(result, f"{label}#{run_index}"))

@@ -40,9 +40,8 @@ coordinator spawns itself; 0 = external only) — see DESIGN.md §8.
 With ``--cache-dir`` set, ``--checkpoint-every N`` snapshots engine
 state every N steps beside the run cache so an interrupted sweep
 resumes bit-identically from its latest valid snapshot (DESIGN.md §9).
-Mining commands accept ``--mining-algorithm`` (default ``bitset``, the
-packed-bit fast path; every registered miner returns identical results,
-see DESIGN.md §6).
+Mining commands accept ``--min-support X`` (paper: 0.05); there is one
+miner, the packed-bit search of DESIGN.md §6.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import sys
 from pathlib import Path
 
 from repro.analysis.invariants import combination_curve
-from repro.analysis.itemsets import available_algorithms
 from repro.analysis.mae import curve_distance
 from repro.config import MiningConfig
 from repro.corpus.io import load_jsonl, load_pickle, save_jsonl
@@ -157,27 +155,28 @@ def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
     )
 
 
+def _support_fraction(text: str) -> float:
+    """argparse type for ``--min-support``: a float in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _add_mining_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the frequent-combination mining flags."""
     parser.add_argument(
-        "--min-support", type=float, default=0.05,
-        help="relative support threshold (paper: 0.05)",
-    )
-    parser.add_argument(
-        "--mining-algorithm", choices=list(available_algorithms()),
-        default="bitset",
-        help=(
-            "frequent-itemset miner (default: bitset, the packed-bit "
-            "fast path; all miners return identical results)"
-        ),
+        "--min-support", type=_support_fraction, default=0.05,
+        help="relative support threshold in (0, 1] (paper: 0.05)",
     )
 
 
 def _mining_from_args(args: argparse.Namespace) -> MiningConfig:
     """Build the MiningConfig a command's flags describe."""
-    return MiningConfig(
-        min_support=args.min_support, algorithm=args.mining_algorithm
-    )
+    return MiningConfig(min_support=args.min_support)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,7 +730,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"mined {len(result.cells)} cells x {args.runs} runs "
             f"(+ {len(codes)} empirical curves) with "
-            f"{mining.algorithm} @ {mining.min_support:g} support in "
+            f"support {mining.min_support:g} in "
             f"{elapsed:.1f}s ({curve_cache.stats.misses} mined, "
             f"{curve_cache.stats.hits} curve-cache hits)"
         )

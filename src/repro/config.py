@@ -75,10 +75,10 @@ class MiningConfig:
         min_support: Relative support threshold (fraction of recipes).
         max_size: Optional cap on itemset size; ``None`` mines all sizes.
             The paper mines "size 1 and greater" with no stated cap.
-        algorithm: Mining algorithm name registered in
-            :mod:`repro.analysis.itemsets` (default ``"bitset"``, the
-            packed-bit fast path, as on the CLI; every registered miner
-            returns identical results).
+        algorithm: Always ``"bitset"``, the one miner in
+            :mod:`repro.analysis.itemsets`; kept so configs that name it
+            still construct, and checked here so a typo fails before a
+            sweep rather than at mining time.
     """
 
     min_support: float = PAPER.combination_min_support
@@ -92,6 +92,11 @@ class MiningConfig:
             )
         if self.max_size is not None and self.max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {self.max_size}")
+        if self.algorithm != "bitset":
+            raise ValueError(
+                f"unknown mining algorithm {self.algorithm!r}; the only "
+                "miner is 'bitset'"
+            )
 
 
 DEFAULT_MINING = MiningConfig()

@@ -176,7 +176,6 @@ def run_ablation_minsup(
         mining = MiningConfig(
             min_support=min_support,
             max_size=context.mining.max_size,
-            algorithm=context.mining.algorithm,
         )
         analysis = analyze_invariants(
             context.dataset, context.lexicon, level="ingredient",

@@ -93,7 +93,7 @@ class CurveMiningTask:
     Attributes:
         transactions: The transactions to mine (level conversion already
             applied by the caller).
-        mining: Support/size/algorithm configuration.
+        mining: Support/size configuration.
         label: Per-run curve label (``"<model>#<index>"``).
     """
 
@@ -112,7 +112,6 @@ def mine_curve_task(task: CurveMiningTask) -> RankFrequencyCurve:
     result = mine_frequent_itemsets(
         task.transactions,
         min_support=task.mining.min_support,
-        algorithm=task.mining.algorithm,
         max_size=task.mining.max_size,
     )
     return curve_from_mining(result, task.label)
@@ -148,7 +147,7 @@ def ensemble_curves(
 
     Args:
         cells: ``(runs, label)`` pairs; output order follows input.
-        mining: Support/size/algorithm configuration (shared).
+        mining: Support/size configuration (shared).
         level: ``"ingredient"`` or ``"category"``.
         lexicon: Required for ``level="category"``.
         runtime: Fan-out backend/jobs/cache; ``None`` = serial.

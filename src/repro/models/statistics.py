@@ -92,7 +92,6 @@ def summarize_ensemble(
         result = mine_frequent_itemsets(
             run.transactions,
             min_support=mining.min_support,
-            algorithm=mining.algorithm,
             max_size=mining.max_size,
         )
         curve = curve_from_mining(result, run.model_name)

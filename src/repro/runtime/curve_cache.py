@@ -2,15 +2,13 @@
 
 Mining is a pure function of ``(transactions, mining config)``: the same
 recipe pool mined at the same support always yields the same frequent
-itemsets, whatever produced the pool and whichever registered miner ran.
+itemsets, whatever produced the pool.
 That makes mined curves content-addressable — the key is a SHA-256 over
 
 * a fingerprint of the exact transactions mined
   (:func:`transactions_fingerprint`; order-sensitive across
   transactions, order-insensitive within one),
-* the output-relevant mining configuration (support threshold, size
-  cap — *not* the algorithm, which by contract cannot change the
-  result),
+* the mining configuration (support threshold and size cap),
 * the payload kind (aggregated frequencies vs a full
   :class:`~repro.analysis.itemsets.MiningResult`), and
 * :data:`CURVE_FORMAT_VERSION`.
@@ -51,7 +49,7 @@ __all__ = [
 
 #: Bump when the key layout or the pickled payload layout changes; old
 #: entries then miss instead of deserializing garbage.
-CURVE_FORMAT_VERSION = 1
+CURVE_FORMAT_VERSION = 2
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -156,11 +154,7 @@ def curve_key(
 
     The key covers every input that changes the *output* of mining:
     the transaction content, the support threshold and the size cap.
-    ``mining.algorithm`` is deliberately excluded — every registered
-    miner returns identical results (the equality contract of
-    DESIGN.md §6, pinned in ``tests/analysis/test_itemsets_bitset.py``)
-    — so a cache warmed with one miner serves every other, e.g. a CLI
-    ``bitset`` sweep warms a library caller on the ``eclat`` default.
+    There is one miner (DESIGN.md §6), so no miner name is keyed.
 
     Args:
         transactions_fp: :func:`transactions_fingerprint` of the mined

@@ -18,9 +18,9 @@ corpus build, mining and stats stream in bounded memory:
 * ``title_offsets``/``title_bytes`` (and ``source_*``) — optional UTF-8
   blob planes for the carried text fields.
 * ``bititems:<code>``/``bits:<code>`` — optional per-cuisine packed-bit
-  transaction planes in exactly the PR-5 ``np.packbits`` layout of
-  :mod:`repro.analysis.itemsets_bitset` (row = ingredient, bit =
-  recipe membership), so the bitset miner reads them zero-copy without
+  transaction planes in exactly the ``np.packbits`` layout of
+  :mod:`repro.analysis.itemsets` (row = ingredient, bit = recipe
+  membership), so the miner reads them zero-copy without
   round-tripping through ``Recipe`` objects.
 
 The container is a single file: planes 64-byte aligned back to back, a
@@ -1158,10 +1158,10 @@ class ColumnarCorpus:
         """Mine one cuisine over its packed planes (zero object path).
 
         Returns a :class:`~repro.analysis.itemsets.MiningResult`
-        bit-identical to running any registered miner over
-        ``dataset.cuisine(code).as_id_sets()``.
+        bit-identical to
+        ``mine_frequent_itemsets(dataset.cuisine(code).as_id_sets(), ...)``.
         """
-        from repro.analysis.itemsets_bitset import mine_packed
+        from repro.analysis.itemsets import mine_packed
 
         packed = self.packed(region_code)
         return mine_packed(

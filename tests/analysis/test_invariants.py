@@ -70,29 +70,6 @@ def test_category_level_distances(small_corpus, lexicon):
     assert analysis.average_distance >= 0
 
 
-def test_cached_mining_result_restamps_algorithm(
-    small_corpus, lexicon, tmp_path
-):
-    # Curve-cache entries are shared across algorithms (DESIGN.md §6);
-    # a hit must report the algorithm the caller asked for, not the one
-    # that happened to warm the entry.
-    from repro.runtime import CurveCache
-
-    cache = CurveCache(tmp_path)
-    _curve, cold = combination_curve(
-        small_corpus, "ITA", lexicon,
-        mining=MiningConfig(algorithm="eclat"), curve_cache=cache,
-    )
-    assert cold.algorithm == "eclat"
-    _curve, warm = combination_curve(
-        small_corpus, "ITA", lexicon,
-        mining=MiningConfig(algorithm="bitset"), curve_cache=cache,
-    )
-    assert cache.stats.hits == 1
-    assert warm.algorithm == "bitset"
-    assert warm.itemsets == cold.itemsets
-
-
 # ---------------------------------------------------------------------------
 # Memory-mapped columnar fast path
 # ---------------------------------------------------------------------------

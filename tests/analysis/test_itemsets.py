@@ -1,24 +1,29 @@
-"""Tests for frequent-itemset mining, incl. miner-equivalence properties."""
+"""Tests for frequent-itemset mining, incl. equality with the test oracle."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.itemsets import (
     CATEGORY_INDEX,
-    apriori,
-    bruteforce,
+    MiningResult,
+    _min_count,
     category_from_index,
     category_transactions,
-    eclat,
-    fpgrowth,
     ingredient_transactions,
     mine_frequent_itemsets,
+    mine_packed,
 )
+from repro.config import MiningConfig
 from repro.errors import MiningError
 from repro.lexicon.categories import Category
+from tests.analysis.oracle import assert_matches_oracle, eclat, pack
 
 TRANSACTIONS = [
     {1, 2, 3},
@@ -35,18 +40,21 @@ def _as_dict(result):
 
 
 def test_eclat_hand_computed():
-    result = eclat(TRANSACTIONS, min_support=0.5)
-    found = _as_dict(result)
     # Supports: 1->4, 2->4, 3->4, {1,2}->3, {1,3}->3, {2,3}->3, {1,2,3}->2
-    # min_count = ceil(0.5*6) = 3.
-    assert found == {
-        (1,): 4, (2,): 4, (3,): 4,
-        (1, 2): 3, (1, 3): 3, (2, 3): 3,
-    }
+    # min_count = ceil(0.5*6) = 3.  The oracle and the production miner
+    # must both reproduce the hand count.
+    for result in (
+        eclat(TRANSACTIONS, min_support=0.5),
+        mine_frequent_itemsets(TRANSACTIONS, min_support=0.5),
+    ):
+        assert _as_dict(result) == {
+            (1,): 4, (2,): 4, (3,): 4,
+            (1, 2): 3, (1, 3): 3, (2, 3): 3,
+        }
 
 
 def test_rank_order():
-    result = eclat(TRANSACTIONS, min_support=0.5)
+    result = mine_frequent_itemsets(TRANSACTIONS, min_support=0.5)
     supports = [itemset.support for itemset in result.itemsets]
     assert supports == sorted(supports, reverse=True)
     # Ties broken by size then lexicographic items.
@@ -54,36 +62,75 @@ def test_rank_order():
 
 
 def test_max_size_cap():
-    result = eclat(TRANSACTIONS, min_support=0.3, max_size=1)
+    result = mine_frequent_itemsets(TRANSACTIONS, min_support=0.3, max_size=1)
     assert all(itemset.size == 1 for itemset in result.itemsets)
 
 
 def test_min_support_one_returns_universal_sets():
-    result = eclat(TRANSACTIONS, min_support=1.0)
+    result = mine_frequent_itemsets(TRANSACTIONS, min_support=1.0)
     assert _as_dict(result) == {}
 
 
 def test_empty_transactions():
-    for miner in (eclat, apriori, bruteforce):
-        result = miner([], min_support=0.5)
+    for result in (
+        eclat([], min_support=0.5),
+        mine_frequent_itemsets([], min_support=0.5),
+        mine_packed(*pack([]), min_support=0.5),
+    ):
         assert len(result) == 0
         assert result.n_transactions == 0
 
 
 def test_invalid_support_rejected():
     with pytest.raises(MiningError):
-        eclat(TRANSACTIONS, min_support=0.0)
+        mine_frequent_itemsets(TRANSACTIONS, min_support=0.0)
     with pytest.raises(MiningError):
-        apriori(TRANSACTIONS, min_support=1.5)
+        mine_frequent_itemsets(TRANSACTIONS, min_support=1.5)
 
 
 def test_unknown_algorithm():
-    with pytest.raises(MiningError):
-        mine_frequent_itemsets(TRANSACTIONS, 0.5, algorithm="fp-dream")
+    # There is one miner: naming another is a config error raised before
+    # any work, and the mining call itself takes no miner name.
+    with pytest.raises(ValueError):
+        MiningConfig(algorithm="fp-dream")
+    with pytest.raises(TypeError):
+        mine_frequent_itemsets(TRANSACTIONS, 0.5, algorithm="bitset")
+
+
+def test_mining_result_has_no_algorithm_field():
+    names = {field.name for field in dataclasses.fields(MiningResult)}
+    assert names == {"itemsets", "n_transactions", "min_support"}
+
+
+@pytest.mark.parametrize(
+    "min_support, n, count",
+    [(0.07, 100, 7), (0.14, 100, 14), (0.28, 100, 28), (0.05, 100, 5),
+     (0.5, 6, 3), (1.0, 3, 3), (0.001, 10, 1)],
+)
+def test_min_count_is_exact_at_decimal_boundaries(min_support, n, count):
+    # 0.07 * 100 == 7.000000000000001 in floating point; a float ceiling
+    # would demand 8 of 100 recipes for a 7% threshold.
+    assert _min_count(min_support, n) == count
+
+
+def test_item_at_exact_support_boundary_is_frequent():
+    transactions = [{1}] * 7 + [{2}] * 93
+    result = mine_frequent_itemsets(transactions, min_support=0.07)
+    assert _as_dict(result) == {(2,): 93, (1,): 7}
+    assert_matches_oracle(transactions, 0.07)
+
+
+def test_paper_threshold_count_matches_float_ceiling():
+    # The exact rule must not move the paper's 0.05 threshold: it agrees
+    # with the float ceiling for every pool size below 200,000.
+    n = np.arange(1, 200_000)
+    assert np.array_equal(np.ceil(0.05 * n).astype(np.int64), (n + 19) // 20)
+    for size in range(1, 200_000, 997):
+        assert _min_count(0.05, size) == math.ceil(0.05 * size)
 
 
 def test_relative_support_and_frequencies():
-    result = eclat(TRANSACTIONS, min_support=0.5)
+    result = mine_frequent_itemsets(TRANSACTIONS, min_support=0.5)
     top = result.itemsets[0]
     assert top.relative_support(result.n_transactions) == pytest.approx(4 / 6)
     frequencies = result.frequencies()
@@ -92,7 +139,7 @@ def test_relative_support_and_frequencies():
 
 
 def test_of_size():
-    result = eclat(TRANSACTIONS, min_support=0.5)
+    result = mine_frequent_itemsets(TRANSACTIONS, min_support=0.5)
     assert len(result.of_size(1)) == 3
     assert len(result.of_size(2)) == 3
 
@@ -109,44 +156,26 @@ def transactions_strategy(draw):
 @given(transactions_strategy(), st.floats(0.05, 1.0))
 @settings(max_examples=100, deadline=None)
 def test_all_miners_agree(transactions, min_support):
-    a = _as_dict(eclat(transactions, min_support))
-    b = _as_dict(apriori(transactions, min_support))
-    c = _as_dict(bruteforce(transactions, min_support))
-    d = _as_dict(fpgrowth(transactions, min_support))
-    assert a == b == c == d
+    assert_matches_oracle(transactions, min_support)
 
 
 @given(transactions_strategy(), st.floats(0.1, 1.0), st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_miners_agree_with_max_size(transactions, min_support, max_size):
-    a = _as_dict(eclat(transactions, min_support, max_size=max_size))
-    b = _as_dict(apriori(transactions, min_support, max_size=max_size))
-    c = _as_dict(bruteforce(transactions, min_support, max_size=max_size))
-    d = _as_dict(fpgrowth(transactions, min_support, max_size=max_size))
-    assert a == b == c == d
+    assert_matches_oracle(transactions, min_support, max_size=max_size)
 
 
-def test_fpgrowth_hand_computed():
-    result = fpgrowth(TRANSACTIONS, min_support=0.5)
-    assert _as_dict(result) == {
-        (1,): 4, (2,): 4, (3,): 4,
-        (1, 2): 3, (1, 3): 3, (2, 3): 3,
-    }
-    assert result.algorithm == "fpgrowth"
-
-
-def test_fpgrowth_on_real_cuisine_matches_eclat(small_corpus):
+def test_miner_on_real_cuisine_matches_oracle(small_corpus):
     transactions = ingredient_transactions(small_corpus.cuisine("KOR"))
-    a = _as_dict(eclat(transactions, 0.05))
-    b = _as_dict(fpgrowth(transactions, 0.05))
-    assert a == b
+    expected = assert_matches_oracle(transactions, 0.05)
+    assert len(expected) > 0
 
 
 @given(transactions_strategy())
 @settings(max_examples=50, deadline=None)
 def test_downward_closure(transactions):
     """Every subset of a frequent itemset is frequent (Apriori property)."""
-    result = eclat(transactions, min_support=0.3)
+    result = mine_frequent_itemsets(transactions, min_support=0.3)
     found = _as_dict(result)
     for items, support in found.items():
         for drop in range(len(items)):

@@ -1,28 +1,26 @@
-"""Cross-engine property tests: bitset Eclat == every reference miner.
+"""Property tests: the packed-bit miner equals the pure-Python oracle.
 
-The bitset engine's contract (DESIGN.md §6) is *exact* equality with the
-pure-Python miners — same itemsets, same supports, same
-``(-support, size, items)`` rank order — on any input.  These tests pin
-that over randomized transaction sets spanning sizes, densities and
-``max_size`` caps, plus the degenerate shapes that break bit-matrix
-code (empty input, empty transactions, single transaction, items with
-large/sparse ids).
+The production miner's contract (DESIGN.md §6) is *exact* equality with
+the oracle in ``tests/analysis/oracle.py`` — same itemsets, same
+supports, same ``(-support, size, items)`` rank order — on any input,
+for both entry points (:func:`mine_frequent_itemsets` and
+:func:`mine_packed`).  These tests pin that over randomized transaction
+sets spanning sizes, densities and ``max_size`` caps, plus the
+degenerate shapes that break bit-matrix code (empty input, empty
+transactions, single transaction, items with large/sparse ids).
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.analysis.itemsets import (
-    available_algorithms,
-    mine_frequent_itemsets,
-)
-from repro.analysis.itemsets_bitset import bitset_eclat
+from repro.analysis.itemsets import mine_frequent_itemsets, mine_packed
+from repro.config import MiningConfig
 from repro.errors import MiningError
-
-REFERENCE_ALGORITHMS = ("eclat", "apriori", "fpgrowth", "bruteforce")
+from tests.analysis.oracle import assert_matches_oracle, pack
 
 
 def _random_transactions(
@@ -51,11 +49,6 @@ def _skewed_transactions(
     return transactions
 
 
-def test_bitset_is_registered():
-    assert "bitset" in available_algorithms()
-    assert set(REFERENCE_ALGORITHMS) <= set(available_algorithms())
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_bitset_equals_all_miners_randomized(seed):
     rng = random.Random(seed)
@@ -65,82 +58,64 @@ def test_bitset_equals_all_miners_randomized(seed):
     transactions = _random_transactions(rng, n, n_items, density)
     min_support = rng.choice([0.02, 0.05, 0.1, 0.3, 0.75])
     max_size = rng.choice([None, 1, 2, 3])
-    expected = mine_frequent_itemsets(
-        transactions, min_support, "eclat", max_size=max_size
-    )
-    for algorithm in ("bitset", "apriori", "fpgrowth", "bruteforce"):
-        result = mine_frequent_itemsets(
-            transactions, min_support, algorithm, max_size=max_size
-        )
-        assert result.itemsets == expected.itemsets, (seed, algorithm)
-        assert result.n_transactions == expected.n_transactions
+    assert_matches_oracle(transactions, min_support, max_size=max_size)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_bitset_equals_eclat_on_skewed_pools(seed):
     rng = random.Random(100 + seed)
     transactions = _skewed_transactions(rng, n=300, n_items=60, size=6)
-    expected = mine_frequent_itemsets(transactions, 0.05, "eclat")
-    result = mine_frequent_itemsets(transactions, 0.05, "bitset")
-    assert result.itemsets == expected.itemsets
-    assert len(result) > 0  # skewed pools must actually mine something
-    assert result.frequencies() == expected.frequencies()
+    expected = assert_matches_oracle(transactions, 0.05)
+    assert len(expected) > 0  # skewed pools must actually mine something
 
 
 def test_bitset_empty_input():
-    result = bitset_eclat([], 0.05)
+    result = mine_frequent_itemsets([], 0.05)
     assert result.itemsets == ()
     assert result.n_transactions == 0
-    assert result.algorithm == "bitset"
 
 
 def test_bitset_all_empty_transactions():
-    result = bitset_eclat([set(), set(), set()], 0.05)
+    result = mine_frequent_itemsets([set(), set(), set()], 0.05)
     assert result.itemsets == ()
     assert result.n_transactions == 3
+    assert_matches_oracle([set(), set(), set()], 0.05)
 
 
 def test_bitset_single_transaction():
-    expected = mine_frequent_itemsets([{3, 7, 11}], 0.5, "bruteforce")
-    result = mine_frequent_itemsets([{3, 7, 11}], 0.5, "bitset")
-    assert result.itemsets == expected.itemsets
+    expected = assert_matches_oracle([{3, 7, 11}], 0.5)
+    assert len(expected) == 7  # every non-empty subset of three items
 
 
 def test_bitset_sparse_large_item_ids():
-    transactions = [{10_000, 999_999}, {10_000}, {10_000, 5}]
-    expected = mine_frequent_itemsets(transactions, 0.3, "eclat")
-    result = mine_frequent_itemsets(transactions, 0.3, "bitset")
-    assert result.itemsets == expected.itemsets
+    assert_matches_oracle([{10_000, 999_999}, {10_000}, {10_000, 5}], 0.3)
 
 
 def test_bitset_duplicate_items_in_list_input():
-    # Non-set inputs are deduplicated exactly like the reference miners.
-    transactions = [[1, 1, 2], [2, 2, 2, 1], [1]]
-    expected = mine_frequent_itemsets(transactions, 0.3, "eclat")
-    result = mine_frequent_itemsets(transactions, 0.3, "bitset")
-    assert result.itemsets == expected.itemsets
+    # Non-set inputs are deduplicated: a repeated id counts once.
+    expected = assert_matches_oracle([[1, 1, 2], [2, 2, 2, 1], [1]], 0.3)
+    assert {i.items: i.support for i in expected.itemsets}[(1,)] == 3
 
 
 def test_bitset_max_size_caps_depth():
     transactions = [{1, 2, 3, 4}] * 10
-    result = mine_frequent_itemsets(transactions, 0.5, "bitset", max_size=2)
+    result = mine_frequent_itemsets(transactions, 0.5, max_size=2)
     assert max(itemset.size for itemset in result.itemsets) == 2
-    expected = mine_frequent_itemsets(
-        transactions, 0.5, "eclat", max_size=2
-    )
-    assert result.itemsets == expected.itemsets
+    assert_matches_oracle(transactions, 0.5, max_size=2)
 
 
 def test_bitset_invalid_support():
     with pytest.raises(MiningError):
-        bitset_eclat([{1}], 0.0)
+        mine_frequent_itemsets([{1}], 0.0)
     with pytest.raises(MiningError):
-        bitset_eclat([{1}], 1.5)
+        mine_frequent_itemsets([{1}], 1.5)
+    with pytest.raises(MiningError):
+        mine_packed(*pack([{1}]), min_support=1.5)
 
 
 def test_unknown_algorithm_lists_bitset():
-    with pytest.raises(MiningError) as excinfo:
-        mine_frequent_itemsets([{1}], 0.5, "no-such-miner")
+    with pytest.raises(ValueError) as excinfo:
+        MiningConfig(algorithm="no-such-miner")
     assert "bitset" in str(excinfo.value)
 
 
@@ -149,50 +124,21 @@ def test_unknown_algorithm_lists_bitset():
 # ---------------------------------------------------------------------------
 
 
-def _pack(transactions):
-    import numpy as np
-
-    universe = sorted({item for t in transactions for item in t})
-    dense = np.zeros((len(universe), len(transactions)), dtype=np.uint8)
-    position = {item: row for row, item in enumerate(universe)}
-    for column, transaction in enumerate(transactions):
-        for item in transaction:
-            dense[position[item], column] = 1
-    return (
-        np.packbits(dense, axis=1),
-        np.asarray(universe, dtype=np.int64),
-        len(transactions),
-    )
-
-
 def test_mine_packed_matches_bitset_eclat():
-    from repro.analysis.itemsets_bitset import mine_packed
-
     rng = random.Random(5)
     transactions = [
         frozenset(rng.sample(range(20), rng.randint(2, 8))) for _ in range(60)
     ]
-    matrix, item_ids, n = _pack(transactions)
-    packed = mine_packed(matrix, item_ids, n, min_support=0.1)
-    reference = bitset_eclat(transactions, min_support=0.1)
-    assert packed.itemsets == reference.itemsets
-    assert packed.n_transactions == reference.n_transactions
+    assert len(assert_matches_oracle(transactions, 0.1)) > 0
 
 
 def test_mine_packed_respects_max_size():
-    from repro.analysis.itemsets_bitset import mine_packed
-
     transactions = [frozenset({1, 2, 3, 4})] * 10
-    matrix, item_ids, n = _pack(transactions)
-    result = mine_packed(matrix, item_ids, n, min_support=0.5, max_size=2)
+    result = mine_packed(*pack(transactions), min_support=0.5, max_size=2)
     assert max(itemset.size for itemset in result.itemsets) == 2
 
 
 def test_mine_packed_validates_inputs():
-    import numpy as np
-
-    from repro.analysis.itemsets_bitset import mine_packed
-
     matrix = np.zeros((2, 1), dtype=np.uint8)
     with pytest.raises(MiningError):  # descending item ids
         mine_packed(matrix, np.array([5, 3]), 4, min_support=0.5)
@@ -203,10 +149,6 @@ def test_mine_packed_validates_inputs():
 
 
 def test_mine_packed_empty():
-    import numpy as np
-
-    from repro.analysis.itemsets_bitset import mine_packed
-
     result = mine_packed(
         np.zeros((0, 0), dtype=np.uint8), np.array([], dtype=np.int64),
         0, min_support=0.5,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.itemsets import eclat
+from repro.analysis.itemsets import mine_frequent_itemsets
 from repro.analysis.rank_frequency import (
     RankFrequencyCurve,
     average_curves,
@@ -52,7 +52,9 @@ def test_as_series():
 
 
 def test_curve_from_mining():
-    result = eclat([{1, 2}, {1, 2}, {1}, {3}], min_support=0.25)
+    result = mine_frequent_itemsets(
+        [{1, 2}, {1, 2}, {1}, {3}], min_support=0.25
+    )
     curve = curve_from_mining(result, "test")
     assert curve.frequencies[0] == pytest.approx(0.75)  # item 1
     assert curve.label == "test"

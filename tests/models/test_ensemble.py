@@ -19,6 +19,7 @@ from repro.models.ensemble import (
 )
 from repro.models.params import CuisineSpec
 from repro.runtime import CurveCache, RuntimeConfig
+from tests.analysis.oracle import eclat as oracle_eclat
 
 
 def _spec(n_recipes=80):
@@ -115,11 +116,30 @@ def test_curve_mining_task_is_picklable():
     assert len(curve) > 0
 
 
-@pytest.mark.parametrize("algorithm", ["eclat", "bitset"])
-def test_ensemble_curve_bit_identical_across_backends(algorithm):
+def _oracle_curve(runs, monkeypatch):
+    """The serial ensemble curve with every run mined by the test oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.models.ensemble.mine_frequent_itemsets", oracle_eclat
+        )
+        return ensemble_curve(
+            runs, "CM-R", mining=MiningConfig(min_support=0.05)
+        )
+
+
+@pytest.mark.parametrize("baseline_miner", ["eclat", "bitset"])
+def test_ensemble_curve_bit_identical_across_backends(
+    baseline_miner, monkeypatch
+):
+    # The serial baseline is mined by the oracle ("eclat") or by the
+    # production miner ("bitset"); the fanned-out curves always run the
+    # production miner and must match either baseline bit for bit.
     runs = run_ensemble(CopyMutateRandom(), _spec(), n_runs=4, seed=9).runs
-    mining = MiningConfig(min_support=0.05, algorithm=algorithm)
-    serial = ensemble_curve(runs, "CM-R", mining=mining)
+    mining = MiningConfig(min_support=0.05)
+    if baseline_miner == "eclat":
+        serial = _oracle_curve(runs, monkeypatch)
+    else:
+        serial = ensemble_curve(runs, "CM-R", mining=mining)
     for backend in ("thread", "process"):
         parallel = ensemble_curve(
             runs, "CM-R", mining=mining,
@@ -128,15 +148,14 @@ def test_ensemble_curve_bit_identical_across_backends(algorithm):
         assert np.array_equal(serial.frequencies, parallel.frequencies)
 
 
-def test_bitset_curve_equals_pure_python_curve():
+def test_bitset_curve_equals_pure_python_curve(monkeypatch):
     runs = run_ensemble(CopyMutateRandom(), _spec(), n_runs=3, seed=11).runs
-    eclat = ensemble_curve(
-        runs, "CM-R", mining=MiningConfig(min_support=0.05, algorithm="eclat")
-    )
+    oracle = _oracle_curve(runs, monkeypatch)
     bitset = ensemble_curve(
-        runs, "CM-R", mining=MiningConfig(min_support=0.05, algorithm="bitset")
+        runs, "CM-R", mining=MiningConfig(min_support=0.05)
     )
-    assert np.array_equal(eclat.frequencies, bitset.frequencies)
+    assert len(bitset) > 0
+    assert np.array_equal(oracle.frequencies, bitset.frequencies)
 
 
 def test_warm_curve_cache_skips_mining_entirely(tmp_path, monkeypatch):

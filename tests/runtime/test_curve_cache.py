@@ -38,16 +38,6 @@ def test_curve_key_covers_mining_config_and_kind():
     assert curve_key(other_fp, MINING) != base
 
 
-def test_curve_key_algorithm_agnostic():
-    # Every registered miner returns identical results (the DESIGN.md §6
-    # equality contract), so entries are shared across algorithms: a
-    # bitset-warmed cache serves the eclat default and vice versa.
-    fp = transactions_fingerprint(TXNS)
-    assert curve_key(fp, MiningConfig(algorithm="bitset")) == curve_key(
-        fp, MiningConfig(algorithm="eclat")
-    )
-
-
 def test_hit_miss_store_roundtrip(tmp_path):
     cache = CurveCache(tmp_path)
     key = curve_key(transactions_fingerprint(TXNS), MINING)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.itemsets import available_algorithms, mine_frequent_itemsets
+from repro.analysis.itemsets import mine_frequent_itemsets
 from repro.corpus.dataset import RecipeDataset
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import corpus_stats
@@ -21,6 +21,7 @@ from repro.storage.columnar import (
     pack_dataset,
 )
 from repro.storage.store import RecipeStore
+from tests.analysis.oracle import eclat
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +143,10 @@ def test_mining_bit_identical_to_every_algorithm(tmp_path, tiny_dataset):
         for code in tiny_dataset.region_codes():
             packed_result = packed.mine(code, min_support=0.3)
             transactions = tiny_dataset.cuisine(code).as_id_sets()
-            for algorithm in available_algorithms():
-                reference = mine_frequent_itemsets(
-                    transactions, min_support=0.3, algorithm=algorithm
-                )
+            for reference in (
+                mine_frequent_itemsets(transactions, min_support=0.3),
+                eclat(transactions, min_support=0.3),
+            ):
                 assert packed_result.itemsets == reference.itemsets
                 assert packed_result.n_transactions == reference.n_transactions
 
@@ -156,7 +157,6 @@ def test_mining_bit_identical_at_corpus_scale(corpus, small_corpus):
         reference = mine_frequent_itemsets(
             small_corpus.cuisine(code).as_id_sets(),
             min_support=0.05,
-            algorithm="bitset",
         )
         assert packed_result.itemsets == reference.itemsets
         assert packed_result.n_transactions == reference.n_transactions

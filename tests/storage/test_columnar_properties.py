@@ -77,7 +77,6 @@ def test_packed_mining_matches_object_path(tmp_path_factory, dataset, bitplanes)
             reference = mine_frequent_itemsets(
                 dataset.cuisine(code).as_id_sets(),
                 min_support=0.4,
-                algorithm="bitset",
                 max_size=3,
             )
             mined = packed.mine(code, min_support=0.4, max_size=3)

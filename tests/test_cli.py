@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 
 import pytest
@@ -385,3 +386,28 @@ def test_experiment_accepts_packed_corpus(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "Fig. 3" in out
+
+
+@pytest.mark.parametrize("command", [["experiment", "fig4"], ["sweep"]])
+@pytest.mark.parametrize("value", ["1.5", "0", "-0.1", "lots"])
+def test_min_support_out_of_range_is_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--min-support", value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--min-support" in err
+    assert "Traceback" not in err
+
+
+def test_no_mining_algorithm_option():
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    helps = [parser.format_help()] + [
+        sub.format_help() for sub in subparsers.choices.values()
+    ]
+    assert not any("--mining-algorithm" in text for text in helps)
+    with pytest.raises(SystemExit):
+        main(["experiment", "fig4", "--mining-algorithm", "bitset"])

@@ -47,6 +47,17 @@ def test_mining_config_rejects_bad_max_size():
 
 
 def test_mining_config_accepts_valid():
-    config = MiningConfig(min_support=0.1, max_size=3, algorithm="apriori")
+    config = MiningConfig(min_support=0.1, max_size=3, algorithm="bitset")
     assert config.min_support == 0.1
     assert config.max_size == 3
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    ["eclat", "apriori", "fpgrowth", "bruteforce", "eclt", "BITSET", ""],
+)
+def test_mining_config_rejects_unknown_algorithm(algorithm):
+    # bitset is the only miner; anything else fails at construction,
+    # before a sweep has simulated anything.
+    with pytest.raises(ValueError, match="bitset"):
+        MiningConfig(algorithm=algorithm)
