@@ -9,6 +9,7 @@ pairwise Eq. 2 distances quantifying cross-cuisine similarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.analysis.itemsets import (
     CATEGORY_INDEX,
@@ -29,12 +30,13 @@ from repro.runtime.curve_cache import (
     transactions_fingerprint,
 )
 from repro.storage.columnar import ColumnarCorpus
+from repro.transactions import TransactionPlane
 
 __all__ = ["InvariantAnalysis", "analyze_invariants", "combination_curve"]
 
 
 def _mine_cached(
-    transactions: list[frozenset[int]],
+    transactions: Iterable[Iterable[int]],
     mining: MiningConfig,
     level: str,
     curve_cache: CurveCache | None,
@@ -46,6 +48,8 @@ def _mine_cached(
     ``kind="mining"`` — distinct from the ensemble path's frequency
     arrays, sharing the same content-addressed key scheme.
     """
+    # One conversion serves both the fingerprint and the miner.
+    transactions = TransactionPlane.of(transactions)
     if curve_cache is None:
         return mine_frequent_itemsets(
             transactions,

@@ -6,8 +6,11 @@ itemsets at relative support 0.05.  One miner does that work:
 :func:`mine_frequent_itemsets`, a depth-first Eclat search over numpy
 packed-bit tidsets.
 
-1. transactions are packed **once** into a bit matrix
-   (``np.packbits``): row = item, bit = transaction membership;
+1. the transactions' position arrays
+   (:class:`~repro.transactions.TransactionPlane`; other iterables are
+   converted into one first) are counted with one ``bincount`` and the
+   frequent rows packed **once** into a bit matrix (``np.packbits``):
+   row = item, bit = transaction membership;
 2. a depth-first extension intersects the prefix tidset against *every*
    sibling candidate in one vectorized ``AND`` over the packed bytes;
 3. supports come from a 256-entry popcount lookup table summed per row
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -39,6 +41,7 @@ from repro.corpus.dataset import CuisineView
 from repro.errors import MiningError
 from repro.lexicon.categories import Category
 from repro.lexicon.lexicon import Lexicon
+from repro.transactions import TransactionPlane
 
 __all__ = [
     "FrequentItemset",
@@ -162,6 +165,11 @@ def _sorted_result(
     )
 
 
+def _check_max_size(max_size: int | None) -> None:
+    if max_size is not None and max_size < 1:
+        raise MiningError(f"max_size must be >= 1 or None, got {max_size}")
+
+
 def mine_frequent_itemsets(
     transactions: Iterable[Iterable[int]],
     min_support: float,
@@ -170,60 +178,50 @@ def mine_frequent_itemsets(
     """Mine frequent combinations by depth-first search over packed bits.
 
     Args:
-        transactions: Item collections (ingredient ids or category
-            indexes).
+        transactions: A :class:`~repro.transactions.TransactionPlane`,
+            or item collections (ingredient ids or category indexes),
+            which are converted into one first.
         min_support: Relative support threshold in ``(0, 1]`` — the
             paper uses 0.05.
-        max_size: Optional cap on itemset size.
+        max_size: Optional cap on itemset size (``>= 1``).
 
     Returns:
         A :class:`MiningResult` with itemsets in rank order.
+
+    Raises:
+        MiningError: On a threshold outside ``(0, 1]`` or a size cap
+            below 1.
     """
-    # Sets pass through untouched (model runs hand us frozensets
-    # already); anything else is deduplicated.
-    data = [
-        transaction
-        if isinstance(transaction, (set, frozenset))
-        else frozenset(transaction)
-        for transaction in transactions
-    ]
-    n = len(data)
+    _check_max_size(max_size)
+    plane = TransactionPlane.of(transactions)
+    n = len(plane)
     if n == 0:
         return MiningResult((), 0, min_support)
     min_count = _min_count(min_support, n)
 
-    # Flatten once: the only Python-level pass over the data.  Every
-    # later step — counting, frequency filtering, bit-matrix build — is
-    # a vectorized numpy operation over these flat arrays.
-    lengths = np.fromiter(
-        (len(transaction) for transaction in data), dtype=np.intp, count=n
-    )
-    total = int(lengths.sum())
-    if total == 0:
-        return MiningResult((), n, min_support)
-    flat_items = np.fromiter(
-        chain.from_iterable(data), dtype=np.int64, count=total
-    )
-    flat_tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
-
-    unique_items, inverse = np.unique(flat_items, return_inverse=True)
-    item_counts = np.bincount(inverse, minlength=unique_items.size)
+    # Counting, frequency filtering and the bit-matrix build are
+    # vectorized passes over the plane's flat positions.
+    lengths, flat = plane.csr()
+    item_counts = np.bincount(flat, minlength=plane.ids.size)
     frequent = item_counts >= min_count
     if not frequent.any():
         return MiningResult((), n, min_support)
-    frequent_items = [int(item) for item in unique_items[frequent]]
-    row_of = np.full(unique_items.size, -1, dtype=np.intp)
+    row_of = np.full(plane.ids.size, -1, dtype=np.intp)
     row_of[frequent] = np.arange(int(frequent.sum()), dtype=np.intp)
-    occurrence_rows = row_of[inverse]
+    occurrence_rows = row_of[flat]
     kept = occurrence_rows >= 0
+    tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
 
-    mask = np.zeros((len(frequent_items), n), dtype=bool)
-    mask[occurrence_rows[kept], flat_tids[kept]] = True
-    packed = np.packbits(mask, axis=1)
-    supports = item_counts[frequent].astype(np.int64)
-
+    mask = np.zeros((int(frequent.sum()), n), dtype=bool)
+    mask[occurrence_rows[kept], tids[kept]] = True
     return _mine_over_matrix(
-        frequent_items, packed, supports, n, min_count, min_support, max_size
+        plane.ids[frequent].tolist(),
+        np.packbits(mask, axis=1),
+        item_counts[frequent].astype(np.int64),
+        n,
+        min_count,
+        min_support,
+        max_size,
     )
 
 
@@ -313,7 +311,12 @@ def mine_packed(
     Returns:
         A result identical to :func:`mine_frequent_itemsets` over the
         same transactions.
+
+    Raises:
+        MiningError: On a malformed matrix, a threshold outside
+            ``(0, 1]`` or a size cap below 1.
     """
+    _check_max_size(max_size)
     matrix = np.asarray(matrix)
     item_ids = np.asarray(item_ids)
     if matrix.ndim != 2 or matrix.dtype != np.uint8:

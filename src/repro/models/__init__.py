@@ -8,7 +8,6 @@ from repro.models.base import (
 from repro.models.batched import (
     BATCHED_KINDS,
     BATCHED_STREAM_VERSION,
-    BatchedTransactions,
     run_batched,
 )
 from repro.models.copy_mutate import (
@@ -54,7 +53,6 @@ from repro.models.statistics import EnsembleStatistics, summarize_ensemble
 __all__ = [
     "BATCHED_KINDS",
     "BATCHED_STREAM_VERSION",
-    "BatchedTransactions",
     "ENGINES",
     "ISLANDS_STREAM_VERSION",
     "IslandEnsembleResult",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.models.fitness import FitnessStrategy, UniformFitness
 from repro.models.params import ENGINES, CuisineSpec, ModelParams
 from repro.models.state import EvolutionState, EvolutionTraceCounters
 from repro.rng import SeedLike, ensure_rng
+from repro.transactions import TransactionPlane
 
 __all__ = ["EvolutionRun", "CulinaryEvolutionModel", "CopyMutateBase"]
 
@@ -58,12 +59,11 @@ class EvolutionRun:
     Attributes:
         model_name: Registry name of the model that produced it.
         region_code: Cuisine simulated.
-        transactions: Final recipe pool as ingredient-id sets.  The
-            reference engine stores an eager ``list``; the batched
-            engine stores a lazy, equal-comparing
-            :class:`~repro.models.batched.BatchedTransactions` view
-            that materializes recipes on read and pickles as the plain
-            list.
+        transactions: Final recipe pool as a
+            :class:`~repro.transactions.TransactionPlane` — position
+            arrays over the cuisine's id table that read as
+            ``frozenset`` rows and pickle as the arrays (every engine
+            emits one).
         final_pool_size: ``m`` at termination.
         initial_recipes: ``n₀`` used.
         trace: Event counters accumulated during the run.
@@ -75,7 +75,7 @@ class EvolutionRun:
 
     model_name: str
     region_code: str
-    transactions: Sequence[frozenset[int]]
+    transactions: TransactionPlane
     final_pool_size: int
     initial_recipes: int
     trace: EvolutionTraceCounters

@@ -49,6 +49,8 @@ from repro.models.state import (
     CATEGORY_CODES,
     EvolutionTraceCounters,
 )
+from repro.transactions import TransactionPlane
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
     from repro.models.params import CuisineSpec
@@ -57,7 +59,6 @@ __all__ = [
     "BATCHED_KINDS",
     "BATCHED_STREAM_VERSION",
     "BatchedStreams",
-    "BatchedTransactions",
     "run_batched",
 ]
 
@@ -223,98 +224,6 @@ class BatchedStreams:
         streams._index = np.array(payload["index"], dtype=np.intp)
         streams._rows = np.arange(len(streams._rngs))
         return streams
-
-
-class BatchedTransactions(Sequence):
-    """One batched run's recipe pool, built into frozensets on demand.
-
-    A paper-scale ensemble held as eager ``frozenset`` lists is ~2.3
-    million small container objects (100 runs × 23k recipes) — the
-    allocator cost of *holding* them dwarfs the simulation itself.  The
-    batched engine therefore hands each run this compact view instead: a
-    ``(n_recipes, row_width)`` int32 matrix of universe positions
-    (shared with the sibling runs of its batch) plus the cuisine's
-    canonical ingredient-id objects, from which recipe sets are
-    materialized only when read.  Every recipe of every run references
-    the same few hundred id objects, exactly as the reference engine's
-    eager lists do.
-
-    The view behaves as the ``Sequence[frozenset[int]]`` the rest of
-    the codebase consumes: it iterates, indexes (slices return eager
-    lists), and compares equal to the eager list of the same recipes.
-    It also *pickles as* that plain list, so a cached batched run
-    round-trips to the eager representation (DESIGN.md §7).
-
-    Reads are deliberately not memoized — iterating twice materializes
-    twice, keeping memory bounded for consumers that stream over an
-    ensemble.  Use :meth:`materialize` when repeated random access is
-    worth an eager copy.
-    """
-
-    __slots__ = ("_positions", "_lengths", "_ids")
-
-    def __init__(
-        self,
-        positions: np.ndarray,
-        lengths: list[int] | None,
-        ids: list[int],
-    ):
-        self._positions = positions
-        self._lengths = lengths
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def _one(self, index: int) -> frozenset:
-        row = self._positions[index].tolist()
-        if self._lengths is not None:
-            row = row[: self._lengths[index]]
-        ids = self._ids
-        return frozenset([ids[position] for position in row])
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                self._one(i) for i in range(*index.indices(len(self)))
-            ]
-        return self._one(index)
-
-    def __iter__(self):
-        ids = self._ids
-        if self._lengths is None:
-            for row in self._positions.tolist():
-                yield frozenset([ids[position] for position in row])
-        else:
-            for row, length in zip(self._positions.tolist(), self._lengths):
-                yield frozenset(
-                    [ids[position] for position in row[:length]]
-                )
-
-    def materialize(self) -> list[frozenset]:
-        """An eager ``list[frozenset[int]]`` copy of the pool."""
-        return list(self)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if isinstance(other, (BatchedTransactions, list, tuple)):
-            if len(other) != len(self):
-                return False
-            return all(ours == theirs for ours, theirs in zip(self, other))
-        return NotImplemented
-
-    # Mutable-sequence semantics (lists are unhashable); parity keeps
-    # the two transaction representations interchangeable.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        # Pickle as the eager list: cache entries and cross-process
-        # payloads carry the same representation regardless of engine.
-        return (list, (self.materialize(),))
-
-    def __repr__(self) -> str:
-        return f"<BatchedTransactions of {len(self)} recipes>"
 
 
 def run_batched(
@@ -790,20 +699,19 @@ def run_batched(
                 checkpointer.after_step(step, _capture)
 
     # ------------------------------------------------------------------
-    # Per-run result assembly.  Transactions are lazy views over the
-    # shared position matrix — materializing 100 paper-scale runs of
-    # frozensets up front costs far more than the simulation did (see
-    # BatchedTransactions) — mapped through one canonical Python int
-    # per universe entry so materialized recipes share id objects.
+    # Per-run result assembly.  Each run's transactions are a plane over
+    # its slice of the shared position matrix (no copy); "allow"-policy
+    # rows may repeat a position, so those planes are deduplicated once
+    # here.
     # ------------------------------------------------------------------
-    ids_list = [int(ingredient) for ingredient in spec.ingredient_ids]
     uniform_rows = bool(target == 0 or (lengths == row_width).all())
-    lengths_list = None if uniform_rows else lengths.tolist()
+    shared_lengths = None if uniform_rows else lengths
+    ids = np.asarray(spec.ingredient_ids, dtype=np.int64)
     shared_history = tuple(history) if history is not None else None
     results: list["EvolutionRun"] = []
     for row in range(runs):
-        transactions = BatchedTransactions(
-            recipes[row], lengths_list, ids_list
+        transactions = TransactionPlane.from_positions(
+            recipes[row], shared_lengths, ids, distinct=skip_duplicates
         )
         trace = EvolutionTraceCounters(
             recipes_added=target - n0,

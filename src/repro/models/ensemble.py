@@ -35,6 +35,7 @@ from repro.runtime import (
     parallel_map,
     transactions_fingerprint,
 )
+from repro.transactions import TransactionPlane
 
 __all__ = [
     "CurveMiningTask",
@@ -73,12 +74,16 @@ class EnsembleResult:
 
 def _category_transactions(
     run: EvolutionRun, lexicon: Lexicon
-) -> list[frozenset[int]]:
+) -> TransactionPlane:
+    """The run's plane with every ingredient replaced by its category
+    index (rows deduplicated), through one position lookup array."""
+    plane = run.transactions
     id_to_category = lexicon.id_to_category_array()
-    return [
-        frozenset(CATEGORY_INDEX[id_to_category[i]] for i in transaction)
-        for transaction in run.transactions
-    ]
+    lookup = np.array(
+        [CATEGORY_INDEX[id_to_category[i]] for i in plane.ids.tolist()],
+        dtype=np.int64,
+    )
+    return plane.remap(lookup, np.arange(len(CATEGORY_INDEX), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -91,13 +96,14 @@ class CurveMiningTask:
     backend instead of degrading to GIL-bound threads.
 
     Attributes:
-        transactions: The transactions to mine (level conversion already
-            applied by the caller).
+        transactions: The plane to mine (level conversion already
+            applied by the caller); it crosses process boundaries as
+            its arrays.
         mining: Support/size configuration.
         label: Per-run curve label (``"<model>#<index>"``).
     """
 
-    transactions: tuple[frozenset[int], ...]
+    transactions: TransactionPlane
     mining: MiningConfig
     label: str
 
@@ -167,9 +173,10 @@ def ensemble_curves(
         curve_cache = CurveCache(config.cache_dir)
 
     # Flatten to per-run units tagged with their cell: (cell, index,
-    # transactions).  All cache and mining bookkeeping below works on
-    # this flat list; cells only reappear at averaging time.
-    flat: list[tuple[int, int, object]] = []
+    # plane).  All cache and mining bookkeeping below works on this flat
+    # list; cells only reappear at averaging time.  No step builds a
+    # Python set: fingerprinting and mining read the planes' arrays.
+    flat: list[tuple[int, int, TransactionPlane]] = []
     for cell, (runs, _label) in enumerate(cells):
         for index, run in enumerate(runs):
             transactions = (
@@ -209,7 +216,7 @@ def ensemble_curves(
     if pending:
         tasks = [
             CurveMiningTask(
-                transactions=tuple(flat[position][2]),
+                transactions=flat[position][2],
                 mining=mining,
                 label=f"{cells[flat[position][0]][1]}#{flat[position][1]}",
             )

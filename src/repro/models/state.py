@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.lexicon.categories import Category
 from repro.models.params import CuisineSpec
+from repro.transactions import TransactionPlane
 
 __all__ = [
     "CATEGORY_CODES",
@@ -259,6 +260,6 @@ class EvolutionState:
     # Output
     # ------------------------------------------------------------------
 
-    def transactions(self) -> list[frozenset[int]]:
+    def transactions(self) -> TransactionPlane:
         """Recipe pool as itemset transactions (mining input)."""
-        return [frozenset(recipe) for recipe in self.recipes]
+        return TransactionPlane.of(self.recipes)

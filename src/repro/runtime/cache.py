@@ -68,7 +68,10 @@ __all__ = [
 #: and ``batched`` keys keep their meaning, and ``vectorized`` keys
 #: (CM-V's included — it now resolves to reference) are never looked
 #: up again.
-CACHE_FORMAT_VERSION = 4
+#: v5: runs carry a :class:`~repro.transactions.TransactionPlane` that
+#: pickles as its position arrays; v4 entries hold frozenset lists
+#: and miss instead of replaying the old representation.
+CACHE_FORMAT_VERSION = 5
 
 
 def _canonical(value: object) -> object:

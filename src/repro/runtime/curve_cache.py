@@ -7,7 +7,7 @@ That makes mined curves content-addressable — the key is a SHA-256 over
 
 * a fingerprint of the exact transactions mined
   (:func:`transactions_fingerprint`; order-sensitive across
-  transactions, order-insensitive within one),
+  transactions, a set within one),
 * the mining configuration (support threshold and size cap),
 * the payload kind (aggregated frequencies vs a full
   :class:`~repro.analysis.itemsets.MiningResult`), and
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from repro.config import MiningConfig
 from repro.runtime.cache import PickleStore
+from repro.transactions import TransactionPlane
 
 __all__ = [
     "CURVE_FORMAT_VERSION",
@@ -69,57 +69,36 @@ def transactions_fingerprint(
     """SHA-256 over the exact transaction content to be mined.
 
     Transactions are hashed in order (run results are ordered); within
-    a transaction the combination is order-insensitive (they are sets,
-    and set iteration order is not content-deterministic).  Two pools
-    with equal content — whatever model, seed or backend produced them
-    — share a fingerprint, which is exactly when their mined curves
+    a transaction the combination is a set — item order and repeats do
+    not count, exactly as they do not count for mining.  Two pools with
+    equal content — whatever model, seed or backend produced them —
+    share a fingerprint, which is exactly when their mined curves
     coincide.
 
-    Hot path: one flat pass collects every item, a vectorized
-    splitmix64 scramble is summed per transaction (commutative, so
-    iteration order cannot leak in), and SHA-256 runs over the length
-    and digest arrays — two ``tobytes`` calls for a paper-scale pool
-    instead of per-transaction Python encoding.  An accidental
-    collision needs two *different* transactions at the same position
-    whose scrambled-item sums agree, a ~2^-64 event; items beyond
-    int64 range (or non-int items) fall back to a JSON encoding of the
-    sorted transactions.
+    A :class:`~repro.transactions.TransactionPlane` is hashed straight
+    from its arrays; any other iterable is converted into one first
+    (which deduplicates each row).  See :func:`fingerprint_planes` for
+    the digest itself.
     """
-    data = (
-        transactions
-        if isinstance(transactions, (list, tuple))
-        else list(transactions)
-    )
-    hasher = hashlib.sha256()
-    try:
-        lengths = np.fromiter(
-            (len(transaction) for transaction in data),
-            dtype="<i8",
-            count=len(data),
-        )
-        flat = np.fromiter(
-            chain.from_iterable(data),
-            dtype="<i8",
-            count=int(lengths.sum()),
-        )
-    except (OverflowError, ValueError):  # items beyond int64 / non-int
-        encoded = [sorted(transaction) for transaction in data]
-        hasher.update(json.dumps(encoded, separators=(",", ":")).encode())
-        return hasher.hexdigest()
-    return fingerprint_planes(lengths, flat)
+    plane = TransactionPlane.of(transactions)
+    lengths, flat = plane.csr()
+    return fingerprint_planes(lengths, plane.ids[flat])
 
 
 def fingerprint_planes(lengths: np.ndarray, flat: np.ndarray) -> str:
     """:func:`transactions_fingerprint` computed from CSR-shaped planes.
 
-    The digest core shared by the object path above and the columnar
+    The digest core shared by transaction planes and the columnar
     store: ``lengths`` holds each transaction's item count, ``flat``
-    the concatenated items in transaction order.  Because the
-    per-transaction digest is a *sum* of scrambled items, within-
-    transaction ordering cannot leak in — so a columnar corpus's
-    (sorted) CSR planes fingerprint identically to the frozensets the
-    object path iterates, and one warm
-    :class:`CurveCache` serves both paths.
+    the concatenated items in transaction order.  A vectorized
+    splitmix64 scramble of the items is summed per transaction
+    (commutative, so within-transaction ordering cannot leak in), and
+    SHA-256 runs over the length and digest arrays.  A columnar
+    corpus's (sorted) CSR planes therefore fingerprint identically to
+    the same recipes held in a plane, and one warm :class:`CurveCache`
+    serves both paths.  An accidental collision needs two *different*
+    transactions at the same position whose scrambled-item sums agree,
+    a ~2^-64 event.
 
     Args:
         lengths: ``(n,)`` per-transaction item counts, int64-compatible.

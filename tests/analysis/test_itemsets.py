@@ -66,6 +66,15 @@ def test_max_size_cap():
     assert all(itemset.size == 1 for itemset in result.itemsets)
 
 
+@pytest.mark.parametrize("max_size", [0, -3])
+def test_max_size_below_one_rejected(max_size):
+    transactions = [{1, 2}, {1, 2}, {1}]
+    with pytest.raises(MiningError, match="max_size"):
+        mine_frequent_itemsets(transactions, 0.5, max_size=max_size)
+    with pytest.raises(MiningError, match="max_size"):
+        mine_packed(*pack(transactions), 0.5, max_size=max_size)
+
+
 def test_min_support_one_returns_universal_sets():
     result = mine_frequent_itemsets(TRANSACTIONS, min_support=1.0)
     assert _as_dict(result) == {}

@@ -9,10 +9,10 @@ executes each group as one stacked pass.  The contract tested here:
 * results are bit-identical to solo (batch-of-one) execution on every
   backend, regardless of how cache hits split a group;
 * cached batched runs interoperate with per-run replay: each run is
-  individually cacheable and its lazy transactions pickle back as a
-  plain eager list;
-* :class:`~repro.models.batched.BatchedTransactions` honors the
-  sequence protocol (len/index/slice/iterate/compare) both ways.
+  individually cacheable and its transaction plane pickles back as an
+  equal plane;
+* :class:`~repro.transactions.TransactionPlane` honors the sequence
+  protocol (len/index/slice/iterate/compare) both ways.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pickle
 import pytest
 
 from repro.errors import ModelError
-from repro.models.batched import BatchedTransactions, run_batched
+from repro.models.batched import run_batched
 from repro.models.extensions.variable_size import VariableSizeCopyMutate
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, rng_from_seed, spawn_seeds
@@ -34,6 +34,7 @@ from repro.runtime import (
     execute_runs,
 )
 from repro.runtime.runner import _plan_work
+from repro.transactions import TransactionPlane
 
 
 def _signature(runs):
@@ -162,8 +163,10 @@ def test_batched_runs_cache_individually(tiny_spec, tmp_path):
     )
     assert cache.stats.hits == 5
     assert _signature(first) == _signature(second)
-    # Lazy transactions pickle as the plain eager list.
-    assert all(type(run.transactions) is list for run in second)
+    # Planes round-trip through the cache as planes.
+    assert all(
+        type(run.transactions) is TransactionPlane for run in second
+    )
 
 
 def test_partial_warm_cache_splits_group_safely(tiny_spec, tmp_path):
@@ -198,7 +201,7 @@ def test_batched_and_vectorized_keys_are_distinct(tiny_spec, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# BatchedTransactions sequence protocol
+# TransactionPlane sequence protocol
 # ----------------------------------------------------------------------
 
 
@@ -210,7 +213,7 @@ def lazy_run(tiny_spec):
 
 def test_lazy_transactions_sequence_protocol(lazy_run):
     transactions = lazy_run.transactions
-    assert isinstance(transactions, BatchedTransactions)
+    assert isinstance(transactions, TransactionPlane)
     assert len(transactions) == 40
     assert isinstance(transactions[0], frozenset)
     assert transactions[-1] == transactions[len(transactions) - 1]
@@ -228,8 +231,8 @@ def test_lazy_transactions_equality_both_directions(lazy_run):
     assert transactions != mutated
 
 
-def test_lazy_transactions_pickle_as_plain_list(lazy_run):
+def test_lazy_transactions_pickle_as_plane(lazy_run):
     transactions = lazy_run.transactions
     restored = pickle.loads(pickle.dumps(transactions))
-    assert type(restored) is list
+    assert type(restored) is TransactionPlane
     assert restored == transactions

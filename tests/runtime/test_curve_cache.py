@@ -18,6 +18,30 @@ TXNS = [frozenset({1, 2, 3}), frozenset({2, 3}), frozenset({1})]
 MINING = MiningConfig(min_support=0.05)
 
 
+def test_fingerprint_ignores_repeated_items():
+    # Repeats within a transaction do not change what is mined, so they
+    # must not change the key either.
+    assert transactions_fingerprint([[1, 2, 2]]) == transactions_fingerprint(
+        [{1, 2}]
+    )
+    assert transactions_fingerprint([(3, 1, 3), [2, 2]]) == (
+        transactions_fingerprint([{1, 3}, {2}])
+    )
+
+
+def test_curve_keys_are_pinned():
+    # Recorded before runs carried transaction planes: cached curves
+    # keyed then must still be found.
+    pool = [{1, 2, 3}, {2, 5}, {7}, {3, 1}, set()]
+    fingerprint = transactions_fingerprint(pool)
+    assert fingerprint == (
+        "963329927f268de11ad00d166f3092f63bcf9c8c62403352400c467b97356fc6"
+    )
+    assert curve_key(fingerprint, MINING) == (
+        "9dd7f7847cfa792c28df5be9d9918eb1915d79322dd422173eeea2496dc6029b"
+    )
+
+
 def test_fingerprint_is_content_addressed():
     same = transactions_fingerprint([{3, 2, 1}, {3, 2}, {1}])
     assert transactions_fingerprint(TXNS) == same  # item order irrelevant
