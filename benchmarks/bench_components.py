@@ -65,30 +65,3 @@ def test_single_model_run(benchmark, world_context, model_name):
     run_result = benchmark(run)
     assert run_result.n_recipes == spec.n_recipes
 
-
-def test_nutrition_table_build(benchmark, lexicon):
-    from repro.nutrition import build_nutrition_table
-
-    table = benchmark(build_nutrition_table, lexicon, 5)
-    assert len(table) == len(lexicon)
-
-
-def test_recipe_generation(benchmark, world_context):
-    from repro.generation import GenerationConstraints, RecipeGenerator
-
-    view = world_context.dataset.cuisine("GRC")
-    spec = CuisineSpec.from_view(view, world_context.lexicon)
-    run = create_model("CM-C").run(spec, seed=9)
-    generator = RecipeGenerator(
-        run, world_context.lexicon, reference=view.as_id_sets()
-    )
-    constraints = GenerationConstraints(
-        include=("olive oil",), exclude_categories=("Meat",),
-        min_size=5, max_size=9,
-    )
-
-    def generate():
-        return generator.generate(constraints, seed=11)
-
-    recipe = benchmark(generate)
-    assert "olive oil" in recipe.names

@@ -1,7 +1,7 @@
 """Bench ``runtime``: ensemble throughput across executor backends.
 
 Measures raw run-execution throughput (``execute_runs``, no mining) for
-the serial, thread and process backends, verifies the backends stay
+the serial and process backends, verifies the backends stay
 bit-identical while racing, and reports runs/second plus speedup over
 serial.
 
@@ -57,7 +57,6 @@ def run_throughput_matrix(
     seeds = spawn_seeds(ensure_rng(seed), n_runs)
     configs = (
         RuntimeConfig(),
-        RuntimeConfig(backend="thread", jobs=jobs),
         RuntimeConfig(backend="process", jobs=jobs),
     )
     rows = []

@@ -16,10 +16,10 @@ Quickstart::
 
 Subpackages: :mod:`repro.lexicon` (ingredient dictionary + aliasing),
 :mod:`repro.corpus` (recipes, regions, ETL), :mod:`repro.storage`
-(indexes/queries), :mod:`repro.synthesis` (calibrated corpus generator),
-:mod:`repro.flavor` (FlavorDB stand-in), :mod:`repro.analysis` (Secs.
-III-IV metrics and mining), :mod:`repro.models` (Sec. V evolution
-models), :mod:`repro.experiments` (per-table/figure drivers),
+(memory-mapped columnar corpus), :mod:`repro.synthesis` (calibrated
+corpus generator), :mod:`repro.analysis` (Secs. III-IV metrics and
+mining), :mod:`repro.models` (Sec. V evolution models),
+:mod:`repro.experiments` (per-table/figure drivers),
 :mod:`repro.runtime` (parallel ensemble execution + run caching).
 """
 
@@ -46,11 +46,6 @@ from repro.corpus import (
     save_jsonl,
 )
 from repro.errors import ReproError
-from repro.generation import (
-    GeneratedRecipe,
-    GenerationConstraints,
-    RecipeGenerator,
-)
 from repro.lexicon import (
     Category,
     Ingredient,
@@ -69,12 +64,6 @@ from repro.models import (
     create_model,
     run_ensemble,
 )
-from repro.nutrition import (
-    NutritionTable,
-    build_nutrition_table,
-    health_score,
-    nutrition_fitness,
-)
 from repro.runtime import (
     CurveCache,
     RunCache,
@@ -83,7 +72,6 @@ from repro.runtime import (
     get_executor,
     parallel_map,
 )
-from repro.storage import RecipeStore
 from repro.synthesis import WorldKitchen, generate_world_corpus
 
 __version__ = "1.0.0"
@@ -111,13 +99,6 @@ __all__ = [
     "load_jsonl",
     "save_jsonl",
     "ReproError",
-    "GeneratedRecipe",
-    "GenerationConstraints",
-    "RecipeGenerator",
-    "NutritionTable",
-    "build_nutrition_table",
-    "health_score",
-    "nutrition_fitness",
     "Category",
     "Ingredient",
     "Lexicon",
@@ -138,7 +119,6 @@ __all__ = [
     "execute_runs",
     "get_executor",
     "parallel_map",
-    "RecipeStore",
     "WorldKitchen",
     "generate_world_corpus",
     "__version__",

@@ -29,7 +29,7 @@ Subcommands::
 Every stochastic command accepts ``--seed`` for exact reproducibility.
 Commands that execute model ensembles (``experiment``, ``evolve``,
 ``report``, ``sweep``) also accept ``--backend
-{serial,thread,process,distributed}``, ``--jobs N`` (0 = all cores),
+{serial,process,distributed}``, ``--jobs N`` (0 = all cores),
 ``--cache-dir PATH`` and ``--engine {reference,batched}`` — results
 are bit-identical across backends for a fixed seed (per engine, see
 DESIGN.md §5/§7), and the run cache lets repeated invocations reuse

@@ -19,7 +19,6 @@ __all__ = [
     "EmptyCorpusError",
     "SerializationError",
     "StorageError",
-    "QueryError",
     "SynthesisError",
     "CalibrationError",
     "AnalysisError",
@@ -106,11 +105,7 @@ class SerializationError(CorpusError):
 
 
 class StorageError(ReproError):
-    """A problem inside the indexed recipe store."""
-
-
-class QueryError(StorageError):
-    """A malformed or unsatisfiable store query."""
+    """A problem inside the columnar corpus store."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from repro.analysis.invariants import InvariantAnalysis, analyze_invariants
 from repro.config import PAPER
 from repro.experiments.base import ExperimentContext
-from repro.runtime import parallel_map
 from repro.viz.ascii import render_curves, render_table
 from repro.viz.export import write_curves_csv
 
@@ -80,21 +79,16 @@ class Fig3Result:
 def run_fig3(context: ExperimentContext) -> Fig3Result:
     """Regenerate Fig. 3 from the context's corpus.
 
-    The two levels fan out as a closure over the context —
-    ``prefer_thread`` declares that up front, so a ``process`` runtime
-    runs them on threads without a degradation warning.  With a
-    ``--cache-dir`` runtime, every per-cuisine and pooled mining result
-    is served from the mined-curve cache on repeat invocations.
+    With a ``--cache-dir`` runtime, every per-cuisine and pooled mining
+    result is served from the mined-curve cache on repeat invocations.
     """
     curve_cache = context.curve_cache()
-    ingredient, category = parallel_map(
-        lambda level: analyze_invariants(
+    ingredient, category = (
+        analyze_invariants(
             context.dataset, context.lexicon, level=level,
             mining=context.mining, curve_cache=curve_cache,
-        ),
-        ("ingredient", "category"),
-        runtime=context.runtime,
-        prefer_thread=True,
+        )
+        for level in ("ingredient", "category")
     )
     result = Fig3Result(
         ingredient=ingredient, category=category, scale=context.scale

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.analysis.overrepresentation import top_overrepresented
 from repro.corpus.regions import get_region
 from repro.experiments.base import ExperimentContext
-from repro.runtime import parallel_map, select_regions
+from repro.runtime import select_regions
 from repro.viz.ascii import render_table
 from repro.viz.export import write_csv
 
@@ -110,8 +110,7 @@ def run_table1(
 
     The cuisine grid is resolved through the sweep API
     (:func:`repro.runtime.select_regions`) — same selection and
-    validation semantics as the model-grid experiments — and the rows
-    fan out across the context's runtime backend.
+    validation semantics as the model-grid experiments.
     """
 
     def row_for(code: str) -> Table1Row:
@@ -131,12 +130,8 @@ def run_table1(
         )
 
     codes = select_regions(context.dataset.region_codes(), region_codes)
-    # The row closure is shared-memory analysis over the context —
-    # declared thread-bound so a process runtime does not warn.
-    rows = parallel_map(
-        row_for, codes, runtime=context.runtime, prefer_thread=True
-    )
-    result = Table1Result(rows=tuple(rows), scale=context.scale)
+    rows = tuple(row_for(code) for code in codes)
+    result = Table1Result(rows=rows, scale=context.scale)
     path = context.artifact_path("table1.csv")
     if path is not None:
         write_csv(

@@ -93,7 +93,7 @@ class CurveMiningTask:
     Everything :func:`mine_curve_task` needs crosses the process
     boundary inside this dataclass — no closure state — which is what
     keeps :func:`ensemble_curve`'s fan-out on the true ``process``
-    backend instead of degrading to GIL-bound threads.
+    backend instead of degrading to a serial map.
 
     Attributes:
         transactions: The plane to mine (level conversion already

@@ -4,8 +4,7 @@ The paper samples every ingredient's fitness from Uniform(0, 1) and
 interprets it as "worthiness ... based on intrinsic properties such as
 cost, availability, and nutritional content".  :class:`UniformFitness` is
 that default; :class:`ScoredFitness` grounds the interpretation by
-letting callers supply explicit scores (the dietary-intervention example
-uses it with nutrition scores), and :class:`RankBiasedFitness` supports
+letting callers supply explicit scores, and :class:`RankBiasedFitness` supports
 ablations where fitness correlates with empirical popularity.
 """
 

@@ -35,8 +35,8 @@ dispatchable model: its result is a pure function of
 :class:`~repro.runtime.cache.RunCache` under the versioned
 :data:`ISLANDS_STREAM_VERSION` contract, and
 :func:`run_island_ensemble` fans whole archipelago ensembles out
-through :func:`~repro.runtime.runner.dispatch_requests` (thread /
-process / distributed backends), where consecutive same-seed members
+through :func:`~repro.runtime.runner.dispatch_requests` (process /
+distributed backends), where consecutive same-seed members
 regroup into single archipelago executions.
 """
 
@@ -731,7 +731,7 @@ def run_island_ensemble(
     same-(simulation, seed) grouping executes each uncached archipelago
     exactly once, while cached member runs are served per island from
     the :class:`~repro.runtime.cache.RunCache`.  Bit-identical across
-    serial/thread/process/distributed backends for a fixed ``seed``.
+    serial/process/distributed backends for a fixed ``seed``.
 
     Args:
         simulation: The configured archipelago.

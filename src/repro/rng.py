@@ -74,8 +74,8 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     """Reconstruct the child generator for one :func:`spawn_seeds` seed.
 
     Every backend of :mod:`repro.runtime` builds its per-run generators
-    through this single function, which is what makes serial, thread and
-    process execution bit-identical for a fixed master seed.
+    through this single function, which is what makes serial, process
+    and distributed execution bit-identical for a fixed master seed.
     """
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 

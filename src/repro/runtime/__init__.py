@@ -6,7 +6,7 @@ statistics"), and every experiment driver bottlenecks on executing those
 independent runs.  This subsystem makes that fan-out a first-class,
 swappable concern:
 
-* :class:`RuntimeConfig` — backend ("serial" / "thread" / "process" /
+* :class:`RuntimeConfig` — backend ("serial" / "process" /
   "distributed"), worker count, optional cache directory, and the
   distributed backend's :class:`DistributedConfig` policy;
 * :mod:`~repro.runtime.executor` — order-preserving map backends;
@@ -29,8 +29,8 @@ swappable concern:
 * :mod:`~repro.runtime.runner` — deterministic run execution
   (:func:`execute_runs`) built on per-run integer seed streams,
   same-cell grouping of ``engine="batched"`` work into single stacked
-  passes (DESIGN.md §7), plus :func:`parallel_map` for per-cuisine
-  fan-out inside experiments;
+  passes (DESIGN.md §7), plus :func:`parallel_map` for the per-run
+  mining fan-out;
 * :mod:`~repro.runtime.cache` — an on-disk run cache keyed by
   ``(model, params, cuisine, seed)`` shared across backends and
   invocations;
@@ -90,7 +90,6 @@ from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
@@ -169,7 +168,6 @@ __all__ = [
     "SweepPlan",
     "SweepResult",
     "TaskAttempt",
-    "ThreadExecutor",
     "WorkerSummary",
     "backend_degradations",
     "cache_corruptions",

@@ -9,7 +9,7 @@ inside frozen dataclasses and be compared/hashed freely.
 The distributed backend carries more knobs than a flag and a worker
 count (spool location, lease/timeout/backoff policy), so those live in
 their own frozen :class:`DistributedConfig` hanging off the runtime
-config — absent (``None``) for the three in-process backends, and
+config — absent (``None``) for the local backends, and
 defaultable for ``backend="distributed"`` (a private temp spool served
 by local workers).
 """
@@ -25,7 +25,7 @@ from repro.runtime.faults import FaultPlan
 __all__ = ["BACKENDS", "DistributedConfig", "RuntimeConfig"]
 
 #: Recognized executor backends, in increasing isolation order.
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process", "distributed")
+BACKENDS: tuple[str, ...] = ("serial", "process", "distributed")
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,13 @@ class RuntimeConfig:
     """How ensemble runs (and other fan-out work) should execute.
 
     Attributes:
-        backend: ``"serial"`` (in-line, the default), ``"thread"``
-            (shared-memory pool; wins when workers release the GIL),
-            ``"process"`` (one interpreter per worker; wins for the
-            pure-Python Algorithm 1 loop), or ``"distributed"`` (a
+        backend: ``"serial"`` (in-line, the default), ``"process"``
+            (one interpreter per worker; wins for the simulation and
+            mining loops), or ``"distributed"`` (a
             file-based work queue served by local and/or remote
             ``repro worker`` processes — DESIGN.md §8).
-        jobs: Worker count.  ``1`` degrades the in-process parallel
-            backends to serial; ``0`` means "all available cores",
+        jobs: Worker count.  ``1`` degrades the process backend to
+            serial; ``0`` means "all available cores",
             resolved lazily at executor creation so a config built on
             one machine stays meaningful on another.  For the
             distributed backend this is the default local-worker count

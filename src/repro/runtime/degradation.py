@@ -2,7 +2,7 @@
 
 A degradation is the runtime choosing a weaker backend than the caller
 asked for, because the requested one cannot serve the work: a
-``process`` map over an unpicklable closure runs on threads
+``process`` map over an unpicklable closure runs serially in-process
 (:func:`~repro.runtime.runner.parallel_map`), a ``distributed`` map
 that no worker attaches to within its deadline runs on the local
 process pool (:class:`~repro.runtime.distributed.DistributedExecutor`).
@@ -13,10 +13,10 @@ the operator has no signal to fix the cause.
 So every degradation is (a) warned once per callable via
 :class:`BackendDegradationWarning`, and (b) recorded as a structured
 :class:`BackendDegradation`, queryable after the run via
-:func:`backend_degradations` — the pattern PR 5 introduced for the
-process→thread case, extracted here so the distributed backend can
-report through the same channel without importing the runner (which
-would cycle: executor → distributed → runner → executor).
+:func:`backend_degradations`.  The record lives here, not in the
+runner, so the distributed backend can report through the same
+channel without importing the runner (which would cycle: executor →
+distributed → runner → executor).
 """
 
 from __future__ import annotations

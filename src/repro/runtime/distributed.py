@@ -805,7 +805,6 @@ class DistributedExecutor(Executor):
     """
 
     name = "distributed"
-    requires_pickling = True
 
     def __init__(self, config: RuntimeConfig):
         self._config = config

@@ -1,4 +1,4 @@
-"""Executor backends: serial, thread and process order-preserving maps.
+"""Executor backends: serial and process order-preserving maps.
 
 The contract is intentionally minimal — :meth:`Executor.map` applies a
 function over items and returns results *in input order* — because that
@@ -11,10 +11,6 @@ Backend selection notes:
 
 * ``serial`` — no pools, no overhead; also what every other backend
   degrades to at ``jobs=1``.
-* ``thread`` — one shared interpreter.  Algorithm 1 is mostly pure
-  Python, so threads buy little on CPython today, but the backend is
-  free to use (no pickling constraints) and becomes the right choice
-  for I/O-bound work and free-threaded interpreters.
 * ``process`` — true parallelism for the simulation loop.  Both the
   callable and the items must be picklable; the run-execution layer
   (:mod:`repro.runtime.runner`) only submits module-level functions and
@@ -29,7 +25,7 @@ Backend selection notes:
 from __future__ import annotations
 
 import abc
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from repro.errors import ExecutionError
@@ -38,7 +34,6 @@ from repro.runtime.config import RuntimeConfig
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "get_executor",
 ]
@@ -52,9 +47,6 @@ class Executor(abc.ABC):
 
     #: Backend name, matching :data:`repro.runtime.config.BACKENDS`.
     name: ClassVar[str] = ""
-
-    #: Whether ``map`` requires ``fn`` and items to be picklable.
-    requires_pickling: ClassVar[bool] = False
 
     @abc.abstractmethod
     def map(
@@ -79,10 +71,10 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class _PoolExecutor(Executor):
-    """Shared implementation for the pooled backends."""
+class ProcessExecutor(Executor):
+    """Process-pool execution (true parallelism; picklable work only)."""
 
-    _pool_factory: ClassVar[type]
+    name = "process"
 
     def __init__(self, jobs: int):
         if jobs < 2:
@@ -105,39 +97,17 @@ class _PoolExecutor(Executor):
         workers = min(self._jobs, len(items))
         if workers < 2:
             return [fn(item) for item in items]
-        with self._pool_factory(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool execution (shared memory, no pickling)."""
-
-    name = "thread"
-    _pool_factory = ThreadPoolExecutor
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool execution (true parallelism; picklable work only)."""
-
-    name = "process"
-    requires_pickling = True
-    _pool_factory = ProcessPoolExecutor
-
-
-_EXECUTORS: dict[str, type[Executor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-}
 
 
 def get_executor(config: RuntimeConfig | None = None) -> Executor:
     """Build the executor for a runtime config.
 
-    ``jobs=1`` (the default) degrades the *in-process* parallel
-    backends to :class:`SerialExecutor` — pools with one worker would
-    pay pool overhead for serial semantics, so the fallback is both the
-    safe and the fast choice.  The distributed backend is exempt: even
+    ``jobs=1`` (the default) degrades the process backend to
+    :class:`SerialExecutor` — a pool with one worker would pay pool
+    overhead for serial semantics, so the fallback is both the safe and
+    the fast choice.  The distributed backend is exempt: even
     a one-worker queue changes *where* work runs (external workers, a
     shared spool), so it is built whenever requested.
 
@@ -159,7 +129,4 @@ def get_executor(config: RuntimeConfig | None = None) -> Executor:
     jobs = config.resolve_jobs()
     if config.backend == "serial" or jobs <= 1:
         return SerialExecutor()
-    factory = _EXECUTORS.get(config.backend)
-    if factory is None:  # pragma: no cover - RuntimeConfig validates first
-        raise ExecutionError(f"unknown backend {config.backend!r}")
-    return factory(jobs)
+    return ProcessExecutor(jobs)

@@ -12,11 +12,12 @@ front).  Determinism is structural rather than incidental:
    :func:`repro.rng.rng_from_seed` — so a run's result is a pure
    function of ``(model, spec, seed)``;
 3. executors preserve input order — so the assembled ensemble is
-   bit-identical across serial, thread and process execution.
+   bit-identical across serial, process and distributed execution.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ from repro.runtime.degradation import (
     clear_backend_degradations,
     record_degradation,
 )
-from repro.runtime.executor import get_executor
+from repro.runtime.executor import Executor, get_executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -72,11 +73,11 @@ R = TypeVar("R")
 def _record_degradation(
     fn: Callable, reason: str, requested: str = "process"
 ) -> None:
-    """Record a →thread degradation and warn once per callable."""
+    """Record a →serial degradation and warn once per callable."""
     record_degradation(
         fn,
         requested=requested,
-        effective="thread",
+        effective="serial",
         reason=reason,
         hint=(
             "pass a module-level function over picklable payloads to "
@@ -90,9 +91,8 @@ def _pickling_blocker(fn: Callable, probe_item: object) -> str | None:
 
     Probes the callable and the first work item (maps are near-always
     homogeneous), so both closure callables *and* module-level callables
-    over unpicklable payloads degrade to threads instead of blowing up
-    inside the pool — the pre-degradation behavior every caller of
-    :func:`parallel_map` could rely on.
+    over unpicklable payloads run serially instead of blowing up inside
+    the pool.
     """
     try:
         pickle.dumps(fn)
@@ -103,6 +103,49 @@ def _pickling_blocker(fn: Callable, probe_item: object) -> str | None:
     except Exception as exc:
         return f"work item does not pickle ({type(exc).__name__}: {exc})"
     return None
+
+
+class _CannotCross(Exception):
+    """A work item or result of a process map that does not pickle."""
+
+
+def _call_pickled(fn: Callable[[T], R], payload: bytes) -> bytes:
+    """Worker side of a process map: unpickle the item, apply, pickle.
+
+    Pickling the result here rather than in the pool's result queue is
+    what tells a result that cannot cross the boundary apart from an
+    exception raised by ``fn`` itself, which must reach the caller
+    unchanged.
+    """
+    result = fn(pickle.loads(payload))
+    try:
+        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        raise _CannotCross(
+            f"result does not pickle ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _map_across(
+    executor: Executor, fn: Callable[[T], R], items: list[T]
+) -> list[R]:
+    """Map on a process pool with both pickling directions explicit.
+
+    Raises:
+        _CannotCross: If an item or a result does not pickle.  Anything
+            else is raised by ``fn`` and propagates as is.
+    """
+    try:
+        payloads = [
+            pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+            for item in items
+        ]
+    except Exception as exc:
+        raise _CannotCross(
+            f"work item does not pickle ({type(exc).__name__}: {exc})"
+        ) from None
+    results = executor.map(functools.partial(_call_pickled, fn), payloads)
+    return [pickle.loads(result) for result in results]
 
 
 @dataclass(frozen=True)
@@ -649,7 +692,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
     runtime: RuntimeConfig | None = None,
-    prefer_thread: bool = False,
 ) -> list[R]:
     """Order-preserving map honoring ``process``/``distributed`` for
     picklable work.
@@ -659,54 +701,33 @@ def parallel_map(
     truly process-parallel under ``backend="process"`` and through the
     work queue under ``backend="distributed"``.  Work that cannot
     cross a process boundary (closure/lambda callables — probed up
-    front together with the first item — or a later item/result that
-    fails to pickle mid-map) degrades to the thread backend; the
-    degradation is no longer silent: a one-time
-    :class:`BackendDegradationWarning` names the callable and the
-    pickling error, and the event is recorded
-    (:func:`backend_degradations`).  Map work must therefore be
-    effect-free: the mid-map fallback re-runs the whole batch on
-    threads (exactly what every call did before process support).
+    front together with the first item — or, on the process backend, a
+    later item or a result that fails to pickle) runs serially
+    in-process instead; a one-time :class:`BackendDegradationWarning`
+    names the callable and the pickling error, and the event is
+    recorded (:func:`backend_degradations`).  Map work must therefore
+    be effect-free: a result that fails to pickle re-runs the whole
+    batch serially.  An exception raised by ``fn`` itself is no
+    degradation: it reaches the caller once, unchanged.
 
     Args:
         fn: The mapped callable.  Must be module-level (and its items
             picklable) for the process backend to apply.
         items: Work items, order defines result order on every backend.
         runtime: Backend/jobs selection; ``None`` = serial.
-        prefer_thread: Caller declares ``fn`` closure-bound up front —
-            ``process`` requests run on threads without the warning.
-            For fan-outs whose work is cheap shared-memory analysis
-            (per-cuisine table rows), where threads are the intended
-            backend and a warning would be noise.
     """
     config = runtime if runtime is not None else RuntimeConfig()
-    needs_pickling = config.backend == "distributed" or (
-        config.backend == "process" and config.resolve_jobs() > 1
-    )
-    if needs_pickling:
-        items = list(items)
-        thread_config = RuntimeConfig(
-            backend="thread", jobs=config.jobs, cache_dir=config.cache_dir
-        )
-        if prefer_thread:
-            return get_executor(thread_config).map(fn, items)
-        reason = _pickling_blocker(fn, items[0]) if items else None
-        if reason is not None:
-            _record_degradation(fn, reason, requested=config.backend)
-            return get_executor(thread_config).map(fn, items)
+    executor = get_executor(config)
+    if executor.name == "serial":
+        return executor.map(fn, items)
+    items = list(items)
+    reason = _pickling_blocker(fn, items[0]) if items else None
+    if reason is None and executor.name == "distributed":
+        return executor.map(fn, items)
+    if reason is None:
         try:
-            return get_executor(config).map(fn, items)
-        except (pickle.PicklingError, AttributeError) as exc:
-            # Safety net for what the first-item probe cannot see:
-            # heterogeneous item lists or unpicklable *results*.  Map
-            # work is effect-free by contract (it always ran whole on
-            # threads before process support), so re-running the full
-            # batch on threads is safe.
-            _record_degradation(
-                fn,
-                f"map failed to cross the process boundary "
-                f"({type(exc).__name__}: {exc})",
-                requested=config.backend,
-            )
-            return get_executor(thread_config).map(fn, items)
-    return get_executor(config).map(fn, items)
+            return _map_across(executor, fn, items)
+        except _CannotCross as exc:
+            reason = f"map failed to cross the process boundary ({exc})"
+    _record_degradation(fn, reason, requested=config.backend)
+    return [fn(item) for item in items]

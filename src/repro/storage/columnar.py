@@ -51,21 +51,17 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.corpus.dataset import CuisineView, RecipeDataset
+from repro.corpus.dataset import RecipeDataset
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import CorpusStats, CuisineStats
 from repro.errors import EmptyCorpusError, StorageError
-from repro.lexicon.lexicon import Lexicon
 from repro.runtime.integrity import record_corruption
-from repro.storage.inverted_index import InvertedIndex
-from repro.storage.store import RecipeStore
 
 __all__ = [
     "COLUMNAR_FORMAT_VERSION",
     "COLUMNAR_SUFFIX",
     "ColumnarCorpus",
     "ColumnarDiskStats",
-    "ColumnarRecipeStore",
     "ColumnarWriter",
     "PackedTransactions",
     "PlaneStats",
@@ -722,38 +718,6 @@ class ColumnarDiskStats:
     planes: tuple[PlaneStats, ...]
 
 
-class _LazyRecipes(Sequence):
-    """A read-only ``Sequence[Recipe]`` over columnar rows.
-
-    Materializes one :class:`Recipe` per access, so an
-    :class:`~repro.storage.inverted_index.InvertedIndex` built over a
-    memory-mapped corpus never holds the whole collection.
-    """
-
-    def __init__(self, corpus: "ColumnarCorpus", rows: np.ndarray | None):
-        self._corpus = corpus
-        self._rows = rows  # None = all rows, identity mapping
-
-    def __len__(self) -> int:
-        if self._rows is None:
-            return self._corpus.n_recipes
-        return int(self._rows.size)
-
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [self[i] for i in range(*position.indices(len(self)))]
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError(position)
-        row = position if self._rows is None else int(self._rows[position])
-        return self._corpus.recipe(row)
-
-    def __iter__(self) -> Iterator[Recipe]:
-        for position in range(len(self)):
-            yield self[position]
-
-
 class ColumnarCorpus:
     """A packed corpus opened read-only over one memory mapping.
 
@@ -774,7 +738,6 @@ class ColumnarCorpus:
         self._regions = {
             entry["code"]: entry for entry in footer["regions"]
         }
-        self._lexicon_dataset: RecipeDataset | None = None
 
     # -- opening --------------------------------------------------------
 
@@ -1233,113 +1196,4 @@ class ColumnarCorpus:
             n_recipes=self.n_recipes,
             n_planes=len(planes),
             planes=planes,
-        )
-
-    # -- facade ---------------------------------------------------------
-
-    def as_store(self, lexicon: Lexicon) -> "ColumnarRecipeStore":
-        """A :class:`RecipeStore`-compatible view over this corpus."""
-        return ColumnarRecipeStore(self, lexicon)
-
-
-class ColumnarRecipeStore(RecipeStore):
-    """The :class:`~repro.storage.store.RecipeStore` facade over a
-    packed corpus.
-
-    Presents the exact store API — support queries, category
-    projections, co-occurrence, per-cuisine inverted indexes — so the
-    analysis and generation layers run unchanged, but builds every
-    index lazily and vectorized from the CSR planes: nothing is
-    materialized until a query needs it, and recipes come back through
-    a lazy sequence that constructs one object per access.
-
-    Args:
-        corpus: The open packed corpus (must stay open while the store
-            is used — the memmap lifetime rule).
-        lexicon: Lexicon providing the category map; the corpus may
-            only reference ids present in it (validated vectorized).
-    """
-
-    def __init__(self, corpus: ColumnarCorpus, lexicon: Lexicon):
-        self._corpus = corpus
-        self._lexicon = lexicon
-        self._materialized: RecipeDataset | None = None
-        self._lazy_global: InvertedIndex | None = None
-        self._lazy_cuisine: dict[str, InvertedIndex] = {}
-        known = np.fromiter(
-            lexicon.ids, dtype=np.int64, count=len(lexicon.ids)
-        )
-        universe = corpus.ingredient_universe()
-        unknown = universe[~np.isin(universe, known, assume_unique=True)]
-        if unknown.size:
-            # Report the first offending recipe, in the same message
-            # shape the eager store raises.
-            bad = np.flatnonzero(
-                np.isin(np.asarray(corpus.indices), unknown)
-            )[0]
-            row = int(
-                np.searchsorted(corpus.indptr, bad, side="right") - 1
-            )
-            recipe = corpus.recipe(row)
-            unknown_ids = [
-                int(i) for i in recipe.ingredient_ids if int(i) in set(
-                    int(u) for u in unknown
-                )
-            ]
-            raise StorageError(
-                f"recipe {recipe.recipe_id} references ids not in the "
-                f"lexicon: {unknown_ids[:5]}"
-            )
-
-    @property
-    def dataset(self) -> RecipeDataset:
-        """The materialized dataset (built on first access, cached)."""
-        if self._materialized is None:
-            self._materialized = self._corpus.to_dataset()
-        return self._materialized
-
-    @property
-    def corpus(self) -> ColumnarCorpus:
-        return self._corpus
-
-    @property
-    def global_index(self) -> InvertedIndex:
-        if self._lazy_global is None:
-            self._lazy_global = InvertedIndex.from_csr(
-                np.asarray(self._corpus.indptr, dtype=np.int64),
-                self._corpus.indices,
-                _LazyRecipes(self._corpus, None),
-            )
-        return self._lazy_global
-
-    def region_codes(self) -> tuple[str, ...]:
-        return self._corpus.region_codes()
-
-    def cuisine_index(self, region_code: str) -> InvertedIndex:
-        index = self._lazy_cuisine.get(region_code)
-        if index is None:
-            lengths, flat = self._corpus.cuisine_csr(region_code)
-            indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            index = InvertedIndex.from_csr(
-                indptr,
-                flat,
-                _LazyRecipes(
-                    self._corpus, self._corpus.cuisine_rows(region_code)
-                ),
-            )
-            self._lazy_cuisine[region_code] = index
-        return index
-
-    def cuisine_view(self, region_code: str) -> CuisineView:
-        rows = self._corpus.cuisine_rows(region_code)
-        return CuisineView(
-            region_code,
-            [self._corpus.recipe(int(row)) for row in rows],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ColumnarRecipeStore({self._corpus.n_recipes} recipes, "
-            f"{len(self._corpus.region_codes())} cuisines, memmapped)"
         )

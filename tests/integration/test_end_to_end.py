@@ -14,13 +14,11 @@ from repro.corpus.stats import corpus_stats
 from repro.models.ensemble import run_ensemble
 from repro.models.params import CuisineSpec
 from repro.models.registry import PAPER_MODELS, create_model
-from repro.storage.query import HasCategory, HasIngredient, Query
-from repro.storage.store import RecipeStore
 from repro.synthesis.worldgen import WorldKitchen
 
 
 def test_raw_to_analysis_pipeline(lexicon, tmp_path):
-    """Website-style records -> ETL -> storage -> analysis, end to end."""
+    """Website-style records -> ETL -> persistence -> analysis, end to end."""
     kitchen = WorldKitchen(lexicon, seed=31)
     raws = []
     for code in ("GRC", "THA"):
@@ -38,15 +36,6 @@ def test_raw_to_analysis_pipeline(lexicon, tmp_path):
     path = tmp_path / "compiled.jsonl"
     save_jsonl(dataset, path)
     dataset = load_jsonl(path)
-
-    # Storage and queries.
-    store = RecipeStore(dataset, lexicon)
-    olive_recipes = Query([HasIngredient("olive oil")]).count(
-        store, region_code="GRC"
-    )
-    assert olive_recipes > 0
-    spiced = Query([HasCategory("Spice")]).count(store)
-    assert spiced > 0
 
     # Diversity analysis: Thai signatures differ from Greek ones.
     grc_top = {e.name for e in top_overrepresented(dataset, "GRC", lexicon)}

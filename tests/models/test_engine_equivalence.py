@@ -409,7 +409,7 @@ def test_vectorized_deterministic_per_seed():
         assert run_digest(first) == recorded[f"paper/{name}"]["7"], name
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_vectorized_bit_identical_across_backends(backend):
     """Serial and parallel backends both reproduce the recorded
     vectorized runs bit for bit."""

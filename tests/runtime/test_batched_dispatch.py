@@ -122,7 +122,7 @@ def test_execute_runs_batched_equals_solo_runs(tiny_spec):
     assert _signature(batched) == _signature(solo)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_batched_bit_identical_across_backends(tiny_spec, backend):
     model = create_model("CM-C")
     seeds = spawn_seeds(ensure_rng(5), 4)

@@ -19,14 +19,15 @@ def test_defaults_are_serial_and_uncached():
 
 
 def test_backends_constant_covers_all():
-    assert BACKENDS == ("serial", "thread", "process", "distributed")
+    assert BACKENDS == ("serial", "process", "distributed")
     for backend in BACKENDS:
         assert RuntimeConfig(backend=backend).backend == backend
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ExecutionError):
-        RuntimeConfig(backend="gpu")
+    for backend in ("gpu", "thread"):
+        with pytest.raises(ExecutionError):
+            RuntimeConfig(backend=backend)
 
 
 def test_negative_jobs_rejected():
@@ -40,7 +41,7 @@ def test_jobs_zero_resolves_to_cpu_count():
 
 
 def test_explicit_jobs_resolve_unchanged():
-    assert RuntimeConfig(backend="thread", jobs=3).resolve_jobs() == 3
+    assert RuntimeConfig(backend="process", jobs=3).resolve_jobs() == 3
 
 
 def test_cache_dir_coerced_to_path(tmp_path):
@@ -49,10 +50,10 @@ def test_cache_dir_coerced_to_path(tmp_path):
 
 
 def test_with_cache_round_trip(tmp_path):
-    config = RuntimeConfig(backend="thread", jobs=2)
+    config = RuntimeConfig(backend="process", jobs=2)
     cached = config.with_cache(tmp_path)
     assert cached.cache_dir == tmp_path
-    assert cached.backend == "thread"
+    assert cached.backend == "process"
     assert cached.with_cache(None).cache_dir is None
 
 

@@ -99,7 +99,6 @@ def test_get_executor_builds_distributed():
     executor = get_executor(_config())
     assert isinstance(executor, DistributedExecutor)
     assert executor.name == "distributed"
-    assert executor.requires_pickling
 
 
 def test_distributed_not_degraded_at_jobs_one():
@@ -140,7 +139,7 @@ def test_unpicklable_work_raises_execution_error():
         get_executor(_config()).map(closure, [1, 2])
 
 
-def test_parallel_map_degrades_unpicklable_to_threads():
+def test_parallel_map_degrades_unpicklable_to_serial():
     # Through parallel_map the same closure degrades (with a recorded
     # warning) instead of raising — mirroring the process backend.
     captured = 7
@@ -153,7 +152,7 @@ def test_parallel_map_degrades_unpicklable_to_threads():
     assert result == [8, 9]
     events = backend_degradations()
     assert events[0].requested == "distributed"
-    assert events[0].effective == "thread"
+    assert events[0].effective == "serial"
 
 
 # ---------------------------------------------------------------------------

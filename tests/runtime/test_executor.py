@@ -9,7 +9,6 @@ from repro.runtime import (
     ProcessExecutor,
     RuntimeConfig,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
 )
 
@@ -24,28 +23,17 @@ def test_serial_map_preserves_order():
     ]
 
 
-def test_thread_map_preserves_order():
-    executor = ThreadExecutor(jobs=4)
-    assert executor.map(_square, range(20)) == [i * i for i in range(20)]
-
-
 def test_process_map_preserves_order():
     executor = ProcessExecutor(jobs=2)
     assert executor.map(_square, range(8)) == [i * i for i in range(8)]
 
 
 def test_pool_backends_handle_empty_input():
-    assert ThreadExecutor(jobs=2).map(_square, []) == []
     assert ProcessExecutor(jobs=2).map(_square, []) == []
 
 
-def test_closures_work_on_thread_backend():
-    offset = 10
-    assert ThreadExecutor(jobs=2).map(lambda x: x + offset, [1, 2]) == [11, 12]
-
-
 def test_jobs_one_degrades_any_backend_to_serial():
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         executor = get_executor(RuntimeConfig(backend=backend, jobs=1))
         assert isinstance(executor, SerialExecutor)
 
@@ -57,9 +45,6 @@ def test_get_executor_defaults_to_serial():
 
 def test_get_executor_builds_requested_backend():
     assert isinstance(
-        get_executor(RuntimeConfig(backend="thread", jobs=2)), ThreadExecutor
-    )
-    assert isinstance(
         get_executor(RuntimeConfig(backend="process", jobs=2)),
         ProcessExecutor,
     )
@@ -67,17 +52,11 @@ def test_get_executor_builds_requested_backend():
 
 def test_pool_executor_rejects_single_worker_construction():
     with pytest.raises(ExecutionError):
-        ThreadExecutor(jobs=1)
+        ProcessExecutor(jobs=1)
     with pytest.raises(ExecutionError):
         ProcessExecutor(jobs=0)
 
 
 def test_executor_reports_effective_jobs():
     assert SerialExecutor().jobs == 1
-    assert ThreadExecutor(jobs=3).jobs == 3
-
-
-def test_pickling_requirement_flags():
-    assert not SerialExecutor.requires_pickling
-    assert not ThreadExecutor.requires_pickling
-    assert ProcessExecutor.requires_pickling
+    assert ProcessExecutor(jobs=3).jobs == 3

@@ -129,7 +129,7 @@ def test_grouped_equals_ungrouped_member_runs():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backends_bit_identical_to_serial(backend):
     simulation = _simulation()
     serial = run_island_ensemble(

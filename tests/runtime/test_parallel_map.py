@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import warnings
 
 import pytest
 
@@ -29,6 +31,20 @@ def _call_thunk(thunk):
 
 def _forty_two() -> int:
     return 42
+
+
+#: Calls of :func:`_raise_attribute_error` made in this (the parent)
+#: process; pool workers append to their own copies.
+_PARENT_CALLS: list[int] = []
+
+
+def _raise_attribute_error(x: int) -> int:
+    _PARENT_CALLS.append(x)
+    raise AttributeError(f"bug in fn for {x}")
+
+
+def _make_lock(_x: int) -> threading.Lock:
+    return threading.Lock()
 
 
 @pytest.fixture(autouse=True)
@@ -62,13 +78,11 @@ def test_closure_degrades_with_one_time_warning():
     events = backend_degradations()
     assert len(events) == 1
     assert events[0].requested == "process"
-    assert events[0].effective == "thread"
+    assert events[0].effective == "serial"
     assert events[0].reason  # the pickling error is recorded verbatim
     assert "closure" in events[0].callable_name
 
-    # Second use of the same callable: silent (one-time), still threads.
-    import warnings
-
+    # Second use of the same callable: silent (one-time), still serial.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert parallel_map(closure, [3], runtime=config) == [13]
@@ -83,8 +97,8 @@ def test_lambda_degrades_and_records():
 
 
 def test_unpicklable_items_degrade_instead_of_crashing():
-    # Module-level fn but closure items: the map must fall back to
-    # threads (the pre-degradation behavior), not raise from the pool.
+    # Module-level fn but closure items: the map must fall back to a
+    # serial map, not raise from the pool.
     items = [lambda: 1, lambda: 2]
     config = RuntimeConfig(backend="process", jobs=2)
     with pytest.warns(BackendDegradationWarning, match="work item"):
@@ -95,8 +109,8 @@ def test_unpicklable_items_degrade_instead_of_crashing():
 
 def test_heterogeneous_items_fall_back_mid_map():
     # The first item pickles, a later one does not: the first-item
-    # probe passes, the pool raises, and the map must still complete
-    # on threads instead of surfacing PicklingError to the caller.
+    # probe passes, the later item fails to pickle, and the map must
+    # still complete serially instead of surfacing PicklingError.
     items = [_forty_two, lambda: 99]  # module-level fn pickles; lambda not
     config = RuntimeConfig(backend="process", jobs=2)
     with pytest.warns(BackendDegradationWarning, match="process boundary"):
@@ -107,39 +121,41 @@ def test_heterogeneous_items_fall_back_mid_map():
     )
 
 
-def test_prefer_thread_is_silent():
-    import warnings
+def test_unpicklable_results_fall_back_serially():
+    # Every item pickles but no result does: the map must complete
+    # serially, recorded once, instead of raising TypeError from the pool.
+    config = RuntimeConfig(backend="process", jobs=2)
+    with pytest.warns(BackendDegradationWarning, match="result does not"):
+        result = parallel_map(_make_lock, [1, 2], runtime=config)
+    assert len(result) == 2
+    assert all(hasattr(lock, "acquire") for lock in result)
+    events = backend_degradations()
+    assert len(events) == 1
+    assert events[0].effective == "serial"
+    assert "result does not pickle" in events[0].reason
 
-    captured = 2
 
-    def closure(x: int) -> int:
-        return x * captured
-
+def test_fn_exception_propagates_once_without_degradation():
+    # An AttributeError raised by fn inside a worker is the caller's
+    # bug, not a pickling failure: no warning, no record, no rerun.
+    _PARENT_CALLS.clear()
     config = RuntimeConfig(backend="process", jobs=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = parallel_map(
-            closure, [1, 2], runtime=config, prefer_thread=True
-        )
-    assert result == [2, 4]
-    assert backend_degradations() == ()  # declared, not degraded
+        with pytest.raises(AttributeError, match="bug in fn for"):
+            parallel_map(_raise_attribute_error, [1, 2], runtime=config)
+    assert backend_degradations() == ()
+    assert _PARENT_CALLS == []  # nothing re-ran in this process
 
 
-def test_serial_and_thread_backends_never_warn():
-    import warnings
-
+def test_serial_backend_never_warns():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert parallel_map(lambda x: x, [1, 2]) == [1, 2]
-        assert parallel_map(
-            lambda x: x, [1, 2], runtime=RuntimeConfig(backend="thread", jobs=2)
-        ) == [1, 2]
 
 
 def test_jobs_one_process_request_stays_serial():
     # jobs=1 degrades to the serial executor before pickling matters.
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         config = RuntimeConfig(backend="process", jobs=1)

@@ -133,7 +133,6 @@ def test_select_regions():
     "config",
     (
         RuntimeConfig(),
-        RuntimeConfig(backend="thread", jobs=3),
         RuntimeConfig(backend="process", jobs=2),
     ),
     ids=lambda config: config.backend,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.itemsets import mine_frequent_itemsets
-from repro.corpus.dataset import RecipeDataset
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import corpus_stats
 from repro.errors import StorageError
@@ -16,11 +15,9 @@ from repro.storage.columnar import (
     COLUMNAR_FORMAT_VERSION,
     COLUMNAR_SUFFIX,
     ColumnarCorpus,
-    ColumnarRecipeStore,
     ColumnarWriter,
     pack_dataset,
 )
-from repro.storage.store import RecipeStore
 from tests.analysis.oracle import eclat
 
 
@@ -194,54 +191,6 @@ def test_fingerprint_interop_with_object_path(corpus, small_corpus):
             small_corpus.cuisine(code).as_id_sets()
         )
         assert corpus.transactions_fingerprint_for(code) == object_fp
-
-
-# ---------------------------------------------------------------------------
-# Store facade
-# ---------------------------------------------------------------------------
-
-
-def test_facade_parity_with_eager_store(corpus, small_corpus, lexicon):
-    eager = RecipeStore(small_corpus, lexicon)
-    facade = corpus.as_store(lexicon)
-    assert isinstance(facade, ColumnarRecipeStore)
-    assert facade.region_codes() == eager.region_codes()
-    code = eager.region_codes()[0]
-    probe = list(small_corpus.cuisine(code).recipes[0].ingredient_ids[:2])
-    assert facade.support(probe) == eager.support(probe)
-    assert facade.support(probe, region_code=code) == eager.support(
-        probe, region_code=code
-    )
-    assert facade.relative_support(probe) == eager.relative_support(probe)
-    assert facade.cooccurrence(probe[0]) == eager.cooccurrence(probe[0])
-    assert facade.cooccurrence(probe[0], region_code=code) == eager.cooccurrence(
-        probe[0], region_code=code
-    )
-
-
-def test_facade_rejects_unknown_ids(tmp_path, tiny_lexicon):
-    dataset = RecipeDataset([Recipe(0, "ITA", (0, 999))])
-    path = tmp_path / f"bad{COLUMNAR_SUFFIX}"
-    with ColumnarWriter(path) as writer:
-        writer.add_recipes(dataset.recipes)
-    with ColumnarCorpus.open(path) as packed:
-        with pytest.raises(StorageError, match=r"recipe 0 references ids"):
-            packed.as_store(tiny_lexicon)
-
-
-def test_facade_error_message_matches_eager_store(tmp_path, tiny_lexicon):
-    dataset = RecipeDataset([Recipe(3, "KOR", (1, 2, 999))])
-    try:
-        RecipeStore(dataset, tiny_lexicon)
-    except StorageError as error:
-        eager_message = str(error)
-    path = tmp_path / f"bad{COLUMNAR_SUFFIX}"
-    with ColumnarWriter(path) as writer:
-        writer.add_recipes(dataset.recipes)
-    with ColumnarCorpus.open(path) as packed:
-        with pytest.raises(StorageError) as info:
-            packed.as_store(tiny_lexicon)
-    assert str(info.value) == eager_message
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,12 @@ def test_no_mining_algorithm_option():
     assert not any("--mining-algorithm" in text for text in helps)
     with pytest.raises(SystemExit):
         main(["experiment", "fig4", "--mining-algorithm", "bitset"])
+
+
+def test_thread_backend_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "fig4", "--backend", "thread"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--backend" in err
+    assert "Traceback" not in err

@@ -43,6 +43,5 @@ def test_parameter_error_is_value_error():
 def test_domain_errors_are_catchable_by_domain():
     assert issubclass(errors.MiningError, errors.AnalysisError)
     assert issubclass(errors.MetricError, errors.AnalysisError)
-    assert issubclass(errors.QueryError, errors.StorageError)
     assert issubclass(errors.CalibrationError, errors.SynthesisError)
     assert issubclass(errors.UnknownRegionError, errors.CorpusError)
