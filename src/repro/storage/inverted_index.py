@@ -3,9 +3,9 @@
 The analytics in Secs. III-IV are support-counting problems ("how many
 recipes of cuisine X contain ingredient set S?").  An inverted index with
 sorted integer posting lists answers these with k-way intersections — the
-same structure a search engine or an Eclat miner uses — and is the
-workhorse beneath :mod:`repro.storage.store` and
-:mod:`repro.analysis.itemsets`.
+same structure a search engine or an Eclat miner uses.  No registered
+experiment calls it: the miner in :mod:`repro.analysis.itemsets` counts
+support on packed bit planes instead.
 """
 
 from __future__ import annotations
