@@ -2,7 +2,8 @@
 
 Crash-consistent checkpointing (DESIGN.md §9) buys bounded re-work on a
 mid-run death, and its price is the periodic snapshot: pickling the
-engine's full state planes plus an fsync-free atomic rename, every
+engine's full state planes plus a durable write (the snapshot fsynced,
+atomically renamed, then its directory fsynced), every
 ``checkpoint_every`` steps.  This bench times one ensemble three ways
 and pins the contract the feature must keep:
 

@@ -22,7 +22,8 @@ Subcommands::
                         (claim tasks, heartbeat, write results) until
                         stopped; pairs with ``--backend distributed``
     repro cache       — inspect (`stats`), empty (`clear`), or age-out
-                        (`prune`) a cache directory (runs + mined curves)
+                        (`prune`) a cache directory (runs, mined curves,
+                        checkpoints, orphan temps, quarantined files)
     repro spool       — inspect (`stats`) or sweep the dead debris out
                         of (`compact`) a work-queue spool directory
 
@@ -73,9 +74,11 @@ from repro.models.registry import (
 from repro.rng import DEFAULT_SEED
 from repro.runtime import (
     BACKENDS,
+    CheckpointStore,
     CurveCache,
     DistributedConfig,
     FaultPlan,
+    PickleStore,
     RunCache,
     RuntimeConfig,
     compact_spool,
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help=(
             "inspect, clear, or age-out an on-disk cache "
-            "(runs and mined curves)"
+            "(runs, mined curves and checkpoint snapshots)"
         ),
     )
     cache.add_argument("action", choices=("stats", "clear", "prune"))
@@ -782,28 +785,31 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         else:
             print(f"cache {directory}: no cache directory")
         return 0
-    # One directory holds both stores, namespaced by entry suffix.
-    stores: list[tuple[str, RunCache | CurveCache]] = [
+    # The stores share one directory (the runner writes checkpoints
+    # beside the run cache), namespaced by entry suffix.
+    stores: list[tuple[str, PickleStore]] = [
         ("runs", RunCache(directory)),
         ("curves", CurveCache(directory)),
+        ("checkpoints", CheckpointStore(directory)),
     ]
-    if args.action == "clear":
-        removed = {label: store.clear() for label, store in stores}
+    if args.action in ("clear", "prune"):
+        verb, older_than, age, kept = "removed", None, "", ""
+        if args.action == "prune":
+            verb, age = "pruned", f" older than {args.max_age_days:g} days"
+            older_than = time.time() - args.max_age_days * 86400.0
+        swept = [store.sweep(older_than) for _label, store in stores]
+        if args.action == "prune":
+            entries = sum(store.disk_stats().entries for _l, store in stores)
+            kept = f" ({entries} kept)"
+        runs, curves, snapshots = (counts.entries for counts in swept)
         print(
-            f"removed {removed['runs']} cached runs and "
-            f"{removed['curves']} mined curves from {directory}"
+            f"{verb} {runs} cached runs, {curves} mined curves and "
+            f"{snapshots} checkpoint snapshots{age} from {directory}{kept}"
         )
-        return 0
-    if args.action == "prune":
-        max_age = args.max_age_days * 86400.0
-        removed = {
-            label: store.prune_older_than(max_age) for label, store in stores
-        }
-        kept = sum(store.disk_stats().entries for _label, store in stores)
         print(
-            f"pruned {removed['runs']} cached runs and "
-            f"{removed['curves']} mined curves older than "
-            f"{args.max_age_days:g} days from {directory} ({kept} kept)"
+            f"{verb} {sum(counts.orphan_tmp for counts in swept)} orphan "
+            f"temp files and {sum(counts.quarantined for counts in swept)} "
+            "quarantined files"
         )
         return 0
     now = time.time()
@@ -821,6 +827,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 label, "newest entry",
                 f"{_format_age(now - stats.newest_mtime)} ago",
             ))
+        orphans, bad = store.orphan_tmp_paths(), store.quarantined_paths()
+        rows.append((label, "orphan temp files", str(len(orphans))))
+        rows.append((label, "quarantined", str(len(bad))))
     # Packed corpora share operator directories with caches; surface
     # their footprint in the same telemetry table so corpus, cache and
     # spool accounting read consistently (`repro corpus stats` has the

@@ -9,15 +9,19 @@ populated by a process-parallel sweep is byte-for-byte reusable by a
 serial rerun — and vice versa — which is what lets experiments resume
 and share runs across invocations.
 
-Writes are atomic (temp file + :func:`os.replace`), so a cache directory
-can be shared by concurrent workers; unreadable entries are treated as
-misses and cleaned up rather than raised.
+Entries are written through :mod:`repro.durable`: atomically (temp
+file + rename, so a cache directory can be shared by concurrent
+workers) and inside a SHA-256 frame, but without fsync — an entry is
+recomputable, so one torn or bit-flipped by a crash or a bad disk is
+detected on read, recorded and evicted as a miss rather than raised.
 
 The storage mechanics live in :class:`PickleStore` so sibling stores can
 share one directory, distinguished by entry suffix: :class:`RunCache`
-(``*.run.pkl``, this module) holds simulation outputs, and
+(``*.run.pkl``, this module) holds simulation outputs,
 :class:`~repro.runtime.curve_cache.CurveCache` (``*.curve.pkl``) holds
-mined rank-frequency curves layered on top of them.
+mined rank-frequency curves layered on top of them, and
+:class:`~repro.runtime.checkpoint.CheckpointStore` (``*.ckpt.pkl``)
+holds mid-run snapshots.
 """
 
 from __future__ import annotations
@@ -26,16 +30,16 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import pickle
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import durable
 from repro.errors import RunCacheError
-from repro.runtime.integrity import record_corruption
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -47,6 +51,7 @@ __all__ = [
     "CacheStats",
     "PickleStore",
     "RunCache",
+    "SweepCounts",
     "fingerprint_many",
     "run_fingerprint",
 ]
@@ -71,7 +76,10 @@ __all__ = [
 #: v5: runs carry a :class:`~repro.transactions.TransactionPlane` that
 #: pickles as its position arrays; v4 entries hold frozenset lists
 #: and miss instead of replaying the old representation.
-CACHE_FORMAT_VERSION = 5
+#: v6: entries are stored inside the :mod:`repro.durable` checksum
+#: frame, so a torn or bit-flipped entry reads as a recorded miss; v5
+#: entries are plain pickles under keys that are never looked up again.
+CACHE_FORMAT_VERSION = 6
 
 
 def _canonical(value: object) -> object:
@@ -210,6 +218,14 @@ class CacheDiskStats:
     newest_mtime: float | None = None
 
 
+class SweepCounts(NamedTuple):
+    """Files one :meth:`PickleStore.sweep` removed, by category."""
+
+    entries: int
+    orphan_tmp: int
+    quarantined: int
+
+
 @dataclass
 class CacheStats:
     """Hit/miss/store counters for one :class:`RunCache` instance."""
@@ -228,13 +244,14 @@ class CacheStats:
 
 
 class PickleStore:
-    """A directory of pickled payloads keyed by SHA-256 hex strings.
+    """A directory of framed pickles keyed by SHA-256 hex strings.
 
-    The shared mechanics of every on-disk store in the runtime: atomic
-    writes, corrupt-entry eviction, hit/miss accounting, disk stats,
-    clearing and age-based pruning.  Subclasses pick the entry suffix
-    (so several stores can share one directory without colliding) and
-    document what their payloads are.
+    The shared mechanics of the run cache, curve cache and checkpoint
+    store, built on :mod:`repro.durable`: framed atomic writes, corrupt
+    entries quarantined and read as misses, hit/miss accounting, disk
+    stats, clearing and age-based pruning.  Subclasses fix the per-store
+    facts in the class attributes below, the entry suffix first (so
+    several stores can share one directory without colliding).
 
     Args:
         directory: Store root; created (with parents) if missing.
@@ -250,6 +267,17 @@ class PickleStore:
     #: cache directory.  Subclasses must override with a unique value.
     suffix: ClassVar[str] = ""
 
+    #: Format version stamped into every entry's frame.
+    format_version: ClassVar[int] = CACHE_FORMAT_VERSION
+
+    #: fsync every write, file and directory.  Off for caches: a lost
+    #: entry is recomputed, and a torn one fails its frame check.
+    fsync: ClassVar[bool] = False
+
+    #: Suffix replacing :attr:`suffix` when a corrupt entry is renamed
+    #: aside for post-mortem; ``None`` evicts it instead.
+    quarantine_suffix: ClassVar[str | None] = None
+
     def __init__(self, directory: str | Path):
         if not self.suffix:
             raise RunCacheError(
@@ -264,64 +292,76 @@ class PickleStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
+    def _entry(self, name: str) -> Path:
+        # get/put use this, not path_for, which CheckpointStore re-keys
+        # by (key, step).
+        return self.directory / f"{name}{self.suffix}"
+
     def path_for(self, key: str) -> Path:
         """On-disk location of one cache entry."""
-        return self.directory / f"{key}{self.suffix}"
+        return self._entry(key)
+
+    def _read(self, path: Path) -> object | None:
+        """The payload at ``path``; ``None`` when absent or corrupt.
+
+        A corrupt entry is quarantined, not raised — recorded as a
+        :class:`~repro.runtime.integrity.CacheCorruption` with a warning
+        once per store and kind, so a flaky shared disk looks different
+        from a cold cache.
+        """
+        try:
+            return durable.load_framed(path, self.format_version)
+        except FileNotFoundError:
+            return None
+        except durable.CorruptFileError as exc:
+            bad_path = None
+            if self.quarantine_suffix is not None:
+                bad_path = path.with_name(
+                    path.name[: -len(self.suffix)] + self.quarantine_suffix
+                )
+            durable.quarantine(type(self).__name__, path, exc, bad_path)
+            return None
+
+    def _write(self, path: Path, payload: object) -> None:
+        try:
+            with durable.atomic_write(path, durable=self.fsync) as handle:
+                durable.dump_framed(handle, payload, self.format_version)
+        except (OSError, pickle.PicklingError) as exc:
+            raise RunCacheError(f"failed to write {path.name}: {exc}") from exc
 
     def get(self, key: str) -> object | None:
-        """Load a cached payload, or ``None`` on miss.
-
-        Corrupt or unreadable entries count as misses and are removed so
-        they do not poison every future lookup.  The eviction is not
-        silent: it is recorded as a structured
-        :class:`~repro.runtime.integrity.CacheCorruption` (queryable via
-        :func:`~repro.runtime.integrity.cache_corruptions`) with a
-        one-time warning per store — a flaky shared disk must look
-        different from a cold cache.
-        """
-        path = self.path_for(key)
-        try:
-            with path.open("rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
+        """Load a cached payload, or ``None`` on miss (or corrupt entry)."""
+        payload = self._read(self._entry(key))
+        if payload is None:
             self.stats.misses += 1
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError) as exc:
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            record_corruption(
-                store=type(self).__name__,
-                path=path,
-                kind="unreadable-entry",
-                detail=f"{type(exc).__name__}: {exc}",
-                action="removed",
-            )
-            return None
-        self.stats.hits += 1
+        else:
+            self.stats.hits += 1
         return payload
 
     def put(self, key: str, payload: object) -> None:
         """Store a payload atomically (safe under concurrent writers)."""
-        path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError) as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise RunCacheError(f"failed to write cache entry: {exc}") from exc
+        self._write(self._entry(key), payload)
         self.stats.stores += 1
 
+    def _entry_paths(self) -> list[Path]:
+        return sorted(self.directory.glob(f"*{self.suffix}"))
+
+    def orphan_tmp_paths(self) -> list[Path]:
+        """Temps stranded by writers killed mid-:meth:`put`.
+
+        :meth:`clear` removes them all, :meth:`prune_older_than` the
+        stale ones.
+        """
+        return durable.orphan_temps(self.directory, f"*{self.suffix}")
+
+    def quarantined_paths(self) -> list[Path]:
+        """Corrupt entries renamed aside (empty for evicting stores)."""
+        if self.quarantine_suffix is None:
+            return []
+        return sorted(self.directory.glob(f"*{self.quarantine_suffix}"))
+
     def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob(f"*{self.suffix}"))
+        return len(self._entry_paths())
 
     def disk_stats(self) -> CacheDiskStats:
         """Entry count, byte total and age bounds of the directory.
@@ -333,7 +373,7 @@ class PickleStore:
         total_bytes = 0
         oldest: float | None = None
         newest: float | None = None
-        for path in self.directory.glob(f"*{self.suffix}"):
+        for path in self._entry_paths():
             try:
                 stat = path.stat()
             except OSError:
@@ -351,62 +391,45 @@ class PickleStore:
             newest_mtime=newest,
         )
 
-    def _tmp_glob(self) -> str:
-        """Glob matching this store's in-flight temp files.
+    def sweep(self, older_than: float | None = None) -> SweepCounts:
+        """Remove entries, orphan temps and quarantined files.
 
-        :meth:`put` writes through ``path.with_suffix(".tmp.<pid>")``,
-        which drops the entry name's final ``.pkl`` — e.g. a
-        ``<key>.run.pkl`` entry's temp is ``<key>.run.tmp.<pid>`` — so
-        the pattern is suffix-specific and never matches a sibling
-        store's temps.
+        Args:
+            older_than: When given, only files whose mtime is strictly
+                before this epoch time go (see :meth:`prune_older_than`).
         """
-        return f"*{self.suffix[: -len('.pkl')]}.tmp.*"
-
-    def orphan_tmp_paths(self) -> list[Path]:
-        """Leftover temp files from writers killed mid-:meth:`put`.
-
-        A crash in the window between the temp write and the atomic
-        rename strands a ``*.tmp.<pid>`` file that no later operation
-        would otherwise touch; :meth:`clear` removes them all and
-        :meth:`prune_older_than` removes the stale ones.
-        """
-        return sorted(self.directory.glob(self._tmp_glob()))
+        return SweepCounts(
+            entries=durable.sweep(self._entry_paths(), older_than),
+            orphan_tmp=durable.sweep(self.orphan_tmp_paths(), older_than),
+            quarantined=durable.sweep(self.quarantined_paths(), older_than),
+        )
 
     def clear(self) -> int:
-        """Delete every entry and orphan temp; returns the number removed."""
-        removed = 0
-        for pattern in (f"*{self.suffix}", self._tmp_glob()):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
+        """Delete every entry, orphan temp and quarantined file; a count."""
+        return sum(self.sweep())
 
     def prune_older_than(
         self, max_age_seconds: float, now: float | None = None
     ) -> int:
-        """Delete entries whose mtime is older than ``max_age_seconds``.
+        """Delete files whose mtime is older than ``max_age_seconds``.
 
         The age-based GC policy for long-lived cache directories: a
         periodic ``repro cache prune --max-age-days N`` keeps a shared
         cache bounded.  Age is measured from the entry's *write* mtime
         — :meth:`get` never refreshes it — so an entry older than the
-        cutoff is removed even if it was read recently.  Entries that
-        vanish mid-scan (a concurrent clear or prune) are skipped.
-        Orphaned temp files past the cutoff are removed too (age-gated,
-        not unconditionally: a fresh temp may be a concurrent writer's
+        cutoff is removed even if it was read recently.  Orphaned temps
+        and quarantined files past the cutoff go too (age-gated, not
+        unconditionally: a fresh temp may be a concurrent writer's
         in-flight :meth:`put`).
 
         Args:
-            max_age_seconds: Age threshold; entries strictly older are
+            max_age_seconds: Age threshold; files strictly older are
                 removed.
             now: Reference epoch time (defaults to the current time;
                 injectable for tests).
 
         Returns:
-            The number of entries removed.
+            The number of files removed.
 
         Raises:
             RunCacheError: If the threshold is negative.
@@ -416,20 +439,8 @@ class PickleStore:
                 f"max_age_seconds must be >= 0, got {max_age_seconds}"
             )
         if now is None:
-            import time
-
             now = time.time()
-        cutoff = now - max_age_seconds
-        removed = 0
-        for pattern in (f"*{self.suffix}", self._tmp_glob()):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
+        return sum(self.sweep(now - max_age_seconds))
 
 
 class RunCache(PickleStore):

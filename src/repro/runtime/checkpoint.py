@@ -12,12 +12,12 @@ state itself, the loop counters and the recorded history — a resumed
 run is **bit-identical** to an uninterrupted one; the §5 determinism
 contract survives mid-run death.
 
-Crash consistency is the same discipline the spool uses, applied twice:
+Crash consistency comes from :mod:`repro.durable`, applied twice:
 
-* snapshots are written to a temp name and atomically renamed, so a
-  worker killed mid-write leaves an orphan temp file, never a readable
-  half-snapshot;
-* each snapshot embeds a SHA-256 over its pickled payload plus
+* snapshots are written durably (temp, fsync, rename, directory fsync),
+  so a worker killed mid-write leaves an orphan temp file, never a
+  readable half-snapshot;
+* each snapshot's frame carries a SHA-256 over its pickled payload plus
   :data:`CHECKPOINT_FORMAT_VERSION`; a snapshot that fails either check
   on read is **quarantined** (renamed aside, recorded via
   :func:`repro.runtime.integrity.record_corruption`) and the store
@@ -35,17 +35,15 @@ resume property tests simulate hundreds of crashes in-process.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from repro import durable
 from repro.errors import RunCacheError
+from repro.runtime.cache import PickleStore
 from repro.runtime.faults import FAULT_KILL_EXIT_CODE
-from repro.runtime.integrity import record_corruption
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -60,10 +58,11 @@ __all__ = [
     "resume_events",
 ]
 
-#: Bump when the snapshot wrapper layout or any engine's snapshot
-#: payload changes; old snapshots are then discarded as
-#: ``format-version`` mismatches instead of restoring garbage state.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bump when the snapshot file layout or any engine's snapshot payload
+#: changes; old snapshots are then quarantined instead of restoring
+#: garbage state.  v2: the :mod:`repro.durable` frame replaced a pickled
+#: ``{version, step, sha256, payload}`` wrapper (v1 files read as torn).
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Entry suffix namespacing snapshots within a shared cache directory
 #: (beside ``*.run.pkl`` / ``*.curve.pkl`` — the store idiom of §5).
@@ -184,24 +183,18 @@ def _hard_exit(code: int) -> None:  # pragma: no cover - kills the process
     os._exit(code)
 
 
-class CheckpointStore:
-    """A directory of checksummed, versioned engine-state snapshots.
+class CheckpointStore(PickleStore):
+    """A :class:`~repro.runtime.cache.PickleStore` of engine snapshots.
 
     Snapshots are keyed by the run's cache fingerprint (so a retried
     attempt of the same work finds them) plus the engine step they were
-    taken at: ``<key>.s<step>.ckpt.pkl``.  The on-disk wrapper is a
-    pickled dict ``{version, step, sha256, payload}`` where ``payload``
-    is the engine's pickled snapshot and ``sha256`` its digest — the
-    checksum covers exactly the bytes that will be unpickled into
-    engine state.
-
-    Write path: temp file + atomic rename, then prune to the newest
-    :data:`KEEP_SNAPSHOTS` per key.  Read path
-    (:meth:`latest`): newest step first; any snapshot that is torn,
-    unreadable, checksum-mismatched or version-mismatched is quarantined
-    (renamed to ``*.ckpt.bad``) with a recorded
-    :class:`~repro.runtime.integrity.CacheCorruption`, and the scan
-    falls back to the next older snapshot.
+    taken at: ``<key>.s<step>.ckpt.pkl``, framed under
+    :data:`CHECKPOINT_FORMAT_VERSION`.  Writes are durable — fsynced,
+    renamed, directory fsynced — then pruned to the newest
+    :data:`KEEP_SNAPSHOTS` per key.  :meth:`latest` scans newest step
+    first; a torn, checksum-mismatched or version-mismatched snapshot
+    is quarantined to ``*.ckpt.bad`` and the scan falls back to the
+    next older one.
 
     Args:
         directory: Snapshot root; created (with parents) if missing.
@@ -210,18 +203,14 @@ class CheckpointStore:
         RunCacheError: If the path exists but is not a directory.
     """
 
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        if self.directory.exists() and not self.directory.is_dir():
-            raise RunCacheError(
-                f"checkpoint path {self.directory} exists and is not a "
-                "directory"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
+    suffix = CHECKPOINT_SUFFIX
+    format_version = CHECKPOINT_FORMAT_VERSION
+    fsync = True
+    quarantine_suffix = QUARANTINE_SUFFIX
 
     def path_for(self, key: str, step: int) -> Path:
         """On-disk location of one snapshot."""
-        return self.directory / f"{key}.s{step:08d}{CHECKPOINT_SUFFIX}"
+        return self._entry(f"{key}.s{step:08d}")
 
     def _snapshots(self, key: str) -> list[tuple[int, Path]]:
         """(step, path) pairs for one key, newest step first."""
@@ -240,7 +229,7 @@ class CheckpointStore:
         return tuple(step for step, _path in self._snapshots(key))
 
     def put(self, key: str, step: int, payload: object) -> Path:
-        """Write one snapshot atomically and prune old ones for the key.
+        """Write one snapshot durably and prune old ones for the key.
 
         Raises:
             RunCacheError: On a write failure, or ``step < 1`` — the
@@ -249,55 +238,12 @@ class CheckpointStore:
         """
         if step < 1:
             raise RunCacheError(f"snapshot step must be >= 1, got {step}")
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        wrapper = {
-            "version": CHECKPOINT_FORMAT_VERSION,
-            "step": int(step),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-            "payload": blob,
-        }
         path = self.path_for(key, step)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        try:
-            tmp.write_bytes(
-                pickle.dumps(wrapper, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            os.replace(tmp, path)
-        except (OSError, pickle.PicklingError) as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise RunCacheError(
-                f"failed to write checkpoint snapshot: {exc}"
-            ) from exc
-        for old_step, old_path in self._snapshots(key)[KEEP_SNAPSHOTS:]:
-            try:
-                old_path.unlink()
-            except OSError:
-                pass
+        self._write(path, payload)
+        durable.sweep(
+            old for _step, old in self._snapshots(key)[KEEP_SNAPSHOTS:]
+        )
         return path
-
-    def _quarantine(self, path: Path, kind: str, detail: str) -> None:
-        target = path.with_name(
-            path.name[: -len(CHECKPOINT_SUFFIX)] + QUARANTINE_SUFFIX
-        )
-        try:
-            os.replace(path, target)
-            action = "quarantined"
-        except OSError:
-            action = "removed"  # rename failed; it is gone either way
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        record_corruption(
-            store=type(self).__name__,
-            path=path,
-            kind=kind,
-            detail=detail,
-            action=action,
-        )
 
     def latest(self, key: str) -> tuple[int, object] | None:
         """The newest *valid* snapshot as ``(step, payload)``, or ``None``.
@@ -307,120 +253,14 @@ class CheckpointStore:
         with every snapshot corrupt simply restarts from step 0.
         """
         for step, path in self._snapshots(key):
-            try:
-                wrapper = pickle.loads(path.read_bytes())
-            except FileNotFoundError:
-                continue  # pruned/discarded under us
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as exc:
-                self._quarantine(
-                    path, "torn-snapshot",
-                    f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            if (
-                not isinstance(wrapper, dict)
-                or wrapper.get("version") != CHECKPOINT_FORMAT_VERSION
-            ):
-                self._quarantine(
-                    path, "format-version",
-                    f"version {wrapper.get('version') if isinstance(wrapper, dict) else '?'}"
-                    f" != {CHECKPOINT_FORMAT_VERSION}",
-                )
-                continue
-            blob = wrapper.get("payload")
-            if (
-                not isinstance(blob, bytes)
-                or hashlib.sha256(blob).hexdigest() != wrapper.get("sha256")
-            ):
-                self._quarantine(
-                    path, "checksum-mismatch",
-                    "payload digest does not match recorded sha256",
-                )
-                continue
-            try:
-                payload = pickle.loads(blob)
-            except Exception as exc:  # checksum passed but payload rots
-                self._quarantine(
-                    path, "torn-snapshot",
-                    f"{type(exc).__name__}: {exc}",
-                )
-                continue
-            return step, payload
+            payload = self._read(path)
+            if payload is not None:
+                return step, payload
         return None
 
     def discard(self, key: str) -> int:
         """Remove every snapshot for a finished run; returns the count."""
-        removed = 0
-        for _step, path in self._snapshots(key):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def __len__(self) -> int:
-        return sum(
-            1 for _ in self.directory.glob(f"*{CHECKPOINT_SUFFIX}")
-        )
-
-    def orphan_tmp_paths(self) -> list[Path]:
-        """Leftover ``*.ckpt.pkl.tmp.<pid>`` files from killed writers."""
-        return sorted(
-            self.directory.glob(f"*{CHECKPOINT_SUFFIX}.tmp.*")
-        )
-
-    def clear(self) -> int:
-        """Remove all snapshots, quarantined snapshots and orphan temps."""
-        removed = 0
-        for pattern in (
-            f"*{CHECKPOINT_SUFFIX}",
-            f"*{QUARANTINE_SUFFIX}",
-            f"*{CHECKPOINT_SUFFIX}.tmp.*",
-        ):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def prune_older_than(
-        self, max_age_seconds: float, now: float | None = None
-    ) -> int:
-        """Age-based GC over snapshots, quarantine files and orphan temps.
-
-        Same policy as :meth:`PickleStore.prune_older_than
-        <repro.runtime.cache.PickleStore.prune_older_than>`: strictly
-        older than the cutoff is removed; the caller runs it
-        periodically on long-lived shared directories.
-
-        Raises:
-            RunCacheError: If the threshold is negative.
-        """
-        if max_age_seconds < 0:
-            raise RunCacheError(
-                f"max_age_seconds must be >= 0, got {max_age_seconds}"
-            )
-        if now is None:
-            now = time.time()
-        cutoff = now - max_age_seconds
-        removed = 0
-        for pattern in (
-            f"*{CHECKPOINT_SUFFIX}",
-            f"*{QUARANTINE_SUFFIX}",
-            f"*{CHECKPOINT_SUFFIX}.tmp.*",
-        ):
-            for path in self.directory.glob(pattern):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        removed += 1
-                except OSError:
-                    continue
-        return removed
+        return durable.sweep(path for _step, path in self._snapshots(key))
 
 
 class RunCheckpointer:

@@ -171,7 +171,10 @@ class CurveCache(PickleStore):
     :class:`~repro.analysis.itemsets.MiningResult` objects (empirical
     curves, whose callers also need the itemsets).  Shares its directory
     with :class:`~repro.runtime.cache.RunCache` — entries are
-    namespaced by the ``.curve.pkl`` suffix.
+    namespaced by the ``.curve.pkl`` suffix.  Curve keys predate the
+    frame, so an unframed older entry reads as one recorded ``torn``
+    miss and the curve is re-mined.
     """
 
     suffix = ".curve.pkl"
+    format_version = CURVE_FORMAT_VERSION

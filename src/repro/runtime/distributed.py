@@ -56,6 +56,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro import durable
 from repro.errors import ExecutionError, TaskRetryExhaustedError
 from repro.runtime.config import DistributedConfig, RuntimeConfig
 from repro.runtime.degradation import record_degradation
@@ -194,20 +195,6 @@ class SpoolTask:
     index: int
     fn: Callable
     item: object
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write-then-rename so readers never observe a partial file."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
 
 
 def _task_index(task_id: str) -> int:
@@ -675,13 +662,10 @@ def run_worker(
                         else None
                     ),
                 )
+                result = spool.results / f"{task_id}{RESULT_SUFFIX}"
                 try:
-                    _atomic_write_bytes(
-                        spool.results / f"{task_id}{RESULT_SUFFIX}",
-                        pickle.dumps(
-                            payload, protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                    )
+                    with durable.atomic_write(result, durable=False) as out:
+                        pickle.dump(payload, out, pickle.HIGHEST_PROTOCOL)
                 except (OSError, pickle.PicklingError):
                     # Result undeliverable (spool vanished, unpicklable
                     # value).  Losing the lease is the correct signal:
@@ -911,9 +895,9 @@ class _MapSession:
                 f"{self._task_id(lease.index)}.a{lease.attempt:02d}"
                 f"{TASK_SUFFIX}"
             )
-            _atomic_write_bytes(
-                self._spool.tasks / name, self._payloads[lease.index]
-            )
+            path = self._spool.tasks / name
+            with durable.atomic_write(path, durable=False) as handle:
+                handle.write(self._payloads[lease.index])
             self._spooled[lease.index] = lease.attempt
 
     def _collect_results(self, now: float) -> None:

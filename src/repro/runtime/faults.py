@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import durable
 from repro.errors import ExecutionError
 
 __all__ = [
@@ -202,12 +203,9 @@ class FaultPlan:
     def save(self, path: str | Path) -> Path:
         """Write the plan as JSON (atomically — workers may be polling)."""
         path = Path(path)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        text = json.dumps(self.to_payload(), indent=2, sort_keys=True)
+        with durable.atomic_write(path, durable=False) as handle:
+            handle.write(f"{text}\n".encode("utf-8"))
         return path
 
     @classmethod

@@ -1,13 +1,13 @@
 """Structured cache-corruption records shared by the on-disk stores.
 
-A shared cache directory (DESIGN.md §5) or checkpoint directory
-(DESIGN.md §9) lives on disks the runtime does not control: NFS mounts,
-crash-prone workers, operators running ``rm`` in the wrong shell.  The
-stores already *survive* corruption — an unreadable cache entry is
-treated as a miss and evicted, a torn checkpoint snapshot is quarantined
-and an older one used — but survival used to be silent, which made a
-poisoned shared cache look exactly like a cold one: sweeps quietly
-recompute everything and nobody learns the disk is eating data.
+A shared cache directory (DESIGN.md §5), checkpoint directory (§9) or
+packed corpus (§11) lives on disks the runtime does not control: NFS
+mounts, crash-prone workers, operators running ``rm`` in the wrong
+shell.  The stores *survive* corruption — :func:`repro.durable.quarantine`
+evicts a corrupt cache entry (it is recomputed) or renames a corrupt
+snapshot or corpus to ``*.bad`` — but survival alone is silent, which
+would make a poisoned shared cache look exactly like a cold one: sweeps
+quietly recompute everything and nobody learns the disk is eating data.
 
 So every corruption observation is (a) warned once per (store, kind)
 via :class:`CacheCorruptionWarning`, and (b) recorded as a structured
@@ -45,14 +45,13 @@ class CacheCorruption:
         store: Class name of the observing store (``RunCache``,
             ``CurveCache``, ``CheckpointStore``, ...).
         path: The corrupt file, as observed.
-        kind: Short machine-readable cause (``"unreadable-entry"``,
-            ``"checksum-mismatch"``, ``"torn-snapshot"``,
-            ``"format-version"``).
+        kind: One of :mod:`repro.durable`'s shared kinds: ``"torn"``,
+            ``"checksum-mismatch"`` or ``"format-version"``.
         detail: The underlying error, verbatim.
         action: What the store did about it — ``"removed"`` (cache
-            entries: evicted, will recompute) or ``"quarantined"``
-            (checkpoint snapshots: renamed aside for post-mortem, an
-            older snapshot used instead).
+            entries: evicted, will recompute), ``"quarantined"``
+            (snapshots, corpora: renamed aside for post-mortem) or
+            ``"left in place"`` (the filesystem refused).
     """
 
     store: str
@@ -99,7 +98,7 @@ def record_corruption(
         path: The corrupt file.
         kind: Short machine-readable cause.
         detail: Underlying error, verbatim.
-        action: ``"removed"`` or ``"quarantined"``.
+        action: ``"removed"``, ``"quarantined"`` or ``"left in place"``.
     """
     record = CacheCorruption(
         store=store, path=str(path), kind=kind, detail=detail, action=action
@@ -114,6 +113,6 @@ def record_corruption(
             "— query repro.runtime.cache_corruptions() and check the "
             "backing disk if the count grows",
             CacheCorruptionWarning,
-            stacklevel=3,
+            stacklevel=5,  # the caller of get / latest / open
         )
     return record

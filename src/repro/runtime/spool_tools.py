@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import durable
 from repro.errors import ExecutionError
 from repro.runtime.distributed import (
     ALIVE_SUFFIX,
@@ -154,12 +155,8 @@ def _orphan_heartbeats(spool: Spool) -> list[Path]:
 
 def _orphan_tmps(spool: Spool) -> list[Path]:
     """Stranded atomic-write temps across the whole layout."""
-    orphans: list[Path] = []
-    for directory in (
-        spool.root, spool.tasks, spool.claimed, spool.results, spool.workers,
-    ):
-        orphans.extend(directory.glob("*.tmp.*"))
-    return orphans
+    folders = (spool.root, spool.tasks, spool.claimed, spool.results, spool.workers)
+    return [tmp for folder in folders for tmp in durable.orphan_temps(folder)]
 
 
 def _attempt_counts(spool: Spool) -> dict[str, int]:
@@ -251,7 +248,8 @@ def compact_spool(
     * result payloads older than the cutoff (their coordinator
       collects within a poll interval; old ones are orphaned);
     * stranded atomic-write temps older than the cutoff (a *fresh*
-      temp may be a concurrent writer mid-:func:`os.replace`).
+      temp may be a concurrent writer inside
+      :func:`repro.durable.atomic_write`).
 
     Pending task files are never removed — they are the queue.
 
@@ -276,40 +274,19 @@ def compact_spool(
         now = time.time()
     cutoff = now - stale_after
 
-    def unlink(path: Path) -> int:
-        try:
-            path.unlink()
-            return 1
-        except OSError:
-            return 0
-
-    stale_claims = 0
-    for claim, heartbeat in _stale_claims(spool, cutoff):
-        stale_claims += unlink(claim)
-        if heartbeat is not None:
-            unlink(heartbeat)
-
-    orphan_heartbeats = sum(
-        unlink(heartbeat) for heartbeat in _orphan_heartbeats(spool)
+    stale = _stale_claims(spool, cutoff)
+    stale_claims = durable.sweep(claim for claim, _heartbeat in stale)
+    durable.sweep(
+        heartbeat for _claim, heartbeat in stale if heartbeat is not None
     )
-
-    dead_workers = sum(
-        unlink(marker)
-        for marker in spool.workers.glob(f"*{ALIVE_SUFFIX}")
-        if (touched := _mtime(marker)) is not None and touched < cutoff
+    orphan_heartbeats = durable.sweep(_orphan_heartbeats(spool))
+    dead_workers = durable.sweep(
+        spool.workers.glob(f"*{ALIVE_SUFFIX}"), older_than=cutoff
     )
-
-    stale_results = sum(
-        unlink(result)
-        for result in spool.results.glob(f"*{RESULT_SUFFIX}")
-        if (written := _mtime(result)) is not None and written < cutoff
+    stale_results = durable.sweep(
+        spool.results.glob(f"*{RESULT_SUFFIX}"), older_than=cutoff
     )
-
-    orphan_tmp = sum(
-        unlink(tmp)
-        for tmp in _orphan_tmps(spool)
-        if (written := _mtime(tmp)) is not None and written < cutoff
-    )
+    orphan_tmp = durable.sweep(_orphan_tmps(spool), older_than=cutoff)
 
     return SpoolCompaction(
         stale_claims=stale_claims,

@@ -26,14 +26,14 @@ corpus build, mining and stats stream in bounded memory:
 The container is a single file: planes 64-byte aligned back to back, a
 JSON *footer* describing them (dtype/shape/offset plus a SHA-256 per
 plane and :data:`COLUMNAR_FORMAT_VERSION`), and a fixed trailer holding
-the footer's offset and digest.  Writes follow the §9 checkpoint
-conventions — staged to temp files, assembled, fsynced and atomically
-renamed into place — so a crashed packer leaves an orphan temp, never a
-readable half-corpus.  A file whose trailer, footer or (under
-``verify=True``) plane digests fail validation is **quarantined**
-(renamed to ``*.bad``, recorded via
-:func:`repro.runtime.integrity.record_corruption`) instead of parsed
-into garbage.
+the footer's offset and digest.  Planes are staged to temp files and
+the container is assembled through :func:`repro.durable.atomic_write`
+with ``durable=True`` (fsync of file and directory around the rename),
+so a crashed packer leaves orphan temps, never a readable half-corpus.
+A file whose trailer, footer or (under ``verify=True``) plane digests
+fail validation is **quarantined** (:func:`repro.durable.quarantine`:
+renamed to ``*.bad`` and recorded as ``torn``, ``checksum-mismatch``
+or ``format-version``) instead of parsed into garbage.
 
 Memmap lifetime rule: every array a :class:`ColumnarCorpus` hands out is
 a read-only view into the mapping — keep the corpus open while you use
@@ -44,18 +44,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import durable
 from repro.corpus.dataset import RecipeDataset
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import CorpusStats, CuisineStats
 from repro.errors import EmptyCorpusError, StorageError
-from repro.runtime.integrity import record_corruption
 
 __all__ = [
     "COLUMNAR_FORMAT_VERSION",
@@ -173,8 +172,8 @@ class ColumnarWriter:
     generator uses); per-recipe planes are staged to temp files beside
     the target, so peak memory is bounded by the chunk size plus O(one
     int per recipe), never by the corpus.  :meth:`close` assembles the
-    final container atomically (§9 conventions: temp + fsync +
-    ``os.replace``).
+    final container through :func:`repro.durable.atomic_write` with
+    ``durable=True`` (temp, fsync, rename, directory fsync).
 
     Args:
         path: Target file (conventionally ``*.col``).
@@ -205,34 +204,25 @@ class ColumnarWriter:
         self._region_codes: list[str] = []
         self._region_of: dict[str, int] = {}
         self._lengths: list[np.ndarray] = []
-        token = f".tmp.{os.getpid()}"
         self._stages: dict[str, _Stage] = {
-            "indices": _Stage(
-                self.path.with_name(self.path.name + f".indices{token}"),
-                np.int32,
-            ),
-            "recipe_ids": _Stage(
-                self.path.with_name(self.path.name + f".ids{token}"),
-                np.int64,
-            ),
-            "region_index": _Stage(
-                self.path.with_name(self.path.name + f".regions{token}"),
-                np.uint16,
-            ),
+            "indices": _Stage(self._stage_path("indices"), np.int32),
+            "recipe_ids": _Stage(self._stage_path("ids"), np.int64),
+            "region_index": _Stage(self._stage_path("regions"), np.uint16),
         }
         if self.store_text:
             for field in ("title", "source"):
                 self._stages[f"{field}_bytes"] = _Stage(
-                    self.path.with_name(self.path.name + f".{field}{token}"),
-                    np.uint8,
+                    self._stage_path(field), np.uint8
                 )
                 self._stages[f"{field}_lens"] = _Stage(
-                    self.path.with_name(
-                        self.path.name + f".{field}len{token}"
-                    ),
-                    np.int64,
+                    self._stage_path(f"{field}len"), np.int64
                 )
-        self._tmp_container = self.path.with_name(self.path.name + token)
+
+    def _stage_path(self, label: str) -> Path:
+        """Temp file one plane is staged in before assembly."""
+        return durable.tmp_path_for(
+            self.path.with_name(f"{self.path.name}.{label}")
+        )
 
     # -- input paths ----------------------------------------------------
 
@@ -390,7 +380,6 @@ class ColumnarWriter:
         self._closed = True
         for stage in self._stages.values():
             stage.discard()
-        self._tmp_container.unlink(missing_ok=True)
 
     def __enter__(self) -> "ColumnarWriter":
         return self
@@ -418,7 +407,6 @@ class ColumnarWriter:
                 stage.discard()
             for path in bit_stages:
                 path.unlink(missing_ok=True)
-            self._tmp_container.unlink(missing_ok=True)
         return self.path
 
     def _assemble_planes(
@@ -541,9 +529,7 @@ class ColumnarWriter:
                 )
             assert universe is not None
             n_bytes = (n_c + 7) // 8
-            stage_path = self._tmp_container.with_name(
-                self._tmp_container.name + f".bits.{len(planes)}"
-            )
+            stage_path = self._stage_path(f"bits{len(planes)}")
             matrix = np.memmap(
                 stage_path,
                 dtype=np.uint8,
@@ -583,7 +569,7 @@ class ColumnarWriter:
         planes: list[tuple[str, np.ndarray | Path, np.dtype, tuple[int, ...]]],
     ) -> None:
         descriptors: dict[str, dict] = {}
-        with self._tmp_container.open("wb") as out:
+        with durable.atomic_write(self.path, durable=True) as out:
             out.write(_MAGIC)
             offset = len(_MAGIC)
             for name, data, dtype, shape in planes:
@@ -644,9 +630,6 @@ class ColumnarWriter:
                 + len(footer_bytes).to_bytes(8, "little")
                 + hashlib.sha256(footer_bytes).digest()
             )
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(self._tmp_container, self.path)
 
 
 def pack_dataset(
@@ -762,8 +745,8 @@ class ColumnarCorpus:
             raise StorageError(f"no such columnar corpus: {source}")
         try:
             footer = cls._read_footer(source)
-        except StorageError as exc:
-            raise cls._quarantine(source, "corrupt-header", str(exc)) from exc
+        except durable.CorruptFileError as exc:
+            raise cls._quarantine(source, exc) from exc
         mapping = np.memmap(source, dtype=np.uint8, mode="r")
         corpus = cls(source, mapping, footer)
         if verify:
@@ -772,43 +755,39 @@ class ColumnarCorpus:
                 digest = _sha256_array(corpus.plane(name))
                 if digest != descriptor["sha256"]:
                     corpus.close()
-                    raise cls._quarantine(
-                        source,
-                        "checksum-mismatch",
+                    raise cls._quarantine(source, durable.CorruptFileError(
+                        durable.CHECKSUM_MISMATCH,
                         f"plane {name!r} digest {digest[:12]}... != "
                         f"recorded {descriptor['sha256'][:12]}...",
-                    )
+                    ))
         return corpus
 
     @staticmethod
-    def _quarantine(source: Path, kind: str, detail: str) -> StorageError:
+    def _quarantine(source: Path, error: durable.CorruptFileError) -> StorageError:
         """Rename a failed file aside and return the error to raise."""
-        quarantined = source.with_name(source.name + ".bad")
-        action = "quarantined"
-        try:
-            os.replace(source, quarantined)
-        except OSError:  # pragma: no cover - rename race/readonly dir
-            action = "left in place"
-        record_corruption(
-            "ColumnarCorpus", source, kind, detail, action
+        action = durable.quarantine(
+            "ColumnarCorpus", source, error,
+            source.with_name(source.name + ".bad"),
         )
         return StorageError(
-            f"columnar corpus {source} failed validation ({kind}: "
-            f"{detail}); {action}"
+            f"columnar corpus {source} failed validation ({error}); "
+            f"{action}"
         )
 
     @staticmethod
     def _read_footer(source: Path) -> dict:
+        """The validated footer, or :class:`~repro.durable.CorruptFileError`."""
+        bad, torn = durable.CorruptFileError, durable.TORN
         size = source.stat().st_size
         if size < len(_MAGIC) + _TRAILER_SIZE:
-            raise StorageError(f"file too small ({size} bytes)")
+            raise bad(torn, f"file too small ({size} bytes)")
         with source.open("rb") as handle:
             if handle.read(len(_MAGIC)) != _MAGIC:
-                raise StorageError("bad magic")
+                raise bad(torn, "bad magic")
             handle.seek(size - _TRAILER_SIZE)
             trailer = handle.read(_TRAILER_SIZE)
             if trailer[:8] != _TRAILER_MAGIC:
-                raise StorageError("bad trailer magic (torn write?)")
+                raise bad(torn, "bad trailer magic")
             footer_offset = int.from_bytes(trailer[8:16], "little")
             footer_length = int.from_bytes(trailer[16:24], "little")
             recorded_digest = trailer[24:56]
@@ -816,26 +795,27 @@ class ColumnarCorpus:
                 footer_offset < len(_MAGIC)
                 or footer_offset + footer_length > size - _TRAILER_SIZE
             ):
-                raise StorageError("footer bounds outside file")
+                raise bad(torn, "footer bounds outside file")
             handle.seek(footer_offset)
             footer_bytes = handle.read(footer_length)
         if hashlib.sha256(footer_bytes).digest() != recorded_digest:
-            raise StorageError("footer digest mismatch")
+            raise bad(durable.CHECKSUM_MISMATCH, "footer digest mismatch")
         try:
             footer = json.loads(footer_bytes)
         except json.JSONDecodeError as exc:
-            raise StorageError(f"footer is not JSON: {exc}") from exc
+            raise bad(torn, f"footer is not JSON: {exc}") from exc
         if footer.get("format") != "repro-columnar":
-            raise StorageError("not a repro columnar file")
+            raise bad(durable.FORMAT_VERSION, "not a repro columnar file")
         if footer.get("version") != COLUMNAR_FORMAT_VERSION:
-            raise StorageError(
+            raise bad(
+                durable.FORMAT_VERSION,
                 f"format version {footer.get('version')} != "
-                f"{COLUMNAR_FORMAT_VERSION}"
+                f"{COLUMNAR_FORMAT_VERSION}",
             )
         for name, descriptor in footer["planes"].items():
             end = descriptor["offset"] + descriptor["nbytes"]
             if end > size - _TRAILER_SIZE:
-                raise StorageError(f"plane {name!r} extends past the footer")
+                raise bad(torn, f"plane {name!r} extends past the footer")
         return footer
 
     def close(self) -> None:

@@ -329,3 +329,41 @@ def test_prune_rejects_negative_age(tmp_path):
 
 def test_prune_empty_cache_is_noop(tmp_path):
     assert RunCache(tmp_path).prune_older_than(0) == 0
+
+
+def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
+    """One flipped byte inside a cached run's array data must not load.
+
+    A pickle loads happily with a damaged numpy buffer and would hand
+    back a run whose transactions differ from the cached one; the
+    checksum frame turns the damage into a recorded miss instead.
+    """
+    import numpy as np
+
+    from repro.runtime import cache_corruptions, clear_cache_corruptions
+    from repro.runtime.integrity import CacheCorruptionWarning
+    from repro.transactions import _narrow
+
+    cache = RunCache(tmp_path)
+    model = create_model("CM-R")
+    seed = spawn_seeds(ensure_rng(1), 1)[0]
+    (run,) = execute_runs(model, tiny_spec, [seed], cache=cache)
+    key = run_fingerprint(model, tiny_spec, seed)
+    path = cache.path_for(key)
+    raw = bytearray(path.read_bytes())
+    positions = _narrow(np.asarray(run.transactions.positions)).tobytes()
+    start = raw.find(positions)
+    assert start > 0 and len(positions) > 2
+    raw[start + len(positions) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+    clear_cache_corruptions()
+    try:
+        with pytest.warns(CacheCorruptionWarning):
+            assert cache.get(key) is None
+        (event,) = cache_corruptions()
+        assert event.kind == "checksum-mismatch"
+        assert event.action == "removed"
+        assert not path.exists()
+    finally:
+        clear_cache_corruptions()

@@ -12,10 +12,9 @@ too, because the two stores share the crash-consistency discipline.
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
+from repro import durable
 from repro.errors import RunCacheError
 from repro.runtime import (
     CHECKPOINT_FORMAT_VERSION,
@@ -131,22 +130,17 @@ def test_truncated_snapshot_is_torn(tmp_path):
     path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
     with pytest.warns(CacheCorruptionWarning):
         assert store.latest("run") is None
-    assert cache_corruptions()[0].kind == "torn-snapshot"
+    assert cache_corruptions()[0].kind == durable.TORN
 
 
 def test_format_version_mismatch_discarded(tmp_path):
     store = CheckpointStore(tmp_path)
     path = store.path_for("run", 5)
-    wrapper = {
-        "version": CHECKPOINT_FORMAT_VERSION + 1,
-        "step": 5,
-        "sha256": "0" * 64,
-        "payload": b"irrelevant",
-    }
-    path.write_bytes(pickle.dumps(wrapper))
+    with path.open("wb") as handle:
+        durable.dump_framed(handle, {"at": 5}, CHECKPOINT_FORMAT_VERSION + 1)
     with pytest.warns(CacheCorruptionWarning):
         assert store.latest("run") is None
-    assert cache_corruptions()[0].kind == "format-version"
+    assert cache_corruptions()[0].kind == durable.FORMAT_VERSION
 
 
 def test_every_snapshot_corrupt_means_fresh_start(tmp_path):
@@ -220,11 +214,11 @@ def test_run_cache_corrupt_entry_event_and_orphan_sweep(tmp_path):
     events = cache_corruptions()
     assert len(events) == 1
     assert events[0].store == "RunCache"
-    assert events[0].kind == "unreadable-entry"
+    assert events[0].kind == durable.TORN
     assert events[0].action == "removed"
 
     # Crash-window temp: the same name put() would have used mid-write.
-    orphan = tmp_path / "deadbeef.run.tmp.4242"
+    orphan = durable.tmp_path_for(path)
     orphan.write_bytes(b"half an entry")
     assert cache.orphan_tmp_paths() == [orphan]
     assert cache.clear() == 1  # just the orphan; real entry already gone
@@ -233,7 +227,7 @@ def test_run_cache_corrupt_entry_event_and_orphan_sweep(tmp_path):
 
 def test_run_cache_prune_removes_aged_orphan_tmp(tmp_path):
     cache = RunCache(tmp_path)
-    orphan = tmp_path / "cafe.run.tmp.77"
+    orphan = durable.tmp_path_for(cache.path_for("cafe"))
     orphan.write_bytes(b"x")
     assert cache.prune_older_than(3600.0) == 0  # too young
     assert orphan.exists()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import durable
 from repro.analysis.itemsets import mine_frequent_itemsets
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import corpus_stats
@@ -289,7 +290,7 @@ def test_corrupt_magic_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
     assert path.with_suffix(path.suffix + ".bad").exists()
     events = cache_corruptions()
     assert events and events[-1].store == "ColumnarCorpus"
-    assert events[-1].kind == "corrupt-header"
+    assert events[-1].kind == durable.TORN
 
 
 def test_torn_write_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
