@@ -38,9 +38,9 @@ completed runs.  The distributed backend additionally honors ``--spool-dir PATH`
 (the shared work-queue directory that external ``repro worker``
 processes serve) and ``--local-workers N`` (worker processes the
 coordinator spawns itself; 0 = external only) — see DESIGN.md §8.
-With ``--cache-dir`` set, ``--checkpoint-every N`` snapshots engine
-state every N steps beside the run cache so an interrupted sweep
-resumes bit-identically from its latest valid snapshot (DESIGN.md §9).
+``--checkpoint-every N`` snapshots engine state every N steps beside
+the run cache so an interrupted sweep resumes bit-identically from its
+latest valid snapshot (DESIGN.md §9).
 Mining commands accept ``--min-support X`` (paper: 0.05); there is one
 miner, the packed-bit search of DESIGN.md §6.
 """
@@ -136,8 +136,8 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
         "--checkpoint-every", type=int, default=None,
         help=(
             "snapshot engine state every N steps beside the run cache "
-            "so an interrupted run resumes bit-identically (requires "
-            "--cache-dir; default: no checkpointing — see DESIGN.md §9)"
+            "so an interrupted run resumes bit-identically (default: no "
+            "checkpointing — see DESIGN.md §9)"
         ),
     )
 
@@ -149,12 +149,10 @@ def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
         distributed = DistributedConfig(
             spool_dir=args.spool_dir,
             local_workers=args.local_workers,
-            checkpoint_every=args.checkpoint_every,
         )
     return RuntimeConfig(
         backend=args.backend, jobs=args.jobs, cache_dir=args.cache_dir,
-        distributed=distributed,
-        checkpoint_every=None if distributed else args.checkpoint_every,
+        distributed=distributed, checkpoint_every=args.checkpoint_every,
     )
 
 
@@ -555,7 +553,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         mining=_mining_from_args(args),
         ensemble_runs=args.runs,
         artifacts_dir=args.artifacts,
-        runtime=_runtime_from_args(args),
+        runtime=args.runtime,
         engine=args.engine,
         corpus_path=args.corpus,
     )
@@ -575,7 +573,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     model = create_model(args.model, engine=args.engine)
     result = run_ensemble(
         model, spec, n_runs=args.runs, seed=args.seed,
-        runtime=_runtime_from_args(args),
+        runtime=args.runtime,
     )
     empirical, _ = combination_curve(dataset, view.region_code, lexicon)
     distance = curve_distance(empirical, result.ingredient_curve)
@@ -623,7 +621,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         seed=args.seed,
         region_codes=tuple(args.regions) if args.regions else None,
         ensemble_runs=args.runs,
-        runtime=_runtime_from_args(args),
+        runtime=args.runtime,
         engine=args.engine,
     )
     report = build_report(
@@ -638,7 +636,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     model_names = tuple(args.models) if args.models else PAPER_MODELS
-    runtime = _runtime_from_args(args)
+    runtime = args.runtime
     if args.mine and runtime.cache_dir is None:
         # Mining without a cache directory would compute every curve
         # and drop it on the floor — refuse up front, before any grid
@@ -937,6 +935,13 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "backend"):
+        # Runtime flags that do not combine (say, --checkpoint-every
+        # without --cache-dir) are a usage error, before any work.
+        try:
+            args.runtime = _runtime_from_args(args)
+        except ReproError as exc:
+            parser.error(str(exc))
     handler = _COMMANDS[args.command]
     try:
         return handler(args)

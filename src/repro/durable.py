@@ -12,7 +12,8 @@ are not.  Pickled store entries sit in a SHA-256 frame
 (:func:`dump_framed` / :func:`load_framed`) whose every failure maps to
 one shared kind — ``torn``, ``checksum-mismatch`` or
 ``format-version`` — and :func:`quarantine` takes a failed file out of
-service and records it.
+service and records a :class:`~repro.runtime.events.CacheCorruption` in
+the runtime event log.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from repro.runtime.integrity import record_corruption
+from repro.runtime import events
 
 __all__ = [
     "CHECKSUM_MISMATCH",
@@ -166,7 +167,10 @@ def quarantine(
             action = "quarantined"
     except OSError:
         action = "left in place"
-    record_corruption(store, path, error.kind, error.detail, action)
+    events.record(events.CacheCorruption(
+        store=store, path=str(path), kind=error.kind, detail=error.detail,
+        action=action,
+    ))
     return action
 
 

@@ -21,9 +21,13 @@ swappable concern:
   snapshots (:class:`CheckpointStore` / :class:`RunCheckpointer`) so
   an interrupted run resumes bit-identically from its latest valid
   snapshot instead of replaying from step 0 (DESIGN.md §9);
-* :mod:`~repro.runtime.integrity` — structured, queryable
-  :class:`CacheCorruption` records for every corrupt entry a store
-  evicts or quarantines;
+* :mod:`~repro.runtime.events` — the one runtime event log: every
+  backend degradation, cache corruption, snapshot resume and task
+  attempt is a typed event appended by one ``record`` (warning once
+  per cause) and read back by type (:func:`backend_degradations`,
+  :func:`cache_corruptions`, :func:`resume_events`,
+  :func:`task_attempts`).  Events recorded in a pool or spool worker
+  travel back with its result and are replayed into the caller's log;
 * :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
   compaction behind ``repro spool stats|compact``;
 * :mod:`~repro.runtime.runner` — deterministic run execution
@@ -64,7 +68,6 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     ResumeEvent,
     RunCheckpointer,
-    clear_resume_events,
     resume_events,
 )
 from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
@@ -81,7 +84,6 @@ from repro.runtime.distributed import (
     Spool,
     TaskAttempt,
     WorkerSummary,
-    clear_task_attempts,
     run_worker,
     signal_stop,
     task_attempts,
@@ -93,20 +95,18 @@ from repro.runtime.executor import (
     get_executor,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.integrity import (
+from repro.runtime.events import (
+    BackendDegradation,
+    BackendDegradationWarning,
     CacheCorruption,
     CacheCorruptionWarning,
+    backend_degradations,
     cache_corruptions,
-    clear_cache_corruptions,
 )
 from repro.runtime.runner import (
     ArchipelagoRequest,
-    BackendDegradation,
-    BackendDegradationWarning,
     BatchRequest,
     RunRequest,
-    backend_degradations,
-    clear_backend_degradations,
     execute_archipelago,
     execute_batch,
     execute_request,
@@ -171,10 +171,6 @@ __all__ = [
     "WorkerSummary",
     "backend_degradations",
     "cache_corruptions",
-    "clear_backend_degradations",
-    "clear_cache_corruptions",
-    "clear_resume_events",
-    "clear_task_attempts",
     "compact_spool",
     "curve_key",
     "execute_archipelago",

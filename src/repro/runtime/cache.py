@@ -13,7 +13,10 @@ Entries are written through :mod:`repro.durable`: atomically (temp
 file + rename, so a cache directory can be shared by concurrent
 workers) and inside a SHA-256 frame, but without fsync — an entry is
 recomputable, so one torn or bit-flipped by a crash or a bad disk is
-detected on read, recorded and evicted as a miss rather than raised.
+detected on read and evicted as a miss rather than raised, with a
+:class:`~repro.runtime.events.CacheCorruption` in the runtime event log
+(:func:`~repro.runtime.events.cache_corruptions`; recorded in a worker,
+it is replayed in the caller).
 
 The storage mechanics live in :class:`PickleStore` so sibling stores can
 share one directory, distinguished by entry suffix: :class:`RunCache`
@@ -305,7 +308,7 @@ class PickleStore:
         """The payload at ``path``; ``None`` when absent or corrupt.
 
         A corrupt entry is quarantined, not raised — recorded as a
-        :class:`~repro.runtime.integrity.CacheCorruption` with a warning
+        :class:`~repro.runtime.events.CacheCorruption` with a warning
         once per store and kind, so a flaky shared disk looks different
         from a cold cache.
         """

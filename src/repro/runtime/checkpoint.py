@@ -19,8 +19,8 @@ Crash consistency comes from :mod:`repro.durable`, applied twice:
   readable half-snapshot;
 * each snapshot's frame carries a SHA-256 over its pickled payload plus
   :data:`CHECKPOINT_FORMAT_VERSION`; a snapshot that fails either check
-  on read is **quarantined** (renamed aside, recorded via
-  :func:`repro.runtime.integrity.record_corruption`) and the store
+  on read is **quarantined** (renamed aside, recorded as a
+  :class:`~repro.runtime.events.CacheCorruption` event) and the store
   falls back to the next older snapshot — worst case the run restarts
   from step 0, exactly as if checkpointing were off.
 
@@ -42,6 +42,7 @@ from typing import Callable
 
 from repro import durable
 from repro.errors import RunCacheError
+from repro.runtime import events
 from repro.runtime.cache import PickleStore
 from repro.runtime.faults import FAULT_KILL_EXIT_CODE
 
@@ -52,7 +53,6 @@ __all__ = [
     "ResumeEvent",
     "RunCheckpointer",
     "arm_kill_at_step",
-    "clear_resume_events",
     "consume_armed_kill",
     "disarm_kill",
     "resume_events",
@@ -107,8 +107,12 @@ class CheckpointPolicy:
 
 
 @dataclass(frozen=True)
-class ResumeEvent:
+class ResumeEvent(events.Event):
     """One observed resume: a run continued from a snapshot.
+
+    Recorded in the runtime event log every time, silently; a worker
+    ships it to the coordinator, which derives
+    ``TaskAttempt.resumed_from_step`` from it.
 
     Attributes:
         key: The run's checkpoint key.
@@ -119,12 +123,6 @@ class ResumeEvent:
     step: int
 
 
-#: Resumes observed in this process, in observation order — queryable
-#: like :func:`~repro.runtime.distributed.task_attempts`, and read by
-#: the distributed worker to stamp ``resumed_from_step`` onto result
-#: payloads.
-_RESUME_EVENTS: list[ResumeEvent] = []
-
 #: Step at which the next checkpointer built in this process must kill
 #: it (the ``kill_at_step`` fault seam); ``None`` = disarmed.
 _ARMED_KILL_STEP: int | None = None
@@ -132,12 +130,7 @@ _ARMED_KILL_STEP: int | None = None
 
 def resume_events() -> tuple[ResumeEvent, ...]:
     """Every snapshot resume recorded so far, in observation order."""
-    return tuple(_RESUME_EVENTS)
-
-
-def clear_resume_events() -> None:
-    """Reset the resume record (tests; long-lived services)."""
-    _RESUME_EVENTS.clear()
+    return events.recorded(ResumeEvent)
 
 
 def arm_kill_at_step(step: int) -> None:
@@ -295,7 +288,7 @@ class RunCheckpointer:
         self._every = max(int(every), 0)
         self._kill_at_step = kill_at_step
         #: Step of the snapshot this run resumed from; ``None`` for a
-        #: fresh start.  Read back into ``TaskAttempt.resumed_from_step``.
+        #: fresh start.
         self.resumed_from_step: int | None = None
         self._loaded_step = 0
 
@@ -317,7 +310,7 @@ class RunCheckpointer:
         step, payload = found
         self._loaded_step = step
         self.resumed_from_step = step
-        _RESUME_EVENTS.append(ResumeEvent(key=self._key, step=step))
+        events.record(ResumeEvent(key=self._key, step=step))
         return payload
 
     def after_step(self, step: int, capture: Callable[[], object]) -> None:

@@ -67,11 +67,6 @@ class DistributedConfig:
             whatever is left.
         fault_plan: Optional :class:`~repro.runtime.faults.FaultPlan`
             written into the spool for workers to obey (testing).
-        checkpoint_every: Snapshot a task's engine state every N steps
-            (DESIGN.md §9) so a reclaimed task resumes mid-run instead
-            of replaying from scratch.  ``None`` defers to
-            :attr:`RuntimeConfig.checkpoint_every`; requires a
-            ``cache_dir`` (snapshots live beside the run cache).
     """
 
     spool_dir: Path | None = None
@@ -86,7 +81,6 @@ class DistributedConfig:
     poll_interval: float = 0.05
     max_worker_restarts: int = 4
     fault_plan: FaultPlan | None = None
-    checkpoint_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.spool_dir is not None and not isinstance(
@@ -122,11 +116,6 @@ class DistributedConfig:
                 f"max_worker_restarts must be >= 0, "
                 f"got {self.max_worker_restarts}"
             )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ExecutionError(
-                f"checkpoint_every must be >= 1 (None = disabled), "
-                f"got {self.checkpoint_every}"
-            )
 
 
 @dataclass(frozen=True)
@@ -157,11 +146,10 @@ class RuntimeConfig:
             ``"distributed"`` and is meaningless otherwise.
         checkpoint_every: Snapshot each dispatched run's engine state
             every N steps into the cache directory (DESIGN.md §9), so
-            an interrupted run resumes bit-identically from its latest
-            valid snapshot.  ``None`` disables (unless a
-            :attr:`DistributedConfig.checkpoint_every` overrides);
-            honored on every backend, but only when ``cache_dir`` is
-            set — snapshots need the same durable home as results.
+            an interrupted run (on any backend; under the distributed
+            backend, a reclaimed task) resumes bit-identically from its
+            latest valid snapshot.  ``None`` disables.  Needs
+            ``cache_dir``: snapshots share the durable home of results.
     """
 
     backend: str = "serial"
@@ -184,6 +172,11 @@ class RuntimeConfig:
                 f"checkpoint_every must be >= 1 (None = disabled), "
                 f"got {self.checkpoint_every}"
             )
+        if self.checkpoint_every is not None and self.cache_dir is None:
+            raise ExecutionError(
+                f"checkpoint_every={self.checkpoint_every} needs a "
+                "cache_dir: snapshots are written beside the run cache"
+            )
         if self.cache_dir is not None and not isinstance(self.cache_dir, Path):
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
@@ -202,20 +195,6 @@ class RuntimeConfig:
             if self.distributed is not None
             else DistributedConfig()
         )
-
-    def resolve_checkpoint_every(self) -> int:
-        """The effective snapshot period in steps (``0`` = disabled).
-
-        The distributed policy's value wins when set — the work-queue
-        path is where mid-run resume pays off most — otherwise the
-        runtime-level value applies to every backend.
-        """
-        if (
-            self.distributed is not None
-            and self.distributed.checkpoint_every is not None
-        ):
-            return self.distributed.checkpoint_every
-        return self.checkpoint_every or 0
 
     def with_cache(self, cache_dir: str | Path | None) -> "RuntimeConfig":
         """Copy of this config writing runs to ``cache_dir``."""

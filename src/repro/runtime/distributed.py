@@ -21,11 +21,16 @@ Robustness is structural, not bolted on:
   and **exponential backoff + jitter** (:func:`backoff_delay`), failing
   the map with :class:`~repro.errors.TaskRetryExhaustedError` once
   ``max_attempts`` is spent;
-* every attempt is recorded as a structured :class:`TaskAttempt`,
-  queryable after the run via :func:`task_attempts`;
+* every attempt is recorded as a structured :class:`TaskAttempt` in
+  the runtime event log (:mod:`repro.runtime.events`), queryable after
+  the run via :func:`task_attempts`;
+* every event a task records inside its worker (a quarantined
+  snapshot, a resume) travels back in the result payload's ``events``
+  list and is replayed into the coordinator's log, which derives
+  ``TaskAttempt.resumed_from_step`` from the shipped resumes;
 * a map that no worker attaches to within ``attach_deadline`` degrades
   to the process backend with a
-  :class:`~repro.runtime.degradation.BackendDegradationWarning`.
+  :class:`~repro.runtime.events.BackendDegradationWarning`.
 
 Determinism: tasks are pure functions of their payload (per-run integer
 seeds, §5), the coordinator assembles results strictly by task index,
@@ -58,14 +63,14 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro import durable
 from repro.errors import ExecutionError, TaskRetryExhaustedError
+from repro.runtime import events
+from repro.runtime.checkpoint import ResumeEvent, disarm_kill
 from repro.runtime.config import DistributedConfig, RuntimeConfig
-from repro.runtime.degradation import record_degradation
 from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
 )
-from repro.runtime.checkpoint import disarm_kill, resume_events
 from repro.runtime.faults import (
     FaultPlan,
     fire_fault,
@@ -82,7 +87,6 @@ __all__ = [
     "TaskLease",
     "WorkerSummary",
     "backoff_delay",
-    "clear_task_attempts",
     "run_worker",
     "signal_stop",
     "task_attempts",
@@ -441,8 +445,10 @@ class LeaseLedger:
 
 
 @dataclass(frozen=True)
-class TaskAttempt:
+class TaskAttempt(events.Event):
     """One attempt of one task, as observed by the coordinator.
+
+    Recorded in the runtime event log every time, silently.
 
     Attributes:
         task_index: The task's position in the map's item list.
@@ -455,8 +461,10 @@ class TaskAttempt:
         elapsed_seconds: Worker-measured execution time for completed
             attempts.
         resumed_from_step: Engine step of the checkpoint snapshot this
-            attempt resumed from (DESIGN.md §9); ``None`` when the
-            attempt started from scratch (or checkpointing was off).
+            attempt resumed from (DESIGN.md §9), taken from the
+            :class:`~repro.runtime.checkpoint.ResumeEvent` the worker
+            shipped; ``None`` when the attempt started from scratch
+            (or checkpointing was off).
         fault: Action of the planned fault injected into this attempt
             (:mod:`repro.runtime.faults`), or ``None``.
     """
@@ -471,20 +479,9 @@ class TaskAttempt:
     fault: str | None = None
 
 
-#: Attempts observed in this process, in observation order — the
-#: structured record the ISSUE's "queryable after the run" asks for
-#: (mirrors :func:`~repro.runtime.degradation.backend_degradations`).
-_TASK_ATTEMPTS: list[TaskAttempt] = []
-
-
 def task_attempts() -> tuple[TaskAttempt, ...]:
     """Every distributed task attempt recorded so far, in order."""
-    return tuple(_TASK_ATTEMPTS)
-
-
-def clear_task_attempts() -> None:
-    """Reset the attempt record (tests; long-lived services)."""
-    _TASK_ATTEMPTS.clear()
+    return events.recorded(TaskAttempt)
 
 
 # ---------------------------------------------------------------------------
@@ -630,37 +627,33 @@ def run_worker(
                     if spec is not None:
                         inject_fault(spec)
                 started = time.perf_counter()
-                events_before = len(resume_events())
-                try:
-                    task: SpoolTask = pickle.loads(claim_path.read_bytes())
-                    value = task.fn(task.item)
-                    payload = {
-                        "ok": True,
-                        "value": value,
-                        "error": None,
-                    }
-                    summary.completed += 1
-                except Exception as exc:
-                    payload = {
-                        "ok": False,
-                        "value": None,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                    summary.failed += 1
-                # A task that loaded a checkpoint snapshot records a
-                # ResumeEvent; surface the (latest) resumed step on the
-                # result payload so the coordinator's TaskAttempt ledger
-                # shows mid-run recovery, not just re-execution.
-                resumed = resume_events()[events_before:]
+                # The events the task records (a resume, a quarantined
+                # snapshot) belong to the coordinator: they ride back
+                # in the result payload and are replayed there.
+                with events.shipped() as recorded:
+                    try:
+                        task: SpoolTask = pickle.loads(
+                            claim_path.read_bytes()
+                        )
+                        value = task.fn(task.item)
+                        payload = {
+                            "ok": True,
+                            "value": value,
+                            "error": None,
+                        }
+                        summary.completed += 1
+                    except Exception as exc:
+                        payload = {
+                            "ok": False,
+                            "value": None,
+                            "error": f"{type(exc).__name__}: {exc}",
+                        }
+                        summary.failed += 1
                 payload.update(
                     worker=worker_id,
                     attempt=int(attempt_tag[1:]),
                     elapsed=time.perf_counter() - started,
-                    resumed_from_step=(
-                        max(event.step for event in resumed)
-                        if resumed
-                        else None
-                    ),
+                    events=recorded,
                 )
                 result = spool.results / f"{task_id}{RESULT_SUFFIX}"
                 try:
@@ -862,12 +855,12 @@ class _MapSession:
             f"{self._task_id(attempt.task_index)}.a{attempt.attempt:02d}"
         )
         attempt = replace(attempt, fault=fault)
-        _TASK_ATTEMPTS.append(attempt)
+        events.record(attempt)
         try:
             with self._spool.attempts_path.open("a", encoding="utf-8") as f:
                 f.write(json.dumps(attempt.__dict__, sort_keys=True) + "\n")
         except OSError:
-            pass  # the registry is authoritative; the file is advisory
+            pass  # the event log is authoritative; the file is advisory
 
     # -- protocol steps ----------------------------------------------
 
@@ -935,6 +928,15 @@ class _MapSession:
             attempt = payload.get("attempt") or self._ledger.lease(
                 index
             ).attempt
+            # Every observed execution's events happened, duplicates'
+            # included; a payload without the list shipped none.
+            shipped = payload.get("events") or ()
+            for event in shipped:
+                events.record(event)
+            resumed = [
+                event.step for event in shipped
+                if isinstance(event, ResumeEvent)
+            ]
             if payload.get("ok"):
                 if self._ledger.complete(index, now):
                     self._results[index] = payload["value"]
@@ -944,7 +946,7 @@ class _MapSession:
                         outcome="completed",
                         worker=payload.get("worker"),
                         elapsed_seconds=payload.get("elapsed"),
-                        resumed_from_step=payload.get("resumed_from_step"),
+                        resumed_from_step=max(resumed, default=None),
                     ))
             else:
                 error = payload.get("error") or "task failed"
@@ -1056,8 +1058,8 @@ class _MapSession:
             fallback = ProcessExecutor(jobs)
         else:
             fallback = SerialExecutor()
-        record_degradation(
-            self._fn,
+        events.record(events.BackendDegradation(
+            callable_name=events.callable_name(self._fn),
             requested="distributed",
             effective=fallback.name,
             reason=(
@@ -1068,7 +1070,7 @@ class _MapSession:
                 "start workers with `repro worker --spool DIR`, raise "
                 "attach_deadline, or configure local_workers > 0"
             ),
-        )
+        ))
         now = time.time()
         remaining = [
             lease.index for lease in self._ledger.unfinished()

@@ -14,7 +14,11 @@ Backend selection notes:
 * ``process`` — true parallelism for the simulation loop.  Both the
   callable and the items must be picklable; the run-execution layer
   (:mod:`repro.runtime.runner`) only submits module-level functions and
-  dataclass payloads, which satisfies that.
+  dataclass payloads, which satisfies that.  Every pool call runs
+  inside :func:`_call_pickled`, the pool's one worker-side wrapper: it
+  pickles the result together with the runtime events the call
+  recorded, and the parent replays those events into its own log
+  (:mod:`repro.runtime.events`).
 * ``distributed`` — a file-based work queue served by local and/or
   externally attached ``repro worker`` processes, with lease-based
   fault tolerance (:mod:`repro.runtime.distributed`, DESIGN.md §8).
@@ -25,10 +29,13 @@ Backend selection notes:
 from __future__ import annotations
 
 import abc
+import functools
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from repro.errors import ExecutionError
+from repro.runtime import events
 from repro.runtime.config import RuntimeConfig
 
 __all__ = [
@@ -71,8 +78,41 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
+class _CannotCross(ExecutionError):
+    """A work item or result of a process map that does not pickle."""
+
+
+def _call_pickled(fn: Callable[[T], R], payload: bytes) -> bytes:
+    """Worker side of a process map: unpickle the item, apply, pickle.
+
+    The result travels with the events ``fn`` recorded (see
+    :func:`repro.runtime.events.shipped`).  Pickling here rather than in
+    the pool's result queue is what tells a result that cannot cross
+    the boundary apart from an exception raised by ``fn`` itself, which
+    must reach the caller unchanged.
+    """
+    with events.shipped() as recorded:
+        result = fn(pickle.loads(payload))
+    try:
+        return pickle.dumps(
+            (result, recorded), protocol=pickle.HIGHEST_PROTOCOL
+        )
+    except Exception as exc:
+        raise _CannotCross(
+            f"result does not pickle ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 class ProcessExecutor(Executor):
-    """Process-pool execution (true parallelism; picklable work only)."""
+    """Process-pool execution (true parallelism; picklable work only).
+
+    Both pickling directions are explicit: an item or result that does
+    not pickle raises :class:`_CannotCross` (an
+    :class:`~repro.errors.ExecutionError`), so a caller can tell it
+    apart from an exception raised by the mapped callable, which
+    propagates as is.  Events each call records in its worker are
+    replayed into this process's log in item order.
+    """
 
     name = "process"
 
@@ -97,8 +137,26 @@ class ProcessExecutor(Executor):
         workers = min(self._jobs, len(items))
         if workers < 2:
             return [fn(item) for item in items]
+        try:
+            payloads = [
+                pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+                for item in items
+            ]
+        except Exception as exc:  # pickle raises a zoo of types here
+            raise _CannotCross(
+                f"work item does not pickle ({type(exc).__name__}: {exc})"
+            ) from None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            replies = list(
+                pool.map(functools.partial(_call_pickled, fn), payloads)
+            )
+        results = []
+        for reply in replies:
+            result, recorded = pickle.loads(reply)
+            for event in recorded:
+                events.record(event)
+            results.append(result)
+        return results
 
 
 def get_executor(config: RuntimeConfig | None = None) -> Executor:

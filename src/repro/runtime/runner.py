@@ -17,7 +17,6 @@ front).  Determinism is structural rather than incidental:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import pickle
 from dataclasses import dataclass, replace
@@ -25,6 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import RunCacheError
 from repro.rng import rng_from_seed
+from repro.runtime import events
 from repro.runtime.cache import RunCache, fingerprint_many, run_fingerprint
 from repro.runtime.checkpoint import (
     CheckpointPolicy,
@@ -33,14 +33,7 @@ from repro.runtime.checkpoint import (
     consume_armed_kill,
 )
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.degradation import (
-    BackendDegradation,
-    BackendDegradationWarning,
-    backend_degradations,
-    clear_backend_degradations,
-    record_degradation,
-)
-from repro.runtime.executor import Executor, get_executor
+from repro.runtime.executor import _CannotCross, get_executor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -48,12 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ArchipelagoRequest",
-    "BackendDegradation",
-    "BackendDegradationWarning",
     "BatchRequest",
     "RunRequest",
-    "backend_degradations",
-    "clear_backend_degradations",
     "execute_archipelago",
     "execute_batch",
     "execute_request",
@@ -63,27 +52,6 @@ __all__ = [
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-# Degradation records live in repro.runtime.degradation (shared with the
-# distributed backend, which cannot import this module without cycling);
-# re-exported here because this is where PR 5 introduced them.
-
-
-def _record_degradation(
-    fn: Callable, reason: str, requested: str = "process"
-) -> None:
-    """Record a →serial degradation and warn once per callable."""
-    record_degradation(
-        fn,
-        requested=requested,
-        effective="serial",
-        reason=reason,
-        hint=(
-            "pass a module-level function over picklable payloads to "
-            f"keep {requested} parallelism"
-        ),
-    )
 
 
 def _pickling_blocker(fn: Callable, probe_item: object) -> str | None:
@@ -103,49 +71,6 @@ def _pickling_blocker(fn: Callable, probe_item: object) -> str | None:
     except Exception as exc:
         return f"work item does not pickle ({type(exc).__name__}: {exc})"
     return None
-
-
-class _CannotCross(Exception):
-    """A work item or result of a process map that does not pickle."""
-
-
-def _call_pickled(fn: Callable[[T], R], payload: bytes) -> bytes:
-    """Worker side of a process map: unpickle the item, apply, pickle.
-
-    Pickling the result here rather than in the pool's result queue is
-    what tells a result that cannot cross the boundary apart from an
-    exception raised by ``fn`` itself, which must reach the caller
-    unchanged.
-    """
-    result = fn(pickle.loads(payload))
-    try:
-        return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise _CannotCross(
-            f"result does not pickle ({type(exc).__name__}: {exc})"
-        ) from None
-
-
-def _map_across(
-    executor: Executor, fn: Callable[[T], R], items: list[T]
-) -> list[R]:
-    """Map on a process pool with both pickling directions explicit.
-
-    Raises:
-        _CannotCross: If an item or a result does not pickle.  Anything
-            else is raised by ``fn`` and propagates as is.
-    """
-    try:
-        payloads = [
-            pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
-            for item in items
-        ]
-    except Exception as exc:
-        raise _CannotCross(
-            f"work item does not pickle ({type(exc).__name__}: {exc})"
-        ) from None
-    results = executor.map(functools.partial(_call_pickled, fn), payloads)
-    return [pickle.loads(result) for result in results]
 
 
 @dataclass(frozen=True)
@@ -542,7 +467,6 @@ def dispatch_requests(
     keys: Sequence[str] | None,
     config: RuntimeConfig,
     cache: RunCache | None,
-    checkpoint_every: int | None = None,
 ) -> tuple[list["EvolutionRun"], list[int]]:
     """Serve requests from cache, dispatch the misses, write fresh runs back.
 
@@ -563,13 +487,11 @@ def dispatch_requests(
         requests: The work items, in result order.
         keys: Cache key per request (aligned), or ``None`` to skip the
             cache entirely.
-        config: Backend/jobs selection.
+        config: Backend/jobs selection; its ``checkpoint_every``
+            attaches a snapshot policy to every work item (DESIGN.md
+            §9), with the snapshots beside the run cache in its
+            directory.
         cache: Cache instance; ``None`` disables lookups and writes.
-        checkpoint_every: Snapshot every N engine steps (DESIGN.md §9);
-            ``None`` falls back to ``config.resolve_checkpoint_every()``
-            and ``0`` disables.  Checkpoints need a durable home, so
-            the policy only attaches when a cache is configured — the
-            snapshots live beside the run cache in its directory.
 
     Returns:
         ``(results, dispatched)``: results aligned with ``requests``,
@@ -591,14 +513,12 @@ def dispatch_requests(
     if pending:
         executor = get_executor(config)
         work = _plan_work(requests, pending)
-        every = (
-            checkpoint_every
-            if checkpoint_every is not None
-            else config.resolve_checkpoint_every()
-        )
-        if every and cache is not None:
+        if config.checkpoint_every is not None:
+            # RuntimeConfig refuses a period without a cache directory,
+            # so every caller has a cache to hold the snapshots.
             policy = CheckpointPolicy(
-                directory=str(cache.directory), every=every
+                directory=str(cache.directory),
+                every=config.checkpoint_every,
             )
             work = [replace(item, checkpoint=policy) for item in work]
         # Under the distributed backend the *workers* write fresh runs
@@ -703,11 +623,12 @@ def parallel_map(
     cross a process boundary (closure/lambda callables — probed up
     front together with the first item — or, on the process backend, a
     later item or a result that fails to pickle) runs serially
-    in-process instead; a one-time :class:`BackendDegradationWarning`
-    names the callable and the pickling error, and the event is
-    recorded (:func:`backend_degradations`).  Map work must therefore
-    be effect-free: a result that fails to pickle re-runs the whole
-    batch serially.  An exception raised by ``fn`` itself is no
+    in-process instead; a one-time
+    :class:`~repro.runtime.events.BackendDegradationWarning` names the
+    callable and the pickling error, and the event is recorded
+    (:func:`~repro.runtime.events.backend_degradations`).  Map work
+    must therefore be effect-free: a result that fails to pickle
+    re-runs the whole batch serially.  An exception raised by ``fn`` itself is no
     degradation: it reaches the caller once, unchanged.
 
     Args:
@@ -722,12 +643,19 @@ def parallel_map(
         return executor.map(fn, items)
     items = list(items)
     reason = _pickling_blocker(fn, items[0]) if items else None
-    if reason is None and executor.name == "distributed":
-        return executor.map(fn, items)
     if reason is None:
         try:
-            return _map_across(executor, fn, items)
+            return executor.map(fn, items)
         except _CannotCross as exc:
             reason = f"map failed to cross the process boundary ({exc})"
-    _record_degradation(fn, reason, requested=config.backend)
+    events.record(events.BackendDegradation(
+        callable_name=events.callable_name(fn),
+        requested=config.backend,
+        effective="serial",
+        reason=reason,
+        hint=(
+            "pass a module-level function over picklable payloads to "
+            f"keep {config.backend} parallelism"
+        ),
+    ))
     return [fn(item) for item in items]

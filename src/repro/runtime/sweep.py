@@ -133,17 +133,11 @@ class SweepPlan:
             used.  Under ``"batched"`` the dispatcher stacks each
             cell's uncached runs into one pass (DESIGN.md §7); models
             without batched support (CM-V) run on reference.
-        checkpoint_every: Snapshot each dispatched run's engine state
-            every N steps (DESIGN.md §9).  ``None`` defers to the
-            runtime config at execution time; carried on the plan so a
-            long sweep's resumability policy travels with the grid.
-            Like the engine override it never enters cache keys.
     """
 
     cells: tuple[SweepCell, ...]
     record_history: bool = False
     engine: str | None = None
-    checkpoint_every: int | None = None
 
     @property
     def n_cells(self) -> int:
@@ -174,7 +168,6 @@ def plan_cells(
     seed: SeedLike = None,
     record_history: bool = False,
     engine: str | None = None,
-    checkpoint_every: int | None = None,
 ) -> SweepPlan:
     """Draw per-run seeds for an ordered sequence of (model, spec) cells.
 
@@ -192,8 +185,6 @@ def plan_cells(
         record_history: Forwarded to every run.
         engine: Per-run engine override forwarded to every run
             (``"reference"`` or ``"batched"``; see :class:`SweepPlan`).
-        checkpoint_every: Snapshot period in engine steps (see
-            :class:`SweepPlan`); ``None`` defers to the runtime config.
 
     Raises:
         ExecutionError: If ``n_runs < 1``.
@@ -211,7 +202,6 @@ def plan_cells(
         ),
         record_history=record_history,
         engine=engine,
-        checkpoint_every=checkpoint_every,
     )
 
 
@@ -222,7 +212,6 @@ def plan_grid(
     seed: SeedLike = None,
     record_history: bool = False,
     engine: str | None = None,
-    checkpoint_every: int | None = None,
 ) -> SweepPlan:
     """Plan the full cuisine-major (model × cuisine) grid.
 
@@ -238,8 +227,6 @@ def plan_grid(
         record_history: Forwarded to every run.
         engine: Per-run engine override forwarded to every run
             (``"reference"`` or ``"batched"``; see :class:`SweepPlan`).
-        checkpoint_every: Snapshot period in engine steps (see
-            :class:`SweepPlan`); ``None`` defers to the runtime config.
 
     Raises:
         ExecutionError: On an empty model or cuisine axis.
@@ -255,7 +242,6 @@ def plan_grid(
         seed=seed,
         record_history=record_history,
         engine=engine,
-        checkpoint_every=checkpoint_every,
     )
 
 
@@ -389,10 +375,7 @@ def execute_sweep(
                 plan.engine,
             )
         ]
-    results, dispatched = dispatch_requests(
-        requests, keys, config, cache,
-        checkpoint_every=plan.checkpoint_every,
-    )
+    results, dispatched = dispatch_requests(requests, keys, config, cache)
 
     dispatched_set = set(dispatched)
     cells = tuple(

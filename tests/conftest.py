@@ -21,6 +21,7 @@ from repro.lexicon.builder import standard_lexicon
 from repro.lexicon.categories import Category
 from repro.lexicon.ingredient import Ingredient
 from repro.lexicon.lexicon import Lexicon
+from repro.runtime import events
 from repro.synthesis.worldgen import WorldKitchen
 
 #: True when the suite runs in fast mode (``REPRO_FAST=1``).
@@ -28,6 +29,18 @@ FAST_MODE = os.environ.get("REPRO_FAST", "") == "1"
 
 #: Ensemble-size ceiling applied in fast mode.
 FAST_MAX_RUNS = 2
+
+
+@pytest.fixture(autouse=True)
+def _empty_event_log():
+    """Every test starts and ends with an empty runtime event log.
+
+    The log and its warn-once gate are process-wide, so a test that
+    records (or warns) would otherwise leak into the next one.
+    """
+    events.clear()
+    yield
+    events.clear()
 
 
 @pytest.fixture(scope="session")

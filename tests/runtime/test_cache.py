@@ -340,8 +340,7 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     """
     import numpy as np
 
-    from repro.runtime import cache_corruptions, clear_cache_corruptions
-    from repro.runtime.integrity import CacheCorruptionWarning
+    from repro.runtime import CacheCorruptionWarning, cache_corruptions
     from repro.transactions import _narrow
 
     cache = RunCache(tmp_path)
@@ -357,13 +356,9 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     raw[start + len(positions) // 2] ^= 0x01
     path.write_bytes(bytes(raw))
 
-    clear_cache_corruptions()
-    try:
-        with pytest.warns(CacheCorruptionWarning):
-            assert cache.get(key) is None
-        (event,) = cache_corruptions()
-        assert event.kind == "checksum-mismatch"
-        assert event.action == "removed"
-        assert not path.exists()
-    finally:
-        clear_cache_corruptions()
+    with pytest.warns(CacheCorruptionWarning):
+        assert cache.get(key) is None
+    (event,) = cache_corruptions()
+    assert event.kind == "checksum-mismatch"
+    assert event.action == "removed"
+    assert not path.exists()

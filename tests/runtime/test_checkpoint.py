@@ -24,8 +24,6 @@ from repro.runtime import (
     RunCache,
     RunCheckpointer,
     cache_corruptions,
-    clear_cache_corruptions,
-    clear_resume_events,
     resume_events,
 )
 from repro.runtime.checkpoint import (
@@ -38,13 +36,9 @@ from repro.runtime.checkpoint import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_records():
-    clear_cache_corruptions()
-    clear_resume_events()
+def _disarmed():
     disarm_kill()
     yield
-    clear_cache_corruptions()
-    clear_resume_events()
     disarm_kill()
 
 

@@ -27,7 +27,7 @@ import repro.runtime.checkpoint as checkpoint_module
 from repro.models.batched import run_batched
 from repro.models.registry import create_model
 from repro.rng import rng_from_seed
-from repro.runtime import CheckpointStore, RunCheckpointer, clear_resume_events
+from repro.runtime import CheckpointStore, RunCheckpointer
 
 
 class Killed(BaseException):
@@ -44,9 +44,6 @@ def _in_process_kills(monkeypatch):
         checkpoint_module, "_hard_exit",
         lambda code: (_ for _ in ()).throw(Killed()),
     )
-    clear_resume_events()
-    yield
-    clear_resume_events()
 
 
 def _signature(run) -> bytes:

@@ -28,8 +28,7 @@ from repro.runtime import (
     RuntimeConfig,
     Spool,
     backend_degradations,
-    clear_backend_degradations,
-    clear_task_attempts,
+    events,
     execute_runs,
     get_executor,
     parallel_map,
@@ -71,15 +70,6 @@ def _config(**overrides) -> RuntimeConfig:
     return RuntimeConfig(
         backend="distributed", jobs=2, distributed=fast_distributed(**overrides)
     )
-
-
-@pytest.fixture(autouse=True)
-def _clean_records():
-    clear_task_attempts()
-    clear_backend_degradations()
-    yield
-    clear_task_attempts()
-    clear_backend_degradations()
 
 
 def _run_signature(runs):
@@ -214,7 +204,7 @@ def test_attempt_records_are_queryable_and_clearable():
     assert record.task_index in (0, 1)
     assert record.worker is not None
     assert record.elapsed_seconds is not None
-    clear_task_attempts()
+    events.clear()
     assert task_attempts() == ()
 
 

@@ -41,7 +41,6 @@ from repro.runtime import (
     RuntimeConfig,
     Spool,
     cache_corruptions,
-    clear_cache_corruptions,
     compact_spool,
     run_worker,
     spool_stats,
@@ -63,13 +62,6 @@ WINDOWS = ("after-write", "after-fsync", "before-rename")
 KEY = "ab" * 32
 OLD = {"version": "old", "data": np.arange(50_000)}
 NEW = {"version": "new", "data": np.arange(50_000) + 1}
-
-
-@pytest.fixture(autouse=True)
-def _clean_records():
-    clear_cache_corruptions()
-    yield
-    clear_cache_corruptions()
 
 
 def _same(payload: object, expected: dict) -> bool:

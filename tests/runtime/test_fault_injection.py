@@ -26,8 +26,6 @@ from repro.runtime import (
     FaultPlan,
     FaultSpec,
     RuntimeConfig,
-    clear_backend_degradations,
-    clear_task_attempts,
     execute_runs,
     get_executor,
     task_attempts,
@@ -42,15 +40,6 @@ from repro.runtime.faults import (
 
 def _double(x: int) -> int:
     return x * 2
-
-
-@pytest.fixture(autouse=True)
-def _clean_records():
-    clear_task_attempts()
-    clear_backend_degradations()
-    yield
-    clear_task_attempts()
-    clear_backend_degradations()
 
 
 def _config(plan: FaultPlan | None = None, **overrides) -> RuntimeConfig:
@@ -277,10 +266,9 @@ def test_distributed_kill_at_step_resumes_bit_identical(
         FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
                   at_step=4),
     ))
-    config = _config(plan, checkpoint_every=2)
     config = RuntimeConfig(
         backend="distributed", jobs=2, cache_dir=tmp_path / "cache",
-        distributed=config.distributed,
+        distributed=_config(plan).distributed, checkpoint_every=2,
     )
     faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)
@@ -312,10 +300,10 @@ def test_distributed_kill_at_step_resumes_batched_engine(
     ))
     # One local worker, so local-0 is guaranteed to claim the single
     # batched task first; its replacement (fresh name) retries it.
-    config = _config(plan, local_workers=1, checkpoint_every=1)
     config = RuntimeConfig(
         backend="distributed", jobs=1, cache_dir=tmp_path / "cache",
-        distributed=config.distributed,
+        distributed=_config(plan, local_workers=1).distributed,
+        checkpoint_every=1,
     )
     faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
     assert _run_signature(faulted) == _run_signature(serial)

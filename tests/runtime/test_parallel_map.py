@@ -12,7 +12,6 @@ from repro.runtime import (
     BackendDegradationWarning,
     RuntimeConfig,
     backend_degradations,
-    clear_backend_degradations,
     parallel_map,
 )
 
@@ -45,13 +44,6 @@ def _raise_attribute_error(x: int) -> int:
 
 def _make_lock(_x: int) -> threading.Lock:
     return threading.Lock()
-
-
-@pytest.fixture(autouse=True)
-def _clean_degradation_log():
-    clear_backend_degradations()
-    yield
-    clear_backend_degradations()
 
 
 def test_picklable_fn_keeps_process_backend():

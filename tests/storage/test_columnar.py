@@ -10,7 +10,7 @@ from repro.analysis.itemsets import mine_frequent_itemsets
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import corpus_stats
 from repro.errors import StorageError
-from repro.runtime import cache_corruptions, clear_cache_corruptions
+from repro.runtime import cache_corruptions
 from repro.runtime.curve_cache import transactions_fingerprint
 from repro.storage.columnar import (
     COLUMNAR_FORMAT_VERSION,
@@ -266,20 +266,13 @@ def test_writer_temp_files_cleaned_on_success(tmp_path, tiny_dataset):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture()
-def _clean_corruptions():
-    clear_cache_corruptions()
-    yield
-    clear_cache_corruptions()
-
-
 def _pack_tiny(tmp_path, tiny_dataset):
     path = tmp_path / f"victim{COLUMNAR_SUFFIX}"
     pack_dataset(tiny_dataset, path).close()
     return path
 
 
-def test_corrupt_magic_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
+def test_corrupt_magic_quarantined(tmp_path, tiny_dataset):
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
@@ -293,7 +286,7 @@ def test_corrupt_magic_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
     assert events[-1].kind == durable.TORN
 
 
-def test_torn_write_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
+def test_torn_write_quarantined(tmp_path, tiny_dataset):
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
@@ -305,8 +298,7 @@ def test_torn_write_quarantined(tmp_path, tiny_dataset, _clean_corruptions):
 
 
 def test_footer_checksum_mismatch_quarantined(
-    tmp_path, tiny_dataset, _clean_corruptions
-):
+    tmp_path, tiny_dataset):
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = bytearray(path.read_bytes())
     # Flip a byte inside the JSON footer (between the planes and the
@@ -318,7 +310,7 @@ def test_footer_checksum_mismatch_quarantined(
     assert path.with_suffix(path.suffix + ".bad").exists()
 
 
-def test_verify_catches_plane_bitrot(tmp_path, tiny_dataset, _clean_corruptions):
+def test_verify_catches_plane_bitrot(tmp_path, tiny_dataset):
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = bytearray(path.read_bytes())
     # Flip a byte in the first plane, past the magic: the footer still
@@ -331,15 +323,14 @@ def test_verify_catches_plane_bitrot(tmp_path, tiny_dataset, _clean_corruptions)
     assert cache_corruptions()[-1].kind == "checksum-mismatch"
 
 
-def test_missing_file_raises_without_quarantine(tmp_path, _clean_corruptions):
+def test_missing_file_raises_without_quarantine(tmp_path):
     with pytest.raises(StorageError):
         ColumnarCorpus.open(tmp_path / f"absent{COLUMNAR_SUFFIX}")
     assert cache_corruptions() == ()
 
 
 def test_format_version_mismatch_quarantined(
-    tmp_path, tiny_dataset, _clean_corruptions
-):
+    tmp_path, tiny_dataset):
     assert COLUMNAR_FORMAT_VERSION == 1
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = path.read_bytes()

@@ -157,6 +157,18 @@ def test_sweep_mine_requires_cache_dir(capsys):
     assert "--cache-dir" in capsys.readouterr().err
 
 
+def test_checkpoint_every_without_cache_dir_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "sweep", "--regions", "KOR", "--models", "NM", "--runs", "1",
+            "--scale", "0.02", "--checkpoint-every", "5",
+        ])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "cache_dir" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["sweep", "--models", "CM-X"])
