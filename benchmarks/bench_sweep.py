@@ -8,7 +8,7 @@ scale) three ways:
   call per (model, cuisine) cell, serial backend;
 * **per-cell process** — parallel within each cell, but cells still walk
   serially (workers idle while each small ensemble drains);
-* **sharded sweep** — the whole grid flattened through
+* **sharded sweep** — the whole grid, cell by cell, through
   :func:`repro.runtime.sweep.execute_sweep` in one process-backend pass.
 
 and verifies all three stay bit-identical for the fixed master seed.

@@ -16,7 +16,7 @@ Subcommands::
     repro resolve     — resolve raw ingredient mentions via the lexicon
     repro report      — run every experiment, write a markdown report
     repro sweep       — execute the model×cuisine run grid in one
-                        sharded pass (and warm the run cache; ``--mine``
+                        pass (and warm the run cache; ``--mine``
                         also warms the mined-curve cache)
     repro worker      — serve a distributed work-queue spool directory
                         (claim tasks, heartbeat, write results) until
@@ -312,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="execute the model x cuisine run grid in one sharded pass",
+        help="execute the model x cuisine run grid in one pass",
         description=(
-            "Plan the full (model x cuisine x seed) grid, shard every run "
-            "across the chosen backend in a single pass, and print a "
+            "Plan the full (model x cuisine x seed) grid, dispatch every "
+            "cell across the chosen backend in a single pass, and print a "
             "per-model summary.  With --cache-dir the completed runs warm "
             "the on-disk cache, so a later `repro experiment fig4` or "
             "`repro report` with the same --scale/--seed/--runs reuses "
@@ -649,9 +649,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     requested = tuple(args.regions) if args.regions else None
     if requested is not None:
-        # Typos surface during corpus generation below; duplicates must
-        # fail here — they would silently inflate the duplicated
-        # cuisine's corpus before any grid work.
+        # Unknown codes fail when the context resolves them against
+        # the corpus below (generated or packed); duplicates must fail
+        # here — they would silently inflate the duplicated cuisine's
+        # corpus before any grid work.
         select_regions(requested, requested)
     context = ExperimentContext.create(
         scale=args.scale,

@@ -93,7 +93,7 @@ def _mean_model_distance(
 ) -> float:
     """Mean Eq. 2 distance of one configured model across cuisines.
 
-    The per-cuisine ensembles execute as one sharded sweep, planned in
+    The per-cuisine ensembles execute as one sweep, planned in
     cuisine order so the seed draws replay the serial per-cell path.
     """
     mining = mining if mining is not None else context.mining

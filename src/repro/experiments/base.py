@@ -20,7 +20,7 @@ from repro.errors import ExperimentError
 from repro.lexicon.builder import standard_lexicon
 from repro.lexicon.lexicon import Lexicon
 from repro.rng import DEFAULT_SEED
-from repro.runtime import CurveCache, RuntimeConfig
+from repro.runtime import CurveCache, RuntimeConfig, select_regions
 from repro.synthesis.worldgen import WorldKitchen
 
 __all__ = ["ExperimentContext", "ExperimentResultProtocol"]
@@ -106,12 +106,16 @@ class ExperimentContext:
                 ``"reference"`` or ``"batched"`` (default: each
                 model's own, i.e. batched).
             corpus_path: Open a packed columnar corpus (DESIGN.md §11)
-                instead of generating one; ``scale``/``seed``/
-                ``region_codes`` then do not shape the corpus (seed
-                still drives model runs).  The experiments' model
+                instead of generating one; ``scale``/``seed`` then do
+                not shape the corpus (seed still drives model runs) and
+                ``region_codes`` selects from it.  The experiments' model
                 calibration needs object views, so the corpus is
                 materialized here — packing wins by making worldgen a
                 one-time cost, not by keeping experiments zero-copy.
+
+        Raises:
+            ExecutionError: If ``region_codes`` names a cuisine the
+                packed corpus lacks, or names one twice.
         """
         if scale <= 0:
             raise ExperimentError(f"scale must be > 0, got {scale}")
@@ -126,7 +130,11 @@ class ExperimentContext:
             with ColumnarCorpus.open(corpus_path) as corpus:
                 dataset = corpus.to_dataset()
             if region_codes is not None:
-                dataset = dataset.subset(region_codes)
+                # Against the corpus itself, not the global region
+                # table: a code the corpus lacks must fail, not vanish.
+                dataset = dataset.subset(
+                    select_regions(dataset.region_codes(), region_codes)
+                )
         else:
             kitchen = WorldKitchen(lex, seed=seed)
             dataset = kitchen.generate_dataset(

@@ -156,8 +156,8 @@ def run_fig4(
     """Regenerate Fig. 4 from the context's corpus.
 
     The full (model × cuisine × seed) grid is planned and executed as
-    one sharded sweep (:mod:`repro.runtime.sweep`): every run request
-    goes through a single backend pass instead of one ensemble at a
+    one sweep (:mod:`repro.runtime.sweep`): every cell's work items go
+    through a single backend pass instead of one ensemble at a
     time, which saturates a many-core box end to end while staying
     bit-identical to the per-cell path for a fixed ``context.seed``.
     With a ``--cache-dir`` runtime both layers warm: cached runs skip

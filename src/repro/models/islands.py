@@ -35,9 +35,8 @@ dispatchable model: its result is a pure function of
 :class:`~repro.runtime.cache.RunCache` under the versioned
 :data:`ISLANDS_STREAM_VERSION` contract, and
 :func:`run_island_ensemble` fans whole archipelago ensembles out
-through :func:`~repro.runtime.runner.dispatch_requests` (process /
-distributed backends), where consecutive same-seed members
-regroup into single archipelago executions.
+through :func:`~repro.runtime.runner.dispatch_work` (process /
+distributed backends) as one archipelago execution per master seed.
 """
 
 from __future__ import annotations
@@ -524,9 +523,9 @@ class IslandSimulation:
     ) -> list[EvolutionRun]:
         """Run the whole archipelago once, return the selected members.
 
-        The grouped-dispatch entry (see
+        The archipelago-dispatch entry (see
         :func:`~repro.runtime.runner.execute_archipelago`): one
-        execution serves every member the dispatcher folded together.
+        execution serves every member of the dispatched item.
         """
         outcome = self.run(seed, record_history=record_history)
         codes = self.codes
@@ -629,9 +628,9 @@ class IslandMemberModel(CulinaryEvolutionModel):
     the full simulation: inner model, every spec, topology, import
     policy, plus the :data:`ISLANDS_STREAM_VERSION` contract) and
     dispatch through any backend, while
-    :func:`~repro.runtime.runner._plan_work` folds consecutive
-    same-(simulation, seed) members back into one archipelago
-    execution so an N-island request costs one simulation, not N.
+    :func:`run_island_ensemble` plans all members of one master seed
+    as one :class:`~repro.runtime.runner.ArchipelagoRequest` so an
+    N-island execution costs one simulation, not N.
     """
 
     def __init__(self, simulation: IslandSimulation, member_index: int):
@@ -726,11 +725,10 @@ def run_island_ensemble(
 ) -> IslandEnsembleResult:
     """Run ``n_runs`` archipelago simulations through the runtime.
 
-    Requests are ordered seed-major (every member of archipelago 0,
-    then every member of archipelago 1, …) so the dispatcher's
-    same-(simulation, seed) grouping executes each uncached archipelago
-    exactly once, while cached member runs are served per island from
-    the :class:`~repro.runtime.cache.RunCache`.  Bit-identical across
+    Plans one :class:`~repro.runtime.runner.ArchipelagoRequest` per
+    master seed, so each uncached archipelago executes exactly once,
+    while cached member runs are served per island from the
+    :class:`~repro.runtime.cache.RunCache`.  Bit-identical across
     serial/process/distributed backends for a fixed ``seed``.
 
     Args:
@@ -745,12 +743,12 @@ def run_island_ensemble(
         record_history: Record every island's ``(m, n)`` trajectory.
     """
     from repro.runtime import (
+        ArchipelagoRequest,
         RunCache,
-        RunRequest,
         RuntimeConfig,
         fingerprint_many,
     )
-    from repro.runtime.runner import dispatch_requests
+    from repro.runtime.runner import dispatch_work
 
     if n_runs < 1:
         raise ModelError(f"n_runs must be >= 1, got {n_runs}")
@@ -762,44 +760,41 @@ def run_island_ensemble(
     if cache is None and config.cache_dir is not None:
         cache = RunCache(config.cache_dir)
 
-    requests = [
-        RunRequest(
-            model=member,
-            spec=member.spec,
-            seed=master,
-            record_history=record_history,
-        )
-        for master in master_seeds
-        for member in members
-    ]
-    keys = None
+    keys: list = [None] * n_runs
     if cache is not None:
-        # One canonicalization per member covers all of its seeds;
-        # reorder the member-major key lists into the seed-major
-        # request order.
-        member_keys = [
+        # One canonicalization per member covers all of its seeds; an
+        # archipelago's keys are its members' keys for its seed.
+        keys = list(zip(*(
             fingerprint_many(
                 member, member.spec, master_seeds, record_history, None
             )
             for member in members
-        ]
-        keys = [
-            member_keys[k][s]
-            for s in range(n_runs)
-            for k in range(len(members))
-        ]
-    results, dispatched = dispatch_requests(requests, keys, config, cache)
+        )))
+    done = dispatch_work(
+        [
+            (
+                ArchipelagoRequest(
+                    simulation=simulation,
+                    members=tuple(range(len(members))),
+                    seed=master,
+                    record_history=record_history,
+                ),
+                archipelago_keys,
+            )
+            for master, archipelago_keys in zip(master_seeds, keys)
+        ],
+        config,
+        cache,
+    )
 
     codes = simulation.codes
     runs = {
-        code: tuple(
-            results[s * len(members) + k] for s in range(n_runs)
-        )
+        code: tuple(member_runs[k] for member_runs, _ in done)
         for k, code in enumerate(codes)
     }
     return IslandEnsembleResult(
         codes=codes,
         seeds=tuple(master_seeds),
         runs=runs,
-        executed=len(dispatched),
+        executed=n_runs * len(members) - sum(cached for _, cached in done),
     )

@@ -31,10 +31,10 @@ swappable concern:
 * :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
   compaction behind ``repro spool stats|compact``;
 * :mod:`~repro.runtime.runner` — deterministic run execution
-  (:func:`execute_runs`) built on per-run integer seed streams,
-  same-cell grouping of ``engine="batched"`` work into single stacked
-  passes (DESIGN.md §7), plus :func:`parallel_map` for the per-run
-  mining fan-out;
+  (:func:`execute_runs`) built on per-run integer seed streams: the
+  cell is the unit of dispatch, so an ``engine="batched"`` cell runs
+  as one stacked pass (DESIGN.md §7); plus :func:`parallel_map` for
+  the per-run mining fan-out;
 * :mod:`~repro.runtime.cache` — an on-disk run cache keyed by
   ``(model, params, cuisine, seed)`` shared across backends and
   invocations;
@@ -43,9 +43,10 @@ swappable concern:
   directory, distinct entry suffix), so warm sweeps and experiments
   skip re-mining entirely (DESIGN.md §6);
 * :mod:`~repro.runtime.sweep` — the grid sweep planner: expand a full
-  (model × cuisine × seed) grid into one flat request list, shard it
-  across the backend in a single pass, and merge results back into
-  per-cell ensembles (:func:`plan_grid` / :func:`execute_sweep`).
+  (model × cuisine × seed) grid into per-cell seed streams, dispatch
+  every cell's work items across the backend in a single pass, and
+  collect them back into per-cell ensembles (:func:`plan_grid` /
+  :func:`execute_sweep`).
 
 The determinism contract: for a fixed master seed, every backend
 produces **bit-identical** :class:`~repro.models.base.EvolutionRun`

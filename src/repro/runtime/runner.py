@@ -150,8 +150,8 @@ def _checkpointer_for(
 def _is_island_member(model: "CulinaryEvolutionModel") -> bool:
     """Duck-typed check for :class:`~repro.models.islands.IslandMemberModel`.
 
-    Kept attribute-based (like :func:`_group_signature`) so the runtime
-    never imports the models layer at module scope.
+    Kept attribute-based so the runtime never imports the models layer
+    at module scope.
     """
     return (
         getattr(model, "simulation", None) is not None
@@ -189,14 +189,16 @@ def execute_request(request: RunRequest) -> "EvolutionRun":
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """A same-cell group of runs executed as one batched pass.
+    """One cell's runs executed as one batched pass.
 
-    The batched engine's unit of work (DESIGN.md §7): every seed shares
-    the same model, spec, history flag and engine override, so the whole
-    group advances through :func:`repro.models.batched.run_batched` in
-    one set of stacked arrays instead of ``len(seeds)`` per-run
-    dispatches.  Like :class:`RunRequest` it is a pure, picklable
-    payload — a batch can cross a process boundary whole.
+    The batched engine's unit of work (DESIGN.md §7): the planner turns
+    a cell whose engine resolves to ``"batched"`` into one batch, so its
+    seeds share the model, spec, history flag and engine override and
+    advance through :func:`repro.models.batched.run_batched` in one set
+    of stacked arrays instead of ``len(seeds)`` per-run dispatches.  The
+    dispatcher shrinks a partly cached batch to its misses.  Like
+    :class:`RunRequest` it is a pure, picklable payload — a batch can
+    cross a process boundary whole.
 
     Attributes:
         model: The configured evolution model (shared by every run).
@@ -204,8 +206,8 @@ class BatchRequest:
         seeds: Integer child seeds, one per run; result order follows
             seed order.
         record_history: Forwarded to the batch.
-        engine: The requests' engine override, carried for provenance
-            (grouping already proved it resolves to ``"batched"``).
+        engine: The cell's engine override, carried for provenance
+            (the planner already proved it resolves to ``"batched"``).
         checkpoint: Optional crash-consistency policy (DESIGN.md §9);
             excluded from every member run's cache key, like
             :attr:`RunRequest.checkpoint`.
@@ -245,20 +247,22 @@ def execute_batch(batch: BatchRequest) -> list["EvolutionRun"]:
 
 @dataclass(frozen=True)
 class ArchipelagoRequest:
-    """A same-(simulation, seed) group of island members, run once.
+    """The island members of one archipelago execution, run once.
 
     The island engine's unit of work (DESIGN.md §10): every member of
     an :class:`~repro.models.islands.IslandSimulation` is an
     independently cacheable run, but they are all produced by *one*
-    archipelago execution for a given master seed.  The dispatcher
-    folds consecutive same-simulation same-seed member requests into
-    this item so the simulation runs once, not once per member.  Like
-    the other work items it is a pure, picklable payload.
+    archipelago execution for a given master seed.
+    :func:`~repro.models.islands.run_island_ensemble` plans one such
+    item per master seed, so the simulation runs once, not once per
+    member; the dispatcher shrinks a partly cached item to its
+    uncached members.  Like the other work items it is a pure,
+    picklable payload.
 
     Attributes:
         simulation: The archipelago to execute.
-        members: Member indices to return, in request order.
-        seed: The integer master seed shared by the group.
+        members: Member indices to return, in result order.
+        seed: The integer master seed of the execution.
         record_history: Forwarded to the simulation.
         checkpoint: Accepted for dispatch-policy compatibility and
             ignored — the scalar archipelago loop does not snapshot.
@@ -277,7 +281,7 @@ def execute_archipelago(request: ArchipelagoRequest) -> list["EvolutionRun"]:
     Module-level so the process backend can pickle it.  The raw integer
     master seed passes straight through — the same seed a solo
     :func:`execute_request` hands an island member and a direct
-    ``IslandSimulation.run(seed=master)`` uses — so grouped, solo and
+    ``IslandSimulation.run(seed=master)`` uses — so archipelago, solo and
     direct member runs are all bit-identical.
     """
     # Islands do not checkpoint; consume any armed kill_at_step fault
@@ -297,7 +301,7 @@ def _execute_work(
     run list.
 
     The uniform shape lets one order-preserving ``executor.map`` carry
-    a mixed sequence of singles and groups; the caller flattens.
+    a mixed sequence of singles and groups.
     """
     if isinstance(item, BatchRequest):
         return execute_batch(item)
@@ -306,91 +310,75 @@ def _execute_work(
     return [execute_request(item)]
 
 
-def _group_signature(request: RunRequest) -> tuple | None:
-    """The adjacency-grouping key for one pending request, if any.
+def _plan_cell(
+    model: "CulinaryEvolutionModel",
+    spec: "CuisineSpec",
+    seeds: Sequence[int],
+    record_history: bool = False,
+    engine: str | None = None,
+    keyed: bool = False,
+) -> list[tuple["RunRequest | BatchRequest", tuple[str, ...] | None]]:
+    """Turn one (model, cuisine) cell into its work items.
 
-    Two kinds of request fold into group work items:
-
-    * island members (duck-typed on the ``simulation``/``member_index``
-      attributes of :class:`~repro.models.islands.IslandMemberModel`)
-      group by (simulation identity, master seed, history flag) — every
-      member of one archipelago execution;
-    * batched-resolving requests group by (model identity, spec
-      identity, history flag, engine override) — one same-cell stacked
-      pass (DESIGN.md §7).
+    A cell whose engine resolves to ``"batched"`` is one
+    :class:`BatchRequest` (one stacked pass, DESIGN.md §7); any other
+    cell is one :class:`RunRequest` per seed.  Each item comes paired
+    with the cache keys of its runs, in seed order, when ``keyed``
+    (one canonicalization for the whole cell — only the seed varies),
+    else with ``None``.
     """
-    if _is_island_member(request.model):
-        return ("islands", id(request.model.simulation), request.seed,
-                request.record_history)
-    if request.model.resolve_engine(request.engine) == "batched":
-        return ("batched", id(request.model), id(request.spec),
-                request.record_history, request.engine)
-    return None
+    keys = (
+        tuple(fingerprint_many(model, spec, seeds, record_history, engine))
+        if keyed else None
+    )
+    if model.resolve_engine(engine) == "batched":
+        batch = BatchRequest(
+            model=model, spec=spec, seeds=tuple(seeds),
+            record_history=record_history, engine=engine,
+        )
+        return [(batch, keys)] if seeds else []
+    return [
+        (
+            RunRequest(model=model, spec=spec, seed=seed,
+                       record_history=record_history, engine=engine),
+            None if keys is None else (keys[position],),
+        )
+        for position, seed in enumerate(seeds)
+    ]
 
 
-def _plan_work(
-    requests: Sequence[RunRequest], pending: Sequence[int]
-) -> list["RunRequest | BatchRequest | ArchipelagoRequest"]:
-    """Group adjacent groupable misses into batch/archipelago items.
+def _shrink(
+    item: "RunRequest | BatchRequest | ArchipelagoRequest",
+    keep: Sequence[int] | None = None,
+) -> "RunRequest | BatchRequest | ArchipelagoRequest":
+    """The part of a work item left to execute: its runs at ``keep``.
 
-    Walks the pending indices in dispatch order and folds consecutive
-    requests sharing a :func:`_group_signature` into one work item:
-    batched-resolving same-cell runs become a :class:`BatchRequest`
-    (one stacked pass), island members of the same simulation and
-    master seed become an :class:`ArchipelagoRequest` (one archipelago
-    execution).  Everything else (other engines, singleton groups)
-    stays a plain per-run request.  Identity-based grouping is
-    deliberately conservative: :func:`execute_runs`, the sweep layer
-    and :func:`~repro.models.islands.run_island_ensemble` build their
-    requests from shared objects in grouping order, so groups always
-    form there, while equal-but-distinct configurations never
-    accidentally merge.
+    ``None`` keeps every run.  A group left with one run dispatches as
+    a plain :class:`RunRequest`, so a lone run keys its snapshots and
+    receives its seed exactly like any solo run.
     """
-    work: list["RunRequest | BatchRequest | ArchipelagoRequest"] = []
-    group: list[RunRequest] = []
-    group_signature: tuple | None = None
-
-    def flush() -> None:
-        if not group:
-            return
-        first = group[0]
-        if len(group) == 1:
-            work.append(first)
-        elif group_signature is not None and group_signature[0] == "islands":
-            work.append(
-                ArchipelagoRequest(
-                    simulation=first.model.simulation,
-                    members=tuple(
-                        request.model.member_index for request in group
-                    ),
-                    seed=first.seed,
-                    record_history=first.record_history,
-                )
-            )
-        else:
-            work.append(
-                BatchRequest(
-                    model=first.model,
-                    spec=first.spec,
-                    seeds=tuple(request.seed for request in group),
-                    record_history=first.record_history,
-                    engine=first.engine,
-                )
-            )
-        group.clear()
-
-    for index in pending:
-        request = requests[index]
-        signature = _group_signature(request)
-        if signature is None or signature != group_signature:
-            flush()
-            group_signature = signature
-        if signature is None:
-            work.append(request)
-        else:
-            group.append(request)
-    flush()
-    return work
+    if isinstance(item, BatchRequest):
+        seeds = item.seeds if keep is None else tuple(
+            item.seeds[position] for position in keep
+        )
+        if len(seeds) > 1:
+            return replace(item, seeds=seeds)
+        return RunRequest(
+            model=item.model, spec=item.spec, seed=seeds[0],
+            record_history=item.record_history, engine=item.engine,
+        )
+    if isinstance(item, ArchipelagoRequest):
+        members = item.members if keep is None else tuple(
+            item.members[position] for position in keep
+        )
+        if len(members) > 1:
+            return replace(item, members=members)
+        member = item.simulation.member(members[0])
+        return RunRequest(
+            model=member, spec=member.spec, seed=item.seed,
+            record_history=item.record_history,
+        )
+    return item
 
 
 @dataclass(frozen=True)
@@ -400,7 +388,7 @@ class _CacheThroughWork:
     The distributed backend's unit of dispatch: the worker that computes
     the runs also writes them into the shared
     :class:`~repro.runtime.cache.RunCache` (keyed per run, aligned with
-    the item's seed order), making the cache directory the result
+    the item's run order), making the cache directory the result
     rendezvous — an interrupted sweep resumes from whatever any worker
     finished, even if the coordinator never saw it.
     """
@@ -432,87 +420,65 @@ def _execute_work_write_through(
     return runs
 
 
-def _plan_write_through(
-    work: Sequence["RunRequest | BatchRequest | ArchipelagoRequest"],
-    keys: Sequence[str],
-    pending: Sequence[int],
-    cache_dir: str,
-) -> list[_CacheThroughWork]:
-    """Pair each planned work item with the cache keys of its runs."""
-    wrapped: list[_CacheThroughWork] = []
-    cursor = 0
-    for item in work:
-        if isinstance(item, BatchRequest):
-            count = len(item.seeds)
-        elif isinstance(item, ArchipelagoRequest):
-            count = len(item.members)
-        else:
-            count = 1
-        wrapped.append(
-            _CacheThroughWork(
-                item=item,
-                cache_dir=cache_dir,
-                keys=tuple(
-                    keys[pending[cursor + offset]]
-                    for offset in range(count)
-                ),
-            )
-        )
-        cursor += count
-    return wrapped
-
-
-def dispatch_requests(
-    requests: Sequence[RunRequest],
-    keys: Sequence[str] | None,
+def dispatch_work(
+    work: Sequence[
+        tuple["RunRequest | BatchRequest | ArchipelagoRequest",
+              Sequence[str] | None]
+    ],
     config: RuntimeConfig,
     cache: RunCache | None,
-) -> tuple[list["EvolutionRun"], list[int]]:
-    """Serve requests from cache, dispatch the misses, write fresh runs back.
+) -> list[tuple[list["EvolutionRun"], int]]:
+    """Serve work items from cache, dispatch the rest, write fresh runs back.
 
-    The shared core of :func:`execute_runs` and
-    :func:`~repro.runtime.sweep.execute_sweep` — one place owns the
-    cache policy: lookups happen up front, only misses reach the
-    backend (in request order, so order-preserving executors keep the
-    result list aligned with ``requests``), and a cache *write* failure
-    disables further writes rather than discarding computed results.
-
-    Misses whose engine resolves to ``"batched"`` are additionally
-    folded into same-cell :class:`BatchRequest` groups (see
-    :func:`_plan_work`) and executed as single stacked passes; because
-    batched runs are bit-identical regardless of batch composition,
-    cache hits splitting a group never change any run's result.
+    The shared core of :func:`~repro.runtime.sweep.execute_sweep` (and
+    so of :func:`execute_runs`) and
+    :func:`~repro.models.islands.run_island_ensemble` — one place owns
+    the cache policy.  Each item arrives with the cache keys of its
+    runs, in its run order.  Lookups happen up front: an item
+    whose runs are all cached is skipped, a partly cached one shrinks
+    to its misses (:func:`_shrink`), and the remaining items reach the
+    backend in one order-preserving map, in plan order.  Because every
+    run is bit-identical whatever item carries it, shrinking never
+    changes a result.  A cache *write* failure disables further writes
+    rather than discarding computed results.
 
     Args:
-        requests: The work items, in result order.
-        keys: Cache key per request (aligned), or ``None`` to skip the
-            cache entirely.
+        work: ``(item, keys)`` pairs in result order; ``keys`` may be
+            ``None`` when ``cache`` is.
         config: Backend/jobs selection; its ``checkpoint_every``
-            attaches a snapshot policy to every work item (DESIGN.md
-            §9), with the snapshots beside the run cache in its
-            directory.
+            attaches a snapshot policy to every dispatched item
+            (DESIGN.md §9), with the snapshots beside the run cache in
+            its directory.
         cache: Cache instance; ``None`` disables lookups and writes.
 
     Returns:
-        ``(results, dispatched)``: results aligned with ``requests``,
-        plus the indices that were executed rather than served from
-        cache.
+        Per item: its runs in the item's run order, and how many of
+        them were served from cache.
     """
-    results: list["EvolutionRun | None"] = [None] * len(requests)
-    pending: list[int] = []
-    if cache is not None and keys is not None:
-        for index, key in enumerate(keys):
-            cached = cache.get(key)
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(requests)))
+    results: list[list["EvolutionRun | None"] | None] = []
+    cached: list[int] = []
+    # (work index, positions of the runs it fills or None for all,
+    # item to execute, cache keys of those runs)
+    pending: list[tuple] = []
+    for index, (item, keys) in enumerate(work):
+        if cache is None:
+            results.append(None)
+            cached.append(0)
+            pending.append((index, None, _shrink(item), None))
+            continue
+        served = [cache.get(key) for key in keys]
+        misses = [position for position, run in enumerate(served) if run is None]
+        results.append(served)
+        cached.append(len(served) - len(misses))
+        if misses:
+            pending.append((
+                index, misses, _shrink(item, misses),
+                tuple(keys[position] for position in misses),
+            ))
 
     if pending:
         executor = get_executor(config)
-        work = _plan_work(requests, pending)
+        items = [item for _, _, item, _ in pending]
         if config.checkpoint_every is not None:
             # RuntimeConfig refuses a period without a cache directory,
             # so every caller has a cache to hold the snapshots.
@@ -520,38 +486,41 @@ def dispatch_requests(
                 directory=str(cache.directory),
                 every=config.checkpoint_every,
             )
-            work = [replace(item, checkpoint=policy) for item in work]
+            items = [replace(item, checkpoint=policy) for item in items]
         # Under the distributed backend the *workers* write fresh runs
         # into the shared cache directory (the result rendezvous,
         # DESIGN.md §8) and the coordinator skips its own puts; every
         # other backend writes back here, after the map.
-        write_through = (
-            config.backend == "distributed"
-            and cache is not None
-            and keys is not None
-        )
+        write_through = config.backend == "distributed" and cache is not None
         if write_through:
-            computed_lists = executor.map(
+            computed = executor.map(
                 _execute_work_write_through,
-                _plan_write_through(
-                    work, keys, pending, str(cache.directory)
-                ),
+                [
+                    _CacheThroughWork(
+                        item=item, cache_dir=str(cache.directory), keys=keys
+                    )
+                    for item, (_, _, _, keys) in zip(items, pending)
+                ],
             )
         else:
-            computed_lists = executor.map(_execute_work, work)
-        computed = [run for runs in computed_lists for run in runs]
-        for index, run in zip(pending, computed):
-            results[index] = run
-            if cache is not None and keys is not None and not write_through:
-                # The cache is an optimization: a write failure
-                # (disk full, permissions, unpicklable payload) must
-                # never discard computed results.  Stop writing after
-                # the first failure; lookups already succeeded.
-                try:
-                    cache.put(keys[index], run)
-                except RunCacheError:
-                    cache = None
-    return results, pending  # type: ignore[return-value]
+            computed = executor.map(_execute_work, items)
+        for (index, misses, _, keys), runs in zip(pending, computed):
+            if misses is None:
+                results[index] = runs
+                continue
+            for position, key, run in zip(misses, keys, runs):
+                results[index][position] = run
+                if cache is not None and not write_through:
+                    # The cache is an optimization: a write failure
+                    # (disk full, permissions, unpicklable payload)
+                    # must never discard computed results.  Stop
+                    # writing after the first failure; lookups already
+                    # succeeded.
+                    try:
+                        cache.put(key, run)
+                    except RunCacheError:
+                        cache = None
+    return list(zip(results, cached))  # type: ignore[arg-type]
 
 
 def execute_runs(
@@ -565,10 +534,12 @@ def execute_runs(
 ) -> list["EvolutionRun"]:
     """Execute one run per seed, in seed order, through the runtime.
 
-    When a cache is configured (explicitly, or via
-    ``runtime.cache_dir``), cached runs are served from disk and only
-    the misses are dispatched to the backend; fresh results are written
-    back so later invocations — any backend, any process — reuse them.
+    A one-cell :func:`~repro.runtime.sweep.execute_sweep`: the cell is
+    planned and dispatched exactly as a sweep cell is.  When a cache is
+    configured (explicitly, or via ``runtime.cache_dir``), cached runs
+    are served from disk and only the misses are dispatched to the
+    backend; fresh results are written back so later invocations — any
+    backend, any process — reuse them.
 
     Args:
         model: The configured model.
@@ -581,31 +552,22 @@ def execute_runs(
         engine: Per-run engine override forwarded to every run
             (``"reference"`` or ``"batched"``; default: the model's
             ``params.engine``).  An engine resolving to ``"batched"``
-            executes same-cell cache misses as stacked group passes,
-            each run identical to its solo execution (DESIGN.md §7);
-            CM-V resolves to reference.
+            executes the cell's cache misses as one stacked pass, each
+            run identical to its solo execution (DESIGN.md §7); CM-V
+            resolves to reference.
 
     Returns:
         Runs aligned with ``seeds``.
     """
-    config = runtime if runtime is not None else RuntimeConfig()
-    if cache is None and config.cache_dir is not None:
-        cache = RunCache(config.cache_dir)
-    requests = [
-        RunRequest(model=model, spec=spec, seed=int(seed),
-                   record_history=record_history, engine=engine)
-        for seed in seeds
-    ]
-    keys = None
-    if cache is not None:
-        # One canonicalization for the whole batch — only the seed
-        # varies between requests.
-        keys = fingerprint_many(
-            model, spec, [request.seed for request in requests],
-            record_history, engine,
-        )
-    results, _dispatched = dispatch_requests(requests, keys, config, cache)
-    return results
+    # Imported here: the sweep layer is built on this module.
+    from repro.runtime.sweep import SweepCell, SweepPlan, execute_sweep
+
+    plan = SweepPlan(
+        cells=(SweepCell(model, spec, tuple(int(seed) for seed in seeds)),),
+        record_history=record_history,
+        engine=engine,
+    )
+    return list(execute_sweep(plan, runtime=runtime, cache=cache).cells[0].runs)
 
 
 def parallel_map(

@@ -1,31 +1,31 @@
-"""Sharded sweeps over the full (model × cuisine × seed) run grid.
+"""Sweeps over the full (model × cuisine × seed) run grid.
 
-:func:`~repro.runtime.runner.execute_runs` parallelizes *within* one
-(model, cuisine) ensemble; experiment drivers that walk a grid of cells
-serially therefore leave most cores idle between cells — a 25-cell wait
-on the slowest ensemble, repeated 25 times.  The sweep planner removes
-that barrier:
+:func:`~repro.runtime.runner.execute_runs` runs one (model, cuisine)
+ensemble — a one-cell sweep; experiment drivers that walked a grid one
+ensemble at a time would leave most cores idle between cells — a
+25-cell wait on the slowest ensemble, repeated 25 times.  The sweep
+planner removes that barrier:
 
 1. **plan** — expand an ordered grid of (model, cuisine) cells into
    per-cell seed streams, drawing every seed up front from one root
    generator (:func:`plan_cells` / :func:`plan_grid`);
-2. **shard** — flatten all cells into one list of
-   :class:`~repro.runtime.runner.RunRequest`s and push it through a
-   *single* executor map, so workers drain the whole grid instead of one
+2. **dispatch** — the cell is the unit of dispatch: each cell becomes
+   its work items (one batched pass, or one request per seed on other
+   engines), and every cell's items go through a *single* executor map
+   in plan order, so workers drain the whole grid instead of one
    ensemble at a time (:func:`execute_sweep`);
-3. **merge** — slice the order-preserved results back into per-cell run
-   tuples (:class:`CellRuns` inside :class:`SweepResult`).
+3. **merge** — collect each cell's items back into its run tuple
+   (:class:`CellRuns` inside :class:`SweepResult`).
 
 Determinism: the planner draws seeds cell by cell, in cell order, from
 the root generator — exactly the draws a serial loop of per-cell
 ``run_ensemble``/``execute_runs`` calls makes.  Since each run is a pure
 function of ``(model, spec, seed)`` and executors preserve order, a
-sharded sweep is bit-identical to the per-cell path for a fixed master
+sweep is bit-identical to the per-cell path for a fixed master
 seed, on every backend (see DESIGN.md §5).
 
-The on-disk run cache is consulted per request, so a warm cell costs
-zero worker time and a sweep interrupted halfway resumes where it
-stopped.
+The on-disk run cache is consulted per run, so a warm cell costs zero
+worker time and a sweep interrupted halfway resumes where it stopped.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ExecutionError
 from repro.rng import SeedLike, ensure_rng, spawn_seeds
-from repro.runtime.cache import RunCache, fingerprint_many
+from repro.runtime.cache import RunCache
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.runner import RunRequest, dispatch_requests
+from repro.runtime.runner import _plan_cell, dispatch_work
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -130,9 +130,9 @@ class SweepPlan:
             Carried on the plan so one grid can be re-executed on
             another engine without rebuilding the models, and so the
             cache keys of a sweep cover the engine its runs actually
-            used.  Under ``"batched"`` the dispatcher stacks each
-            cell's uncached runs into one pass (DESIGN.md §7); models
-            without batched support (CM-V) run on reference.
+            used.  Under ``"batched"`` each cell's uncached runs
+            execute as one stacked pass (DESIGN.md §7); models without
+            batched support (CM-V) run on reference.
     """
 
     cells: tuple[SweepCell, ...]
@@ -147,20 +147,6 @@ class SweepPlan:
     def total_runs(self) -> int:
         return sum(cell.n_runs for cell in self.cells)
 
-    def requests(self) -> list[RunRequest]:
-        """The flat, cell-major work list this plan shards."""
-        return [
-            RunRequest(
-                model=cell.model,
-                spec=cell.spec,
-                seed=seed,
-                record_history=self.record_history,
-                engine=self.engine,
-            )
-            for cell in self.cells
-            for seed in cell.seeds
-        ]
-
 
 def plan_cells(
     cells: Iterable[tuple["CulinaryEvolutionModel", "CuisineSpec"]],
@@ -174,7 +160,7 @@ def plan_cells(
     Seeds are drawn cell by cell, in the given order, from one root
     generator — the exact draws a serial loop of per-cell
     :func:`~repro.models.ensemble.run_ensemble` calls over the same
-    order makes, which is what keeps a sharded sweep bit-identical to
+    order makes, which is what keeps a sweep bit-identical to
     the per-cell path.
 
     Args:
@@ -274,7 +260,7 @@ class CellRuns:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Merged results and execution stats of one sharded sweep.
+    """Merged results and execution stats of one sweep.
 
     Attributes:
         cells: Per-cell results, in plan order.
@@ -331,15 +317,16 @@ def execute_sweep(
     runtime: RuntimeConfig | None = None,
     cache: RunCache | None = None,
 ) -> SweepResult:
-    """Execute a planned sweep as one sharded pass over the backend.
+    """Execute a planned sweep as one pass over the backend.
 
-    Every cell's requests are flattened into a single work list and
-    dispatched through one executor map, so many small cells saturate
-    the worker pool that a per-cell loop would repeatedly drain.  When a
-    cache is configured (explicitly, or via ``runtime.cache_dir``),
-    cached runs are served from disk and only the misses are dispatched;
-    fresh results are written back so later sweeps — any backend, any
-    grid slicing — reuse them.
+    Each cell becomes its work items — one batched pass when its engine
+    resolves to ``"batched"``, else one request per seed — and every
+    cell's items go through one executor map in plan order, so many
+    small cells saturate the worker pool that a per-cell loop would
+    repeatedly drain.  When a cache is configured (explicitly, or via
+    ``runtime.cache_dir``), cached runs are served from disk and only
+    the misses are dispatched; fresh results are written back so later
+    sweeps — any backend, any grid slicing — reuse them.
 
     Args:
         plan: The planned grid (see :func:`plan_cells` / :func:`plan_grid`).
@@ -355,43 +342,33 @@ def execute_sweep(
         cache = RunCache(config.cache_dir)
 
     start = time.perf_counter()
-    requests = plan.requests()
-    bounds: list[tuple[int, int]] = []
-    offset = 0
-    for cell in plan.cells:
-        bounds.append((offset, offset + cell.n_runs))
-        offset += cell.n_runs
-
-    keys = None
-    if cache is not None:
-        # One canonicalization per cell, not per run — only the seed
-        # varies within a cell.  The concatenation is request-aligned
-        # because plan.requests() is cell-major in the same cell order.
-        keys = [
-            key
-            for cell in plan.cells
-            for key in fingerprint_many(
-                cell.model, cell.spec, cell.seeds, plan.record_history,
-                plan.engine,
-            )
-        ]
-    results, dispatched = dispatch_requests(requests, keys, config, cache)
-
-    dispatched_set = set(dispatched)
-    cells = tuple(
-        CellRuns(
-            cell=cell,
-            runs=tuple(results[lo:hi]),
-            cached=sum(
-                1 for index in range(lo, hi) if index not in dispatched_set
-            ),
+    cell_work = [
+        _plan_cell(
+            cell.model, cell.spec, cell.seeds, plan.record_history,
+            plan.engine, keyed=cache is not None,
         )
-        for cell, (lo, hi) in zip(plan.cells, bounds)
+        for cell in plan.cells
+    ]
+    done = iter(
+        dispatch_work(
+            [pair for work in cell_work for pair in work], config, cache
+        )
     )
+    cells = []
+    for cell, work in zip(plan.cells, cell_work):
+        parts = [next(done) for _ in work]
+        cells.append(
+            CellRuns(
+                cell=cell,
+                runs=tuple(run for runs, _ in parts for run in runs),
+                cached=sum(cached for _, cached in parts),
+            )
+        )
+    cached = sum(cell_runs.cached for cell_runs in cells)
     return SweepResult(
-        cells=cells,
-        executed=len(dispatched),
-        cached=len(requests) - len(dispatched),
+        cells=tuple(cells),
+        executed=plan.total_runs - cached,
+        cached=cached,
         elapsed_seconds=time.perf_counter() - start,
         backend=config.backend,
         jobs=config.resolve_jobs(),

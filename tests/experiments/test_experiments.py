@@ -6,13 +6,15 @@ import json
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExecutionError, ExperimentError
 from repro.experiments.base import ExperimentContext
 from repro.experiments.fig1 import run_fig1
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.table1 import run_table1
+from repro.storage.columnar import pack_dataset
+from repro.synthesis.worldgen import WorldKitchen
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,23 @@ def test_context_create_builds_corpus(lexicon):
     )
     assert set(context.dataset.region_codes()) == {"JPN", "KOR"}
     assert context.scale == 0.02
+
+
+def test_context_create_refuses_regions_the_packed_corpus_lacks(
+    lexicon, tmp_path
+):
+    dataset = WorldKitchen(lexicon, seed=1).generate_dataset(
+        region_codes=("KOR",), scale=0.02
+    )
+    path = tmp_path / "kor.col"
+    with pack_dataset(dataset, path):
+        pass
+    context = ExperimentContext.create(corpus_path=path, region_codes=("KOR",))
+    assert context.dataset.region_codes() == ("KOR",)
+    with pytest.raises(ExecutionError, match=r"\['ITA'\].*\('KOR',\)"):
+        ExperimentContext.create(
+            corpus_path=path, region_codes=("KOR", "ITA")
+        )
 
 
 def test_context_create_validation():

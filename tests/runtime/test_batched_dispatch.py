@@ -1,13 +1,16 @@
 """Batched-engine dispatch through the runtime (DESIGN.md §7).
 
-The dispatcher folds adjacent cache misses that resolve to
-``engine="batched"`` into same-cell :class:`BatchRequest` groups and
-executes each group as one stacked pass.  The contract tested here:
+The cell is the unit of dispatch: the planner turns a cell whose
+engine resolves to ``"batched"`` into one :class:`BatchRequest`, the
+dispatcher shrinks it to its cache misses, and each batch executes as
+one stacked pass.  The contract tested here:
 
-* grouping is same-cell and identity-based — other engines, other
-  models, and singleton misses stay plain per-run requests;
+* a batch is exactly one cell — other engines and unbatchable models
+  plan plain per-run requests, a batch shrunk to one miss dispatches
+  as a plain request, and two cells never share a batch, even when
+  built from the same objects;
 * results are bit-identical to solo (batch-of-one) execution on every
-  backend, regardless of how cache hits split a group;
+  backend, regardless of how cache hits shrink a batch;
 * cached batched runs interoperate with per-run replay: each run is
   individually cacheable and its transaction plane pickles back as an
   equal plane;
@@ -32,8 +35,11 @@ from repro.runtime import (
     RunRequest,
     RuntimeConfig,
     execute_runs,
+    execute_sweep,
+    plan_cells,
 )
-from repro.runtime.runner import _plan_work
+from repro.runtime import runner
+from repro.runtime.runner import _plan_cell, _shrink
 from repro.transactions import TransactionPlane
 
 
@@ -41,22 +47,18 @@ def _signature(runs):
     return [(run.transactions, run.trace) for run in runs]
 
 
-def _requests(model, spec, seeds, engine="batched"):
-    return [
-        RunRequest(model=model, spec=spec, seed=int(seed), engine=engine)
-        for seed in seeds
-    ]
+def _items(model, spec, seeds, engine="batched"):
+    return [item for item, _keys in _plan_cell(model, spec, seeds, engine=engine)]
 
 
 # ----------------------------------------------------------------------
-# Grouping
+# Planning
 # ----------------------------------------------------------------------
 
 
 def test_plan_work_groups_same_cell_runs(tiny_spec):
     model = create_model("CM-R")
-    requests = _requests(model, tiny_spec, range(4))
-    work = _plan_work(requests, list(range(4)))
+    work = _items(model, tiny_spec, range(4))
     assert len(work) == 1
     (batch,) = work
     assert isinstance(batch, BatchRequest)
@@ -64,31 +66,28 @@ def test_plan_work_groups_same_cell_runs(tiny_spec):
 
 
 def test_plan_work_keeps_singletons_as_run_requests(tiny_spec):
+    """A batch shrunk to one miss dispatches as a plain request."""
     model = create_model("CM-R")
-    requests = _requests(model, tiny_spec, range(3))
-    work = _plan_work(requests, [1])
-    assert len(work) == 1
-    assert isinstance(work[0], RunRequest)
-    assert work[0].seed == 1
+    (batch,) = _items(model, tiny_spec, range(3))
+    item = _shrink(batch, [1])
+    assert isinstance(item, RunRequest)
+    assert item.seed == 1
 
 
 def test_plan_work_groups_across_cache_hits(tiny_spec):
-    """A hit between two misses does not break the same-cell group."""
+    """A hit between two misses leaves one batch of the misses."""
     model = create_model("CM-R")
-    requests = _requests(model, tiny_spec, range(3))
-    work = _plan_work(requests, [0, 2])
-    assert len(work) == 1
-    (batch,) = work
-    assert isinstance(batch, BatchRequest)
-    assert batch.seeds == (0, 2)
+    (batch,) = _items(model, tiny_spec, range(3))
+    item = _shrink(batch, [0, 2])
+    assert isinstance(item, BatchRequest)
+    assert item.seeds == (0, 2)
 
 
 def test_plan_work_respects_cell_boundaries(tiny_spec):
     cm_r, cm_c = create_model("CM-R"), create_model("CM-C")
-    requests = _requests(cm_r, tiny_spec, range(2)) + _requests(
+    work = _items(cm_r, tiny_spec, range(2)) + _items(
         cm_c, tiny_spec, range(2)
     )
-    work = _plan_work(requests, list(range(4)))
     assert len(work) == 2
     assert all(isinstance(item, BatchRequest) for item in work)
     assert [item.model.name for item in work] == ["CM-R", "CM-C"]
@@ -96,17 +95,39 @@ def test_plan_work_respects_cell_boundaries(tiny_spec):
 
 def test_plan_work_leaves_other_engines_alone(tiny_spec):
     model = create_model("CM-R")
-    requests = _requests(model, tiny_spec, range(3), engine="reference")
-    work = _plan_work(requests, list(range(3)))
+    work = _items(model, tiny_spec, range(3), engine="reference")
     assert all(isinstance(item, RunRequest) for item in work)
 
 
 def test_plan_work_degrades_unbatchable_models(tiny_spec):
-    """CM-V resolves to reference, so its requests never group."""
+    """CM-V resolves to reference, so its cells plan per-run requests."""
     model = VariableSizeCopyMutate()
-    requests = _requests(model, tiny_spec, range(3))
-    work = _plan_work(requests, list(range(3)))
+    work = _items(model, tiny_spec, range(3))
     assert all(isinstance(item, RunRequest) for item in work)
+
+
+def test_same_objects_in_two_cells_dispatch_as_two_batches(
+    tiny_spec, monkeypatch
+):
+    """Two cells sharing model and spec objects stay two batches, so a
+    cell's batch (and its checkpoint key) never depends on its
+    neighbour."""
+    model = create_model("CM-R")
+    plan = plan_cells(
+        [(model, tiny_spec), (model, tiny_spec)], n_runs=3, seed=4,
+        engine="batched",
+    )
+    sizes = []
+    execute_batch = runner.execute_batch
+
+    def spy(batch):
+        sizes.append(batch.seeds)
+        return execute_batch(batch)
+
+    monkeypatch.setattr(runner, "execute_batch", spy)
+    result = execute_sweep(plan)
+    assert sizes == [cell.seeds for cell in plan.cells]
+    assert [len(cell_runs.runs) for cell_runs in result.cells] == [3, 3]
 
 
 # ----------------------------------------------------------------------

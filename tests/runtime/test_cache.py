@@ -9,6 +9,7 @@ from repro.models.ensemble import run_ensemble
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
+    CacheCorruptionWarning,
     RunCache,
     RuntimeConfig,
     execute_runs,
@@ -196,7 +197,8 @@ def test_corrupt_entry_is_a_miss_and_recomputed(tiny_spec, tmp_path):
 
     for path in tmp_path.glob("*.run.pkl"):
         path.write_bytes(b"not a pickle")
-    recovered = execute_runs(model, tiny_spec, seeds, cache=cache)
+    with pytest.warns(CacheCorruptionWarning):
+        recovered = execute_runs(model, tiny_spec, seeds, cache=cache)
     assert _signature(recovered) == _signature(clean)
     # the corrupt files were replaced with good entries
     rewarmed = execute_runs(model, tiny_spec, seeds, cache=cache)
@@ -340,7 +342,7 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     """
     import numpy as np
 
-    from repro.runtime import CacheCorruptionWarning, cache_corruptions
+    from repro.runtime import cache_corruptions
     from repro.transactions import _narrow
 
     cache = RunCache(tmp_path)

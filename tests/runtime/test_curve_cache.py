@@ -8,6 +8,7 @@ import pytest
 from repro.config import MiningConfig
 from repro.errors import RunCacheError
 from repro.runtime import (
+    CacheCorruptionWarning,
     CurveCache,
     RunCache,
     curve_key,
@@ -105,7 +106,8 @@ def test_corrupt_entry_is_evicted(tmp_path):
     key = "b" * 64
     cache.put(key, np.array([1.0]))
     cache.path_for(key).write_bytes(b"not a pickle")
-    assert cache.get(key) is None
+    with pytest.warns(CacheCorruptionWarning):
+        assert cache.get(key) is None
     assert not cache.path_for(key).exists()
 
 

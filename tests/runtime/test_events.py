@@ -31,6 +31,7 @@ from repro.runtime import (
     events,
     execute_runs,
     execute_sweep,
+    fingerprint_many,
     parallel_map,
     plan_grid,
     resume_events,
@@ -77,8 +78,12 @@ def test_sweep_quarantines_reach_the_caller_on_every_backend(
         events.clear()
         cache_dir = tmp_path / backend
         store = CheckpointStore(cache_dir)
-        for request in plan.requests():
-            store.path_for(request.fingerprint(), 1).write_bytes(b"torn")
+        for cell in plan.cells:
+            (key,) = fingerprint_many(
+                cell.model, cell.spec, cell.seeds, plan.record_history,
+                plan.engine,
+            )
+            store.path_for(key, 1).write_bytes(b"torn")
         runtime = _runtime(backend, cache_dir=cache_dir, checkpoint_every=1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

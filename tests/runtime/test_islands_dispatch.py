@@ -1,9 +1,9 @@
-"""Island ensembles through the runtime: grouping, caching, backends.
+"""Island ensembles through the runtime: planning, caching, backends.
 
 The §10 dispatch contract: member runs are pure functions of
 ``(simulation, member, seed)``, so every backend produces bit-identical
-results, cache hits may split archipelago groups without changing any
-run, and consecutive same-(simulation, seed) members fold into a single
+results, cache hits may shrink an archipelago item without changing
+any run, and the members of one master seed dispatch as a single
 archipelago execution.
 """
 
@@ -28,7 +28,8 @@ from repro.runtime import (
     RuntimeConfig,
     fingerprint_many,
 )
-from repro.runtime.runner import _plan_work
+from repro.runtime import runner
+from repro.runtime.runner import _shrink
 
 _CATEGORIES = (Category.VEGETABLE, Category.SPICE, Category.DAIRY)
 
@@ -70,49 +71,50 @@ def _ensemble_payload(result):
 
 
 # ---------------------------------------------------------------------------
-# Grouping
+# Planning
 # ---------------------------------------------------------------------------
 
 
-def test_plan_work_folds_members_into_archipelagos():
+def test_plan_work_folds_members_into_archipelagos(monkeypatch):
+    """One archipelago item per master seed, carrying every member."""
     simulation = _simulation()
-    members = simulation.members()
-    requests = [
-        RunRequest(model=member, spec=member.spec, seed=seed)
-        for seed in (101, 102)
-        for member in members
-    ]
-    work = _plan_work(requests, range(len(requests)))
-    assert len(work) == 2
-    for item, seed in zip(work, (101, 102)):
+    dispatched = []
+    execute_work = runner._execute_work
+
+    def spy(item):
+        dispatched.append(item)
+        return execute_work(item)
+
+    monkeypatch.setattr(runner, "_execute_work", spy)
+    result = run_island_ensemble(simulation, 2, seed=101)
+    assert len(dispatched) == 2
+    for item, seed in zip(dispatched, result.seeds):
         assert isinstance(item, ArchipelagoRequest)
         assert item.simulation is simulation
         assert item.members == (0, 1, 2)
         assert item.seed == seed
 
 
+def _archipelago(simulation, seed):
+    return ArchipelagoRequest(
+        simulation=simulation, members=(0, 1, 2), seed=seed
+    )
+
+
 def test_plan_work_folds_across_cache_gaps():
-    """A cache hit in the middle of an archipelago leaves the remaining
-    members adjacent; they still fold into one execution."""
-    simulation = _simulation()
-    members = simulation.members()
-    requests = [
-        RunRequest(model=member, spec=member.spec, seed=7)
-        for member in members
-    ]
-    work = _plan_work(requests, [0, 2])  # member 1 served from cache
-    assert len(work) == 1
-    assert isinstance(work[0], ArchipelagoRequest)
-    assert work[0].members == (0, 2)
+    """A cache hit in the middle of an archipelago shrinks it to the
+    remaining members, still one execution."""
+    item = _shrink(_archipelago(_simulation(), 7), [0, 2])  # 1 is cached
+    assert isinstance(item, ArchipelagoRequest)
+    assert item.members == (0, 2)
 
 
 def test_plan_work_keeps_lone_member_single():
-    simulation = _simulation()
-    member = simulation.member(1)
-    requests = [RunRequest(model=member, spec=member.spec, seed=7)]
-    work = _plan_work(requests, [0])
-    assert len(work) == 1
-    assert isinstance(work[0], RunRequest)
+    item = _shrink(_archipelago(_simulation(), 7), [1])
+    assert isinstance(item, RunRequest)
+    assert item.model.member_index == 1
+    assert item.spec == item.model.spec
+    assert item.seed == 7
 
 
 def test_grouped_equals_ungrouped_member_runs():

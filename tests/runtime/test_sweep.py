@@ -1,9 +1,9 @@
-"""Tests for the sharded sweep planner (:mod:`repro.runtime.sweep`).
+"""Tests for the sweep planner (:mod:`repro.runtime.sweep`).
 
-The contract under test is the tentpole acceptance criterion: a grid
-sweep — all cells flattened into one backend pass — produces
-bit-identical per-cell results to the serial per-cell path for a fixed
-master seed, and cache-warm sweeps never touch the worker pool.
+The contract under test: a grid sweep — every cell's work items in one
+backend pass — produces bit-identical per-cell results to the serial
+per-cell path for a fixed master seed, and cache-warm sweeps never
+touch the worker pool.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.runtime import (
     plan_grid,
     select_regions,
 )
+from repro.runtime import runner
 
 _CATEGORIES = (Category.VEGETABLE, Category.SPICE, Category.DAIRY)
 
@@ -89,20 +90,38 @@ def test_plan_cells_advances_a_passed_generator_identically(tiny_spec):
     assert planned_root.integers(0, 2**31) == serial_root.integers(0, 2**31)
 
 
-def test_plan_requests_are_flat_and_cell_major(tiny_spec, other_spec):
-    plan = plan_grid(
-        [create_model("CM-R")], [tiny_spec, other_spec], n_runs=2, seed=1,
-        record_history=True,
-    )
-    requests = plan.requests()
-    assert len(requests) == 4
-    assert [r.spec.region_code for r in requests] == [
-        "TST", "TST", "TS2", "TS2",
-    ]
-    assert [r.seed for r in requests] == [
-        seed for cell in plan.cells for seed in cell.seeds
-    ]
-    assert all(r.record_history for r in requests)
+def test_plan_requests_are_flat_and_cell_major(
+    tiny_spec, other_spec, monkeypatch
+):
+    """The cell is the unit of dispatch: one item per batched cell, or
+    one per seed on the reference engine, in plan order."""
+    dispatched = []
+    execute_work = runner._execute_work
+
+    def spy(item):
+        dispatched.append(item)
+        return execute_work(item)
+
+    monkeypatch.setattr(runner, "_execute_work", spy)
+    for engine in ("batched", "reference"):
+        dispatched.clear()
+        plan = plan_grid(
+            [create_model("CM-R")], [tiny_spec, other_spec], n_runs=2,
+            seed=1, record_history=True, engine=engine,
+        )
+        execute_sweep(plan)
+        assert all(item.record_history for item in dispatched)
+        if engine == "batched":
+            assert [(item.spec.region_code, item.seeds)
+                    for item in dispatched] == [
+                ("TST", plan.cells[0].seeds), ("TS2", plan.cells[1].seeds),
+            ]
+        else:
+            assert [(item.spec.region_code, item.seed)
+                    for item in dispatched] == [
+                (cell.region_code, seed)
+                for cell in plan.cells for seed in cell.seeds
+            ]
 
 
 def test_plan_validation(tiny_spec):
@@ -125,7 +144,7 @@ def test_select_regions():
 
 
 # ---------------------------------------------------------------------------
-# Shard/merge round-trip vs the per-cell path
+# Dispatch/merge round-trip vs the per-cell path
 # ---------------------------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from repro.analysis.itemsets import mine_frequent_itemsets
 from repro.corpus.recipe import Recipe
 from repro.corpus.stats import corpus_stats
 from repro.errors import StorageError
-from repro.runtime import cache_corruptions
+from repro.runtime import CacheCorruptionWarning, cache_corruptions
 from repro.runtime.curve_cache import transactions_fingerprint
 from repro.storage.columnar import (
     COLUMNAR_FORMAT_VERSION,
@@ -277,8 +277,9 @@ def test_corrupt_magic_quarantined(tmp_path, tiny_dataset):
     raw = bytearray(path.read_bytes())
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
-    with pytest.raises(StorageError, match="quarantined"):
-        ColumnarCorpus.open(path)
+    with pytest.warns(CacheCorruptionWarning):
+        with pytest.raises(StorageError, match="quarantined"):
+            ColumnarCorpus.open(path)
     assert not path.exists()
     assert path.with_suffix(path.suffix + ".bad").exists()
     events = cache_corruptions()
@@ -290,8 +291,9 @@ def test_torn_write_quarantined(tmp_path, tiny_dataset):
     path = _pack_tiny(tmp_path, tiny_dataset)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(StorageError):
-        ColumnarCorpus.open(path)
+    with pytest.warns(CacheCorruptionWarning):
+        with pytest.raises(StorageError):
+            ColumnarCorpus.open(path)
     assert not path.exists()
     assert path.with_suffix(path.suffix + ".bad").exists()
     assert cache_corruptions()[-1].store == "ColumnarCorpus"
@@ -305,8 +307,9 @@ def test_footer_checksum_mismatch_quarantined(
     # trailer) so the trailer's footer digest no longer matches.
     raw[-60] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(StorageError):
-        ColumnarCorpus.open(path)
+    with pytest.warns(CacheCorruptionWarning):
+        with pytest.raises(StorageError):
+            ColumnarCorpus.open(path)
     assert path.with_suffix(path.suffix + ".bad").exists()
 
 
@@ -317,8 +320,9 @@ def test_verify_catches_plane_bitrot(tmp_path, tiny_dataset):
     # parses, so only verify=True catches it.
     raw[len(b"RPCOL") + 70] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(StorageError, match="checksum"):
-        ColumnarCorpus.open(path, verify=True)
+    with pytest.warns(CacheCorruptionWarning):
+        with pytest.raises(StorageError, match="checksum"):
+            ColumnarCorpus.open(path, verify=True)
     assert path.with_suffix(path.suffix + ".bad").exists()
     assert cache_corruptions()[-1].kind == "checksum-mismatch"
 
@@ -344,8 +348,9 @@ def test_format_version_mismatch_quarantined(
     footer = mutated[offset : offset + length]
     mutated = mutated[:-32] + hashlib.sha256(footer).digest()
     path.write_bytes(mutated)
-    with pytest.raises(StorageError, match="version"):
-        ColumnarCorpus.open(path)
+    with pytest.warns(CacheCorruptionWarning):
+        with pytest.raises(StorageError, match="version"):
+            ColumnarCorpus.open(path)
     assert path.with_suffix(path.suffix + ".bad").exists()
 
 

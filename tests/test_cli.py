@@ -436,6 +436,22 @@ def test_experiment_accepts_packed_corpus(tmp_path, capsys):
     assert "Fig. 3" in out
 
 
+def test_sweep_refuses_regions_the_packed_corpus_lacks(tmp_path, capsys):
+    output = tmp_path / "kor.col"
+    assert main([
+        "generate", str(output), "--format", "columnar",
+        "--scale", "0.02", "--seed", "7", "--regions", "KOR",
+    ]) == 0
+    capsys.readouterr()
+    code = main([
+        "sweep", "--corpus", str(output), "--regions", "KOR", "ITA",
+        "--models", "CM-R", "--runs", "2",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "['ITA']" in err and "('KOR',)" in err
+
+
 @pytest.mark.parametrize("command", [["experiment", "fig4"], ["sweep"]])
 @pytest.mark.parametrize("value", ["1.5", "0", "-0.1", "lots"])
 def test_min_support_out_of_range_is_usage_error(command, value, capsys):
