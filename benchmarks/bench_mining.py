@@ -1,21 +1,27 @@
 """Bench ``mining``: the frequent-itemset fast path on a paper-scale ensemble.
 
 Per-run mining is a large share of every ensemble aggregation.  This
-bench times the three ways an ensemble's rank-frequency curve can be
+bench times the ways an ensemble's rank-frequency curve can be
 produced, on the paper protocol (ITA, 100 runs, support 0.05 at
 ``--scale 1.0``):
 
-* ``bitset-serial`` — the packed-bit miner
-  (:func:`~repro.analysis.itemsets.mine_frequent_itemsets`), serial map;
+* ``bitset-serial`` — :func:`~repro.models.ensemble.ensemble_curve` on
+  the serial backend: all runs of the cell mined in one run-stacked
+  level-wise pass (:func:`~repro.analysis.itemsets.mine_frequencies`);
   the baseline the other modes are compared with;
-* ``bitset-process`` — the same miner fanned out process-parallel
-  through the picklable :func:`~repro.models.ensemble.mine_curve_task`
-  path (informative on multi-core hosts; equals serial on one core);
+* ``bitset-process`` — the same call on the process backend.  A single
+  cell is one :func:`~repro.models.ensemble.mine_curve_task`, so this
+  row measures the pickling round trip, not parallel speedup; grids
+  spread one task per cell;
+* ``per-run`` — the one-run case,
+  :func:`~repro.analysis.itemsets.mine_frequent_itemsets`, looped over
+  the runs and averaged: the same level-wise code one run at a time,
+  which is how ensembles were mined before runs were stacked;
 * ``warm-cache`` — a second aggregation served entirely from the
   mined-curve cache (zero mining calls).
 
-All three curves are verified bit-identical before any speedup is
-reported; results go to ``BENCH_mining.json`` at the repo root.
+All curves are verified bit-identical before any speedup is reported;
+results go to ``BENCH_mining.json`` at the repo root.
 
 Entry points:
 
@@ -24,8 +30,9 @@ Entry points:
       PYTHONPATH=src python -m pytest benchmarks/bench_mining.py -q
 
 * standalone — the full-scale run or the CI tripwire (``--fast
-  --check`` exits 1 unless every curve is bit-identical and the warm
-  pass is served entirely from the curve cache)::
+  --check`` exits 1 unless the stacked curve is bit-identical to the
+  per-run one, every other mode agrees, and the warm pass is served
+  entirely from the curve cache)::
 
       PYTHONPATH=src python benchmarks/bench_mining.py
       PYTHONPATH=src python benchmarks/bench_mining.py --fast --check
@@ -41,6 +48,8 @@ import time
 import numpy as np
 
 from _results import smoke_write_enabled, write_bench_result
+from repro.analysis.itemsets import mine_frequent_itemsets
+from repro.analysis.rank_frequency import average_curves, curve_from_mining
 from repro.config import MiningConfig
 from repro.lexicon.builder import standard_lexicon
 from repro.models.ensemble import ensemble_curve
@@ -92,6 +101,17 @@ def run_mining_matrix(
     ).frequencies
     modes.append(("bitset-process", time.perf_counter() - start))
 
+    start = time.perf_counter()
+    per_run = [
+        curve_from_mining(
+            mine_frequent_itemsets(run.transactions, min_support),
+            f"{model_name}#{index}",
+        )
+        for index, run in enumerate(runs)
+    ]
+    curves["per-run"] = average_curves(per_run, model_name).frequencies
+    modes.append(("per-run", time.perf_counter() - start))
+
     warm_hits = 0
     with tempfile.TemporaryDirectory() as cache_dir:
         fill_cache = CurveCache(cache_dir)
@@ -107,6 +127,7 @@ def run_mining_matrix(
         warm_hits = warm_cache.stats.hits
 
     reference = curves["bitset-serial"]
+    per_run_identical = np.array_equal(reference, curves["per-run"])
     curves_identical = all(
         np.array_equal(reference, frequencies)
         for frequencies in curves.values()
@@ -139,9 +160,11 @@ def run_mining_matrix(
         "generate_seconds": generate_seconds,
         "process_jobs": jobs,
         "curves_identical": curves_identical,
+        "per_run_identical": per_run_identical,
         "warm_cache_hits": warm_hits,
         "process_speedup": seconds["bitset-serial"] / seconds["bitset-process"],
         "warm_speedup": seconds["bitset-serial"] / seconds["warm-cache"],
+        "stacked_speedup": seconds["per-run"] / seconds["bitset-serial"],
         "rows": rows,
     }
 
@@ -163,6 +186,7 @@ def _render(result: dict) -> str:
             f"{row['speedup_vs_serial']:>10.2f}x"
         )
     lines.append(
+        f"stacked over per-run {result['stacked_speedup']:.2f}x, "
         f"process {result['process_speedup']:.2f}x "
         f"(jobs={result['process_jobs']}), "
         f"warm cache {result['warm_speedup']:.2f}x"
@@ -174,8 +198,9 @@ def test_mining_throughput(benchmark):
     """Pytest entry: small ensemble, all modes, identity + warm hits.
 
     Sized by ``REPRO_BENCH_SCALE``/``REPRO_BENCH_RUNS`` like the other
-    benches.  Asserts every mode's curve is bit-identical and that the
-    warm pass is pure cache hits.
+    benches.  Asserts every mode's curve is bit-identical (the stacked
+    one to the per-run one in particular) and that the warm pass is
+    pure cache hits.
     """
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.04"))
     n_runs = int(os.environ.get("REPRO_BENCH_RUNS", "8"))
@@ -189,6 +214,7 @@ def test_mining_throughput(benchmark):
     print(_render(result))
     if smoke_write_enabled():
         write_bench_result("mining", result)
+    assert result["per_run_identical"]
     assert result["curves_identical"]
     assert result["warm_cache_hits"] == n_runs
 
@@ -210,8 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help=(
-            "exit 1 unless every mode's curve is bit-identical and the "
-            "warm pass is pure curve-cache hits"
+            "exit 1 unless the stacked curve is bit-identical to the "
+            "per-run one, every mode agrees, and the warm pass is pure "
+            "curve-cache hits"
         ),
     )
     args = parser.parse_args(argv)
@@ -226,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     # committed artifact.
     if not args.fast or smoke_write_enabled():
         write_bench_result("mining", result)
+    if not result["per_run_identical"]:
+        print("FAIL: the stacked curve differs from per-run mining")
+        return 1
     if not result["curves_identical"]:
         print("FAIL: mining modes disagree")
         return 1

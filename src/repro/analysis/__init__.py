@@ -25,6 +25,7 @@ from repro.analysis.itemsets import (
     MiningResult,
     category_transactions,
     ingredient_transactions,
+    mine_frequencies,
     mine_frequent_itemsets,
 )
 from repro.analysis.mae import (
@@ -81,6 +82,7 @@ __all__ = [
     "MiningResult",
     "category_transactions",
     "ingredient_transactions",
+    "mine_frequencies",
     "mine_frequent_itemsets",
     "PairwiseDistances",
     "curve_distance",

@@ -2,26 +2,36 @@
 
 The paper considers all ingredient combinations ("of size 1 and greater")
 that appear in at least 5% of a cuisine's recipes — i.e. frequent
-itemsets at relative support 0.05.  One miner does that work:
-:func:`mine_frequent_itemsets`, a depth-first Eclat search over numpy
-packed-bit tidsets.
+itemsets at relative support 0.05.  One miner does that work: a
+breadth-first Eclat over numpy packed-bit tidsets that mines any number
+of transaction pools ("runs") in the same passes.
 
-1. the transactions' position arrays
+1. each run's position arrays
    (:class:`~repro.transactions.TransactionPlane`; other iterables are
    converted into one first) are counted with one ``bincount`` and the
-   frequent rows packed **once** into a bit matrix (``np.packbits``):
+   run's frequent rows packed into a bit matrix (``np.packbits``):
    row = item, bit = transaction membership;
-2. a depth-first extension intersects the prefix tidset against *every*
-   sibling candidate in one vectorized ``AND`` over the packed bytes;
-3. supports come from a 256-entry popcount lookup table summed per row
-   — no ``unpackbits`` round trip on the hot path.
+2. every run's rows are zero-padded to the widest run, viewed as
+   ``uint64`` words and stacked into one matrix, next to a run id per
+   row and a minimum count per run;
+3. level k+1 is one pass over every pair of level-k rows that share a
+   run and a prefix: an ``AND`` of the two tidsets, and
+   ``np.bitwise_count`` summed per row for its support.  A pair whose
+   support meets its run's minimum count survives, and its left
+   parent becomes its prefix class.  Pairs are evaluated in fixed-size
+   blocks, which bounds the intermediate arrays.
 
-:func:`mine_packed` runs the same search over a matrix that is already
-packed (the columnar store's stored planes), so both entry points return
-identical results for identical transaction content.  Itemsets are
-ranked by ``(-support, size, items)`` — the order of the Fig. 3/4
-rank-frequency curves.  A pure-Python set-tidset Eclat kept in the test
-suite (``tests/analysis/oracle.py``) is the oracle both are checked
+Three entry points share that pass.  :func:`mine_frequencies` returns
+each run's rank-frequency values (descending relative supports) and
+never builds an itemset; it is the ensemble curve path, which mines
+all runs of a (model, cuisine) cell at once.
+:func:`mine_frequent_itemsets` is the one-run case that rebuilds the
+itemsets from the per-level parent arrays, ranked by
+``(-support, size, items)`` — the order of the Fig. 3/4 rank-frequency
+curves.  :func:`mine_packed` is the same one-run case over a matrix
+that is already packed (the columnar store's stored planes).  A
+pure-Python set-tidset Eclat kept in the test suite
+(``tests/analysis/oracle.py``) is the oracle all three are checked
 against (DESIGN.md §6).
 
 Items are integers (lexicon ingredient ids, or category indexes via
@@ -33,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,9 +56,9 @@ from repro.transactions import TransactionPlane
 __all__ = [
     "FrequentItemset",
     "MiningResult",
+    "mine_frequencies",
     "mine_frequent_itemsets",
     "mine_packed",
-    "POPCOUNT_TABLE",
     "category_transactions",
     "ingredient_transactions",
     "CATEGORY_INDEX",
@@ -62,16 +72,19 @@ _INDEX_CATEGORY: dict[int, Category] = {
     index: category for category, index in CATEGORY_INDEX.items()
 }
 
-#: Safety valve: a mining call producing more itemsets than this is almost
+#: Safety valve: a run producing more itemsets than this is almost
 #: certainly misconfigured (e.g. minuscule support on dense data).
 MAX_ITEMSETS = 2_000_000
 
-#: Bits set per byte value — the popcount primitive.  Indexing a packed
-#: row through this table and summing gives the row's support without
-#: unpacking it back to booleans.
-POPCOUNT_TABLE: np.ndarray = np.unpackbits(
-    np.arange(256, dtype=np.uint8).reshape(-1, 1), axis=1
-).sum(axis=1).astype(np.int64)
+#: Tidset words (``uint64``) per block of a level pass: a block holds
+#: as many candidate pairs as fit in 1 MiB of tidsets — 4,096 pairs at
+#: ~2,000-transaction runs, fewer for larger runs — which bounds the
+#: ``AND`` and popcount intermediates however many pairs a level holds.
+_BLOCK_WORDS = 1 << 17
+
+#: Rows processed per block when computing supports over a stored
+#: matrix — bounds the popcount intermediate, not the matrix.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,32 +155,266 @@ def _min_count(min_support: float, n_transactions: int) -> int:
     return max(1, math.ceil(exact))
 
 
-def _sorted_result(
-    found: dict[tuple[int, ...], int],
-    n_transactions: int,
-    min_support: float,
-) -> MiningResult:
-    if len(found) > MAX_ITEMSETS:
+def _check_max_size(max_size: int | None) -> None:
+    if max_size is not None and max_size < 1:
+        raise MiningError(f"max_size must be >= 1 or None, got {max_size}")
+
+
+# ---------------------------------------------------------------------------
+# The stacked level-wise pass
+# ---------------------------------------------------------------------------
+
+
+class _Run(NamedTuple):
+    """One run's frequent items, ready to stack.
+
+    ``packed`` holds the items' tidsets in ``np.packbits`` layout, one
+    row per entry of ``items`` (ascending ids) and ``supports``.
+    """
+
+    items: np.ndarray
+    supports: np.ndarray
+    packed: np.ndarray
+
+
+class _Level(NamedTuple):
+    """Every run's frequent itemsets of one size, in stacked row order.
+
+    Rows are grouped by run and, within a run, in lexicographic item
+    order.  ``last`` is each itemset's last item; ``parent`` is the row
+    of the previous level that the itemset extends (``None`` for single
+    items), so the items themselves are rebuilt only on request.
+    """
+
+    run: np.ndarray
+    support: np.ndarray
+    last: np.ndarray
+    parent: np.ndarray | None
+
+
+def _check_cap(totals: np.ndarray) -> None:
+    if totals.size and int(totals.max()) > MAX_ITEMSETS:
         raise MiningError(
-            f"mining produced {len(found)} itemsets (> {MAX_ITEMSETS}); "
-            "raise min_support or cap max_size"
+            f"mining exceeded {MAX_ITEMSETS} itemsets in one run; raise "
+            "min_support or cap max_size"
         )
-    itemsets = tuple(
-        FrequentItemset(items=items, support=support)
-        for items, support in sorted(
-            found.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0])
-        )
+
+
+def _mine_stack(
+    runs: list[_Run], min_counts: np.ndarray, max_size: int | None
+) -> list[_Level]:
+    """Mine every run's frequent items level by level, all runs at once.
+
+    Level k+1 pairs each level-k row with the rows after it in its
+    prefix class (same run, same parent); a class is a contiguous block
+    of rows, so the pairs of a level are numbered ``0..total-1`` and
+    evaluated in blocks of ``_BLOCK_WORDS`` tidset words.  Only the
+    surviving pairs' tidsets are kept, rebuilt once the next level
+    needs them, so the pass holds at most two levels of tidsets.
+    ``MAX_ITEMSETS`` and ``max_size`` apply to each run on its own.
+    """
+    words = max((-(-run.packed.shape[1] // 8) for run in runs), default=0)
+    counts = [run.items.size for run in runs]
+    stacked = np.zeros((sum(counts), 8 * words), dtype=np.uint8)
+    offset = 0
+    for run, count in zip(runs, counts):
+        stacked[offset:offset + count, :run.packed.shape[1]] = run.packed
+        offset += count
+    rows = stacked.view(np.uint64)
+    block = max(1, _BLOCK_WORDS // max(words, 1))
+
+    run_of = np.repeat(np.arange(len(runs)), counts)
+    level = _Level(
+        run_of,
+        np.concatenate([run.supports for run in runs]).astype(np.int64),
+        np.concatenate([run.items for run in runs]).astype(np.int64),
+        None,
     )
+    levels = [level]
+    totals = np.bincount(run_of, minlength=len(runs))
+    _check_cap(totals)
+    classes = run_of
+    parents: tuple[np.ndarray, np.ndarray] | None = None
+    while max_size is None or len(levels) < max_size:
+        index = np.arange(classes.size)
+        partners = np.searchsorted(classes, classes, side="right") - index - 1
+        pair_end = np.cumsum(partners)
+        total = int(pair_end[-1]) if pair_end.size else 0
+        if total == 0:
+            break
+        if parents is not None:
+            rows = _pair_tidsets(rows, *parents, block)
+        pair_start = pair_end - partners
+        row_min = min_counts[level.run]
+        kept_left, kept_right, kept_support = [], [], []
+        for start in range(0, total, block):
+            pair = np.arange(start, min(start + block, total))
+            left = np.searchsorted(pair_end, pair, side="right")
+            right = left + 1 + pair - pair_start[left]
+            support = np.bitwise_count(rows[left] & rows[right]).sum(
+                axis=1, dtype=np.int64
+            )
+            keep = np.flatnonzero(support >= row_min[left])
+            kept_left.append(left[keep])
+            kept_right.append(right[keep])
+            kept_support.append(support[keep])
+            totals += np.bincount(
+                level.run[left[keep]], minlength=len(runs)
+            )
+            _check_cap(totals)
+        left = np.concatenate(kept_left)
+        if left.size == 0:
+            break
+        right = np.concatenate(kept_right)
+        level = _Level(
+            level.run[left],
+            np.concatenate(kept_support),
+            level.last[right],
+            left,
+        )
+        levels.append(level)
+        classes = left
+        parents = (left, right)
+    return levels
+
+
+def _pair_tidsets(
+    rows: np.ndarray, left: np.ndarray, right: np.ndarray, block: int
+) -> np.ndarray:
+    """``rows[left] & rows[right]``, built ``block`` rows at a time."""
+    tidsets = np.empty((left.size, rows.shape[1]), dtype=rows.dtype)
+    for start in range(0, left.size, block):
+        stop = start + block
+        np.bitwise_and(
+            rows[left[start:stop]],
+            rows[right[start:stop]],
+            out=tidsets[start:stop],
+        )
+    return tidsets
+
+
+def _pack_run(plane: TransactionPlane, min_count: int) -> _Run:
+    """Count ``plane``'s items and pack its frequent rows."""
+    n = len(plane)
+    lengths, flat = plane.csr()
+    item_counts = np.bincount(flat, minlength=plane.ids.size)
+    frequent = item_counts >= min_count
+    n_frequent = int(frequent.sum())
+    # Infrequent items land in a spare last row, dropped after packing.
+    row_of = np.full(plane.ids.size, n_frequent, dtype=np.intp)
+    row_of[frequent] = np.arange(n_frequent, dtype=np.intp)
+    tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
+    mask = np.zeros((n_frequent + 1) * n, dtype=bool)
+    mask[row_of[flat] * n + tids] = True
+    return _Run(
+        plane.ids[frequent],
+        item_counts[frequent],
+        np.packbits(mask.reshape(n_frequent + 1, n)[:n_frequent], axis=1),
+    )
+
+
+def _mine_planes(
+    runs: Iterable[Iterable[Iterable[int]]],
+    min_support: float,
+    max_size: int | None,
+) -> tuple[list[_Level], np.ndarray]:
+    """The stacked pass over transaction pools: ``(levels, sizes)``.
+
+    An empty run contributes no rows and, like a one-run call on an
+    empty pool, does not consult ``min_support``.
+    """
+    _check_max_size(max_size)
+    planes = [TransactionPlane.of(run) for run in runs]
+    sizes = np.array([len(plane) for plane in planes], dtype=np.int64)
+    min_counts = np.array(
+        [_min_count(min_support, n) if n else 1 for n in sizes.tolist()],
+        dtype=np.int64,
+    )
+    if not planes:
+        return [], sizes
+    packed = [
+        _pack_run(plane, int(min_count))
+        for plane, min_count in zip(planes, min_counts)
+    ]
+    return _mine_stack(packed, min_counts, max_size), sizes
+
+
+def _frequencies(levels: list[_Level], sizes: np.ndarray) -> list[np.ndarray]:
+    """Each run's supports in descending order, divided by its size."""
+    run = np.concatenate([level.run for level in levels])
+    support = np.concatenate([level.support for level in levels])
+    order = np.lexsort((-support, run))
+    values = support[order] / sizes[run[order]]
+    bounds = np.cumsum(np.bincount(run, minlength=sizes.size))[:-1]
+    return np.split(values, bounds)
+
+
+def _result(
+    levels: list[_Level], n_transactions: int, min_support: float
+) -> MiningResult:
+    """A one-run pass as a :class:`MiningResult` in rank order.
+
+    Levels come in size order and each level's rows in item order, so a
+    stable sort on support alone yields ``(-support, size, items)``.
+    """
+    items: list[tuple[int, ...]] = []
+    previous: np.ndarray | None = None
+    for level in levels:
+        current = (
+            level.last[:, None]
+            if previous is None
+            else np.column_stack((previous[level.parent], level.last))
+        )
+        items.extend(map(tuple, current.tolist()))
+        previous = current
+    supports = np.concatenate([level.support for level in levels])
+    order = np.argsort(-supports, kind="stable")
     return MiningResult(
-        itemsets=itemsets,
+        itemsets=tuple(
+            FrequentItemset(items=items[index], support=support)
+            for index, support in zip(
+                order.tolist(), supports[order].tolist()
+            )
+        ),
         n_transactions=n_transactions,
         min_support=min_support,
     )
 
 
-def _check_max_size(max_size: int | None) -> None:
-    if max_size is not None and max_size < 1:
-        raise MiningError(f"max_size must be >= 1 or None, got {max_size}")
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+
+def mine_frequencies(
+    runs: Iterable[Iterable[Iterable[int]]],
+    min_support: float,
+    max_size: int | None = None,
+) -> list[np.ndarray]:
+    """Mine many runs in one stacked pass; return their curve values.
+
+    Args:
+        runs: One transaction pool per run: a
+            :class:`~repro.transactions.TransactionPlane`, or item
+            collections, which are converted into one first.  Runs may
+            differ in size; each gets its own minimum count.
+        min_support: Relative support threshold in ``(0, 1]``.
+        max_size: Optional cap on itemset size (``>= 1``).
+
+    Returns:
+        Per run, the relative supports of its frequent itemsets in
+        descending order — exactly
+        ``mine_frequent_itemsets(run, ...).frequencies()`` as a float
+        array, with no itemset built.
+
+    Raises:
+        MiningError: On a threshold outside ``(0, 1]``, a size cap
+            below 1, or a run exceeding ``MAX_ITEMSETS`` itemsets.
+    """
+    levels, sizes = _mine_planes(runs, min_support, max_size)
+    if sizes.size == 0:
+        return []
+    return _frequencies(levels, sizes)
 
 
 def mine_frequent_itemsets(
@@ -175,7 +422,9 @@ def mine_frequent_itemsets(
     min_support: float,
     max_size: int | None = None,
 ) -> MiningResult:
-    """Mine frequent combinations by depth-first search over packed bits.
+    """Mine the frequent combinations of one transaction pool.
+
+    The one-run case of the stacked pass behind :func:`mine_frequencies`.
 
     Args:
         transactions: A :class:`~repro.transactions.TransactionPlane`,
@@ -189,96 +438,11 @@ def mine_frequent_itemsets(
         A :class:`MiningResult` with itemsets in rank order.
 
     Raises:
-        MiningError: On a threshold outside ``(0, 1]`` or a size cap
-            below 1.
+        MiningError: On a threshold outside ``(0, 1]``, a size cap
+            below 1, or more than ``MAX_ITEMSETS`` itemsets.
     """
-    _check_max_size(max_size)
-    plane = TransactionPlane.of(transactions)
-    n = len(plane)
-    if n == 0:
-        return MiningResult((), 0, min_support)
-    min_count = _min_count(min_support, n)
-
-    # Counting, frequency filtering and the bit-matrix build are
-    # vectorized passes over the plane's flat positions.
-    lengths, flat = plane.csr()
-    item_counts = np.bincount(flat, minlength=plane.ids.size)
-    frequent = item_counts >= min_count
-    if not frequent.any():
-        return MiningResult((), n, min_support)
-    row_of = np.full(plane.ids.size, -1, dtype=np.intp)
-    row_of[frequent] = np.arange(int(frequent.sum()), dtype=np.intp)
-    occurrence_rows = row_of[flat]
-    kept = occurrence_rows >= 0
-    tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
-
-    mask = np.zeros((int(frequent.sum()), n), dtype=bool)
-    mask[occurrence_rows[kept], tids[kept]] = True
-    return _mine_over_matrix(
-        plane.ids[frequent].tolist(),
-        np.packbits(mask, axis=1),
-        item_counts[frequent].astype(np.int64),
-        n,
-        min_count,
-        min_support,
-        max_size,
-    )
-
-
-def _mine_over_matrix(
-    frequent_items: list[int],
-    packed: np.ndarray,
-    supports: np.ndarray,
-    n: int,
-    min_count: int,
-    min_support: float,
-    max_size: int | None,
-) -> MiningResult:
-    """The depth-first extension over an already-frequent packed matrix.
-
-    Shared by :func:`mine_frequent_itemsets` (which packs in memory) and
-    :func:`mine_packed` (which reads stored planes): same search tree,
-    same pruning, same rank order.
-    """
-    found: dict[tuple[int, ...], int] = {}
-
-    def extend(
-        prefix: tuple[int, ...],
-        items: list[int],
-        rows: np.ndarray,
-        sups: np.ndarray,
-    ) -> None:
-        for index, item in enumerate(items):
-            itemset = prefix + (item,)
-            found[itemset] = int(sups[index])
-            if len(found) > MAX_ITEMSETS:
-                raise MiningError(
-                    f"mining exceeded {MAX_ITEMSETS} itemsets; raise "
-                    "min_support or cap max_size"
-                )
-            if max_size is not None and len(itemset) >= max_size:
-                continue
-            if index + 1 == len(items):
-                continue
-            # One vectorized AND + popcount covers every sibling at once.
-            intersections = rows[index + 1:] & rows[index]
-            inter_supports = POPCOUNT_TABLE[intersections].sum(axis=1)
-            keep = np.flatnonzero(inter_supports >= min_count)
-            if keep.size:
-                extend(
-                    itemset,
-                    [items[index + 1 + k] for k in keep],
-                    intersections[keep],
-                    inter_supports[keep],
-                )
-
-    extend((), frequent_items, packed, supports)
-    return _sorted_result(found, n, min_support)
-
-
-#: Rows processed per block when computing supports over a stored
-#: matrix — bounds the int64 popcount intermediate, not the matrix.
-_ROW_BLOCK = 256
+    levels, sizes = _mine_planes([transactions], min_support, max_size)
+    return _result(levels, int(sizes[0]), min_support)
 
 
 def mine_packed(
@@ -290,14 +454,14 @@ def mine_packed(
 ) -> MiningResult:
     """Mine a stored packed-bit transaction matrix zero-copy.
 
-    The columnar store's ``bits:<code>`` planes are exactly the matrix
-    :func:`mine_frequent_itemsets` builds internally — row = item, bit =
+    The columnar store's ``bits:<code>`` planes are exactly the rows
+    :func:`mine_frequent_itemsets` packs internally — row = item, bit =
     transaction, ``np.packbits`` layout — so a memory-mapped plane can
     be mined without round-tripping through ``Recipe`` objects or
     frozensets.  Supports are popcounted block-wise straight off the
     mapping; only the frequent rows (typically a small fraction at the
-    paper's thresholds) are copied into memory for the depth-first
-    extension.
+    paper's thresholds) are copied into memory for the level-wise pass.
+    The shape and pad-bit checks read the last byte column alone.
 
     Args:
         matrix: ``(len(item_ids), ceil(n_transactions / 8))`` uint8
@@ -313,8 +477,11 @@ def mine_packed(
         same transactions.
 
     Raises:
-        MiningError: On a malformed matrix, a threshold outside
-            ``(0, 1]`` or a size cap below 1.
+        MiningError: On a malformed matrix (wrong dtype, rank or width,
+            a row count that differs from ``item_ids``, unsorted ids,
+            or a set bit past ``n_transactions``), a threshold outside
+            ``(0, 1]``, a size cap below 1, or more than
+            ``MAX_ITEMSETS`` itemsets.
     """
     _check_max_size(max_size)
     matrix = np.asarray(matrix)
@@ -331,6 +498,17 @@ def mine_packed(
     if item_ids.size > 1 and not (np.diff(item_ids) > 0).all():
         raise MiningError("item_ids must be strictly ascending")
     n = int(n_transactions)
+    width = -(-n // 8)
+    if n < 0 or matrix.shape[1] != width:
+        raise MiningError(
+            f"packed matrix has {matrix.shape[1]} byte columns; "
+            f"{n_transactions} transactions need {max(width, 0)}"
+        )
+    pad_bits = 8 * width - n
+    if pad_bits and (matrix[:, -1] & ((1 << pad_bits) - 1)).any():
+        raise MiningError(
+            f"packed matrix sets bits past its {n} transactions"
+        )
     if n == 0:
         return MiningResult((), 0, min_support)
     min_count = _min_count(min_support, n)
@@ -338,21 +516,17 @@ def mine_packed(
     supports = np.empty(matrix.shape[0], dtype=np.int64)
     for start in range(0, matrix.shape[0], _ROW_BLOCK):
         block = matrix[start:start + _ROW_BLOCK]
-        supports[start:start + _ROW_BLOCK] = POPCOUNT_TABLE[block].sum(axis=1)
+        supports[start:start + _ROW_BLOCK] = np.bitwise_count(block).sum(
+            axis=1, dtype=np.int64
+        )
     frequent = supports >= min_count
-    if not frequent.any():
-        return MiningResult((), n, min_support)
-    frequent_items = [int(item) for item in item_ids[frequent]]
-    packed = np.ascontiguousarray(matrix[frequent])
-    return _mine_over_matrix(
-        frequent_items,
-        packed,
+    run = _Run(
+        item_ids[frequent],
         supports[frequent],
-        n,
-        min_count,
-        min_support,
-        max_size,
+        np.ascontiguousarray(matrix[frequent]),
     )
+    levels = _mine_stack([run], np.array([min_count]), max_size)
+    return _result(levels, n, min_support)
 
 
 # ---------------------------------------------------------------------------

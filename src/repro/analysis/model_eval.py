@@ -4,8 +4,8 @@ Given the empirical rank-frequency curve of a cuisine's frequent
 combinations and the aggregated curves of candidate evolution models,
 computes Eq. 2 distances and identifies the best-fitting model.  The
 aggregation follows Sec. V: each of the (paper: 100) independent runs is
-mined separately at the same support threshold, and the per-run curves
-are rank-aligned averaged.
+mined at the same support threshold — all runs in one stacked pass, each
+with its own curve — and the per-run curves are rank-aligned averaged.
 """
 
 from __future__ import annotations
@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.analysis.itemsets import mine_frequent_itemsets
+from repro.analysis.itemsets import mine_frequencies
 from repro.analysis.mae import curve_distance
-from repro.analysis.rank_frequency import (
-    RankFrequencyCurve,
-    average_curves,
-    curve_from_mining,
-)
+from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
 from repro.config import DEFAULT_MINING, MiningConfig
 from repro.errors import AnalysisError
 
@@ -43,14 +39,13 @@ def model_curve_from_runs(
     """
     if not runs:
         raise AnalysisError(f"model {label!r} has no runs to aggregate")
-    curves = []
-    for run_index, transactions in enumerate(runs):
-        result = mine_frequent_itemsets(
-            transactions,
-            min_support=mining.min_support,
-            max_size=mining.max_size,
-        )
-        curves.append(curve_from_mining(result, f"{label}#{run_index}"))
+    frequencies = mine_frequencies(
+        runs, min_support=mining.min_support, max_size=mining.max_size
+    )
+    curves = [
+        RankFrequencyCurve(f"{label}#{run_index}", values)
+        for run_index, values in enumerate(frequencies)
+    ]
     return average_curves(curves, label)
 
 

@@ -3,7 +3,11 @@
 "For normalization purposes, we create 100 such sets of random
 copy-mutate recipes and study the aggregated statistics."  This module
 runs a model repeatedly with independent seeds and aggregates the
-per-run rank-frequency curves of frequent combinations.
+per-run rank-frequency curves of frequent combinations.  Each run is
+mined on its own terms (its own support count, its own curve and
+curve-cache entry), but all uncached runs of a (model, cuisine) cell
+are mined together in one stacked pass
+(:func:`~repro.analysis.itemsets.mine_frequencies`), one task per cell.
 """
 
 from __future__ import annotations
@@ -12,15 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.itemsets import (
-    CATEGORY_INDEX,
-    mine_frequent_itemsets,
-)
-from repro.analysis.rank_frequency import (
-    RankFrequencyCurve,
-    average_curves,
-    curve_from_mining,
-)
+from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequencies
+from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
 from repro.config import DEFAULT_MINING, MiningConfig, PAPER
 from repro.errors import ModelError, RunCacheError
 from repro.lexicon.lexicon import Lexicon
@@ -88,39 +85,43 @@ def _category_transactions(
 
 @dataclass(frozen=True)
 class CurveMiningTask:
-    """One run's mining work, as a pure, picklable payload.
+    """One cell's mining work, as a pure, picklable payload.
 
     Everything :func:`mine_curve_task` needs crosses the process
     boundary inside this dataclass — no closure state — which is what
-    keeps :func:`ensemble_curve`'s fan-out on the true ``process``
+    keeps :func:`ensemble_curves`' fan-out on the true ``process``
     backend instead of degrading to a serial map.
 
     Attributes:
-        transactions: The plane to mine (level conversion already
-            applied by the caller); it crosses process boundaries as
-            its arrays.
+        transactions: The cell's runs to mine, one plane per run (level
+            conversion already applied by the caller); they cross
+            process boundaries as their arrays.
         mining: Support/size configuration.
-        label: Per-run curve label (``"<model>#<index>"``).
+        labels: Per-run curve labels (``"<model>#<index>"``), aligned
+            with ``transactions``.
     """
 
-    transactions: TransactionPlane
+    transactions: tuple[TransactionPlane, ...]
     mining: MiningConfig
-    label: str
+    labels: tuple[str, ...]
 
 
-def mine_curve_task(task: CurveMiningTask) -> RankFrequencyCurve:
-    """Mine one task into a rank-frequency curve.
+def mine_curve_task(task: CurveMiningTask) -> list[RankFrequencyCurve]:
+    """Mine one cell's runs in one stacked pass into per-run curves.
 
     Module-level by design: the process backend pickles this function by
     reference and the task by value (see
     :func:`~repro.runtime.runner.parallel_map`).
     """
-    result = mine_frequent_itemsets(
+    frequencies = mine_frequencies(
         task.transactions,
         min_support=task.mining.min_support,
         max_size=task.mining.max_size,
     )
-    return curve_from_mining(result, task.label)
+    return [
+        RankFrequencyCurve(label, values)
+        for label, values in zip(task.labels, frequencies)
+    ]
 
 
 def ensemble_curves(
@@ -135,15 +136,16 @@ def ensemble_curves(
 
     The grid-mining entry point: a figure-4 style grid of
     (model × cuisine) cells used to pay one executor fan-out *per
-    cell* — pool startup, probe, teardown, many times over.  Here every
-    cell's uncached :class:`CurveMiningTask` items are concatenated
-    into a single order-preserving
+    cell* — pool startup, probe, teardown, many times over.  Here each
+    cell's uncached runs become one :class:`CurveMiningTask`, mined in
+    one stacked pass (:func:`~repro.analysis.itemsets.mine_frequencies`),
+    and every cell's task goes through a single order-preserving
     :func:`~repro.runtime.runner.parallel_map` call, so one pool (or
-    one distributed spool session) serves the whole grid, and the
-    per-cell averages are then assembled locally.  Results are
-    bit-identical to calling :func:`ensemble_curve` per cell: tasks are
-    pure, the map preserves order, and averaging happens per cell
-    either way.
+    one distributed spool session) serves the whole grid; the per-cell
+    averages are then assembled locally.  Results are bit-identical to
+    calling :func:`ensemble_curve` per cell, and to mining each run on
+    its own: the stacked pass keeps runs apart, tasks are pure, the
+    map preserves order, and averaging happens per cell either way.
 
     When a curve cache is available (explicitly, or built from
     ``runtime.cache_dir``), each run's mined frequencies are served
@@ -214,24 +216,34 @@ def ensemble_curves(
                 pending.append(position)
 
     if pending:
+        # One task per cell: a cell's uncached runs are mined together
+        # in one stacked pass, while cache keys stay per run.
+        groups: dict[int, list[int]] = {}
+        for position in pending:
+            groups.setdefault(flat[position][0], []).append(position)
         tasks = [
             CurveMiningTask(
-                transactions=flat[position][2],
+                transactions=tuple(flat[position][2] for position in group),
                 mining=mining,
-                label=f"{cells[flat[position][0]][1]}#{flat[position][1]}",
+                labels=tuple(
+                    f"{cells[cell][1]}#{flat[position][1]}"
+                    for position in group
+                ),
             )
-            for position in pending
+            for cell, group in groups.items()
         ]
         mined = parallel_map(mine_curve_task, tasks, runtime=config)
-        for position, curve in zip(pending, mined):
-            curves[position] = curve
-            if curve_cache is not None and keys is not None:
-                # Same policy as the run cache: a write failure must
-                # never discard mined results; stop writing instead.
-                try:
-                    curve_cache.put(keys[position], curve.frequencies)
-                except RunCacheError:
-                    curve_cache = None
+        for group, cell_curves in zip(groups.values(), mined):
+            for position, curve in zip(group, cell_curves):
+                curves[position] = curve
+                if curve_cache is not None and keys is not None:
+                    # Same policy as the run cache: a write failure
+                    # must never discard mined results; stop writing
+                    # instead.
+                    try:
+                        curve_cache.put(keys[position], curve.frequencies)
+                    except RunCacheError:
+                        curve_cache = None
 
     averaged: list[RankFrequencyCurve] = []
     cursor = 0
@@ -256,13 +268,14 @@ def ensemble_curve(
     """Aggregate runs into one rank-frequency curve at the given level.
 
     The single-cell case of :func:`ensemble_curves` (one ``(runs,
-    label)`` pair): per-run mining fans out through
-    :func:`~repro.runtime.runner.parallel_map` as module-level
-    :func:`mine_curve_task` calls over :class:`CurveMiningTask`
-    payloads, order-preserving and cache-aware, so the averaged curve
-    is identical to the serial path on every backend.  Grid callers
-    with many cells should call :func:`ensemble_curves` directly and
-    pay for one fan-out total.
+    label)`` pair): the uncached runs are one :class:`CurveMiningTask`,
+    mined in one stacked pass by the module-level
+    :func:`mine_curve_task` through
+    :func:`~repro.runtime.runner.parallel_map`, so the averaged curve
+    is identical on every backend.  One cell is one task, so a process
+    backend gains no parallelism here; grid callers with many cells
+    should call :func:`ensemble_curves` directly, which spreads one
+    task per cell over one fan-out.
     """
     return ensemble_curves(
         [(runs, label)],

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.itemsets import mine_frequent_itemsets
-from repro.analysis.rank_frequency import curve_from_mining
+from repro.analysis.itemsets import mine_frequencies
 from repro.config import DEFAULT_MINING, MiningConfig
 from repro.errors import ModelError
 from repro.models.base import EvolutionRun
@@ -86,19 +85,15 @@ def summarize_ensemble(
     )
     denominator = max(attempted, 1)
 
-    lengths = []
-    top_frequencies = []
-    for run in runs:
-        result = mine_frequent_itemsets(
-            run.transactions,
-            min_support=mining.min_support,
-            max_size=mining.max_size,
-        )
-        curve = curve_from_mining(result, run.model_name)
-        lengths.append(len(curve))
-        top_frequencies.append(
-            float(curve.frequencies[0]) if len(curve) else 0.0
-        )
+    curves = mine_frequencies(
+        [run.transactions for run in runs],
+        min_support=mining.min_support,
+        max_size=mining.max_size,
+    )
+    lengths = [curve.size for curve in curves]
+    top_frequencies = [
+        float(curve[0]) if curve.size else 0.0 for curve in curves
+    ]
 
     return EnsembleStatistics(
         model_name=runs[0].model_name,

@@ -35,7 +35,7 @@ def _forbid_mining(monkeypatch):
 
     # Every mining entry point used by the experiment drivers.
     monkeypatch.setattr(
-        "repro.models.ensemble.mine_frequent_itemsets", _no_mining
+        "repro.models.ensemble.mine_frequencies", _no_mining
     )
     monkeypatch.setattr(
         "repro.analysis.invariants.mine_frequent_itemsets", _no_mining

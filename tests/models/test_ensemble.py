@@ -19,6 +19,7 @@ from repro.models.ensemble import (
 )
 from repro.models.params import CuisineSpec
 from repro.runtime import CurveCache, RuntimeConfig
+from repro.transactions import TransactionPlane
 from tests.analysis.oracle import eclat as oracle_eclat
 
 
@@ -106,21 +107,32 @@ def test_ensemble_curve_requires_runs():
 
 def test_curve_mining_task_is_picklable():
     task = CurveMiningTask(
-        transactions=(frozenset({1, 2}), frozenset({2})),
+        transactions=(
+            TransactionPlane.of([{1, 2}, {2}]),
+            TransactionPlane.of([{3}, {3, 4}, {4}]),
+        ),
         mining=MiningConfig(min_support=0.1),
-        label="CM-R#0",
+        labels=("CM-R#0", "CM-R#1"),
     )
     clone = pickle.loads(pickle.dumps(task))
-    curve = mine_curve_task(clone)
-    assert curve.label == "CM-R#0"
-    assert len(curve) > 0
+    curves = mine_curve_task(clone)
+    assert [curve.label for curve in curves] == ["CM-R#0", "CM-R#1"]
+    assert all(len(curve) > 0 for curve in curves)
+
+
+def _oracle_frequencies(runs, min_support, max_size=None):
+    """Stand-in for the stacked miner: each run mined by the oracle."""
+    return [
+        np.array(oracle_eclat(run, min_support, max_size).frequencies())
+        for run in runs
+    ]
 
 
 def _oracle_curve(runs, monkeypatch):
     """The serial ensemble curve with every run mined by the test oracle."""
     with monkeypatch.context() as patch:
         patch.setattr(
-            "repro.models.ensemble.mine_frequent_itemsets", oracle_eclat
+            "repro.models.ensemble.mine_frequencies", _oracle_frequencies
         )
         return ensemble_curve(
             runs, "CM-R", mining=MiningConfig(min_support=0.05)
@@ -166,7 +178,7 @@ def test_warm_curve_cache_skips_mining_entirely(tmp_path, monkeypatch):
         raise AssertionError("warm path must not mine")
 
     monkeypatch.setattr(
-        "repro.models.ensemble.mine_frequent_itemsets", _no_mining
+        "repro.models.ensemble.mine_frequencies", _no_mining
     )
     cache = CurveCache(tmp_path)
     warm = ensemble_curve(runs, "CM-R", runtime=runtime, curve_cache=cache)

@@ -139,7 +139,7 @@ def test_sweep_mine_prewarms_experiment_zero_mining(
         raise AssertionError("warm experiment must not mine")
 
     monkeypatch.setattr(
-        "repro.models.ensemble.mine_frequent_itemsets", _no_mining
+        "repro.models.ensemble.mine_frequencies", _no_mining
     )
     monkeypatch.setattr(
         "repro.analysis.invariants.mine_frequent_itemsets", _no_mining
