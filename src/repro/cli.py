@@ -22,8 +22,8 @@ Subcommands::
                         (claim tasks, heartbeat, write results) until
                         stopped; pairs with ``--backend distributed``
     repro cache       — inspect (`stats`), empty (`clear`), or age-out
-                        (`prune`) a cache directory (runs, mined curves,
-                        checkpoints, orphan temps, quarantined files)
+                        (`prune`) a cache directory (runs, mined curves
+                        and orphan temps)
     repro spool       — inspect (`stats`) or sweep the dead debris out
                         of (`compact`) a work-queue spool directory
 
@@ -38,9 +38,6 @@ completed runs.  The distributed backend additionally honors ``--spool-dir PATH`
 (the shared work-queue directory that external ``repro worker``
 processes serve) and ``--local-workers N`` (worker processes the
 coordinator spawns itself; 0 = external only) — see DESIGN.md §8.
-``--checkpoint-every N`` snapshots engine state every N steps beside
-the run cache so an interrupted sweep resumes bit-identically from its
-latest valid snapshot (DESIGN.md §9).
 Mining commands accept ``--min-support X`` (paper: 0.05); there is one
 miner, the packed-bit search of DESIGN.md §6.
 """
@@ -74,7 +71,6 @@ from repro.models.registry import (
 from repro.rng import DEFAULT_SEED
 from repro.runtime import (
     BACKENDS,
-    CheckpointStore,
     CurveCache,
     DistributedConfig,
     FaultPlan,
@@ -132,14 +128,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
             "external `repro worker` processes)"
         ),
     )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None,
-        help=(
-            "snapshot engine state every N steps beside the run cache "
-            "so an interrupted run resumes bit-identically (default: no "
-            "checkpointing — see DESIGN.md §9)"
-        ),
-    )
 
 
 def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
@@ -152,7 +140,7 @@ def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
         )
     return RuntimeConfig(
         backend=args.backend, jobs=args.jobs, cache_dir=args.cache_dir,
-        distributed=distributed, checkpoint_every=args.checkpoint_every,
+        distributed=distributed,
     )
 
 
@@ -404,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help=(
             "inspect, clear, or age-out an on-disk cache "
-            "(runs, mined curves and checkpoint snapshots)"
+            "(runs and mined curves)"
         ),
     )
     cache.add_argument("action", choices=("stats", "clear", "prune"))
@@ -784,12 +772,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         else:
             print(f"cache {directory}: no cache directory")
         return 0
-    # The stores share one directory (the runner writes checkpoints
-    # beside the run cache), namespaced by entry suffix.
+    # The stores share one directory, namespaced by entry suffix.
     stores: list[tuple[str, PickleStore]] = [
         ("runs", RunCache(directory)),
         ("curves", CurveCache(directory)),
-        ("checkpoints", CheckpointStore(directory)),
     ]
     if args.action in ("clear", "prune"):
         verb, older_than, age, kept = "removed", None, "", ""
@@ -800,15 +786,14 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.action == "prune":
             entries = sum(store.disk_stats().entries for _l, store in stores)
             kept = f" ({entries} kept)"
-        runs, curves, snapshots = (counts.entries for counts in swept)
+        runs, curves = (counts.entries for counts in swept)
         print(
-            f"{verb} {runs} cached runs, {curves} mined curves and "
-            f"{snapshots} checkpoint snapshots{age} from {directory}{kept}"
+            f"{verb} {runs} cached runs and {curves} mined curves{age} "
+            f"from {directory}{kept}"
         )
         print(
             f"{verb} {sum(counts.orphan_tmp for counts in swept)} orphan "
-            f"temp files and {sum(counts.quarantined for counts in swept)} "
-            "quarantined files"
+            "temp files"
         )
         return 0
     now = time.time()
@@ -826,9 +811,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 label, "newest entry",
                 f"{_format_age(now - stats.newest_mtime)} ago",
             ))
-        orphans, bad = store.orphan_tmp_paths(), store.quarantined_paths()
-        rows.append((label, "orphan temp files", str(len(orphans))))
-        rows.append((label, "quarantined", str(len(bad))))
+        rows.append((
+            label, "orphan temp files", str(len(store.orphan_tmp_paths()))
+        ))
     # Packed corpora share operator directories with caches; surface
     # their footprint in the same telemetry table so corpus, cache and
     # spool accounting read consistently (`repro corpus stats` has the
@@ -937,8 +922,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "backend"):
-        # Runtime flags that do not combine (say, --checkpoint-every
-        # without --cache-dir) are a usage error, before any work.
+        # Runtime flag values the config refuses (say, a negative
+        # --jobs) are a usage error, before any work.
         try:
             args.runtime = _runtime_from_args(args)
         except ReproError as exc:

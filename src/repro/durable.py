@@ -1,14 +1,13 @@
 """How a file reaches disk: the one primitive under every on-disk store.
 
-Caches (DESIGN.md §5, §6), the spool (§8), checkpoints (§9) and ``.col``
-corpora (§11) all write through :func:`atomic_write`: bytes go to
+Caches (DESIGN.md §5, §6), the spool (§8) and ``.col`` corpora (§11)
+all write through :func:`atomic_write`: bytes go to
 ``<final name>.tmp.<pid>`` and land by :func:`os.replace`, so a reader
 sees the old file, the new one or none.  A failed write unlinks its
 temp; a killed writer strands it for :func:`orphan_temps` and
 :func:`sweep`.  Whether a write is fsynced (file before the rename,
-directory after it) is a fixed fact about each store: checkpoints and
-corpora are; caches (recomputable) and the spool (recovered by leases)
-are not.  Pickled store entries sit in a SHA-256 frame
+directory after it) is a fixed fact about each store: corpora are;
+caches (recomputable) and the spool (recovered by leases) are not.  Pickled store entries sit in a SHA-256 frame
 (:func:`dump_framed` / :func:`load_framed`) whose every failure maps to
 one shared kind — ``torn``, ``checksum-mismatch`` or
 ``format-version`` — and :func:`quarantine` takes a failed file out of
@@ -154,7 +153,7 @@ def quarantine(
     """Take a corrupt file out of service and record it.
 
     ``bad_path`` is where the file is renamed for post-mortem
-    (checkpoints, corpora); ``None`` evicts it (caches).  Returns the
+    (corpora); ``None`` evicts it (caches).  Returns the
     recorded action: ``"quarantined"``, ``"removed"`` or, when the
     filesystem refuses, ``"left in place"``.
     """

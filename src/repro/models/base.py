@@ -194,7 +194,6 @@ class CulinaryEvolutionModel(abc.ABC):
         seed: SeedLike = None,
         record_history: bool = False,
         engine: str | None = None,
-        checkpointer: "object | None" = None,
     ) -> EvolutionRun:
         """Simulate one cuisine evolution (Algorithm 1).
 
@@ -211,12 +210,6 @@ class CulinaryEvolutionModel(abc.ABC):
                 the latter is supported by the four paper models, and a
                 batched request on any other model (CM-V, extensions)
                 runs on the reference engine; see :meth:`resolve_engine`.
-            checkpointer: Optional
-                :class:`repro.runtime.checkpoint.RunCheckpointer` for
-                crash-consistent periodic snapshots and bit-identical
-                resume (DESIGN.md §9).  Honored by the batched engine;
-                the reference engine ignores it (it is the executable
-                specification, not a production path).
 
         Returns:
             The completed :class:`EvolutionRun`.
@@ -227,11 +220,7 @@ class CulinaryEvolutionModel(abc.ABC):
             # A single run is a batch of one; run_batched keeps every
             # run's result independent of batch composition.
             return run_batched(
-                self,
-                spec,
-                [rng],
-                record_history=record_history,
-                checkpointer=checkpointer,
+                self, spec, [rng], record_history=record_history
             )[0]
         fitness_values = np.asarray(
             self.fitness.assign(spec.ingredient_ids, rng), dtype=np.float64

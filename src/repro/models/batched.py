@@ -195,43 +195,12 @@ class BatchedStreams:
             return np.stack([rng.random(count) for _ in range(takes)])
         return self._walk_run(row, takes, count).reshape(takes, count)
 
-    def export_state(self) -> dict:
-        """Picklable snapshot of every run's block and cursor.
-
-        Generator states are excluded — the checkpoint layer snapshots
-        each ``rng.bit_generator.state`` separately (DESIGN.md §9).
-        """
-        return {
-            "blocks": self._blocks.copy(),
-            "index": self._index.copy(),
-            "size": self._size,
-        }
-
-    @classmethod
-    def restore(
-        cls, rngs: Sequence[np.random.Generator], payload: dict
-    ) -> "BatchedStreams":
-        """Rebuild streams from :meth:`export_state` output.
-
-        Bypasses ``__init__`` — the constructor draws every run's first
-        block; a restored stream must resume the snapshot's blocks and
-        cursors without consuming any draws.
-        """
-        streams = object.__new__(cls)
-        streams._rngs = list(rngs)
-        streams._size = int(payload["size"])
-        streams._blocks = np.array(payload["blocks"], dtype=np.float64)
-        streams._index = np.array(payload["index"], dtype=np.intp)
-        streams._rows = np.arange(len(streams._rngs))
-        return streams
-
 
 def run_batched(
     model: "CulinaryEvolutionModel",
     spec: "CuisineSpec",
     rngs: Sequence[np.random.Generator],
     record_history: bool = False,
-    checkpointer: "object | None" = None,
 ) -> list["EvolutionRun"]:
     """Execute one Algorithm 1 run per generator, all runs stacked.
 
@@ -244,14 +213,6 @@ def run_batched(
             generator order.
         record_history: Also record the (shared, lockstep) ``(m, n)``
             trajectory.
-        checkpointer: Optional
-            :class:`repro.runtime.checkpoint.RunCheckpointer`.  When
-            set, the loop offers a snapshot after every event — pool
-            growth, null batch, or copy-mutate chunk — and resumes from
-            the checkpointer's latest snapshot instead of initializing,
-            bit-identically to an uninterrupted run (DESIGN.md §9).
-            The generators must be fresh (same seeds as the original
-            run); their states are restored from the snapshot.
 
     Returns:
         One :class:`~repro.models.base.EvolutionRun` per generator,
@@ -317,112 +278,47 @@ def run_batched(
     lengths = np.empty(target, dtype=np.intp)
     lengths[:n0] = initial_length
 
-    snapshot = checkpointer.load() if checkpointer is not None else None
-    if snapshot is None:
-        # Per-run initialization draw order (part of the stream
-        # contract): fitness assignment, then the pool `choice`, then
-        # one `choice` per initial recipe, then the first buffer block
-        # (drawn by BatchedStreams below).  Runs are independent
-        # generators, so the cross-run loop order is immaterial.
-        for row, rng in enumerate(rngs):
-            fitness[row] = np.asarray(
-                model.fitness.assign(spec.ingredient_ids, rng),
-                dtype=np.float64,
-            )
-            picked = rng.choice(universe_size, size=m0, replace=False)
-            mask = np.zeros(universe_size, dtype=bool)
-            mask[picked] = True
-            pool_row = np.nonzero(mask)[0]
-            pool[row, :m0] = pool_row
-            remaining[row, : universe_size - m0] = np.nonzero(~mask)[0]
-            codes_row = category_codes[pool_row]
-            for code in range(n_codes):
-                selected = pool_row[codes_row == code]
-                members[row, code, : len(selected)] = selected
-                counts[row, code] = len(selected)
-            for i in range(n0):
-                drawn = rng.choice(m0, size=initial_length, replace=False)
-                recipes[row, i, :initial_length] = pool_row[
-                    drawn.astype(np.intp)
-                ]
-        streams = BatchedStreams(rngs)
+    # Per-run initialization draw order (part of the stream
+    # contract): fitness assignment, then the pool `choice`, then
+    # one `choice` per initial recipe, then the first buffer block
+    # (drawn by BatchedStreams below).  Runs are independent
+    # generators, so the cross-run loop order is immaterial.
+    for row, rng in enumerate(rngs):
+        fitness[row] = np.asarray(
+            model.fitness.assign(spec.ingredient_ids, rng),
+            dtype=np.float64,
+        )
+        picked = rng.choice(universe_size, size=m0, replace=False)
+        mask = np.zeros(universe_size, dtype=bool)
+        mask[picked] = True
+        pool_row = np.nonzero(mask)[0]
+        pool[row, :m0] = pool_row
+        remaining[row, : universe_size - m0] = np.nonzero(~mask)[0]
+        codes_row = category_codes[pool_row]
+        for code in range(n_codes):
+            selected = pool_row[codes_row == code]
+            members[row, code, : len(selected)] = selected
+            counts[row, code] = len(selected)
+        for i in range(n0):
+            drawn = rng.choice(m0, size=initial_length, replace=False)
+            recipes[row, i, :initial_length] = pool_row[
+                drawn.astype(np.intp)
+            ]
+    streams = BatchedStreams(rngs)
 
-        m = m0
-        n = n0
-        rem = universe_size - m0
-        attempted = 0
-        ingredients_added = 0
-        accepted = np.zeros(runs, dtype=np.float64)
-        rejected_fitness = np.zeros(runs, dtype=np.float64)
-        rejected_duplicate = np.zeros(runs, dtype=np.float64)
-        skipped_no_candidate = np.zeros(runs, dtype=np.float64)
-        history: list[tuple[int, int]] | None = (
-            [(m, n)] if record_history else None
-        )
-        step = 0
-    else:
-        # Resume: restore per-run generator states, stacked planes,
-        # stream cursors and lockstep scalars exactly as captured; the
-        # init loop is skipped because its draws already happened
-        # before the snapshot was taken.
-        for rng, rng_state in zip(rngs, snapshot["rng_states"]):
-            rng.bit_generator.state = rng_state
-        fitness[:] = snapshot["fitness"]
-        pool[:] = snapshot["pool"]
-        remaining[:] = snapshot["remaining"]
-        members[:] = snapshot["members"]
-        counts[:] = snapshot["counts"]
-        recipes[:] = snapshot["recipes"]
-        lengths[:] = snapshot["lengths"]
-        streams = BatchedStreams.restore(rngs, snapshot["streams"])
-
-        m = snapshot["m"]
-        n = snapshot["n"]
-        rem = snapshot["rem"]
-        attempted = snapshot["attempted"]
-        ingredients_added = snapshot["ingredients_added"]
-        accepted = np.array(snapshot["accepted"], dtype=np.float64)
-        rejected_fitness = np.array(
-            snapshot["rejected_fitness"], dtype=np.float64
-        )
-        rejected_duplicate = np.array(
-            snapshot["rejected_duplicate"], dtype=np.float64
-        )
-        skipped_no_candidate = np.array(
-            snapshot["skipped_no_candidate"], dtype=np.float64
-        )
-        history = list(snapshot["history"]) if record_history else None
-        step = snapshot["step"]
+    m = m0
+    n = n0
+    rem = universe_size - m0
+    attempted = 0
+    ingredients_added = 0
+    accepted = np.zeros(runs, dtype=np.float64)
+    rejected_fitness = np.zeros(runs, dtype=np.float64)
+    rejected_duplicate = np.zeros(runs, dtype=np.float64)
+    skipped_no_candidate = np.zeros(runs, dtype=np.float64)
+    history: list[tuple[int, int]] | None = (
+        [(m, n)] if record_history else None
+    )
     row_index = np.arange(runs)
-
-    if checkpointer is not None:
-
-        def _capture() -> dict:
-            # Reads the loop's live locals at call time; after_step only
-            # calls it when a snapshot is actually due.
-            return {
-                "engine": "batched",
-                "step": step,
-                "rng_states": [rng.bit_generator.state for rng in rngs],
-                "streams": streams.export_state(),
-                "fitness": fitness.copy(),
-                "pool": pool.copy(),
-                "remaining": remaining.copy(),
-                "members": members.copy(),
-                "counts": counts.copy(),
-                "recipes": recipes.copy(),
-                "lengths": lengths.copy(),
-                "m": m,
-                "n": n,
-                "rem": rem,
-                "attempted": attempted,
-                "ingredients_added": ingredients_added,
-                "accepted": accepted.copy(),
-                "rejected_fitness": rejected_fitness.copy(),
-                "rejected_duplicate": rejected_duplicate.copy(),
-                "skipped_no_candidate": skipped_no_candidate.copy(),
-                "history": None if history is None else list(history),
-            }
 
     def mutate_entries(
         rows: np.ndarray, draws: np.ndarray, run_of: np.ndarray
@@ -595,9 +491,6 @@ def run_batched(
             ingredients_added += 1
             if history is not None:
                 history.append((m, n))
-            step += 1
-            if checkpointer is not None:
-                checkpointer.after_step(step, _capture)
             continue
         if null_mode:
             # NM: the pool is frozen until ∂ next drops below φ, so the
@@ -671,9 +564,6 @@ def run_batched(
                     (m, past) for past in range(n + 1, n + steps + 1)
                 )
             n += steps
-            step += 1
-            if checkpointer is not None:
-                checkpointer.after_step(step, _capture)
             continue
         # Copy-mutate segment: count the consecutive recipe steps the
         # sequential loop would take before its next growth step (the
@@ -682,9 +572,6 @@ def run_batched(
         steps = 1
         while n + steps < target and not (m / (n + steps) < phi and rem):
             steps += 1
-        # History is extended per chunk (not once for the whole segment)
-        # so that a snapshot taken at a chunk boundary carries history
-        # only for recipes that exist; the final contents are identical.
         while steps:
             chunk = min(steps, _MAX_SEGMENT)
             copy_mutate_segment(n, chunk)
@@ -694,9 +581,6 @@ def run_batched(
                 )
             n += chunk
             steps -= chunk
-            step += 1
-            if checkpointer is not None:
-                checkpointer.after_step(step, _capture)
 
     # ------------------------------------------------------------------
     # Per-run result assembly.  Each run's transactions are a plane over

@@ -40,7 +40,7 @@ class VariableSizeCopyMutate(CopyMutateBase):
             declares no ``batched_kind``: its recipes change length, so
             there is no fixed row width for the batched engine to
             stack, and every run executes on the ``"reference"``
-            engine (which takes no checkpoints; DESIGN.md §7, §9).
+            engine (DESIGN.md §7).
     """
 
     name = "CM-V"

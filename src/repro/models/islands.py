@@ -666,14 +666,12 @@ class IslandMemberModel(CulinaryEvolutionModel):
         seed: SeedLike = None,
         record_history: bool = False,
         engine: str | None = None,
-        checkpointer: "object | None" = None,
     ) -> EvolutionRun:
         """Execute the archipelago and return this member's run.
 
         ``spec`` must be the member's own spec (the request carries it
-        for cache keying); ``engine`` and ``checkpointer`` are accepted
-        for dispatch compatibility and ignored — the archipelago loop
-        is scalar and runs to completion.
+        for cache keying); ``engine`` is accepted for dispatch
+        compatibility and ignored — the archipelago loop is scalar.
         """
         if spec is not self.spec and spec != self.spec:
             raise ModelError(

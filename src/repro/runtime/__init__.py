@@ -14,19 +14,13 @@ swappable concern:
   backend: a spool directory, lease-based fault tolerance (bounded
   retries, heartbeats, per-task timeouts), ``repro worker`` processes,
   and structured :class:`TaskAttempt` records (DESIGN.md §8);
-* :mod:`~repro.runtime.faults` — fault injection (kill / hang / delay /
-  kill_at_step) for proving the sweep survives worker failure
-  bit-identically;
-* :mod:`~repro.runtime.checkpoint` — crash-consistent mid-run
-  snapshots (:class:`CheckpointStore` / :class:`RunCheckpointer`) so
-  an interrupted run resumes bit-identically from its latest valid
-  snapshot instead of replaying from step 0 (DESIGN.md §9);
+* :mod:`~repro.runtime.faults` — fault injection (kill / hang / delay)
+  for proving the sweep survives worker failure bit-identically;
 * :mod:`~repro.runtime.events` — the one runtime event log: every
-  backend degradation, cache corruption, snapshot resume and task
-  attempt is a typed event appended by one ``record`` (warning once
-  per cause) and read back by type (:func:`backend_degradations`,
-  :func:`cache_corruptions`, :func:`resume_events`,
-  :func:`task_attempts`).  Events recorded in a pool or spool worker
+  backend degradation, cache corruption and task attempt is a typed
+  event appended by one ``record`` (warning once per cause) and read
+  back by type (:func:`backend_degradations`,
+  :func:`cache_corruptions`, :func:`task_attempts`).  Events recorded in a pool or spool worker
   travel back with its result and are replayed into the caller's log;
 * :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
   compaction behind ``repro spool stats|compact``;
@@ -62,14 +56,6 @@ from repro.runtime.cache import (
     RunCache,
     fingerprint_many,
     run_fingerprint,
-)
-from repro.runtime.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    CheckpointPolicy,
-    CheckpointStore,
-    ResumeEvent,
-    RunCheckpointer,
-    resume_events,
 )
 from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
 from repro.runtime.curve_cache import (
@@ -138,15 +124,12 @@ __all__ = [
     "BackendDegradationWarning",
     "BatchRequest",
     "CACHE_FORMAT_VERSION",
-    "CHECKPOINT_FORMAT_VERSION",
     "CURVE_FORMAT_VERSION",
     "CacheCorruption",
     "CacheCorruptionWarning",
     "CacheDiskStats",
     "CacheStats",
     "CellRuns",
-    "CheckpointPolicy",
-    "CheckpointStore",
     "CurveCache",
     "DistributedConfig",
     "DistributedExecutor",
@@ -156,9 +139,7 @@ __all__ = [
     "LeaseLedger",
     "PickleStore",
     "ProcessExecutor",
-    "ResumeEvent",
     "RunCache",
-    "RunCheckpointer",
     "RunRequest",
     "RuntimeConfig",
     "SerialExecutor",
@@ -185,7 +166,6 @@ __all__ = [
     "parallel_map",
     "plan_cells",
     "plan_grid",
-    "resume_events",
     "run_fingerprint",
     "run_worker",
     "select_regions",

@@ -20,11 +20,9 @@ it is replayed in the caller).
 
 The storage mechanics live in :class:`PickleStore` so sibling stores can
 share one directory, distinguished by entry suffix: :class:`RunCache`
-(``*.run.pkl``, this module) holds simulation outputs,
+(``*.run.pkl``, this module) holds simulation outputs and
 :class:`~repro.runtime.curve_cache.CurveCache` (``*.curve.pkl``) holds
-mined rank-frequency curves layered on top of them, and
-:class:`~repro.runtime.checkpoint.CheckpointStore` (``*.ckpt.pkl``)
-holds mid-run snapshots.
+mined rank-frequency curves layered on top of them.
 """
 
 from __future__ import annotations
@@ -226,7 +224,6 @@ class SweepCounts(NamedTuple):
 
     entries: int
     orphan_tmp: int
-    quarantined: int
 
 
 @dataclass
@@ -249,11 +246,12 @@ class CacheStats:
 class PickleStore:
     """A directory of framed pickles keyed by SHA-256 hex strings.
 
-    The shared mechanics of the run cache, curve cache and checkpoint
-    store, built on :mod:`repro.durable`: framed atomic writes, corrupt
-    entries quarantined and read as misses, hit/miss accounting, disk
-    stats, clearing and age-based pruning.  Subclasses fix the per-store
-    facts in the class attributes below, the entry suffix first (so
+    The shared mechanics of the run cache and curve cache, built on
+    :mod:`repro.durable`: framed atomic writes without fsync (an entry
+    is recomputable, and a torn one fails its frame check), corrupt
+    entries evicted and read as misses, hit/miss accounting, disk
+    stats, clearing and age-based pruning.  Subclasses fix the entry
+    suffix and format version in the class attributes below (so
     several stores can share one directory without colliding).
 
     Args:
@@ -273,14 +271,6 @@ class PickleStore:
     #: Format version stamped into every entry's frame.
     format_version: ClassVar[int] = CACHE_FORMAT_VERSION
 
-    #: fsync every write, file and directory.  Off for caches: a lost
-    #: entry is recomputed, and a torn one fails its frame check.
-    fsync: ClassVar[bool] = False
-
-    #: Suffix replacing :attr:`suffix` when a corrupt entry is renamed
-    #: aside for post-mortem; ``None`` evicts it instead.
-    quarantine_suffix: ClassVar[str | None] = None
-
     def __init__(self, directory: str | Path):
         if not self.suffix:
             raise RunCacheError(
@@ -295,46 +285,26 @@ class PickleStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
 
-    def _entry(self, name: str) -> Path:
-        # get/put use this, not path_for, which CheckpointStore re-keys
-        # by (key, step).
-        return self.directory / f"{name}{self.suffix}"
-
     def path_for(self, key: str) -> Path:
         """On-disk location of one cache entry."""
-        return self._entry(key)
+        return self.directory / f"{key}{self.suffix}"
 
-    def _read(self, path: Path) -> object | None:
-        """The payload at ``path``; ``None`` when absent or corrupt.
+    def get(self, key: str) -> object | None:
+        """Load a cached payload, or ``None`` on miss (or corrupt entry).
 
-        A corrupt entry is quarantined, not raised — recorded as a
+        A corrupt entry is evicted, not raised — recorded as a
         :class:`~repro.runtime.events.CacheCorruption` with a warning
         once per store and kind, so a flaky shared disk looks different
         from a cold cache.
         """
+        path = self.path_for(key)
         try:
-            return durable.load_framed(path, self.format_version)
+            payload = durable.load_framed(path, self.format_version)
         except FileNotFoundError:
-            return None
+            payload = None
         except durable.CorruptFileError as exc:
-            bad_path = None
-            if self.quarantine_suffix is not None:
-                bad_path = path.with_name(
-                    path.name[: -len(self.suffix)] + self.quarantine_suffix
-                )
-            durable.quarantine(type(self).__name__, path, exc, bad_path)
-            return None
-
-    def _write(self, path: Path, payload: object) -> None:
-        try:
-            with durable.atomic_write(path, durable=self.fsync) as handle:
-                durable.dump_framed(handle, payload, self.format_version)
-        except (OSError, pickle.PicklingError) as exc:
-            raise RunCacheError(f"failed to write {path.name}: {exc}") from exc
-
-    def get(self, key: str) -> object | None:
-        """Load a cached payload, or ``None`` on miss (or corrupt entry)."""
-        payload = self._read(self._entry(key))
+            durable.quarantine(type(self).__name__, path, exc, None)
+            payload = None
         if payload is None:
             self.stats.misses += 1
         else:
@@ -343,7 +313,12 @@ class PickleStore:
 
     def put(self, key: str, payload: object) -> None:
         """Store a payload atomically (safe under concurrent writers)."""
-        self._write(self._entry(key), payload)
+        path = self.path_for(key)
+        try:
+            with durable.atomic_write(path, durable=False) as handle:
+                durable.dump_framed(handle, payload, self.format_version)
+        except (OSError, pickle.PicklingError) as exc:
+            raise RunCacheError(f"failed to write {path.name}: {exc}") from exc
         self.stats.stores += 1
 
     def _entry_paths(self) -> list[Path]:
@@ -356,12 +331,6 @@ class PickleStore:
         stale ones.
         """
         return durable.orphan_temps(self.directory, f"*{self.suffix}")
-
-    def quarantined_paths(self) -> list[Path]:
-        """Corrupt entries renamed aside (empty for evicting stores)."""
-        if self.quarantine_suffix is None:
-            return []
-        return sorted(self.directory.glob(f"*{self.quarantine_suffix}"))
 
     def __len__(self) -> int:
         return len(self._entry_paths())
@@ -395,7 +364,7 @@ class PickleStore:
         )
 
     def sweep(self, older_than: float | None = None) -> SweepCounts:
-        """Remove entries, orphan temps and quarantined files.
+        """Remove entries and orphan temps.
 
         Args:
             older_than: When given, only files whose mtime is strictly
@@ -404,11 +373,10 @@ class PickleStore:
         return SweepCounts(
             entries=durable.sweep(self._entry_paths(), older_than),
             orphan_tmp=durable.sweep(self.orphan_tmp_paths(), older_than),
-            quarantined=durable.sweep(self.quarantined_paths(), older_than),
         )
 
     def clear(self) -> int:
-        """Delete every entry, orphan temp and quarantined file; a count."""
+        """Delete every entry and orphan temp; returns the count."""
         return sum(self.sweep())
 
     def prune_older_than(
@@ -421,9 +389,8 @@ class PickleStore:
         cache bounded.  Age is measured from the entry's *write* mtime
         — :meth:`get` never refreshes it — so an entry older than the
         cutoff is removed even if it was read recently.  Orphaned temps
-        and quarantined files past the cutoff go too (age-gated, not
-        unconditionally: a fresh temp may be a concurrent writer's
-        in-flight :meth:`put`).
+        past the cutoff go too (age-gated, not unconditionally: a fresh
+        temp may be a concurrent writer's in-flight :meth:`put`).
 
         Args:
             max_age_seconds: Age threshold; files strictly older are

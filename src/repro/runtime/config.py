@@ -144,19 +144,12 @@ class RuntimeConfig:
         distributed: Distributed-backend policy; ``None`` uses
             :class:`DistributedConfig` defaults when the backend is
             ``"distributed"`` and is meaningless otherwise.
-        checkpoint_every: Snapshot each dispatched run's engine state
-            every N steps into the cache directory (DESIGN.md §9), so
-            an interrupted run (on any backend; under the distributed
-            backend, a reclaimed task) resumes bit-identically from its
-            latest valid snapshot.  ``None`` disables.  Needs
-            ``cache_dir``: snapshots share the durable home of results.
     """
 
     backend: str = "serial"
     jobs: int = 1
     cache_dir: Path | None = None
     distributed: DistributedConfig | None = None
-    checkpoint_every: int | None = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -166,16 +159,6 @@ class RuntimeConfig:
         if self.jobs < 0:
             raise ExecutionError(
                 f"jobs must be >= 0 (0 = all cores), got {self.jobs}"
-            )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ExecutionError(
-                f"checkpoint_every must be >= 1 (None = disabled), "
-                f"got {self.checkpoint_every}"
-            )
-        if self.checkpoint_every is not None and self.cache_dir is None:
-            raise ExecutionError(
-                f"checkpoint_every={self.checkpoint_every} needs a "
-                "cache_dir: snapshots are written beside the run cache"
             )
         if self.cache_dir is not None and not isinstance(self.cache_dir, Path):
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))

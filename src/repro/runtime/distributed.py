@@ -24,10 +24,9 @@ Robustness is structural, not bolted on:
 * every attempt is recorded as a structured :class:`TaskAttempt` in
   the runtime event log (:mod:`repro.runtime.events`), queryable after
   the run via :func:`task_attempts`;
-* every event a task records inside its worker (a quarantined
-  snapshot, a resume) travels back in the result payload's ``events``
-  list and is replayed into the coordinator's log, which derives
-  ``TaskAttempt.resumed_from_step`` from the shipped resumes;
+* every event a task records inside its worker (an evicted cache
+  entry, a backend degradation) travels back in the result payload's
+  ``events`` list and is replayed into the coordinator's log;
 * a map that no worker attaches to within ``attach_deadline`` degrades
   to the process backend with a
   :class:`~repro.runtime.events.BackendDegradationWarning`.
@@ -64,7 +63,6 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from repro import durable
 from repro.errors import ExecutionError, TaskRetryExhaustedError
 from repro.runtime import events
-from repro.runtime.checkpoint import ResumeEvent, disarm_kill
 from repro.runtime.config import DistributedConfig, RuntimeConfig
 from repro.runtime.executor import (
     Executor,
@@ -460,11 +458,6 @@ class TaskAttempt(events.Event):
         error: Failure reason for non-completed outcomes.
         elapsed_seconds: Worker-measured execution time for completed
             attempts.
-        resumed_from_step: Engine step of the checkpoint snapshot this
-            attempt resumed from (DESIGN.md §9), taken from the
-            :class:`~repro.runtime.checkpoint.ResumeEvent` the worker
-            shipped; ``None`` when the attempt started from scratch
-            (or checkpointing was off).
         fault: Action of the planned fault injected into this attempt
             (:mod:`repro.runtime.faults`), or ``None``.
     """
@@ -475,7 +468,6 @@ class TaskAttempt(events.Event):
     worker: str | None = None
     error: str | None = None
     elapsed_seconds: float | None = None
-    resumed_from_step: int | None = None
     fault: str | None = None
 
 
@@ -627,9 +619,9 @@ def run_worker(
                     if spec is not None:
                         inject_fault(spec)
                 started = time.perf_counter()
-                # The events the task records (a resume, a quarantined
-                # snapshot) belong to the coordinator: they ride back
-                # in the result payload and are replayed there.
+                # The events the task records (an evicted cache entry,
+                # a degradation) belong to the coordinator: they ride
+                # back in the result payload and are replayed there.
                 with events.shipped() as recorded:
                     try:
                         task: SpoolTask = pickle.loads(
@@ -665,10 +657,6 @@ def run_worker(
                     # the coordinator reclaims and retries elsewhere.
                     pass
             finally:
-                # An armed kill_at_step that never tripped (the task's
-                # engine ignored checkpointers, or the run was shorter
-                # than at_step) must not leak into a later claim.
-                disarm_kill()
                 hb_stop.set()
                 hb.join(timeout=1.0)
                 for leftover in (claim_path, hb_path):
@@ -930,13 +918,8 @@ class _MapSession:
             ).attempt
             # Every observed execution's events happened, duplicates'
             # included; a payload without the list shipped none.
-            shipped = payload.get("events") or ()
-            for event in shipped:
+            for event in payload.get("events") or ():
                 events.record(event)
-            resumed = [
-                event.step for event in shipped
-                if isinstance(event, ResumeEvent)
-            ]
             if payload.get("ok"):
                 if self._ledger.complete(index, now):
                     self._results[index] = payload["value"]
@@ -946,7 +929,6 @@ class _MapSession:
                         outcome="completed",
                         worker=payload.get("worker"),
                         elapsed_seconds=payload.get("elapsed"),
-                        resumed_from_step=max(resumed, default=None),
                     ))
             else:
                 error = payload.get("error") or "task failed"

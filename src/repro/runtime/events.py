@@ -3,16 +3,14 @@
 Every runtime observation an operator may need after the fact is one
 typed event appended to one process-wide log: a backend degradation
 (the runtime ran a map on a weaker backend than asked), a cache
-corruption (a store evicted or quarantined a corrupt file), a snapshot
-resume (:class:`~repro.runtime.checkpoint.ResumeEvent`) and a
+corruption (a store evicted or quarantined a corrupt file) and a
 distributed task attempt (:class:`~repro.runtime.distributed.
 TaskAttempt`).  Producers call :func:`record`; readers filter the log by
 type with :func:`recorded` (or the one-line queries such as
 :func:`cache_corruptions`); :func:`clear` resets it.
 
-What differs between event types is a set of class facts the log reads,
-the way :mod:`repro.durable` reads each store's ``fsync`` fact: the
-warning category raised the first time an event's once-key is seen
+What differs between event types is a set of class facts the log
+reads: the warning category raised the first time an event's once-key is seen
 (:attr:`Event.warning`), the once-key itself (:meth:`Event.once_key`),
 and whether a repeat of a seen key is recorded at all
 (:attr:`Event.repeats`).  Degradations are recorded once per
@@ -128,21 +126,21 @@ class CacheCorruption(Event):
     """One corrupt on-disk entry, as observed and handled by a store.
 
     Stores survive corruption (:func:`repro.durable.quarantine` evicts a
-    cache entry or renames a snapshot or corpus to ``*.bad``), but
+    cache entry or renames a corpus to ``*.bad``), but
     survival alone would make a poisoned shared cache look like a cold
     one, so every observation is recorded and the first per
     ``(store, kind)`` warns.
 
     Attributes:
         store: Class name of the observing store (``RunCache``,
-            ``CurveCache``, ``CheckpointStore``, ...).
+            ``CurveCache`` or ``ColumnarCorpus``).
         path: The corrupt file, as observed.
         kind: One of :mod:`repro.durable`'s shared kinds: ``"torn"``,
             ``"checksum-mismatch"`` or ``"format-version"``.
         detail: The underlying error, verbatim.
         action: What the store did about it — ``"removed"`` (cache
             entries: evicted, will recompute), ``"quarantined"``
-            (snapshots, corpora: renamed aside for post-mortem) or
+            (corpora: renamed aside for post-mortem) or
             ``"left in place"`` (the filesystem refused).
     """
 

@@ -62,15 +62,7 @@ __all__ = [
 #:   reclaims via the per-task ``task_timeout`` instead.
 #: * ``delay`` — the worker sleeps briefly and then completes normally;
 #:   exercises slow workers without triggering any retry.
-#: * ``kill_at_step`` — the worker starts the task normally and exits
-#:   (``os._exit``, like ``kill``) when the run's engine loop reaches
-#:   step ``at_step`` — a crash *mid-run*, after snapshots may have
-#:   been written, which is what the checkpoint/resume contract
-#:   (DESIGN.md §9) must survive.  The kill is armed here (before the
-#:   task payload is deserialized, preserving the injection-point
-#:   contract) and tripped by the run's
-#:   :class:`~repro.runtime.checkpoint.RunCheckpointer`.
-FAULT_KINDS: tuple[str, ...] = ("kill", "hang", "delay", "kill_at_step")
+FAULT_KINDS: tuple[str, ...] = ("kill", "hang", "delay")
 
 #: Exit code used by ``kill`` injections, distinguishable from real
 #: crashes in worker logs and test assertions.
@@ -98,16 +90,13 @@ class FaultSpec:
             which is how "kill each worker's first task"
             retry-exhaustion plans are written.
         seconds: Sleep duration for ``hang``/``delay`` (ignored by
-            ``kill``/``kill_at_step``).
-        at_step: 1-based engine step at which ``kill_at_step`` fires
-            (ignored by the other actions).
+            ``kill``).
     """
 
     action: str
     nth_task: int = 1
     worker: str | None = None
     seconds: float = 0.0
-    at_step: int = 1
 
     def __post_init__(self) -> None:
         if self.action not in FAULT_KINDS:
@@ -122,10 +111,6 @@ class FaultSpec:
         if self.seconds < 0:
             raise ExecutionError(
                 f"fault seconds must be >= 0, got {self.seconds}"
-            )
-        if self.at_step < 1:
-            raise ExecutionError(
-                f"at_step is a 1-based engine step, got {self.at_step}"
             )
 
     def matches(self, worker_id: str, claim_ordinal: int) -> bool:
@@ -168,7 +153,6 @@ class FaultPlan:
                     "nth_task": spec.nth_task,
                     "worker": spec.worker,
                     "seconds": spec.seconds,
-                    "at_step": spec.at_step,
                 }
                 for spec in self.faults
             ]
@@ -194,7 +178,6 @@ class FaultPlan:
                     nth_task=int(entry.get("nth_task", 1)),
                     worker=entry.get("worker"),
                     seconds=float(entry.get("seconds", 0.0)),
-                    at_step=int(entry.get("at_step", 1)),
                 )
                 for entry in entries
             )
@@ -286,10 +269,7 @@ def inject_fault(spec: FaultSpec) -> None:
     :data:`FAULT_KILL_EXIT_CODE`, heartbeats and all); ``hang`` and
     ``delay`` sleep for ``spec.seconds`` and return — the difference
     between them is purely whether the caller sized the sleep past the
-    coordinator's ``task_timeout``.  ``kill_at_step`` returns after
-    *arming* the kill: this seam runs before the task payload is
-    deserialized, so the actual exit is performed by the run's
-    checkpointer when the engine loop reaches ``spec.at_step``.
+    coordinator's ``task_timeout``.
     """
     if spec.action == "kill":
         # os._exit, not sys.exit: a real crash does not unwind the
@@ -297,9 +277,4 @@ def inject_fault(spec: FaultSpec) -> None:
         # injected one, or the test would exercise a gentler failure
         # than the one it claims to.
         os._exit(FAULT_KILL_EXIT_CODE)
-    if spec.action == "kill_at_step":
-        from repro.runtime.checkpoint import arm_kill_at_step
-
-        arm_kill_at_step(spec.at_step)
-        return
     time.sleep(spec.seconds)

@@ -17,7 +17,6 @@ front).  Determinism is structural rather than incidental:
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
@@ -26,12 +25,6 @@ from repro.errors import RunCacheError
 from repro.rng import rng_from_seed
 from repro.runtime import events
 from repro.runtime.cache import RunCache, fingerprint_many, run_fingerprint
-from repro.runtime.checkpoint import (
-    CheckpointPolicy,
-    CheckpointStore,
-    RunCheckpointer,
-    consume_armed_kill,
-)
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import _CannotCross, get_executor
 
@@ -86,11 +79,6 @@ class RunRequest:
             (``"reference"`` or ``"batched"``; ``None`` uses the
             model's ``params.engine``).  The cache
             key covers the resolved engine either way.
-        checkpoint: Optional crash-consistency policy (DESIGN.md §9).
-            An execution concern, not part of the run's identity:
-            :meth:`fingerprint` deliberately excludes it, so
-            checkpointed and plain executions of the same run share a
-            cache entry.
     """
 
     model: "CulinaryEvolutionModel"
@@ -98,7 +86,6 @@ class RunRequest:
     seed: int
     record_history: bool = False
     engine: str | None = None
-    checkpoint: CheckpointPolicy | None = None
 
     def fingerprint(self) -> str:
         """Cache key for this request's complete inputs."""
@@ -106,45 +93,6 @@ class RunRequest:
             self.model, self.spec, self.seed, self.record_history,
             self.engine,
         )
-
-
-def _checkpoint_key(item: "RunRequest | BatchRequest") -> str:
-    """Stable snapshot key for a work item.
-
-    Single runs key on their cache fingerprint; a batch keys on the
-    digest of its runs' fingerprints in seed order — any change to the
-    batch's composition (or any member's inputs) keys differently, so
-    a resumed batch can never load another batch's snapshot.
-    """
-    if isinstance(item, BatchRequest):
-        parts = fingerprint_many(
-            item.model, item.spec, list(item.seeds),
-            item.record_history, item.engine,
-        )
-        return hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
-    return item.fingerprint()
-
-
-def _checkpointer_for(
-    item: "RunRequest | BatchRequest",
-) -> RunCheckpointer | None:
-    """Build the item's checkpointer, if snapshots (or a kill) are due.
-
-    Consumes any armed ``kill_at_step`` fault (fault injection arms it
-    before the task body runs; see :func:`repro.runtime.faults.inject_fault`)
-    so even an unpoliced item honors an injected mid-run kill.
-    """
-    kill = consume_armed_kill()
-    policy = item.checkpoint
-    if policy is None and kill is None:
-        return None
-    store = CheckpointStore(policy.directory) if policy is not None else None
-    return RunCheckpointer(
-        store,
-        _checkpoint_key(item),
-        every=policy.every if policy is not None else 0,
-        kill_at_step=kill,
-    )
 
 
 def _is_island_member(model: "CulinaryEvolutionModel") -> bool:
@@ -169,22 +117,17 @@ def execute_request(request: RunRequest) -> "EvolutionRun":
     a dispatched member run stays bit-identical to a direct
     ``member.run(spec, seed=master)`` call with the same integer.
     """
-    checkpointer = _checkpointer_for(request)
     seed = (
         request.seed
         if _is_island_member(request.model)
         else rng_from_seed(request.seed)
     )
-    run = request.model.run(
+    return request.model.run(
         request.spec,
         seed=seed,
         record_history=request.record_history,
         engine=request.engine,
-        checkpointer=checkpointer,
     )
-    if checkpointer is not None:
-        checkpointer.finished()
-    return run
 
 
 @dataclass(frozen=True)
@@ -208,9 +151,6 @@ class BatchRequest:
         record_history: Forwarded to the batch.
         engine: The cell's engine override, carried for provenance
             (the planner already proved it resolves to ``"batched"``).
-        checkpoint: Optional crash-consistency policy (DESIGN.md §9);
-            excluded from every member run's cache key, like
-            :attr:`RunRequest.checkpoint`.
     """
 
     model: "CulinaryEvolutionModel"
@@ -218,7 +158,6 @@ class BatchRequest:
     seeds: tuple[int, ...]
     record_history: bool = False
     engine: str | None = None
-    checkpoint: CheckpointPolicy | None = None
 
 
 def execute_batch(batch: BatchRequest) -> list["EvolutionRun"]:
@@ -232,17 +171,12 @@ def execute_batch(batch: BatchRequest) -> list["EvolutionRun"]:
     """
     from repro.models.batched import run_batched
 
-    checkpointer = _checkpointer_for(batch)
-    runs = run_batched(
+    return run_batched(
         batch.model,
         batch.spec,
         [rng_from_seed(seed) for seed in batch.seeds],
         record_history=batch.record_history,
-        checkpointer=checkpointer,
     )
-    if checkpointer is not None:
-        checkpointer.finished()
-    return runs
 
 
 @dataclass(frozen=True)
@@ -264,15 +198,12 @@ class ArchipelagoRequest:
         members: Member indices to return, in result order.
         seed: The integer master seed of the execution.
         record_history: Forwarded to the simulation.
-        checkpoint: Accepted for dispatch-policy compatibility and
-            ignored — the scalar archipelago loop does not snapshot.
     """
 
     simulation: "object"
     members: tuple[int, ...]
     seed: int
     record_history: bool = False
-    checkpoint: CheckpointPolicy | None = None
 
 
 def execute_archipelago(request: ArchipelagoRequest) -> list["EvolutionRun"]:
@@ -284,9 +215,6 @@ def execute_archipelago(request: ArchipelagoRequest) -> list["EvolutionRun"]:
     ``IslandSimulation.run(seed=master)`` uses — so archipelago, solo and
     direct member runs are all bit-identical.
     """
-    # Islands do not checkpoint; consume any armed kill_at_step fault
-    # so it cannot leak into a later task on this worker.
-    consume_armed_kill()
     return request.simulation.run_members(
         list(request.members),
         seed=request.seed,
@@ -353,19 +281,13 @@ def _shrink(
 ) -> "RunRequest | BatchRequest | ArchipelagoRequest":
     """The part of a work item left to execute: its runs at ``keep``.
 
-    ``None`` keeps every run.  A group left with one run dispatches as
-    a plain :class:`RunRequest`, so a lone run keys its snapshots and
-    receives its seed exactly like any solo run.
+    ``None`` keeps every run.  An archipelago left with one member
+    dispatches as that member's plain :class:`RunRequest`, which hands
+    the member its raw master seed exactly like any solo member run.
     """
-    if isinstance(item, BatchRequest):
-        seeds = item.seeds if keep is None else tuple(
-            item.seeds[position] for position in keep
-        )
-        if len(seeds) > 1:
-            return replace(item, seeds=seeds)
-        return RunRequest(
-            model=item.model, spec=item.spec, seed=seeds[0],
-            record_history=item.record_history, engine=item.engine,
+    if isinstance(item, BatchRequest) and keep is not None:
+        return replace(
+            item, seeds=tuple(item.seeds[position] for position in keep)
         )
     if isinstance(item, ArchipelagoRequest):
         members = item.members if keep is None else tuple(
@@ -445,10 +367,7 @@ def dispatch_work(
     Args:
         work: ``(item, keys)`` pairs in result order; ``keys`` may be
             ``None`` when ``cache`` is.
-        config: Backend/jobs selection; its ``checkpoint_every``
-            attaches a snapshot policy to every dispatched item
-            (DESIGN.md §9), with the snapshots beside the run cache in
-            its directory.
+        config: Backend/jobs selection.
         cache: Cache instance; ``None`` disables lookups and writes.
 
     Returns:
@@ -479,14 +398,6 @@ def dispatch_work(
     if pending:
         executor = get_executor(config)
         items = [item for _, _, item, _ in pending]
-        if config.checkpoint_every is not None:
-            # RuntimeConfig refuses a period without a cache directory,
-            # so every caller has a cache to hold the snapshots.
-            policy = CheckpointPolicy(
-                directory=str(cache.directory),
-                every=config.checkpoint_every,
-            )
-            items = [replace(item, checkpoint=policy) for item in items]
         # Under the distributed backend the *workers* write fresh runs
         # into the shared cache directory (the result rendezvous,
         # DESIGN.md §8) and the coordinator skips its own puts; every

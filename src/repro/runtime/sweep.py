@@ -25,7 +25,8 @@ sweep is bit-identical to the per-cell path for a fixed master
 seed, on every backend (see DESIGN.md §5).
 
 The on-disk run cache is consulted per run, so a warm cell costs zero
-worker time and a sweep interrupted halfway resumes where it stopped.
+worker time and a sweep interrupted halfway resumes where it stopped —
+which is what bounds a crash to the cells in flight (DESIGN.md §9).
 """
 
 from __future__ import annotations

@@ -738,7 +738,8 @@ class ColumnarCorpus:
         Raises:
             StorageError: If the file is missing, or fails validation —
                 in which case it is quarantined to ``<path>.bad`` and
-                recorded via the §9 corruption telemetry.
+                recorded as a :class:`~repro.runtime.events.
+                CacheCorruption` in the runtime event log.
         """
         source = Path(path)
         if not source.exists():

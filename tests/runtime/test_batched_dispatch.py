@@ -6,9 +6,9 @@ dispatcher shrinks it to its cache misses, and each batch executes as
 one stacked pass.  The contract tested here:
 
 * a batch is exactly one cell — other engines and unbatchable models
-  plan plain per-run requests, a batch shrunk to one miss dispatches
-  as a plain request, and two cells never share a batch, even when
-  built from the same objects;
+  plan plain per-run requests, a batch shrunk to one miss stays a
+  batch of one, and two cells never share a batch, even when built
+  from the same objects;
 * results are bit-identical to solo (batch-of-one) execution on every
   backend, regardless of how cache hits shrink a batch;
 * cached batched runs interoperate with per-run replay: each run is
@@ -65,13 +65,18 @@ def test_plan_work_groups_same_cell_runs(tiny_spec):
     assert batch.seeds == (0, 1, 2, 3)
 
 
-def test_plan_work_keeps_singletons_as_run_requests(tiny_spec):
-    """A batch shrunk to one miss dispatches as a plain request."""
+def test_plan_work_shrinks_to_a_batch_of_one(tiny_spec):
+    """A batch shrunk to one miss stays a batch, equal to its solo run."""
     model = create_model("CM-R")
     (batch,) = _items(model, tiny_spec, range(3))
     item = _shrink(batch, [1])
-    assert isinstance(item, RunRequest)
-    assert item.seed == 1
+    assert isinstance(item, BatchRequest)
+    assert item.seeds == (1,)
+    (run,) = runner.execute_batch(item)
+    solo = runner.execute_request(
+        RunRequest(model=model, spec=tiny_spec, seed=1, engine="batched")
+    )
+    assert _signature([run]) == _signature([solo])
 
 
 def test_plan_work_groups_across_cache_hits(tiny_spec):
@@ -110,8 +115,7 @@ def test_same_objects_in_two_cells_dispatch_as_two_batches(
     tiny_spec, monkeypatch
 ):
     """Two cells sharing model and spec objects stay two batches, so a
-    cell's batch (and its checkpoint key) never depends on its
-    neighbour."""
+    cell's batch never depends on its neighbour."""
     model = create_model("CM-R")
     plan = plan_cells(
         [(model, tiny_spec), (model, tiny_spec)], n_runs=3, seed=4,

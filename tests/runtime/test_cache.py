@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import durable
 from repro.errors import ModelError, ParameterError, RunCacheError
 from repro.models.ensemble import run_ensemble
 from repro.models.registry import create_model
@@ -12,6 +13,7 @@ from repro.runtime import (
     CacheCorruptionWarning,
     RunCache,
     RuntimeConfig,
+    cache_corruptions,
     execute_runs,
     run_fingerprint,
 )
@@ -342,7 +344,6 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     """
     import numpy as np
 
-    from repro.runtime import cache_corruptions
     from repro.transactions import _narrow
 
     cache = RunCache(tmp_path)
@@ -364,3 +365,48 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     assert event.kind == "checksum-mismatch"
     assert event.action == "removed"
     assert not path.exists()
+
+
+def test_corruption_warns_once_per_store_and_kind(tmp_path):
+    cache = RunCache(tmp_path)
+    for key in ("a", "b"):
+        cache.put(key, "x")
+        cache.path_for(key).write_bytes(b"junk")
+    with pytest.warns(CacheCorruptionWarning) as caught:
+        assert cache.get("a") is None
+        # Same (store, kind) again: recorded, but no second warning.
+        assert cache.get("b") is None
+    warned = [w for w in caught if w.category is CacheCorruptionWarning]
+    assert len(warned) == 1 and "RunCache" in str(warned[0].message)
+    assert len(cache_corruptions()) == 2
+
+
+def test_run_cache_corrupt_entry_event_and_orphan_sweep(tmp_path):
+    cache = RunCache(tmp_path)
+    path = cache.path_for("deadbeef")
+    path.write_bytes(b"not a pickle")
+    with pytest.warns(CacheCorruptionWarning):
+        assert cache.get("deadbeef") is None
+    assert not path.exists()  # still evicted, as before
+    events = cache_corruptions()
+    assert len(events) == 1
+    assert events[0].store == "RunCache"
+    assert events[0].kind == durable.TORN
+    assert events[0].action == "removed"
+
+    # Crash-window temp: the same name put() would have used mid-write.
+    orphan = durable.tmp_path_for(path)
+    orphan.write_bytes(b"half an entry")
+    assert cache.orphan_tmp_paths() == [orphan]
+    assert cache.clear() == 1  # just the orphan; real entry already gone
+    assert cache.orphan_tmp_paths() == []
+
+
+def test_run_cache_prune_removes_aged_orphan_tmp(tmp_path):
+    cache = RunCache(tmp_path)
+    orphan = durable.tmp_path_for(cache.path_for("cafe"))
+    orphan.write_bytes(b"x")
+    assert cache.prune_older_than(3600.0) == 0  # too young
+    assert orphan.exists()
+    assert cache.prune_older_than(0.0) == 1
+    assert not orphan.exists()

@@ -44,15 +44,6 @@ def test_explicit_jobs_resolve_unchanged():
     assert RuntimeConfig(backend="process", jobs=3).resolve_jobs() == 3
 
 
-def test_checkpoint_every_needs_a_cache_dir(tmp_path):
-    # Snapshots live beside the run cache: a period with nowhere to
-    # write them is refused, not silently ignored.
-    with pytest.raises(ExecutionError, match="cache_dir"):
-        RuntimeConfig(checkpoint_every=5)
-    config = RuntimeConfig(checkpoint_every=5, cache_dir=tmp_path)
-    assert config.checkpoint_every == 5
-
-
 def test_cache_dir_coerced_to_path(tmp_path):
     config = RuntimeConfig(cache_dir=str(tmp_path))
     assert isinstance(config.cache_dir, Path)

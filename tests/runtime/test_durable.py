@@ -9,8 +9,8 @@ one point of the write, selected by patching ``os.fsync`` or
 * ``after-fsync``: the file fsync ran, the rename has not;
 * ``before-rename``: everything but the rename.
 
-Only durable stores (checkpoints, corpora) reach an fsync, so caches
-and the spool are killed in the last window only.  The parent then
+Only the durable store (corpora) reaches an fsync, so caches and the
+spool are killed in the last window only.  The parent then
 asserts that the fault fired (the child's exit code), that a reader
 sees the previous value or a miss and never a partial payload, and
 that the stranded temp is listed and then swept.  The last test pins
@@ -32,7 +32,6 @@ import pytest
 
 from repro import durable
 from repro.runtime import (
-    CheckpointStore,
     CurveCache,
     DistributedConfig,
     FaultPlan,
@@ -170,17 +169,6 @@ def _read_curve(directory: Path) -> None:
     assert CurveCache(directory).get(KEY) is None
 
 
-def _prepare_checkpoint(directory: Path) -> Path:
-    store = CheckpointStore(directory)
-    store.put(KEY, 4, OLD)
-    return store.path_for(KEY, 8)
-
-
-def _read_checkpoint(directory: Path) -> None:
-    found = CheckpointStore(directory).latest(KEY)
-    assert found is not None and found[0] == 4 and _same(found[1], OLD)
-
-
 def _read_spool_tasks(directory: Path) -> None:
     assert list(Spool(directory).tasks.glob(f"*{TASK_SUFFIX}")) == []
 
@@ -249,14 +237,6 @@ def _cases(tiny_dataset) -> dict[str, Case]:
             orphans=lambda d: CurveCache(d).orphan_tmp_paths(),
             sweep=lambda d: CurveCache(d).clear(),
         ),
-        "checkpoint": Case(
-            windows=WINDOWS,
-            prepare=_prepare_checkpoint,
-            write=lambda d: CheckpointStore(d).put(KEY, 8, NEW),
-            read=_read_checkpoint,
-            orphans=lambda d: CheckpointStore(d).orphan_tmp_paths(),
-            sweep=lambda d: CheckpointStore(d).clear(),
-        ),
         "spool-task": Case(
             windows=("before-rename",),
             prepare=lambda d: Spool(d).ensure().tasks,
@@ -282,7 +262,6 @@ CRASHES = [
     ("curve-cache", "before-rename"),
     ("spool-task", "before-rename"),
     ("spool-result", "before-rename"),
-    *(("checkpoint", window) for window in WINDOWS),
     *(("columnar", window) for window in WINDOWS),
 ]
 
@@ -336,7 +315,6 @@ POLICY = {
     "curve-cache": ["replace"],
     "spool-task": ["replace"],
     "spool-result": ["replace"],
-    "checkpoint": DURABLE_WRITE,
     "columnar": DURABLE_WRITE,
 }
 
@@ -345,7 +323,7 @@ POLICY = {
 def test_fsync_policy_is_fixed_per_store(
     store, tmp_path, tiny_dataset, monkeypatch
 ):
-    """Durable stores fsync the file before the rename and the
+    """The durable store fsyncs the file before the rename and the
     directory after it; caches and the spool never fsync."""
     case = _cases(tiny_dataset)[store]
     case.prepare(tmp_path)

@@ -1,11 +1,11 @@
 """The runtime event log across process boundaries.
 
-An event recorded inside a pool or spool worker (a quarantined
-snapshot, a resume) must reach the caller's log on every backend, and
-replaying it there must pass through the caller's warn-once gate: two
-workers that hit the same cause give two records and one warning.
-Each test first proves its corruption or fault actually fired, so none
-can pass as a happy-path run.
+An event recorded inside a pool or spool worker (here: a torn run-cache
+entry evicted by a read in a mapped job) must reach the caller's log on
+every backend, and replaying it there must pass through the caller's
+warn-once gate: two workers that hit the same cause give two records
+and one warning.  Each test first proves its corruption actually fired
+(the torn file is gone), so none can pass as a happy-path run.
 """
 
 from __future__ import annotations
@@ -17,42 +17,31 @@ from pathlib import Path
 
 import pytest
 
-from repro.models.registry import create_model
-from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
     BACKENDS,
     CacheCorruptionWarning,
-    CheckpointStore,
     DistributedConfig,
-    FaultPlan,
-    FaultSpec,
+    RunCache,
     RuntimeConfig,
     cache_corruptions,
     events,
-    execute_runs,
-    execute_sweep,
-    fingerprint_many,
     parallel_map,
-    plan_grid,
-    resume_events,
-    task_attempts,
 )
-from repro.runtime.checkpoint import QUARANTINE_SUFFIX
-from repro.runtime.faults import ANY_WORKER
+
+#: Two run-cache keys, one per mapped job.
+KEYS = ("aa" * 32, "bb" * 32)
 
 
-def _runtime(backend: str, **overrides) -> RuntimeConfig:
+def _runtime(backend: str) -> RuntimeConfig:
     """Two workers on every parallel backend, with test-sized timings."""
     distributed = None
     if backend == "distributed":
         distributed = DistributedConfig(
             local_workers=2, poll_interval=0.01, heartbeat_interval=0.05,
             lease_timeout=0.5, task_timeout=30.0, backoff_base=0.02,
-            backoff_cap=0.1, fault_plan=overrides.pop("fault_plan", None),
+            backoff_cap=0.1,
         )
-    return RuntimeConfig(
-        backend=backend, jobs=2, distributed=distributed, **overrides
-    )
+    return RuntimeConfig(backend=backend, jobs=2, distributed=distributed)
 
 
 def _corruption_warnings(caught) -> list:
@@ -61,43 +50,51 @@ def _corruption_warnings(caught) -> list:
     ]
 
 
-def test_sweep_quarantines_reach_the_caller_on_every_backend(
-    tiny_spec, tmp_path
-):
-    """A corrupt snapshot in front of each of two cells, per backend.
+def _plant_torn_entries(directory: Path) -> list[Path]:
+    """One torn entry per key in a run cache at ``directory``."""
+    cache = RunCache(directory)
+    paths = [cache.path_for(key) for key in KEYS]
+    for path in paths:
+        path.write_bytes(b"torn")
+    return paths
 
-    Per backend: snapshots renamed aside (the corruption fired),
-    corruption records in the caller's log, and warnings it raised.
+
+def _read_entry(job: tuple[str, str]) -> int:
+    """Read one run-cache entry that must be torn; the worker's pid."""
+    directory, key = job
+    if RunCache(directory).get(key) is not None:
+        raise AssertionError("a torn entry loaded")
+    return os.getpid()
+
+
+def _assert_two_evictions_one_warning(paths: list[Path], caught) -> None:
+    assert not any(path.exists() for path in paths)  # the reads fired
+    corruptions = cache_corruptions()
+    assert len(corruptions) == 2
+    assert {event.action for event in corruptions} == {"removed"}
+    (warned,) = _corruption_warnings(caught)
+    assert "RunCache" in str(warned.message)
+
+
+def test_sweep_quarantines_reach_the_caller_on_every_backend(tmp_path):
+    """Torn run-cache entries read in two mapped jobs, per backend.
+
+    Per backend: both entries evicted (the corruption fired), both
+    records in the caller's log, and one warning raised there.
     """
-    plan = plan_grid(
-        [create_model("CM-R"), create_model("NM")], [tiny_spec],
-        n_runs=1, seed=5,
-    )
-    observed = {}
     for backend in BACKENDS:
         events.clear()
-        cache_dir = tmp_path / backend
-        store = CheckpointStore(cache_dir)
-        for cell in plan.cells:
-            (key,) = fingerprint_many(
-                cell.model, cell.spec, cell.seeds, plan.record_history,
-                plan.engine,
-            )
-            store.path_for(key, 1).write_bytes(b"torn")
-        runtime = _runtime(backend, cache_dir=cache_dir, checkpoint_every=1)
+        directory = tmp_path / backend
+        paths = _plant_torn_entries(directory)
+        jobs = [(str(directory), key) for key in KEYS]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert execute_sweep(plan, runtime=runtime).executed == 2
-        observed[backend] = (
-            len(list(cache_dir.glob(f"*{QUARANTINE_SUFFIX}"))),
-            len(cache_corruptions()),
-            len(_corruption_warnings(caught)),
-        )
-    assert observed == {backend: (2, 2, 1) for backend in BACKENDS}
+            parallel_map(_read_entry, jobs, runtime=_runtime(backend))
+        _assert_two_evictions_one_warning(paths, caught)
 
 
-def _quarantine_beside_peer(job: tuple[str, int]) -> int:
-    """Quarantine one corrupt snapshot while the peer job also runs.
+def _read_beside_peer(job: tuple[str, int]) -> int:
+    """Read one torn entry while the peer job also runs.
 
     Each job waits until the other has started, so the two cannot share
     a worker process; returns the worker's pid.
@@ -110,53 +107,17 @@ def _quarantine_beside_peer(job: tuple[str, int]) -> int:
         if time.monotonic() > deadline:
             raise TimeoutError(f"job {1 - index} never started")
         time.sleep(0.01)
-    store = CheckpointStore(root / "snapshots")
-    key = f"job{index}"
-    store.path_for(key, 1).write_bytes(b"torn")
-    if store.latest(key) is not None:
-        raise AssertionError("a torn snapshot loaded")
-    return os.getpid()
+    return _read_entry((str(root / "cache"), KEYS[index]))
 
 
 @pytest.mark.parametrize("backend", ["process", "distributed"])
 def test_two_workers_warn_once_in_the_caller(backend, tmp_path):
+    paths = _plant_torn_entries(tmp_path / "cache")
     jobs = [(str(tmp_path), 0), (str(tmp_path), 1)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        pids = parallel_map(
-            _quarantine_beside_peer, jobs, runtime=_runtime(backend)
-        )
+        pids = parallel_map(_read_beside_peer, jobs, runtime=_runtime(backend))
 
-    # Both quarantines ran, in two workers, none in this process.
+    # Both reads ran, in two workers, none in this process.
     assert len(set(pids)) == 2 and os.getpid() not in pids
-    snapshots = tmp_path / "snapshots"
-    assert len(list(snapshots.glob(f"*{QUARANTINE_SUFFIX}"))) == 2
-    assert len(cache_corruptions()) == 2
-    (warned,) = _corruption_warnings(caught)
-    assert "CheckpointStore" in str(warned.message)
-
-
-def test_distributed_resume_reaches_the_coordinator(tiny_spec, tmp_path):
-    """A task killed at step 4 resumes from its step-4 snapshot; the
-    worker's ResumeEvent lands in the coordinator's log and still
-    stamps the completed attempt's ``resumed_from_step``."""
-    plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
-                  at_step=4),
-    ))
-    runtime = _runtime(
-        "distributed", cache_dir=tmp_path, checkpoint_every=2,
-        fault_plan=plan,
-    )
-    seeds = spawn_seeds(ensure_rng(23), 12)
-    execute_runs(create_model("CM-R"), tiny_spec, seeds, runtime=runtime)
-
-    (killed,) = [a for a in task_attempts() if a.fault == "kill_at_step"]
-    assert killed.outcome == "lease_expired"
-    resumed = [
-        a.resumed_from_step for a in task_attempts()
-        if a.outcome == "completed" and a.resumed_from_step is not None
-    ]
-    assert resumed and resumed[0] == 4
-    assert 4 in [event.step for event in resume_events()]
-    assert set(resumed) <= {event.step for event in resume_events()}
+    _assert_two_evictions_one_warning(paths, caught)

@@ -238,99 +238,5 @@ def test_simulation_results_bit_identical_under_fault(tiny_spec, action):
         "kill": "lease_expired",
         "hang": "timed_out",
         "delay": "completed",
-        "kill_at_step": "lease_expired",
     }[action]
     assert [a.outcome for a in _fired(action)] == [expected]
-
-
-# ---------------------------------------------------------------------------
-# Mid-run kill + checkpoint resume (DESIGN.md §9 acceptance)
-# ---------------------------------------------------------------------------
-
-
-def test_distributed_kill_at_step_resumes_bit_identical(
-    tiny_spec, tmp_path
-):
-    """A worker killed mid-run is resumed from its snapshot, not replayed.
-
-    The first claim dies at engine step 4 with snapshots every 2
-    steps; the reclaimed attempt must (a) resume from a snapshot —
-    recorded as ``resumed_from_step`` on the completed
-    :class:`TaskAttempt` — and (b) still produce results bit-identical
-    to an uninterrupted serial run.
-    """
-    model = create_model("CM-R")
-    seeds = spawn_seeds(ensure_rng(23), 12)
-    serial = execute_runs(model, tiny_spec, seeds)
-    plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
-                  at_step=4),
-    ))
-    config = RuntimeConfig(
-        backend="distributed", jobs=2, cache_dir=tmp_path / "cache",
-        distributed=_config(plan).distributed, checkpoint_every=2,
-    )
-    faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
-    assert _run_signature(faulted) == _run_signature(serial)
-
-    (killed,) = _fired("kill_at_step")
-    assert killed.outcome == "lease_expired"  # the death was noticed
-    resumed = [
-        a for a in task_attempts()
-        if a.outcome == "completed" and a.resumed_from_step is not None
-    ]
-    assert resumed, "no attempt resumed from a snapshot"
-    # Snapshot-then-kill at step 4 with every=2: the resume point is
-    # the snapshot written at the kill step itself.
-    assert resumed[0].resumed_from_step == 4
-    # Completed runs discard their snapshots.
-    assert not list((tmp_path / "cache").glob("*.ckpt.pkl"))
-
-
-def test_distributed_kill_at_step_resumes_batched_engine(
-    tiny_spec, tmp_path
-):
-    """Same contract for the batched engine's single stacked task."""
-    model = create_model("CM-R", engine="batched")
-    seeds = spawn_seeds(ensure_rng(29), 4)
-    serial = execute_runs(model, tiny_spec, seeds)
-    plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker="local-0",
-                  at_step=3),
-    ))
-    # One local worker, so local-0 is guaranteed to claim the single
-    # batched task first; its replacement (fresh name) retries it.
-    config = RuntimeConfig(
-        backend="distributed", jobs=1, cache_dir=tmp_path / "cache",
-        distributed=_config(plan, local_workers=1).distributed,
-        checkpoint_every=1,
-    )
-    faulted = execute_runs(model, tiny_spec, seeds, runtime=config)
-    assert _run_signature(faulted) == _run_signature(serial)
-    assert [a.outcome for a in _fired("kill_at_step")] == ["lease_expired"]
-    resumed = [
-        a for a in task_attempts()
-        if a.outcome == "completed" and a.resumed_from_step is not None
-    ]
-    assert resumed and resumed[0].resumed_from_step == 3
-    assert not list((tmp_path / "cache").glob("*.ckpt.pkl"))
-
-
-def test_kill_at_step_without_checkpointing_replays_from_scratch(tiny_spec):
-    """With snapshots off the kill still fires; retry replays step 0."""
-    model = create_model("CM-R")
-    seeds = spawn_seeds(ensure_rng(31), 12)
-    serial = execute_runs(model, tiny_spec, seeds)
-    plan = FaultPlan(faults=(
-        FaultSpec(action="kill_at_step", nth_task=1, worker=ANY_WORKER,
-                  at_step=2),
-    ))
-    faulted = execute_runs(model, tiny_spec, seeds, runtime=_config(plan))
-    assert _run_signature(faulted) == _run_signature(serial)
-    assert [a.outcome for a in _fired("kill_at_step")] == ["lease_expired"]
-    # No cache dir, no snapshots: nothing can have resumed.
-    assert all(
-        a.resumed_from_step is None
-        for a in task_attempts()
-        if a.outcome == "completed"
-    )

@@ -262,7 +262,7 @@ def test_writer_temp_files_cleaned_on_success(tmp_path, tiny_dataset):
 
 
 # ---------------------------------------------------------------------------
-# Corruption quarantine (§9 conventions)
+# Corruption quarantine (the shared repro.durable convention)
 # ---------------------------------------------------------------------------
 
 

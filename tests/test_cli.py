@@ -157,18 +157,6 @@ def test_sweep_mine_requires_cache_dir(capsys):
     assert "--cache-dir" in capsys.readouterr().err
 
 
-def test_checkpoint_every_without_cache_dir_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main([
-            "sweep", "--regions", "KOR", "--models", "NM", "--runs", "1",
-            "--scale", "0.02", "--checkpoint-every", "5",
-        ])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert "cache_dir" in err
-    assert "Traceback" not in err
-
-
 def test_sweep_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["sweep", "--models", "CM-X"])
@@ -208,39 +196,28 @@ def test_cache_stats_and_clear_roundtrip(tmp_path, capsys):
     assert re.search(r"entries\s*\|\s*0\b", capsys.readouterr().out)
 
 
-def test_cache_commands_cover_checkpoints_and_debris(tmp_path, capsys):
-    """Checkpoints live in the cache directory, so the cache command
-    clears, prunes and lists them, and counts debris on its own rows."""
+def test_cache_commands_cover_runs_curves_and_debris(tmp_path, capsys):
+    """Runs and mined curves share the cache directory, so the cache
+    command lists and clears both, and counts debris on its own row."""
     from repro.durable import tmp_path_for
-    from repro.runtime import CheckpointStore, RunCache
-    from repro.runtime.checkpoint import QUARANTINE_SUFFIX
+    from repro.runtime import CurveCache, RunCache
 
     runs = RunCache(tmp_path)
     runs.put("a" * 64, {"fake": "run"})
-    snapshots = CheckpointStore(tmp_path)
-    snapshots.put("b" * 64, 3, {"at": 3})
-    (tmp_path / f"{'c' * 64}.s00000001{QUARANTINE_SUFFIX}").write_bytes(b"x")
-    tmp_path_for(runs.path_for("d" * 64)).write_bytes(b"half a run")
-    tmp_path_for(snapshots.path_for("b" * 64, 6)).write_bytes(b"half")
+    CurveCache(tmp_path).put("b" * 64, [3, 2, 1])
+    tmp_path_for(runs.path_for("c" * 64)).write_bytes(b"half a run")
 
     assert main(["cache", "stats", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"checkpoints\s*\|\s*entries\s*\|\s*1\b", out)
+    assert re.search(r"runs\s*\|\s*entries\s*\|\s*1\b", out)
+    assert re.search(r"curves\s*\|\s*entries\s*\|\s*1\b", out)
     assert re.search(r"runs\s*\|\s*orphan temp files\s*\|\s*1\b", out)
-    assert re.search(
-        r"checkpoints\s*\|\s*orphan temp files\s*\|\s*1\b", out
-    )
-    assert re.search(r"checkpoints\s*\|\s*quarantined\s*\|\s*1\b", out)
-
-    assert main([
-        "cache", "prune", str(tmp_path), "--max-age-days", "7",
-    ]) == 0
-    assert "(2 kept)" in capsys.readouterr().out
+    assert re.search(r"curves\s*\|\s*orphan temp files\s*\|\s*0\b", out)
 
     assert main(["cache", "clear", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "removed 1 cached runs, 0 mined curves and 1 checkpoint" in out
-    assert "removed 2 orphan temp files and 1 quarantined files" in out
+    assert "removed 1 cached runs and 1 mined curves" in out
+    assert "removed 1 orphan temp files" in out
     assert list(tmp_path.iterdir()) == []
 
 
