@@ -23,7 +23,7 @@ from repro.analysis.mae import curve_distance
 from repro.analysis.model_eval import evaluate_models
 from repro.config import MiningConfig
 from repro.experiments.base import ExperimentContext
-from repro.models.ensemble import ensemble_curve
+from repro.experiments.fig4 import CellCurve
 from repro.models.params import CuisineSpec, ModelParams
 from repro.models.registry import PAPER_MODELS, create_model
 from repro.runtime import execute_sweep, plan_grid
@@ -94,7 +94,8 @@ def _mean_model_distance(
     """Mean Eq. 2 distance of one configured model across cuisines.
 
     The per-cuisine ensembles execute as one sweep, planned in
-    cuisine order so the seed draws replay the serial per-cell path.
+    cuisine order so the seed draws replay the serial per-cell path;
+    each cell is mined where it ran (:class:`CellCurve`).
     """
     mining = mining if mining is not None else context.mining
     plan = plan_grid(
@@ -103,7 +104,10 @@ def _mean_model_distance(
         n_runs=context.ensemble_runs,
         seed=context.seed,
     )
-    sweep = execute_sweep(plan, runtime=context.runtime)
+    sweep = execute_sweep(
+        plan, runtime=context.runtime,
+        reduce=CellCurve.of(context, mining=mining),
+    )
     curve_cache = context.curve_cache()
     distances = []
     for code in region_codes:
@@ -111,10 +115,7 @@ def _mean_model_distance(
             context.dataset, code, context.lexicon, mining=mining,
             curve_cache=curve_cache,
         )
-        curve = ensemble_curve(
-            sweep.runs_for(model_name, code), model_name, mining=mining,
-            runtime=context.runtime, curve_cache=curve_cache,
-        )
+        curve = sweep.reduction_for(model_name, code)
         distances.append(curve_distance(empirical, curve))
     return float(np.mean(distances))
 
@@ -226,7 +227,9 @@ def run_ablation_null_sampling(
         n_runs=context.ensemble_runs,
         seed=context.seed,
     )
-    sweep = execute_sweep(plan, runtime=context.runtime)
+    sweep = execute_sweep(
+        plan, runtime=context.runtime, reduce=CellCurve.of(context)
+    )
     curve_cache = context.curve_cache()
     rows = []
     for cuisine_index, code in enumerate(region_codes):
@@ -235,12 +238,8 @@ def run_ablation_null_sampling(
             curve_cache=curve_cache,
         )
         row: list[object] = [code]
-        for column, model in enumerate(models):
-            cell = sweep.cells[len(models) * cuisine_index + column]
-            curve = ensemble_curve(
-                cell.runs, model.name, mining=context.mining,
-                runtime=context.runtime, curve_cache=curve_cache,
-            )
+        for column in range(len(models)):
+            curve = sweep.cells[len(models) * cuisine_index + column].reduction
             row.append(f"{curve_distance(empirical, curve):.4f}")
         rows.append(tuple(row))
     return AblationResult(
@@ -267,7 +266,9 @@ def run_ablation_metric(
         n_runs=context.ensemble_runs,
         seed=context.seed,
     )
-    sweep = execute_sweep(plan, runtime=context.runtime)
+    sweep = execute_sweep(
+        plan, runtime=context.runtime, reduce=CellCurve.of(context)
+    )
     curve_cache = context.curve_cache()
     rows = []
     for code in region_codes:
@@ -276,11 +277,7 @@ def run_ablation_metric(
             curve_cache=curve_cache,
         )
         model_curves = {
-            name: ensemble_curve(
-                sweep.runs_for(name, code), name, mining=context.mining,
-                runtime=context.runtime, curve_cache=curve_cache,
-            )
-            for name in PAPER_MODELS
+            name: sweep.reduction_for(name, code) for name in PAPER_MODELS
         }
         by_kind = {}
         for kind in ("absolute", "squared"):

@@ -20,15 +20,69 @@ import numpy as np
 
 from repro.analysis.invariants import combination_curve
 from repro.analysis.model_eval import ModelEvaluation, evaluate_models
+from repro.analysis.rank_frequency import RankFrequencyCurve
+from repro.config import MiningConfig
 from repro.experiments.base import ExperimentContext
+from repro.lexicon.lexicon import Lexicon
+from repro.models.base import EvolutionRun
 from repro.models.ensemble import ensemble_curves
 from repro.models.params import CuisineSpec
 from repro.models.registry import PAPER_MODELS, create_model
-from repro.runtime import execute_sweep, plan_grid, select_regions
+from repro.runtime import CurveCache, execute_sweep, plan_grid, select_regions
+from repro.runtime.sweep import SweepCell
 from repro.viz.ascii import render_curves, render_table
 from repro.viz.export import write_curves_csv
 
-__all__ = ["Fig4Result", "run_fig4"]
+__all__ = ["CellCurve", "Fig4Result", "run_fig4"]
+
+
+@dataclass(frozen=True)
+class CellCurve:
+    """A sweep cell's runs reduced to the cell's averaged curve.
+
+    The per-cell reducer of the grid drivers
+    (:func:`~repro.runtime.sweep.execute_sweep` ``reduce=``): it mines
+    the cell with :func:`ensemble_curves` on a serial runtime, wherever
+    the cell ran, so a worker sends back one curve instead of the
+    cell's planes.  Its state is picklable, which keeps it on the
+    process and distributed backends.
+
+    Attributes:
+        mining: Support/size configuration.
+        level: ``"ingredient"`` or ``"category"``.
+        lexicon: Required for ``level="category"``.
+        cache_dir: Mined-curve cache directory, or ``None`` for none.
+    """
+
+    mining: MiningConfig
+    level: str = "ingredient"
+    lexicon: Lexicon | None = None
+    cache_dir: str | None = None
+
+    @classmethod
+    def of(
+        cls, context: ExperimentContext, level: str = "ingredient",
+        mining: MiningConfig | None = None,
+    ) -> "CellCurve":
+        """The reducer a context implies (its mining config and cache)."""
+        cache_dir = context.runtime.cache_dir
+        return cls(
+            mining=context.mining if mining is None else mining,
+            level=level,
+            lexicon=context.lexicon if level == "category" else None,
+            cache_dir=None if cache_dir is None else str(cache_dir),
+        )
+
+    def __call__(
+        self, cell: SweepCell, runs: tuple[EvolutionRun, ...]
+    ) -> RankFrequencyCurve:
+        return ensemble_curves(
+            [(runs, cell.model_name)], mining=self.mining, level=self.level,
+            lexicon=self.lexicon,
+            curve_cache=(
+                None if self.cache_dir is None else CurveCache(self.cache_dir)
+            ),
+        )[0]
 
 
 @dataclass(frozen=True)
@@ -156,10 +210,12 @@ def run_fig4(
     """Regenerate Fig. 4 from the context's corpus.
 
     The full (model × cuisine × seed) grid is planned and executed as
-    one sweep (:mod:`repro.runtime.sweep`): every cell's work items go
-    through a single backend pass instead of one ensemble at a
-    time, which saturates a many-core box end to end while staying
-    bit-identical to the per-cell path for a fixed ``context.seed``.
+    one sweep (:mod:`repro.runtime.sweep`): every cell goes through a
+    single backend pass instead of one ensemble at a time, which
+    saturates a many-core box end to end while staying bit-identical
+    to the per-cell path for a fixed ``context.seed``.  Each cell is
+    simulated and mined in one task (:class:`CellCurve`), so only one
+    cell's runs are alive per task and workers return curves.
     With a ``--cache-dir`` runtime both layers warm: cached runs skip
     simulation, and the mined-curve cache (empirical and per-run model
     curves alike) makes a repeat invocation perform zero mining calls.
@@ -183,36 +239,20 @@ def run_fig4(
         n_runs=context.ensemble_runs,
         seed=context.seed,
     )
-    sweep = execute_sweep(plan, runtime=context.runtime)
-    curve_cache = context.curve_cache()
-    # Mine the whole (cuisine × model) grid in one executor pass
-    # instead of one pool per cell (ensemble_curves); per-cell averages
-    # are bit-identical to the per-cell path.
-    cells = [
-        (sweep.runs_for(name, code), name)
-        for code in codes
-        for name in model_names
-    ]
-    grid_curves = ensemble_curves(
-        cells, mining=context.mining, level=level,
-        lexicon=context.lexicon if level == "category" else None,
-        runtime=context.runtime, curve_cache=curve_cache,
+    # Each cell is mined where it ran and comes back as its curve.
+    sweep = execute_sweep(
+        plan, runtime=context.runtime, reduce=CellCurve.of(context, level)
     )
+    curve_cache = context.curve_cache()
     evaluations: dict[str, ModelEvaluation] = {}
-    for position, code in enumerate(codes):
+    for code in codes:
         empirical, _mining = combination_curve(
             context.dataset, code, context.lexicon,
             level=level, mining=context.mining, curve_cache=curve_cache,
         )
-        model_curves = dict(
-            zip(
-                model_names,
-                grid_curves[
-                    position * len(model_names):
-                    (position + 1) * len(model_names)
-                ],
-            )
-        )
+        model_curves = {
+            name: sweep.reduction_for(name, code) for name in model_names
+        }
         evaluations[code] = evaluate_models(
             code, empirical, model_curves, level=level
         )

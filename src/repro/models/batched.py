@@ -156,7 +156,7 @@ class BatchedStreams:
         fast = np.nonzero(fits)[0]
         if fast.size:
             cols = index[fast][:, None] + np.arange(need)
-            out[fast] = np.take_along_axis(self._blocks[fast], cols, axis=1)
+            out[fast] = self._blocks[fast[:, None], cols]
             index[fast] += need
         for row in np.nonzero(~fits)[0].tolist():
             out[row] = self._walk_run(row, takes, count)

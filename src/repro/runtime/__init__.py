@@ -39,8 +39,8 @@ swappable concern:
 * :mod:`~repro.runtime.sweep` — the grid sweep planner: expand a full
   (model × cuisine × seed) grid into per-cell seed streams, dispatch
   every cell's work items across the backend in a single pass, and
-  collect them back into per-cell ensembles (:func:`plan_grid` /
-  :func:`execute_sweep`).
+  collect them back into per-cell ensembles, or reduce each cell
+  where it ran (:func:`plan_grid` / :func:`execute_sweep`).
 
 The determinism contract: for a fixed master seed, every backend
 produces **bit-identical** :class:`~repro.models.base.EvolutionRun`

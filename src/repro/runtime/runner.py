@@ -333,13 +333,70 @@ def _execute_work_write_through(
     their request, and cache puts are atomic.
     """
     runs = _execute_work(work.item)
+    _write_through(work.cache_dir, work.keys, runs)
+    return runs
+
+
+def _write_through(
+    cache_dir: str, keys: Sequence[str], runs: Sequence["EvolutionRun"]
+) -> None:
+    """Write fresh runs into the cache at ``cache_dir``, where they ran.
+
+    A write failure is tolerated: the runs (or what they reduce to)
+    still travel back to the caller; the cache is the resumability
+    layer, not the only channel.  The first failure stops the item's
+    writes.
+    """
     try:
-        cache = RunCache(work.cache_dir)
-        for key, run in zip(work.keys, runs):
+        cache = RunCache(cache_dir)
+        for key, run in zip(keys, runs):
             cache.put(key, run)
     except RunCacheError:
         pass
-    return runs
+
+
+@dataclass(frozen=True)
+class _ReducedCell:
+    """One sweep cell's remaining work and the reduction that ends it.
+
+    The unit of dispatch of a reduced sweep (:func:`dispatch_reduced`):
+    whoever executes it simulates the cell's misses, writes them
+    through to the run cache, and returns only ``reduce(cell, runs)``,
+    so the cell's runs never leave the process that holds them.
+
+    Attributes:
+        cell: The planned cell, handed to ``reduce``.
+        items: The cell's work items, shrunk to its cache misses.
+        served: The cell's runs in run order with ``None`` at each
+            miss, when some were cached; ``None`` when none were.
+        reduce: Module-level (picklable) ``(cell, runs) -> value``.
+        cache_dir: Run-cache directory to write fresh runs into, or
+            ``None`` without a cache.
+        keys: Cache keys of the fresh runs, in ``items`` run order.
+    """
+
+    cell: object
+    items: tuple["RunRequest | BatchRequest", ...]
+    served: tuple["EvolutionRun | None", ...] | None
+    reduce: Callable
+    cache_dir: str | None = None
+    keys: tuple[str, ...] = ()
+
+
+def _execute_reduced(work: _ReducedCell) -> object:
+    """Simulate a cell's misses, cache them, return the cell's reduction.
+
+    Module-level so the process and distributed backends can pickle it.
+    """
+    runs = [run for item in work.items for run in _execute_work(item)]
+    if work.cache_dir is not None:
+        _write_through(work.cache_dir, work.keys, runs)
+    if work.served is not None:
+        fresh = iter(runs)
+        runs = [
+            run if run is not None else next(fresh) for run in work.served
+        ]
+    return work.reduce(work.cell, tuple(runs))
 
 
 def dispatch_work(
@@ -352,10 +409,11 @@ def dispatch_work(
 ) -> list[tuple[list["EvolutionRun"], int]]:
     """Serve work items from cache, dispatch the rest, write fresh runs back.
 
-    The shared core of :func:`~repro.runtime.sweep.execute_sweep` (and
-    so of :func:`execute_runs`) and
+    The shared core of an unreduced
+    :func:`~repro.runtime.sweep.execute_sweep` (and so of
+    :func:`execute_runs`) and
     :func:`~repro.models.islands.run_island_ensemble` — one place owns
-    the cache policy.  Each item arrives with the cache keys of its
+    the cache policy (:func:`dispatch_reduced` applies it per cell).  Each item arrives with the cache keys of its
     runs, in its run order.  Lookups happen up front: an item
     whose runs are all cached is skipped, a partly cached one shrinks
     to its misses (:func:`_shrink`), and the remaining items reach the
@@ -432,6 +490,86 @@ def dispatch_work(
                     except RunCacheError:
                         cache = None
     return list(zip(results, cached))  # type: ignore[arg-type]
+
+
+def dispatch_reduced(
+    cells: Sequence[
+        tuple[object, Sequence[tuple["RunRequest | BatchRequest",
+                                     Sequence[str] | None]]]
+    ],
+    reduce: Callable[[object, tuple["EvolutionRun", ...]], R],
+    config: RuntimeConfig,
+    cache: RunCache | None,
+) -> list[tuple[R, int]]:
+    """Finish each cell where it runs: serve, simulate, cache, reduce.
+
+    The reduced counterpart of :func:`dispatch_work`, with the same
+    cache policy, applied per cell instead of per item.  Each cell
+    arrives with its work items and their keys.  A cell whose runs are
+    all cached is reduced here, right after its own lookups and before
+    the next cell's; its runs are dropped before those lookups.  Every
+    other cell becomes one :class:`_ReducedCell` carrying its misses
+    and, when partly cached, its cached runs.  Those tasks go through
+    one order-preserving :func:`parallel_map` in plan order.  A task
+    writes its fresh runs through to the cache wherever it runs, on
+    every backend, and returns only the cell's reduction, so no plane
+    outlives its cell and workers send back reductions, not runs.
+
+    Args:
+        cells: ``(cell, [(item, keys), ...])`` per cell, in plan order;
+            ``keys`` may be ``None`` when ``cache`` is.
+        reduce: ``(cell, runs) -> value``.  Must be module-level (and
+            its state picklable) to run on a process or distributed
+            backend; otherwise ``parallel_map`` runs the tasks serially.
+        config: Backend/jobs selection.
+        cache: Cache instance; ``None`` disables lookups and writes.
+
+    Returns:
+        Per cell: its reduction, and how many of its runs were served
+        from cache.
+    """
+    results: list = [None] * len(cells)
+    cached = [0] * len(cells)
+    pending: list[int] = []
+    tasks: list[_ReducedCell] = []
+    for index, (cell, work) in enumerate(cells):
+        if cache is None:
+            pending.append(index)
+            tasks.append(_ReducedCell(
+                cell=cell, items=tuple(item for item, _ in work),
+                served=None, reduce=reduce,
+            ))
+            continue
+        # ``served`` is the only reference to the cell's cached runs:
+        # the next cell rebinds it before its own lookups.
+        served: list = []
+        items = []
+        miss_keys: list[str] = []
+        for item, keys in work:
+            start = len(served)
+            served.extend(cache.get(key) for key in keys)
+            misses = [position for position in range(len(keys))
+                      if served[start + position] is None]
+            if misses:
+                items.append(_shrink(item, misses))
+                miss_keys.extend(keys[position] for position in misses)
+        cached[index] = len(served) - len(miss_keys)
+        if not items:
+            results[index] = reduce(cell, tuple(served))
+            continue
+        pending.append(index)
+        tasks.append(_ReducedCell(
+            cell=cell, items=tuple(items),
+            served=tuple(served) if cached[index] else None,
+            reduce=reduce, cache_dir=str(cache.directory),
+            keys=tuple(miss_keys),
+        ))
+    if tasks:
+        for index, value in zip(
+            pending, parallel_map(_execute_reduced, tasks, runtime=config)
+        ):
+            results[index] = value
+    return list(zip(results, cached))
 
 
 def execute_runs(

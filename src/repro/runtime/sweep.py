@@ -15,7 +15,17 @@ planner removes that barrier:
    in plan order, so workers drain the whole grid instead of one
    ensemble at a time (:func:`execute_sweep`);
 3. **merge** — collect each cell's items back into its run tuple
-   (:class:`CellRuns` inside :class:`SweepResult`).
+   (:class:`CellRuns` inside :class:`SweepResult`), or, given a
+   per-cell reducer, into the cell's reduction.
+
+A reduced sweep (``execute_sweep(..., reduce=...)``) finishes each cell
+where it runs: one task per uncached cell simulates the cell's misses,
+writes them through to the run cache and returns only
+``reduce(cell, runs)``; a fully cached cell is reduced in the caller
+right after its lookups.  All tasks still share the one fan-out, but
+no cell's runs outlive the cell, and workers send back reductions
+instead of runs.  The grid drivers reduce each cell to its averaged
+curve this way (:class:`repro.experiments.fig4.CellCurve`).
 
 Determinism: the planner draws seeds cell by cell, in cell order, from
 the root generator — exactly the draws a serial loop of per-cell
@@ -33,13 +43,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import ExecutionError
 from repro.rng import SeedLike, ensure_rng, spawn_seeds
 from repro.runtime.cache import RunCache
 from repro.runtime.config import RuntimeConfig
-from repro.runtime.runner import _plan_cell, dispatch_work
+from repro.runtime.runner import _plan_cell, dispatch_reduced, dispatch_work
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -238,13 +248,17 @@ class CellRuns:
 
     Attributes:
         cell: The planned cell.
-        runs: Completed runs aligned with ``cell.seeds``.
+        runs: Completed runs aligned with ``cell.seeds``; empty when the
+            sweep reduced its cells.
         cached: How many of the cell's runs were served from the cache.
+        reduction: ``reduce(cell, runs)`` when the sweep was given a
+            reducer, else ``None``.
     """
 
     cell: SweepCell
     runs: tuple["EvolutionRun", ...]
     cached: int = 0
+    reduction: Any = None
 
     @property
     def model_name(self) -> str:
@@ -256,7 +270,7 @@ class CellRuns:
 
     @property
     def executed(self) -> int:
-        return len(self.runs) - self.cached
+        return self.cell.n_runs - self.cached
 
 
 @dataclass(frozen=True)
@@ -289,6 +303,22 @@ class SweepResult:
         """The runs of the unique cell matching (model name, cuisine).
 
         Raises:
+            ExecutionError: See :meth:`_cell_for`.
+        """
+        return self._cell_for(model_name, region_code).runs
+
+    def reduction_for(self, model_name: str, region_code: str) -> Any:
+        """The reduction of the unique cell matching (model name, cuisine).
+
+        Raises:
+            ExecutionError: See :meth:`_cell_for`.
+        """
+        return self._cell_for(model_name, region_code).reduction
+
+    def _cell_for(self, model_name: str, region_code: str) -> CellRuns:
+        """The unique cell matching (model name, cuisine).
+
+        Raises:
             ExecutionError: If no cell matches, or several do (two cells
                 may share a registry name — e.g. two ``NM`` configs in a
                 sampling ablation; address those positionally via
@@ -310,13 +340,14 @@ class SweepResult:
                 f"{len(matches)} sweep cells match model {model_name!r} on "
                 f"region {region_code!r}; access result.cells positionally"
             )
-        return matches[0].runs
+        return matches[0]
 
 
 def execute_sweep(
     plan: SweepPlan,
     runtime: RuntimeConfig | None = None,
     cache: RunCache | None = None,
+    reduce: Callable[[SweepCell, tuple["EvolutionRun", ...]], Any] | None = None,
 ) -> SweepResult:
     """Execute a planned sweep as one pass over the backend.
 
@@ -329,14 +360,27 @@ def execute_sweep(
     the misses are dispatched; fresh results are written back so later
     sweeps — any backend, any grid slicing — reuse them.
 
+    With ``reduce``, each cell is finished where it runs
+    (:func:`~repro.runtime.runner.dispatch_reduced`): one task per
+    uncached cell simulates its misses, writes them through to the
+    cache and returns ``reduce(cell, runs)``; a fully cached cell is
+    reduced in the caller right after its lookups.  Every cell is
+    still in the one fan-out, but the result holds each cell's
+    reduction instead of its runs, so no cell's runs outlive it.
+
     Args:
         plan: The planned grid (see :func:`plan_cells` / :func:`plan_grid`).
         runtime: Backend/jobs/cache selection; ``None`` = serial.
         cache: Explicit cache instance (overrides ``runtime.cache_dir``;
             useful for inspecting hit/miss stats).
+        reduce: Optional per-cell reduction ``(cell, runs) -> value``,
+            given the cell's runs in seed order.  It must be
+            module-level with picklable state for the process and
+            distributed backends.
 
     Returns:
-        A :class:`SweepResult` with per-cell runs in plan order.
+        A :class:`SweepResult` with per-cell runs, or per-cell
+        reductions, in plan order.
     """
     config = runtime if runtime is not None else RuntimeConfig()
     if cache is None and config.cache_dir is not None:
@@ -350,21 +394,32 @@ def execute_sweep(
         )
         for cell in plan.cells
     ]
-    done = iter(
-        dispatch_work(
-            [pair for work in cell_work for pair in work], config, cache
-        )
-    )
-    cells = []
-    for cell, work in zip(plan.cells, cell_work):
-        parts = [next(done) for _ in work]
-        cells.append(
-            CellRuns(
-                cell=cell,
-                runs=tuple(run for runs, _ in parts for run in runs),
-                cached=sum(cached for _, cached in parts),
+    if reduce is not None:
+        cells = [
+            CellRuns(cell=cell, runs=(), cached=cached, reduction=value)
+            for cell, (value, cached) in zip(
+                plan.cells,
+                dispatch_reduced(
+                    list(zip(plan.cells, cell_work)), reduce, config, cache
+                ),
+            )
+        ]
+    else:
+        done = iter(
+            dispatch_work(
+                [pair for work in cell_work for pair in work], config, cache
             )
         )
+        cells = []
+        for cell, work in zip(plan.cells, cell_work):
+            parts = [next(done) for _ in work]
+            cells.append(
+                CellRuns(
+                    cell=cell,
+                    runs=tuple(run for runs, _ in parts for run in runs),
+                    cached=sum(cached for _, cached in parts),
+                )
+            )
     cached = sum(cell_runs.cached for cell_runs in cells)
     return SweepResult(
         cells=tuple(cells),

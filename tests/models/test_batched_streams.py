@@ -1,0 +1,43 @@
+"""Tests for the batched engine's stacked uniform streams.
+
+The contract of :class:`~repro.models.batched.BatchedStreams`: per run,
+the stacked stream serves exactly the variates a plain buffered stream
+over that run's generator would, whatever the other runs' cursors.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.models.batched import BatchedStreams
+from repro.rng import rng_from_seed
+
+SEEDS = (3, 5, 8, 13)
+BLOCK = 16
+
+
+def _streams() -> BatchedStreams:
+    return BatchedStreams([rng_from_seed(seed) for seed in SEEDS], block=BLOCK)
+
+
+def test_take_each_mixed_fit_and_refill_matches_per_run_walks():
+    """Rows that fit their block and rows that refill, in one call."""
+    stacked = _streams()
+    solo = _streams()
+    # Stagger the cursors: row r has consumed 4 * (r + 1) variates, so
+    # a 2 x 3 request fits rows 0 and 1 and refills rows 2 and 3.
+    for row in range(len(SEEDS)):
+        stacked.take_run(row, row + 1, 4)
+        solo.take_run(row, row + 1, 4)
+    need = 2 * 3
+    fits = [4 * (row + 1) <= BLOCK - need for row in range(len(SEEDS))]
+    assert any(fits) and not all(fits)
+
+    got = stacked.take_each(2, 3)
+    assert got.shape == (len(SEEDS), 2, 3)
+    for row in range(len(SEEDS)):
+        assert np.array_equal(got[row], solo.take_run(row, 2, 3))
+    # The cursors moved exactly as the per-run walks moved them.
+    follow = stacked.take_each(3, 5)
+    for row in range(len(SEEDS)):
+        assert np.array_equal(follow[row], solo.take_run(row, 3, 5))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import durable
+from repro.config import MiningConfig
 from repro.errors import ModelError, ParameterError, RunCacheError
-from repro.models.ensemble import run_ensemble
+from repro.experiments.fig4 import CellCurve
+from repro.models.ensemble import ensemble_curve, run_ensemble
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
@@ -15,6 +18,8 @@ from repro.runtime import (
     RuntimeConfig,
     cache_corruptions,
     execute_runs,
+    execute_sweep,
+    plan_grid,
     run_fingerprint,
 )
 
@@ -189,6 +194,34 @@ def test_cache_write_failure_does_not_discard_results(tiny_spec, tmp_path,
     assert _signature(runs) == _signature(
         execute_runs(model, tiny_spec, seeds)
     )
+
+
+def test_cache_write_failure_inside_reduced_item_keeps_curves(
+    tiny_spec, tmp_path, monkeypatch
+):
+    """A failing put inside a reduced item must not lose the cell's curve.
+
+    ``put`` is patched on the class, so the cache the item constructs to
+    write its runs through is the one that fails.
+    """
+    calls = []
+
+    def broken_put(self, key, run):
+        calls.append(key)
+        raise RunCacheError("disk full")
+
+    monkeypatch.setattr(RunCache, "put", broken_put)
+    plan = plan_grid([create_model("CM-R")], [tiny_spec], n_runs=3, seed=1)
+    reducer = CellCurve(mining=MiningConfig())
+    result = execute_sweep(
+        plan, runtime=RuntimeConfig(cache_dir=tmp_path), reduce=reducer
+    )
+    assert calls  # the write-through really failed
+    assert len(RunCache(tmp_path)) == 0
+    expected = ensemble_curve(execute_sweep(plan).cells[0].runs, "CM-R")
+    curve = result.cells[0].reduction
+    assert np.array_equal(curve.frequencies, expected.frequencies)
+    assert result.executed == 3
 
 
 def test_corrupt_entry_is_a_miss_and_recomputed(tiny_spec, tmp_path):

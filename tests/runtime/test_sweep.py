@@ -8,23 +8,30 @@ touch the worker pool.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.config import MiningConfig
 from repro.errors import ExecutionError
 from repro.experiments.base import ExperimentContext
-from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig4 import CellCurve, run_fig4
 from repro.lexicon.categories import Category
-from repro.models.ensemble import run_ensemble
+from repro.models import ensemble
+from repro.models.ensemble import ensemble_curves, run_ensemble
 from repro.models.null_model import NullModel
 from repro.models.params import CuisineSpec
 from repro.models.registry import PAPER_MODELS, create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
+    BACKENDS,
+    DistributedConfig,
     RunCache,
     RuntimeConfig,
     execute_runs,
     execute_sweep,
+    fingerprint_many,
     plan_cells,
     plan_grid,
     select_regions,
@@ -255,6 +262,144 @@ def test_sweep_cache_dir_via_runtime_config(tiny_spec, tmp_path):
     second = execute_sweep(plan, runtime=RuntimeConfig(cache_dir=tmp_path))
     assert first.executed == 2
     assert second.cached == 2 and second.executed == 0
+
+
+# ---------------------------------------------------------------------------
+# Reduced sweeps: each cell finished where it ran
+# ---------------------------------------------------------------------------
+
+
+def _runtime(backend: str, cache_dir) -> RuntimeConfig:
+    """Two workers on every parallel backend, with test-sized timings."""
+    distributed = None
+    if backend == "distributed":
+        distributed = DistributedConfig(
+            local_workers=2, poll_interval=0.01, heartbeat_interval=0.05,
+            lease_timeout=0.5, task_timeout=30.0, backoff_base=0.02,
+            backoff_cap=0.1,
+        )
+    return RuntimeConfig(
+        backend=backend, jobs=2, cache_dir=cache_dir, distributed=distributed
+    )
+
+
+def _assert_curves(result, expected):
+    assert len(result.cells) == len(expected)
+    for cell_runs, curve in zip(result.cells, expected):
+        assert cell_runs.runs == ()
+        assert cell_runs.reduction.label == curve.label
+        assert np.array_equal(cell_runs.reduction.frequencies, curve.frequencies)
+
+
+def _explode(*_args, **_kwargs):
+    raise AssertionError("a warm reduced sweep must not simulate or mine")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reduced_sweep_equals_sweep_then_ensemble_curves(
+    backend, tiny_spec, other_spec, tmp_path, monkeypatch
+):
+    """Cold, warm and partly cached reduced sweeps give the curves of a
+    plain sweep mined by ensemble_curves, bit for bit, and write the
+    run-cache entries a plain sweep writes."""
+    plan = plan_grid(
+        [create_model("CM-R"), create_model("NM")], [tiny_spec, other_spec],
+        n_runs=4, seed=29,
+    )
+    mining = MiningConfig()
+    plain_dir = tmp_path / "plain"
+    plain = execute_sweep(plan, cache=RunCache(plain_dir))
+    expected = ensemble_curves(
+        [(cell_runs.runs, cell_runs.model_name) for cell_runs in plain.cells],
+        mining=mining,
+    )
+
+    # Cold: every cell simulated, cached and mined in its own task.
+    reduced_dir = tmp_path / "reduced"
+    reducer = CellCurve(mining=mining, cache_dir=str(reduced_dir))
+    runtime = _runtime(backend, reduced_dir)
+    cold = execute_sweep(plan, runtime=runtime, reduce=reducer)
+    _assert_curves(cold, expected)
+    assert (cold.executed, cold.cached) == (plan.total_runs, 0)
+    plain_names = sorted(path.name for path in plain_dir.glob("*.run.pkl"))
+    assert len(plain_names) == plan.total_runs
+    assert sorted(
+        path.name for path in reduced_dir.glob("*.run.pkl")
+    ) == plain_names
+    plain_cache, reduced_cache = RunCache(plain_dir), RunCache(reduced_dir)
+    for name in plain_names:
+        key = name[: -len(".run.pkl")]
+        assert _signature([reduced_cache.get(key)]) == _signature(
+            [plain_cache.get(key)]
+        )
+
+    # Warm: served and reduced in the caller; nothing simulates or mines.
+    with monkeypatch.context() as patched:
+        patched.setattr(runner, "execute_batch", _explode)
+        patched.setattr(ensemble, "mine_frequencies", _explode)
+        warm = execute_sweep(plan, runtime=runtime, reduce=reducer)
+    _assert_curves(warm, expected)
+    assert (warm.executed, warm.cached) == (0, plan.total_runs)
+
+    # Partly cached: half of each cell's runs cached, no curves cached.
+    partial_dir = tmp_path / "partial"
+    execute_sweep(plan, cache=RunCache(partial_dir))
+    for cell in plan.cells:
+        keys = fingerprint_many(cell.model, cell.spec, cell.seeds)
+        for key in keys[::2]:
+            RunCache(partial_dir).path_for(key).unlink()
+    assert not list(partial_dir.glob("*.curve.pkl"))
+    partial = execute_sweep(
+        plan, runtime=_runtime(backend, partial_dir),
+        reduce=CellCurve(mining=mining, cache_dir=str(partial_dir)),
+    )
+    _assert_curves(partial, expected)
+    assert [cell_runs.cached for cell_runs in partial.cells] == [2] * 4
+    assert len(RunCache(partial_dir)) == plan.total_runs
+
+
+class _OneCellAlive:
+    """A reducer that fails if an earlier cell's runs are still alive."""
+
+    def __init__(self):
+        self.earlier: list[weakref.ref] = []
+        self.cells = 0
+
+    def assert_earlier_dead(self):
+        alive = sum(ref() is not None for ref in self.earlier)
+        assert alive == 0, f"{alive} runs of earlier cells are alive"
+
+    def __call__(self, cell, runs):
+        self.assert_earlier_dead()
+        self.earlier.extend(weakref.ref(run) for run in runs)
+        self.cells += 1
+        return len(runs)
+
+
+def test_serial_reduced_sweep_holds_one_cell_of_runs(
+    tiny_spec, other_spec, tmp_path, monkeypatch
+):
+    """Cold and warm, a cell's runs are dead before the next cell is
+    read from the cache or reduced."""
+    plan = plan_grid(
+        [create_model("CM-R"), create_model("NM")], [tiny_spec, other_spec],
+        n_runs=3, seed=37,
+    )
+    runtime = RuntimeConfig(cache_dir=tmp_path)
+    get = RunCache.get
+
+    def checked_get(self, key):
+        reducer.assert_earlier_dead()
+        return get(self, key)
+
+    monkeypatch.setattr(RunCache, "get", checked_get)
+    for expected_cached in (0, plan.total_runs):
+        reducer = _OneCellAlive()
+        result = execute_sweep(plan, runtime=runtime, reduce=reducer)
+        assert reducer.cells == plan.n_cells
+        assert result.cached == expected_cached
+        assert [cell_runs.reduction for cell_runs in result.cells] == [3] * 4
+        assert all(ref() is None for ref in reducer.earlier)
 
 
 # ---------------------------------------------------------------------------
