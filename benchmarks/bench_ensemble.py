@@ -191,11 +191,13 @@ def _render(result: dict) -> str:
 def _floor(scale: float, n_runs: int) -> float:
     """Speedup floor by cell size.
 
-    The ≥3× acceptance claim holds at paper-scale cells, where segments
-    between pool growths are long (~46 steps) and stacking amortizes.
-    Tiny cells (scale < 0.15) have segments of a few steps, where the
-    batched engine's per-wave overhead can genuinely lose to the
-    per-run loop — there only bit-identity is enforced.
+    The ≥3× acceptance claim is set for paper-scale cells.  Spans are
+    bounded in (run, step) entries, so a batch of one also resolves
+    long spans, and the copy-mutate paper cell now measures 2.2–2.4×
+    (README): a full-size ``--check`` fails there until the claim is
+    revisited.  Tiny cells (scale < 0.15) have few steps and few
+    runs, where the batched engine's per-wave overhead can genuinely
+    lose to the per-run loop — there only bit-identity is enforced.
     """
     if scale >= 0.5 and n_runs >= 50:
         return 3.0

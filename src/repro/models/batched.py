@@ -12,13 +12,19 @@ make that possible without changing any run's result:
   predicate — so every run of a (model, cuisine) cell takes the *same*
   step type at every iteration.  Control flow never diverges across the
   stacked runs.
-* **Frozen segments.**  Between two pool-growth events, the pool, the
-  per-category membership and the fitness table are all constant, so
-  every recipe step of the segment — across every run — depends only on
-  its mother row and its own draws.  The engine therefore resolves a
-  whole segment as a handful of numpy passes over ``(runs·steps, …)``
-  arrays, falling back to small follow-up waves only for the rare steps
-  whose mother was itself created earlier in the same segment.
+* **Append-only spans.**  Recipe steps never touch the pool, and a
+  pool-growth step only appends: to the pool, to one category list and
+  (by a swap-move) to the removed tail of the remaining universe.  A
+  recipe step therefore depends only on its mother row, its own draws,
+  and the pool size and category counts of its *epoch* (the growth
+  steps before it).  The engine plans a *span* of consecutive loop
+  steps — growth and recipe steps interleaved — whose draws all sit in
+  the current block of every run, applies the span's growth steps in
+  order, and then resolves every recipe step of the span, across every
+  run, as a handful of numpy passes over ``(runs·steps, …)`` arrays,
+  each entry with its own epoch's pool size and counts.  Small
+  follow-up waves handle the rare steps whose mother was itself
+  created earlier in the same span.
 
 **Per-run streams** (DESIGN.md §7): each stacked run keeps its *own*
 ``Generator`` and consumes it as uniform [0, 1) variates through its
@@ -29,6 +35,11 @@ seeds, in any order, yields the same per-run transactions, trace and
 history — which is what keeps per-run results individually cacheable
 (:data:`BATCHED_STREAM_VERSION` is the stream-contract version the
 run-cache key carries; ``tests/models/engine_digests.json`` pins it).
+The initial recipes are one ``Generator.choice(m₀, s, replace=False)``
+per recipe in that contract; :func:`_initial_recipes` replays numpy's
+own algorithm for that call over every run's recipes at once, from the
+same 32-bit words (``tests/models/test_batched_init.py`` pins it to
+``choice``).
 
 Models opt in through their ``batched_kind``: the copy-mutate kinds
 (``"pool"``/``"category"``/``"mixture"``) and ``"null"``
@@ -78,12 +89,143 @@ BLOCK_SIZE = 16384
 #: ``batched_kind`` values the batched engine can stack.
 BATCHED_KINDS = ("pool", "category", "mixture", "null")
 
-#: Largest number of recipe steps resolved in one array pass.  Bounds
-#: peak memory (draws are ``(runs, steps, draws_per_step)`` float64)
-#: without affecting results: a segment split into chunks consumes the
-#: per-run streams identically, and later chunks read earlier chunks'
-#: rows from the shared recipe array exactly like a later segment would.
-_MAX_SEGMENT = 4096
+#: Largest number of (run, loop step) entries in one span: a span of a
+#: ``runs``-run batch covers at most ``_SPAN_ENTRIES // runs`` loop
+#: steps (growth or recipe), at least one.  Bounds a span's transient
+#: arrays — its ``(runs, steps, draws_per_step)`` float64 draws,
+#: mutated rows and per-epoch category counts — to about 3 MiB (64
+#: steps at 100 runs; longer spans measured no faster there), without
+#: affecting results: a span consumes each run's stream exactly as the
+#: step-by-step loop does, and a span cut short leaves its successor to
+#: read the finished rows from the shared recipe array
+#: (``test_span_cap_leaves_digests_unchanged`` runs every digest case
+#: with spans of 1 and 7 steps).
+_SPAN_ENTRIES = 6400
+
+#: numpy's ``Generator.choice(pop, size, replace=False)`` switches from
+#: Floyd's algorithm to a tail shuffle of ``arange(pop)`` when ``pop``
+#: exceeds this and ``size > pop // 50``.  :func:`_initial_recipes`
+#: replays only Floyd's algorithm and leaves the other case to
+#: ``choice`` itself.
+_FLOYD_MAX_POPULATION = 10000
+
+
+def _lemire(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw from ``[0, bound]``, one 32-bit word each.
+
+    Returns the draws and a mask of the words Lemire's method rejects
+    (numpy then draws another word, which this replay does not model).
+    The rejection threshold is ``2**32 mod (bound + 1)``, so a word is
+    rejected with probability below ``(bound + 1) / 2**32``.
+    """
+    span = np.uint64(bound + 1)
+    product = words.astype(np.uint64) * span
+    rejected = (product & np.uint64(0xFFFFFFFF)) < np.uint64(2**32) % span
+    return (product >> np.uint64(32)).astype(np.intp), rejected
+
+
+def _words_per_choice(pool_size: int, length: int) -> int:
+    """32-bit words one rejection-free ``choice(pool_size, length)`` uses.
+
+    One per Floyd bound ``j`` in ``[pool_size - length, pool_size)``
+    except ``j = 0`` (a range of 0 draws nothing), then one per shuffle
+    swap.
+    """
+    return min(length, pool_size - 1) + length - 1
+
+
+def _replay_choice(
+    words: np.ndarray, pool_size: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Generator.choice(pool_size, length, replace=False)`` per word row.
+
+    ``words`` is ``(rows, _words_per_choice(pool_size, length))``: each
+    row the 32-bit words one ``choice`` call would read.  The replay is
+    numpy's: Floyd's algorithm (a draw already chosen is replaced by
+    the bound itself), then a Fisher–Yates shuffle of positions
+    ``length - 1`` down to 1.  Returns the ``(rows, length)`` draws and
+    a per-row mask of rows that hit a Lemire rejection, whose draws are
+    not valid.
+    """
+    rows = words.shape[0]
+    # Column-major work array: each step below is a pass over ``rows``.
+    drawn = np.empty((length, rows), dtype=np.intp)
+    rejected = np.zeros(rows, dtype=bool)
+    column = 0
+    for t, bound in enumerate(range(pool_size - length, pool_size)):
+        if bound == 0:
+            value = np.zeros(rows, dtype=np.intp)
+        else:
+            value, bad = _lemire(words[:, column], bound)
+            rejected |= bad
+            column += 1
+        if t:
+            value[(drawn[:t] == value).any(axis=0)] = bound
+        drawn[t] = value
+    flat = drawn.reshape(-1)
+    every = np.arange(rows)
+    for i in range(length - 1, 0, -1):
+        j, bad = _lemire(words[:, column], i)
+        rejected |= bad
+        column += 1
+        swap = j * rows + every
+        held = flat.take(swap)
+        flat[swap] = drawn[i]
+        drawn[i] = held
+    return drawn.T, rejected
+
+
+def _choice_rows(
+    rng: np.random.Generator, pool_size: int, length: int, count: int
+) -> np.ndarray:
+    """``count`` successive ``rng.choice(pool_size, length, replace=False)``."""
+    out = np.empty((count, length), dtype=np.intp)
+    for i in range(count):
+        out[i] = rng.choice(pool_size, size=length, replace=False)
+    return out
+
+
+def _initial_recipes(
+    rngs: Sequence[np.random.Generator],
+    pool_size: int,
+    length: int,
+    count: int,
+) -> np.ndarray:
+    """Per run, ``count`` successive ``choice(pool_size, length)`` draws.
+
+    Returns a ``(runs, count, length)`` array equal to calling
+    ``rng.choice(pool_size, size=length, replace=False)`` ``count``
+    times on each generator, which it leaves where those calls would
+    (buffered 32-bit half included).  Each run's words come from one
+    ``integers(0, 2**32, dtype=np.uint32)`` call — exactly the words
+    ``choice`` reads through the same 32-bit path — and
+    :func:`_replay_choice` turns every run's words into draws at once.
+    A run whose words hit a Lemire rejection gets its generator state
+    back and makes the ``choice`` calls itself.
+    """
+    runs = len(rngs)
+    if count == 0:
+        return np.empty((runs, 0, length), dtype=np.intp)
+    if pool_size > _FLOYD_MAX_POPULATION and length > pool_size // 50:
+        return np.stack(
+            [_choice_rows(rng, pool_size, length, count) for rng in rngs]
+        ).reshape(runs, count, length)
+    per_choice = _words_per_choice(pool_size, length)
+    words = np.empty((runs, count * per_choice), dtype=np.uint32)
+    states = []
+    for row, rng in enumerate(rngs):
+        states.append(rng.bit_generator.state)
+        words[row] = rng.integers(
+            0, 2**32, count * per_choice, dtype=np.uint32
+        )
+    drawn, rejected = _replay_choice(
+        words.reshape(runs * count, per_choice), pool_size, length
+    )
+    drawn = drawn.reshape(runs, count, length)
+    for row in np.unique(np.nonzero(rejected)[0] // count).tolist():
+        rngs[row].bit_generator.state = states[row]
+        drawn[row] = _choice_rows(rngs[row], pool_size, length, count)
+    return drawn
 
 
 class BatchedStreams:
@@ -185,15 +327,94 @@ class BatchedStreams:
     def take_run(self, row: int, takes: int, count: int) -> np.ndarray:
         """``takes`` successive ``take(count)`` calls for a single run.
 
-        Lets the NM collision repair gather all of one run's repair
-        draws in one buffered walk; per-take semantics are the class's
-        (refill drops the tail, full-block requests bypass the buffer
-        without moving the cursor).
+        Per-take semantics are the class's (refill drops the tail,
+        full-block requests bypass the buffer without moving the
+        cursor).
         """
         if count >= self._size:
             rng = self._rngs[row]
             return np.stack([rng.random(count) for _ in range(takes)])
         return self._walk_run(row, takes, count).reshape(takes, count)
+
+    def take_ragged(
+        self, rows: np.ndarray, takes: np.ndarray, count: int
+    ) -> np.ndarray:
+        """Per listed run, ``takes[i]`` successive ``take(count)`` calls.
+
+        ``rows`` are distinct run indices and ``takes`` their take
+        counts.  Returns a ``(takes.sum(), count)`` array holding run
+        ``rows[0]``'s takes, then ``rows[1]``'s, and so on — what
+        :meth:`take_run` would return row by row.  Runs whose takes fit
+        the rest of their block are served by one gather; only runs
+        that refill (or bypass) take the per-run walk.
+        """
+        size = self._size
+        need = takes * count
+        ends = np.cumsum(need)
+        starts = ends - need
+        out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.float64)
+        index = self._index
+        fits = index[rows] <= size - need
+        if count >= size:
+            fits[:] = False
+        fast = np.nonzero(fits)[0]
+        if fast.size:
+            # Output element k of a fitting run sits at flat block
+            # position ``row * size + index[row] + (k - starts[run])``.
+            fast_rows = rows[fast]
+            fast_need = need[fast]
+            shift = fast_rows * size + index[fast_rows] - starts[fast]
+            if fast.size == len(rows):
+                target = np.arange(out.size)
+            else:
+                target = np.concatenate(
+                    [np.arange(starts[i], ends[i]) for i in fast.tolist()]
+                )
+            out[target] = self._blocks.reshape(-1).take(
+                np.repeat(shift, fast_need) + target
+            )
+            index[fast_rows] += fast_need
+        out = out.reshape(-1, count)
+        for i in np.nonzero(~fits)[0].tolist():
+            first = int(starts[i]) // count
+            out[first : first + int(takes[i])] = self.take_run(
+                int(rows[i]), int(takes[i]), count
+            )
+        return out
+
+    # Lockstep access.  The copy-mutate kinds move every run's cursor by
+    # the same count at every step, so all cursors share one column and
+    # every run refills at the same step; these methods serve that case
+    # with scalar bookkeeping.
+
+    @property
+    def block_size(self) -> int:
+        return self._size
+
+    def lockstep_cursor(self) -> int:
+        """The column every run's cursor stands at (runs in lockstep)."""
+        return int(self._index[0])
+
+    def refill(self) -> None:
+        """Refill every run's block, dropping the unconsumed tails.
+
+        What a request that does not fit the rest of the block does,
+        for every run at once.
+        """
+        for row, rng in enumerate(self._rngs):
+            self._blocks[row] = rng.random(self._size)
+        self._index[:] = 0
+
+    def take_lockstep(self, width: int) -> np.ndarray:
+        """The next ``width`` variates of every run, as ``(runs, width)``.
+
+        Every cursor must stand at :meth:`lockstep_cursor` and the
+        ``width`` variates must fit the rest of the block; the result
+        is a view, valid until the next refill.
+        """
+        start = self.lockstep_cursor()
+        self._index += width
+        return self._blocks[:, start : start + width]
 
 
 def run_batched(
@@ -272,7 +493,10 @@ def run_batched(
     fitness = np.empty((runs, universe_size), dtype=np.float64)
     pool = np.zeros((runs, universe_size), dtype=np.intp)
     remaining = np.zeros((runs, universe_size), dtype=np.intp)
-    members = np.zeros((runs, n_codes, universe_size), dtype=np.intp)
+    # A category list never outgrows its category's share of the
+    # universe, so its width is the largest category's size.
+    member_width = int(np.bincount(category_codes, minlength=1).max())
+    members = np.zeros((runs, n_codes, member_width), dtype=np.intp)
     counts = np.zeros((runs, n_codes), dtype=np.intp)
     recipes = np.zeros((runs, target, row_width), dtype=np.int32)
     lengths = np.empty(target, dtype=np.intp)
@@ -282,7 +506,8 @@ def run_batched(
     # contract): fitness assignment, then the pool `choice`, then
     # one `choice` per initial recipe, then the first buffer block
     # (drawn by BatchedStreams below).  Runs are independent
-    # generators, so the cross-run loop order is immaterial.
+    # generators, so the cross-run order is immaterial, and the
+    # initial-recipe draws of every run are replayed in one pass.
     for row, rng in enumerate(rngs):
         fitness[row] = np.asarray(
             model.fitness.assign(spec.ingredient_ids, rng),
@@ -299,11 +524,11 @@ def run_batched(
             selected = pool_row[codes_row == code]
             members[row, code, : len(selected)] = selected
             counts[row, code] = len(selected)
-        for i in range(n0):
-            drawn = rng.choice(m0, size=initial_length, replace=False)
-            recipes[row, i, :initial_length] = pool_row[
-                drawn.astype(np.intp)
-            ]
+    row_index = np.arange(runs)
+    recipes[:, :n0, :initial_length] = pool[
+        row_index[:, None, None],
+        _initial_recipes(rngs, m0, initial_length, n0),
+    ]
     streams = BatchedStreams(rngs)
 
     m = m0
@@ -318,69 +543,93 @@ def run_batched(
     history: list[tuple[int, int]] | None = (
         [(m, n)] if record_history else None
     )
-    row_index = np.arange(runs)
+
+    def grow(u: np.ndarray, size: int, left: int) -> None:
+        """One pool-growth step for every run, at pool size ``size``.
+
+        Each run's variate ``u`` selects its victim among the ``left``
+        remaining-universe columns; an O(1) swap-move keeps those
+        contiguous, and the pool and per-category lists are
+        append-only.
+        """
+        drawn = (u * left).astype(np.intp)
+        position = remaining[row_index, drawn]
+        remaining[row_index, drawn] = remaining[:, left - 1]
+        pool[:, size] = position
+        code = category_codes[position]
+        members[row_index, code, counts[row_index, code]] = position
+        counts[row_index, code] += 1
 
     def mutate_entries(
-        rows: np.ndarray, draws: np.ndarray, run_of: np.ndarray
-    ) -> np.ndarray:
+        columns: np.ndarray,
+        draws: np.ndarray,
+        run_of: np.ndarray,
+        pool_size: np.ndarray,
+        epoch_counts: np.ndarray | None,
+        count_base: np.ndarray | None,
+        counted: np.ndarray | None,
+    ) -> None:
         """Apply the M sequential mutations to every (run, step) entry.
 
-        ``rows`` is ``(entries, length)`` and is mutated in place;
-        ``draws`` is the entries' ``(entries, draws_per_step)`` variate
-        rows; ``run_of`` maps each entry back to its run for state
-        lookups and counter attribution.  The gate order per mutation is
-        the reference loop's: no-candidate skip, candidate == victim,
-        fitness, in-row duplicate.
+        ``columns`` holds the entries' rows column-major, as a
+        C-contiguous ``(length, entries)`` array, and is mutated in
+        place; ``draws`` is the entries' ``(entries, draws_per_step)``
+        variate rows; ``run_of`` maps each entry back to its run for
+        state lookups and counter attribution; ``pool_size`` is each
+        entry's epoch pool size and, for the category kinds,
+        ``count_base`` the offset of its epoch's per-category counts in
+        the flat ``epoch_counts`` snapshots.  Only entries flagged in
+        ``counted`` (all when ``None``) add to the trace counters.  The
+        gate order per mutation is the reference loop's: no-candidate
+        skip, candidate == victim, fitness, in-row duplicate.
         """
-        nonlocal attempted
-        entries, length = rows.shape
+        length, entries = columns.shape
         # Flat views + hoisted row bases turn every per-mutation state
-        # lookup into a 1-D ``take`` — same integer arithmetic as the
-        # 2-D/3-D fancy indexing it replaces, identical results.  The
-        # caller always passes freshly-copied (C-contiguous) rows, so
-        # the reshape is a view and in-place scatters land in ``rows``.
-        rows_flat = rows.reshape(-1)
-        entry_base = np.arange(entries) * length
+        # lookup into a 1-D ``take``; the column-major layout makes the
+        # in-row duplicate test a reduction over the short axis
+        # ``length`` with long contiguous inner loops.
+        columns_flat = columns.reshape(-1)
+        entry_index = np.arange(entries)
         row_base = run_of * universe_size
-        positions = (draws[:, 1 : 1 + mutations] * length).astype(np.intp)
-        selectors = draws[:, 1 + mutations : 1 + 2 * mutations]
         fit_flat = fitness.reshape(-1)
-        pool_candidates = pool.reshape(-1).take(
-            row_base[:, None] + (selectors * m).astype(np.intp)
-        )
+        pool_flat = pool.reshape(-1)
         if category_mode or mixture_mode:
-            counts_flat = counts.reshape(-1)
             members_flat = members.reshape(-1)
             code_base = run_of * n_codes
-        if mixture_mode:
-            use_category = (
-                draws[:, 1 + 2 * mutations : 1 + 3 * mutations] < mixture_p
-            )
         acc = np.zeros(entries, dtype=np.int64)
         rej_fit = np.zeros(entries, dtype=np.int64)
         rej_dup = np.zeros(entries, dtype=np.int64)
         skipped = np.zeros(entries, dtype=np.int64)
         for g in range(mutations):
-            flat_position = entry_base + positions[:, g]
-            victim = rows_flat.take(flat_position)
+            position = (draws[:, 1 + g] * length).astype(np.intp)
+            flat_position = position * entries + entry_index
+            victim = columns_flat.take(flat_position)
+            selector = draws[:, 1 + mutations + g]
+            # ``selector * m`` is the same float64 product whether the
+            # pool size is a scalar or one integer per entry.
+            pool_candidate = pool_flat.take(
+                row_base + (selector * pool_size).astype(np.intp)
+            )
             active = None
             if category_mode or mixture_mode:
-                code_key = code_base + category_codes.take(victim)
-                code_count = counts_flat.take(code_key)
+                victim_code = category_codes.take(victim)
+                code_count = epoch_counts.take(count_base + victim_code)
                 have = code_count > 0
                 category_candidate = members_flat.take(
-                    code_key * universe_size
-                    + (selectors[:, g] * code_count).astype(np.intp)
+                    (code_base + victim_code) * member_width
+                    + (selector * code_count).astype(np.intp)
                 )
                 if mixture_mode:
-                    want_category = use_category[:, g]
+                    want_category = (
+                        draws[:, 1 + 2 * mutations + g] < mixture_p
+                    )
                     picked_category = want_category & have
                 else:
                     # Pure category mode wants the category every time;
                     # the all-True mask would be dead weight.
                     picked_category = have
                 candidate = np.where(
-                    picked_category, category_candidate, pool_candidates[:, g]
+                    picked_category, category_candidate, pool_candidate
                 )
                 if not fallback_random:
                     skip = (
@@ -389,7 +638,7 @@ def run_batched(
                     skipped += skip
                     active = have if not mixture_mode else ~skip
             else:
-                candidate = pool_candidates[:, g]
+                candidate = pool_candidate
             not_victim = candidate != victim
             better = fit_flat.take(row_base + candidate) > fit_flat.take(
                 row_base + victim
@@ -401,7 +650,7 @@ def run_batched(
                 dup_victim &= active
                 fit_reject &= active
                 consider &= active
-            in_row = (rows == candidate[:, None]).any(axis=1)
+            in_row = (columns == candidate).any(axis=0)
             if skip_duplicates:
                 rej_dup += consider & in_row
                 apply = consider & ~in_row
@@ -413,7 +662,12 @@ def run_batched(
             # Non-applied positions already hold their victim; scatter
             # only the accepted candidates.
             hit = np.nonzero(apply)[0]
-            rows_flat[flat_position.take(hit)] = candidate.take(hit)
+            columns_flat[flat_position.take(hit)] = candidate.take(hit)
+        if counted is not None:
+            acc *= counted
+            rej_fit *= counted
+            rej_dup *= counted
+            skipped *= counted
         accepted[:] += np.bincount(run_of, weights=acc, minlength=runs)
         rejected_fitness[:] += np.bincount(
             run_of, weights=rej_fit, minlength=runs
@@ -424,81 +678,181 @@ def run_batched(
         skipped_no_candidate[:] += np.bincount(
             run_of, weights=skipped, minlength=runs
         )
-        attempted += mutations
-        return rows
 
-    def copy_mutate_segment(segment_start: int, steps: int) -> None:
-        """Resolve ``steps`` consecutive recipe steps for every run.
+    def resolve_steps(
+        first: int,
+        draws: np.ndarray,
+        step_pool: np.ndarray,
+        step_epoch: np.ndarray,
+        epoch_counts: np.ndarray | None,
+    ) -> None:
+        """Resolve a span's recipe steps ``first, first + 1, …`` for every run.
 
-        Wave 0 handles every (run, step) whose mother predates the
-        segment — the overwhelming majority; follow-up waves handle
-        steps whose mother row was itself produced in this segment, in
-        dependency order (each wave's mothers were finished by an
+        ``draws`` is ``(runs, steps, draws_per_step)``; step ``s`` runs
+        at pool size ``step_pool[s]`` after ``step_epoch[s]`` of the
+        span's growth steps, and ``epoch_counts`` (category kinds) is
+        the ``(runs, epochs, n_codes)`` per-category counts after each
+        of them.  Wave 0 settles every (run, step) whose mother
+        predates the span — the overwhelming majority; follow-up waves
+        handle steps whose mother row was itself produced in this span,
+        in dependency order (each wave's mothers were finished by an
         earlier wave, so per-run semantics match the sequential loop).
         """
-        nonlocal attempted
-        draws = streams.take_each(steps, draws_per_step)
-        mother = (
-            draws[:, :, 0] * (segment_start + np.arange(steps))
-        ).astype(np.intp)
-        dependency = mother - segment_start
-        rows_out = np.empty(
-            (runs, steps, initial_length), dtype=np.intp
+        steps = draws.shape[1]
+        mother = (draws[:, :, 0] * (first + np.arange(steps))).astype(
+            np.intp
         )
-        done = np.zeros((runs, steps), dtype=bool)
-        run_of, step_of = np.nonzero(dependency < 0)
-        rows = recipes[run_of, mother[run_of, step_of]].astype(np.intp)
-        while True:
-            saved_attempted = attempted
-            mutate_entries(rows, draws[run_of, step_of], run_of)
-            # `attempted` is lockstep (M per step per run); mutate_entries
-            # bumps it once per call, so correct it to count steps.
-            attempted = saved_attempted
-            rows_out[run_of, step_of] = rows
-            done[run_of, step_of] = True
-            if done.all():
-                break
+        dependency = mother - first
+        done = dependency < 0
+        flat_counts = None
+        if epoch_counts is not None:
+            epochs = epoch_counts.shape[1]
+            flat_counts = epoch_counts.reshape(-1)
+
+        def mutate_steps(columns, wave_draws, run_of, step_of, counted):
+            count_base = None
+            if epoch_counts is not None:
+                count_base = (
+                    run_of * epochs + step_epoch.take(step_of)
+                ) * n_codes
+            mutate_entries(
+                columns,
+                wave_draws,
+                run_of,
+                step_pool.take(step_of),
+                flat_counts,
+                count_base,
+                counted,
+            )
+
+        # Wave 0 runs every (run, step) entry in run-major order, straight
+        # off the span's draws.  An entry whose mother is made in this
+        # span reads a row not written yet (still in bounds), so its
+        # counts are dropped here and a follow-up wave redoes it.  Rows
+        # are worked on column-major (see mutate_entries).
+        every_run = np.repeat(row_index, steps)
+        columns = recipes[every_run, mother.reshape(-1)].T.astype(
+            np.intp, order="C"
+        )
+        mutate_steps(
+            columns,
+            draws.reshape(runs * steps, draws_per_step),
+            every_run,
+            np.tile(np.arange(steps), runs),
+            done.reshape(-1),
+        )
+        columns_out = columns.reshape(initial_length, runs, steps)
+        while not done.all():
             run_todo, step_todo = np.nonzero(~done)
-            ready = done[
-                run_todo, dependency[run_todo, step_todo]
-            ]
+            ready = done[run_todo, dependency[run_todo, step_todo]]
             run_of = run_todo[ready]
             step_of = step_todo[ready]
-            rows = rows_out[run_of, dependency[run_of, step_of]].copy()
-        attempted += mutations * steps
-        recipes[:, segment_start : segment_start + steps, :initial_length] = (
-            rows_out
+            columns = np.ascontiguousarray(
+                columns_out[:, run_of, dependency[run_of, step_of]]
+            )
+            mutate_steps(
+                columns, draws[run_of, step_of], run_of, step_of, None
+            )
+            columns_out[:, run_of, step_of] = columns
+            done[run_of, step_of] = True
+        recipes[:, first : first + steps, :initial_length] = (
+            columns_out.transpose(1, 2, 0)
         )
-        lengths[segment_start : segment_start + steps] = initial_length
+        lengths[first : first + steps] = initial_length
 
-    while n < target:
-        if m / n < phi and rem:
-            # Pool growth, all runs at once: one buffered variate per
-            # run selects its remaining-universe victim; an O(1)
-            # swap-move keeps the remaining columns contiguous, and the
-            # pool and per-category lists are append-only.
-            u = streams.one_each()
-            drawn = (u * rem).astype(np.intp)
-            position = remaining[row_index, drawn]
-            last = remaining[:, rem - 1].copy()
-            remaining[row_index, drawn] = last
-            rem -= 1
-            pool[:, m] = position
-            code = category_codes[position]
-            members[row_index, code, counts[row_index, code]] = position
-            counts[row_index, code] += 1
-            m += 1
-            ingredients_added += 1
-            if history is not None:
-                history.append((m, n))
-            continue
-        if null_mode:
+    if not null_mode:
+        # Copy-mutate: every run's cursor moves in lockstep (the
+        # initial draws came straight from the generators), so each
+        # span is planned once, as scalars, and served from one column
+        # range of the stacked blocks.
+        size = streams.block_size
+        bypass = draws_per_step >= size
+        step_width = 0 if bypass else draws_per_step
+        cursor = streams.lockstep_cursor()
+        span_steps = max(1, _SPAN_ENTRIES // runs)
+        while n < target:
+            # Plan: walk the loop predicate (the exact float comparisons
+            # of the sequential loop) until the span is full, the run
+            # ends, or the next step's draws would refill the block.
+            grow_columns: list[int] = []
+            step_columns: list[int] = []
+            step_pool: list[int] = []
+            step_epoch: list[int] = []
+            first = n
+            start = cursor
+            for _ in range(span_steps):
+                if n >= target:
+                    break
+                if m / n < phi and rem:
+                    if cursor + 1 > size:
+                        break
+                    grow_columns.append(cursor - start)
+                    cursor += 1
+                    m += 1
+                    rem -= 1
+                else:
+                    if cursor + step_width > size:
+                        break
+                    step_columns.append(cursor - start)
+                    step_pool.append(m)
+                    step_epoch.append(len(grow_columns))
+                    cursor += step_width
+                    n += 1
+                if history is not None:
+                    history.append((m, n))
+            if not grow_columns and not step_columns:
+                streams.refill()
+                cursor = 0
+                continue
+            span = streams.take_lockstep(cursor - start)
+            # The span's growth steps, in order, at the pool sizes the
+            # plan walked through; category kinds keep the counts after
+            # each as the next epoch's snapshot.
+            grown = len(grow_columns)
+            snapshots = None
+            if category_mode or mixture_mode:
+                snapshots = np.empty((runs, grown + 1, n_codes), dtype=np.intp)
+                snapshots[:, 0] = counts
+            for e, column in enumerate(grow_columns):
+                grow(span[:, column], m - grown + e, rem + grown - e)
+                if snapshots is not None:
+                    snapshots[:, e + 1] = counts
+            ingredients_added += grown
+            if not step_columns:
+                continue
+            if bypass:
+                draws = streams.take_each(len(step_columns), draws_per_step)
+            else:
+                draws = span[
+                    :,
+                    np.asarray(step_columns)[:, None]
+                    + np.arange(draws_per_step),
+                ]
+            resolve_steps(
+                first,
+                draws,
+                np.asarray(step_pool, dtype=np.intp),
+                np.asarray(step_epoch, dtype=np.intp),
+                snapshots,
+            )
+        attempted = mutations * (target - n0)
+
+    else:
+        while n < target:
+            if m / n < phi and rem:
+                grow(streams.one_each(), m, rem)
+                m += 1
+                rem -= 1
+                ingredients_added += 1
+                if history is not None:
+                    history.append((m, n))
+                continue
             # NM: the pool is frozen until ∂ next drops below φ, so the
-            # whole stretch of recipe steps is drawn for all runs at
-            # once: rejection-sample whole rows (exactly uniform over
-            # distinct index sets, conditional on acceptance) and repair
-            # only rows with within-row collisions by Floyd's sampling
-            # on that run's own stream.
+            # whole stretch of recipe steps is drawn for all runs at once:
+            # rejection-sample whole rows (exactly uniform over distinct
+            # index sets, conditional on acceptance) and repair only rows
+            # with within-row collisions by Floyd's sampling on that run's
+            # own stream.
             if rem:
                 cap = int(m / phi)
                 while m / (cap + 1) >= phi:
@@ -522,34 +876,22 @@ def run_batched(
                     (ordered[:, :, 1:] == ordered[:, :, :-1]).any(axis=2)
                 )
                 if collided_run.size:
-                    # Gather each run's repair draws in one buffered
-                    # walk (np.nonzero is run-major with steps
-                    # ascending — the exact order a per-row loop would
-                    # consume each stream in), then run Floyd's
-                    # sampling across all collided rows at once.
-                    repaired = collided_run.size
-                    repairs = np.empty((repaired, size), dtype=np.float64)
-                    rows_with, takes_per = np.unique(
-                        collided_run, return_counts=True
+                    # np.nonzero is run-major with steps ascending — the
+                    # exact order a per-row loop would consume each stream
+                    # in — so one ragged take serves every repair draw;
+                    # then Floyd's sampling runs across all collided rows
+                    # at once.
+                    takes_per = np.bincount(collided_run, minlength=runs)
+                    rows_with = np.nonzero(takes_per)[0]
+                    repairs = streams.take_ragged(
+                        rows_with, takes_per[rows_with], size
                     )
-                    start = 0
-                    for row, takes in zip(
-                        rows_with.tolist(), takes_per.tolist()
-                    ):
-                        repairs[start : start + takes] = streams.take_run(
-                            row, takes, size
-                        )
-                        start += takes
-                    chosen = np.empty((repaired, size), dtype=np.intp)
+                    chosen = np.empty((collided_run.size, size), dtype=np.intp)
                     for d in range(size):
                         upper = first_upper + d
-                        index = (repairs[:, d] * (upper + 1)).astype(
-                            np.intp
-                        )
+                        index = (repairs[:, d] * (upper + 1)).astype(np.intp)
                         if d:
-                            dup = (chosen[:, :d] == index[:, None]).any(
-                                axis=1
-                            )
+                            dup = (chosen[:, :d] == index[:, None]).any(axis=1)
                             index[dup] = upper
                         chosen[:, d] = index
                     index_matrix[collided_run, collided_step] = chosen
@@ -560,27 +902,8 @@ def run_batched(
             recipes[:, n : n + steps, :size] = rows
             lengths[n : n + steps] = size
             if history is not None:
-                history.extend(
-                    (m, past) for past in range(n + 1, n + steps + 1)
-                )
+                history.extend((m, past) for past in range(n + 1, n + steps + 1))
             n += steps
-            continue
-        # Copy-mutate segment: count the consecutive recipe steps the
-        # sequential loop would take before its next growth step (the
-        # exact float comparisons of the loop predicate), then resolve
-        # them in memory-bounded chunks.
-        steps = 1
-        while n + steps < target and not (m / (n + steps) < phi and rem):
-            steps += 1
-        while steps:
-            chunk = min(steps, _MAX_SEGMENT)
-            copy_mutate_segment(n, chunk)
-            if history is not None:
-                history.extend(
-                    (m, past) for past in range(n + 1, n + chunk + 1)
-                )
-            n += chunk
-            steps -= chunk
 
     # ------------------------------------------------------------------
     # Per-run result assembly.  Each run's transactions are a plane over
