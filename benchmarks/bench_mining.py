@@ -18,7 +18,8 @@ produced, on the paper protocol (ITA, 100 runs, support 0.05 at
   the runs and averaged: the same level-wise code one run at a time,
   which is how ensembles were mined before runs were stacked;
 * ``warm-cache`` — a second aggregation served entirely from the
-  mined-curve cache (zero mining calls).
+  mined-curve cache (zero mining calls), each run's curve keyed by the
+  run's run-cache key.
 
 All curves are verified bit-identical before any speedup is reported;
 results go to ``BENCH_mining.json`` at the repo root.
@@ -56,7 +57,12 @@ from repro.models.ensemble import ensemble_curve
 from repro.models.params import CuisineSpec
 from repro.models.registry import create_model
 from repro.rng import rng_from_seed, spawn_seeds
-from repro.runtime import CurveCache, RuntimeConfig, execute_runs
+from repro.runtime import (
+    CurveCache,
+    RuntimeConfig,
+    execute_runs,
+    fingerprint_many,
+)
 from repro.synthesis.worldgen import WorldKitchen
 
 
@@ -112,16 +118,20 @@ def run_mining_matrix(
     curves["per-run"] = average_curves(per_run, model_name).frequencies
     modes.append(("per-run", time.perf_counter() - start))
 
+    # Model curves are cached under their runs' run-cache keys.
+    keys = fingerprint_many(model, spec, seeds)
     warm_hits = 0
     with tempfile.TemporaryDirectory() as cache_dir:
         fill_cache = CurveCache(cache_dir)
         ensemble_curve(
-            runs, model_name, mining=bitset, curve_cache=fill_cache
+            runs, model_name, mining=bitset, keys=keys,
+            curve_cache=fill_cache,
         )
         warm_cache = CurveCache(cache_dir)
         start = time.perf_counter()
         curves["warm-cache"] = ensemble_curve(
-            runs, model_name, mining=bitset, curve_cache=warm_cache
+            runs, model_name, mining=bitset, keys=keys,
+            curve_cache=warm_cache,
         ).frequencies
         modes.append(("warm-cache", time.perf_counter() - start))
         warm_hits = warm_cache.stats.hits

@@ -45,8 +45,9 @@ def _mine_cached(
 
     Empirical callers need the full :class:`MiningResult` (itemset
     drill-down), so entries store the result object itself under
-    ``kind="mining"`` — distinct from the ensemble path's frequency
-    arrays, sharing the same content-addressed key scheme.
+    ``kind="mining"`` under a content key (:func:`curve_key`): a corpus
+    has no run key, unlike the ensemble path's run-keyed frequency
+    arrays.
     """
     # One conversion serves both the fingerprint and the miner.
     transactions = TransactionPlane.of(transactions)

@@ -701,9 +701,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         # One executor pass for the whole grid (ensemble_curves), not
         # one pool per cell — same curves, a fraction of the overhead.
+        # Each run's curve is keyed by the run key the sweep used, the
+        # key `repro experiment fig4` hands its cells' curves.
         ensemble_curves(
             [
-                (cell_runs.runs, cell_runs.model_name)
+                (cell_runs.runs, cell_runs.model_name, cell_runs.keys)
                 for cell_runs in result.cells
             ],
             mining=mining, runtime=runtime, curve_cache=curve_cache,

@@ -23,9 +23,8 @@ from repro.analysis.model_eval import ModelEvaluation, evaluate_models
 from repro.analysis.rank_frequency import RankFrequencyCurve
 from repro.config import MiningConfig
 from repro.experiments.base import ExperimentContext
-from repro.lexicon.lexicon import Lexicon
 from repro.models.base import EvolutionRun
-from repro.models.ensemble import ensemble_curves
+from repro.models.ensemble import EnsembleCell, ensemble_curves
 from repro.models.params import CuisineSpec
 from repro.models.registry import PAPER_MODELS, create_model
 from repro.runtime import CurveCache, execute_sweep, plan_grid, select_regions
@@ -44,19 +43,20 @@ class CellCurve:
     (:func:`~repro.runtime.sweep.execute_sweep` ``reduce=``): it mines
     the cell with :func:`ensemble_curves` on a serial runtime, wherever
     the cell ran, so a worker sends back one curve instead of the
-    cell's planes.  Its state is picklable, which keeps it on the
-    process and distributed backends.
+    cell's planes.  Each run's curve is cached under the run key the
+    sweep handed over — the key the run cache used — so it is never
+    derived a second time.  Its state is picklable, which keeps it on
+    the process and distributed backends.
 
     Attributes:
         mining: Support/size configuration.
-        level: ``"ingredient"`` or ``"category"``.
-        lexicon: Required for ``level="category"``.
+        level: ``"ingredient"`` or ``"category"`` (categories come from
+            the cell's spec).
         cache_dir: Mined-curve cache directory, or ``None`` for none.
     """
 
     mining: MiningConfig
     level: str = "ingredient"
-    lexicon: Lexicon | None = None
     cache_dir: str | None = None
 
     @classmethod
@@ -69,16 +69,18 @@ class CellCurve:
         return cls(
             mining=context.mining if mining is None else mining,
             level=level,
-            lexicon=context.lexicon if level == "category" else None,
             cache_dir=None if cache_dir is None else str(cache_dir),
         )
 
     def __call__(
-        self, cell: SweepCell, runs: tuple[EvolutionRun, ...]
+        self,
+        cell: SweepCell,
+        runs: tuple[EvolutionRun, ...],
+        keys: tuple[str, ...] | None,
     ) -> RankFrequencyCurve:
         return ensemble_curves(
-            [(runs, cell.model_name)], mining=self.mining, level=self.level,
-            lexicon=self.lexicon,
+            [EnsembleCell(runs, cell.model_name, keys, cell.spec)],
+            mining=self.mining, level=self.level,
             curve_cache=(
                 None if self.cache_dir is None else CurveCache(self.cache_dir)
             ),
@@ -217,8 +219,9 @@ def run_fig4(
     simulated and mined in one task (:class:`CellCurve`), so only one
     cell's runs are alive per task and workers return curves.
     With a ``--cache-dir`` runtime both layers warm: cached runs skip
-    simulation, and the mined-curve cache (empirical and per-run model
-    curves alike) makes a repeat invocation perform zero mining calls.
+    simulation, and the mined-curve cache (empirical curves keyed by
+    content, per-run model curves by run key) makes a repeat invocation
+    perform zero mining calls and fingerprint no plane.
 
     Args:
         context: Experiment context (corpus + mining + ensemble size).

@@ -185,7 +185,13 @@ def run_islands(
             runtime=context.runtime,
         )
         curves = ensemble_curves(
-            [(ensemble.runs[code], f"{name}:{code}") for code in codes],
+            [
+                (
+                    ensemble.runs[code], f"{name}:{code}",
+                    None if ensemble.keys is None else ensemble.keys[code],
+                )
+                for code in codes
+            ],
             mining=context.mining,
             runtime=context.runtime,
             curve_cache=curve_cache,

@@ -16,6 +16,7 @@ from repro.models.copy_mutate import (
     CopyMutateRandom,
 )
 from repro.models.ensemble import (
+    EnsembleCell,
     EnsembleResult,
     aggregate_ensemble,
     ensemble_curve,
@@ -70,6 +71,7 @@ __all__ = [
     "CopyMutateCategory",
     "CopyMutateMixture",
     "CopyMutateRandom",
+    "EnsembleCell",
     "EnsembleResult",
     "aggregate_ensemble",
     "ensemble_curve",

@@ -5,14 +5,15 @@ copy-mutate recipes and study the aggregated statistics."  This module
 runs a model repeatedly with independent seeds and aggregates the
 per-run rank-frequency curves of frequent combinations.  Each run is
 mined on its own terms (its own support count, its own curve and
-curve-cache entry), but all uncached runs of a (model, cuisine) cell
-are mined together in one stacked pass
+curve-cache entry, keyed by its run key), but all uncached runs of a
+(model, cuisine) cell are mined together in one stacked pass
 (:func:`~repro.analysis.itemsets.mine_frequencies`), one task per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,22 +21,26 @@ from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequencies
 from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
 from repro.config import DEFAULT_MINING, MiningConfig, PAPER
 from repro.errors import ModelError, RunCacheError
-from repro.lexicon.lexicon import Lexicon
 from repro.models.base import CulinaryEvolutionModel, EvolutionRun
 from repro.models.params import CuisineSpec
 from repro.rng import SeedLike, ensure_rng, spawn_seeds
 from repro.runtime import (
     CurveCache,
     RuntimeConfig,
-    curve_key,
     execute_runs,
+    fingerprint_many,
     parallel_map,
-    transactions_fingerprint,
+    run_curve_key,
 )
+# Kept bound for perfbench/tracing.py, which wraps this name to time
+# plane fingerprinting.  Model curves are keyed by run key and never
+# fingerprint a plane, so that span reads 0.
+from repro.runtime.curve_cache import transactions_fingerprint  # noqa: F401
 from repro.transactions import TransactionPlane
 
 __all__ = [
     "CurveMiningTask",
+    "EnsembleCell",
     "EnsembleResult",
     "aggregate_ensemble",
     "ensemble_curve",
@@ -70,17 +75,57 @@ class EnsembleResult:
 
 
 def _category_transactions(
-    run: EvolutionRun, lexicon: Lexicon
+    run: EvolutionRun, spec: CuisineSpec
 ) -> TransactionPlane:
-    """The run's plane with every ingredient replaced by its category
-    index (rows deduplicated), through one position lookup array."""
+    """The run's plane with every ingredient replaced by the index of
+    the category ``spec`` gives it (rows deduplicated), through one
+    position lookup array.
+
+    The mapping is read from the spec the run evolved, which its run
+    key covers, so a run-keyed category curve changes key whenever the
+    categories change.
+
+    Raises:
+        ModelError: If the run holds an ingredient the spec does not
+            list (an island run that adopted a donor's ingredient).
+    """
     plane = run.transactions
-    id_to_category = lexicon.id_to_category_array()
-    lookup = np.array(
-        [CATEGORY_INDEX[id_to_category[i]] for i in plane.ids.tolist()],
-        dtype=np.int64,
-    )
+    category_of = dict(zip(spec.ingredient_ids, spec.categories))
+    try:
+        lookup = np.array(
+            [CATEGORY_INDEX[category_of[i]] for i in plane.ids.tolist()],
+            dtype=np.int64,
+        )
+    except KeyError as exc:
+        raise ModelError(
+            f"ingredient {exc.args[0]} of a {run.model_name} run is not in "
+            f"the {spec.region_code} spec, so it has no category"
+        ) from None
     return plane.remap(lookup, np.arange(len(CATEGORY_INDEX), dtype=np.int64))
+
+
+class EnsembleCell(NamedTuple):
+    """One cell of runs to aggregate into one averaged curve.
+
+    Plain ``(runs, label)``, ``(runs, label, keys)`` and ``(runs,
+    label, keys, spec)`` tuples are accepted wherever a cell is.
+
+    Attributes:
+        runs: The cell's runs, in run order.
+        label: Label of the averaged curve; per-run curves are
+            ``"<label>#<index>"``.
+        keys: The runs' run-cache keys
+            (:func:`~repro.runtime.cache.fingerprint_many`), aligned
+            with ``runs``.  Each run's curve is cached under its run
+            key; a cell without keys is not curve-cached.
+        spec: The cuisine spec the runs evolved; required at category
+            level, where it maps ingredients to categories.
+    """
+
+    runs: Sequence[EvolutionRun]
+    label: str
+    keys: Sequence[str] | None = None
+    spec: CuisineSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -125,14 +170,14 @@ def mine_curve_task(task: CurveMiningTask) -> list[RankFrequencyCurve]:
 
 
 def ensemble_curves(
-    cells: list[tuple[tuple[EvolutionRun, ...] | list[EvolutionRun], str]],
+    cells: Sequence[EnsembleCell | tuple],
     mining: MiningConfig = DEFAULT_MINING,
     level: str = "ingredient",
-    lexicon: Lexicon | None = None,
     runtime: RuntimeConfig | None = None,
     curve_cache: CurveCache | None = None,
 ) -> list[RankFrequencyCurve]:
-    """Aggregate many ``(runs, label)`` cells, mining them in one pass.
+    """Aggregate many cells into one averaged curve each, mining them in
+    one pass.
 
     The grid-mining entry point: a figure-4 style grid of
     (model × cuisine) cells used to pay one executor fan-out *per
@@ -150,14 +195,18 @@ def ensemble_curves(
     When a curve cache is available (explicitly, or built from
     ``runtime.cache_dir``), each run's mined frequencies are served
     from disk when present and written back when mined, keyed by the
-    exact transaction content plus the mining config — a warm grid
-    performs zero mining calls (DESIGN.md §6).
+    run's run-cache key, the level and the mining config
+    (:func:`~repro.runtime.curve_cache.run_curve_key`).  The run key
+    names every input that decides the run, so no plane is read to key
+    its curve, and a warm grid performs zero mining calls (DESIGN.md
+    §6).  Runs of a cell without keys are mined every time.
 
     Args:
-        cells: ``(runs, label)`` pairs; output order follows input.
+        cells: :class:`EnsembleCell` values (or plain tuples in its
+            field order); output order follows input.
         mining: Support/size configuration (shared).
-        level: ``"ingredient"`` or ``"category"``.
-        lexicon: Required for ``level="category"``.
+        level: ``"ingredient"`` or ``"category"``; the category level
+            needs every cell's ``spec``.
         runtime: Fan-out backend/jobs/cache; ``None`` = serial.
         curve_cache: Explicit mined-curve cache (overrides
             ``runtime.cache_dir``).
@@ -165,43 +214,42 @@ def ensemble_curves(
     Returns:
         One averaged curve per cell, aligned with ``cells``.
     """
-    for runs, _label in cells:
-        if not runs:
+    cells = [EnsembleCell(*cell) for cell in cells]
+    for cell in cells:
+        if not cell.runs:
             raise ModelError("cannot aggregate zero runs")
-    if level == "category" and lexicon is None:
-        raise ModelError("category-level aggregation requires a lexicon")
+        if cell.keys is not None and len(cell.keys) != len(cell.runs):
+            raise ModelError(
+                f"cell {cell.label!r} has {len(cell.runs)} runs but "
+                f"{len(cell.keys)} run keys"
+            )
+        if level == "category" and cell.spec is None:
+            raise ModelError(
+                "category-level aggregation requires each cell's spec"
+            )
     config = runtime if runtime is not None else RuntimeConfig()
     if curve_cache is None and config.cache_dir is not None:
         curve_cache = CurveCache(config.cache_dir)
 
-    # Flatten to per-run units tagged with their cell: (cell, index,
-    # plane).  All cache and mining bookkeeping below works on this flat
-    # list; cells only reappear at averaging time.  No step builds a
-    # Python set: fingerprinting and mining read the planes' arrays.
-    flat: list[tuple[int, int, TransactionPlane]] = []
-    for cell, (runs, _label) in enumerate(cells):
-        for index, run in enumerate(runs):
-            transactions = (
-                run.transactions
-                if level == "ingredient"
-                else _category_transactions(run, lexicon)  # type: ignore[arg-type]
-            )
-            flat.append((cell, index, transactions))
-
+    # Flatten to per-run units tagged with their cell: (cell, index).
+    # All cache and mining bookkeeping below works on this flat list;
+    # cells only reappear at averaging time.  Keys come from run keys
+    # alone, and only runs left to mine are converted to their level.
+    flat = [
+        (position, index)
+        for position, cell in enumerate(cells)
+        for index in range(len(cell.runs))
+    ]
     curves: list[RankFrequencyCurve | None] = [None] * len(flat)
-    keys: list[str] | None = None
-    pending = list(range(len(flat)))
-    if curve_cache is not None:
-        keys = [
-            curve_key(
-                transactions_fingerprint(transactions), mining, level=level
+    keys: list[str | None] = [None] * len(flat)
+    pending: list[int] = []
+    for position, (cell_position, index) in enumerate(flat):
+        cell = cells[cell_position]
+        if curve_cache is not None and cell.keys is not None:
+            keys[position] = run_curve_key(
+                cell.keys[index], mining, level=level
             )
-            for _cell, _index, transactions in flat
-        ]
-        pending = []
-        for position, key in enumerate(keys):
-            cell, index, _transactions = flat[position]
-            frequencies = curve_cache.get(key)
+            frequencies = curve_cache.get(keys[position])
             # Guard the payload type: an entry that unpickles to the
             # wrong shape (layout drift, damaged file) is a miss to
             # re-mine, not a crash.
@@ -210,10 +258,10 @@ def ensemble_curves(
                 and frequencies.ndim == 1
             ):
                 curves[position] = RankFrequencyCurve(
-                    f"{cells[cell][1]}#{index}", frequencies
+                    f"{cell.label}#{index}", frequencies
                 )
-            else:
-                pending.append(position)
+                continue
+        pending.append(position)
 
     if pending:
         # One task per cell: a cell's uncached runs are mined together
@@ -221,22 +269,26 @@ def ensemble_curves(
         groups: dict[int, list[int]] = {}
         for position in pending:
             groups.setdefault(flat[position][0], []).append(position)
-        tasks = [
-            CurveMiningTask(
-                transactions=tuple(flat[position][2] for position in group),
+        tasks = []
+        for cell_position, group in groups.items():
+            cell = cells[cell_position]
+            runs = [cell.runs[flat[position][1]] for position in group]
+            tasks.append(CurveMiningTask(
+                transactions=tuple(
+                    run.transactions if level == "ingredient"
+                    else _category_transactions(run, cell.spec)
+                    for run in runs
+                ),
                 mining=mining,
                 labels=tuple(
-                    f"{cells[cell][1]}#{flat[position][1]}"
-                    for position in group
+                    f"{cell.label}#{flat[position][1]}" for position in group
                 ),
-            )
-            for cell, group in groups.items()
-        ]
+            ))
         mined = parallel_map(mine_curve_task, tasks, runtime=config)
         for group, cell_curves in zip(groups.values(), mined):
             for position, curve in zip(group, cell_curves):
                 curves[position] = curve
-                if curve_cache is not None and keys is not None:
+                if curve_cache is not None and keys[position] is not None:
                     # Same policy as the run cache: a write failure
                     # must never discard mined results; stop writing
                     # instead.
@@ -247,28 +299,30 @@ def ensemble_curves(
 
     averaged: list[RankFrequencyCurve] = []
     cursor = 0
-    for runs, label in cells:
-        cell_curves = curves[cursor:cursor + len(runs)]
-        cursor += len(runs)
+    for cell in cells:
+        cell_curves = curves[cursor:cursor + len(cell.runs)]
+        cursor += len(cell.runs)
         averaged.append(
-            average_curves(cell_curves, label)  # type: ignore[arg-type]
+            average_curves(cell_curves, cell.label)  # type: ignore[arg-type]
         )
     return averaged
 
 
 def ensemble_curve(
-    runs: tuple[EvolutionRun, ...] | list[EvolutionRun],
+    runs: Sequence[EvolutionRun],
     label: str,
     mining: MiningConfig = DEFAULT_MINING,
     level: str = "ingredient",
-    lexicon: Lexicon | None = None,
+    keys: Sequence[str] | None = None,
+    spec: CuisineSpec | None = None,
     runtime: RuntimeConfig | None = None,
     curve_cache: CurveCache | None = None,
 ) -> RankFrequencyCurve:
     """Aggregate runs into one rank-frequency curve at the given level.
 
-    The single-cell case of :func:`ensemble_curves` (one ``(runs,
-    label)`` pair): the uncached runs are one :class:`CurveMiningTask`,
+    The single-cell case of :func:`ensemble_curves` (one
+    :class:`EnsembleCell` of ``runs``, ``label``, ``keys`` and
+    ``spec``): the uncached runs are one :class:`CurveMiningTask`,
     mined in one stacked pass by the module-level
     :func:`mine_curve_task` through
     :func:`~repro.runtime.runner.parallel_map`, so the averaged curve
@@ -278,10 +332,9 @@ def ensemble_curve(
     task per cell over one fan-out.
     """
     return ensemble_curves(
-        [(runs, label)],
+        [EnsembleCell(runs, label, keys, spec)],
         mining=mining,
         level=level,
-        lexicon=lexicon,
         runtime=runtime,
         curve_cache=curve_cache,
     )[0]
@@ -289,10 +342,10 @@ def ensemble_curve(
 
 def aggregate_ensemble(
     model_name: str,
-    region_code: str,
-    runs: tuple[EvolutionRun, ...] | list[EvolutionRun],
+    spec: CuisineSpec,
+    runs: Sequence[EvolutionRun],
+    keys: Sequence[str] | None = None,
     mining: MiningConfig = DEFAULT_MINING,
-    lexicon: Lexicon | None = None,
     include_category_level: bool = False,
     runtime: RuntimeConfig | None = None,
     curve_cache: CurveCache | None = None,
@@ -305,24 +358,25 @@ def aggregate_ensemble(
     produce byte-identical ensembles to the run-and-aggregate path.
     Per-run mining respects the ``runtime`` fan-out (order-preserving,
     so results do not depend on the backend) and the mined-curve cache
-    (explicit, or built from ``runtime.cache_dir``).
+    (explicit, or built from ``runtime.cache_dir``), which it uses when
+    given the runs' run-cache ``keys``.
     """
     if not runs:
         raise ModelError("cannot aggregate an ensemble of zero runs")
     runs = tuple(runs)
     ingredient_curve = ensemble_curve(
-        runs, model_name, mining=mining, level="ingredient", runtime=runtime,
-        curve_cache=curve_cache,
+        runs, model_name, mining=mining, level="ingredient", keys=keys,
+        runtime=runtime, curve_cache=curve_cache,
     )
     category_curve = None
     if include_category_level:
         category_curve = ensemble_curve(
-            runs, model_name, mining=mining, level="category",
-            lexicon=lexicon, runtime=runtime, curve_cache=curve_cache,
+            runs, model_name, mining=mining, level="category", keys=keys,
+            spec=spec, runtime=runtime, curve_cache=curve_cache,
         )
     return EnsembleResult(
         model_name=model_name,
-        region_code=region_code,
+        region_code=spec.region_code,
         runs=runs,
         ingredient_curve=ingredient_curve,
         category_curve=category_curve,
@@ -335,7 +389,6 @@ def run_ensemble(
     n_runs: int = PAPER.model_ensemble_runs,
     seed: SeedLike = None,
     mining: MiningConfig = DEFAULT_MINING,
-    lexicon: Lexicon | None = None,
     include_category_level: bool = False,
     runtime: RuntimeConfig | None = None,
     engine: str | None = None,
@@ -348,12 +401,12 @@ def run_ensemble(
         n_runs: Independent runs (paper: 100).
         seed: Root seed; children are spawned per run.
         mining: Support threshold configuration (paper: 0.05).
-        lexicon: Needed only when ``include_category_level``.
-        include_category_level: Also aggregate category combinations.
-        runtime: Execution backend/jobs/cache for the runs
-            (:mod:`repro.runtime`); ``None`` executes serially with no
-            cache.  Results are bit-identical across backends for a
-            fixed ``seed``.
+        include_category_level: Also aggregate category combinations,
+            categorized by ``spec``.
+        runtime: Execution backend/jobs/cache for the runs and their
+            mined curves (:mod:`repro.runtime`); ``None`` executes
+            serially with no cache.  Results are bit-identical across
+            backends for a fixed ``seed``.
         engine: Per-run engine override (``"reference"`` or
             ``"batched"``; ``None`` keeps the model's
             ``params.engine``).  The whole ensemble is one same-cell
@@ -368,18 +421,23 @@ def run_ensemble(
     if n_runs < 1:
         raise ModelError(f"n_runs must be >= 1, got {n_runs}")
     root = ensure_rng(seed)
+    seeds = spawn_seeds(root, n_runs)
     runs = tuple(
-        execute_runs(
-            model, spec, spawn_seeds(root, n_runs), runtime=runtime,
-            engine=engine,
-        )
+        execute_runs(model, spec, seeds, runtime=runtime, engine=engine)
+    )
+    # The run cache keys these runs the same way (same model, spec,
+    # seeds and engine); the curve cache reuses those keys.
+    keys = (
+        fingerprint_many(model, spec, seeds, engine=engine)
+        if runtime is not None and runtime.cache_dir is not None
+        else None
     )
     return aggregate_ensemble(
         model.name,
-        spec.region_code,
+        spec,
         runs,
+        keys=keys,
         mining=mining,
-        lexicon=lexicon,
         include_category_level=include_category_level,
         runtime=runtime,
     )

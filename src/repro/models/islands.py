@@ -701,12 +701,16 @@ class IslandEnsembleResult:
             ``seeds``.
         executed: How many member runs were actually executed (the rest
             were served from cache).
+        keys: Per-island run-cache keys keyed by code, aligned with
+            ``seeds``; ``None`` when the ensemble ran without a cache.
+            They also key the runs' mined curves.
     """
 
     codes: tuple[str, ...]
     seeds: tuple[int, ...]
     runs: dict[str, tuple[EvolutionRun, ...]]
     executed: int
+    keys: dict[str, tuple[str, ...]] | None = None
 
     @property
     def n_runs(self) -> int:
@@ -795,4 +799,8 @@ def run_island_ensemble(
         seeds=tuple(master_seeds),
         runs=runs,
         executed=n_runs * len(members) - sum(cached for _, cached in done),
+        keys=None if cache is None else {
+            code: tuple(archipelago_keys[k] for archipelago_keys in keys)
+            for k, code in enumerate(codes)
+        },
     )

@@ -32,10 +32,11 @@ swappable concern:
 * :mod:`~repro.runtime.cache` — an on-disk run cache keyed by
   ``(model, params, cuisine, seed)`` shared across backends and
   invocations;
-* :mod:`~repro.runtime.curve_cache` — a content-addressed cache of
-  mined rank-frequency curves layered beside the run cache (same
-  directory, distinct entry suffix), so warm sweeps and experiments
-  skip re-mining entirely (DESIGN.md §6);
+* :mod:`~repro.runtime.curve_cache` — a cache of mined rank-frequency
+  curves layered beside the run cache (same directory, distinct entry
+  suffix; model curves keyed by their run's key, empirical curves by
+  content), so warm sweeps and experiments skip re-mining entirely
+  (DESIGN.md §6);
 * :mod:`~repro.runtime.sweep` — the grid sweep planner: expand a full
   (model × cuisine × seed) grid into per-cell seed streams, dispatch
   every cell's work items across the backend in a single pass, and
@@ -63,6 +64,7 @@ from repro.runtime.curve_cache import (
     CURVE_FORMAT_VERSION,
     CurveCache,
     curve_key,
+    run_curve_key,
     transactions_fingerprint,
 )
 from repro.runtime.distributed import (
@@ -166,6 +168,7 @@ __all__ = [
     "parallel_map",
     "plan_cells",
     "plan_grid",
+    "run_curve_key",
     "run_fingerprint",
     "run_worker",
     "select_regions",

@@ -1,17 +1,25 @@
 """On-disk cache of mined rank-frequency curves (the mining fast path).
 
-Mining is a pure function of ``(transactions, mining config)``: the same
-recipe pool mined at the same support always yields the same frequent
-itemsets, whatever produced the pool.
-That makes mined curves content-addressable — the key is a SHA-256 over
+Mining is a pure function of ``(transactions, mining config)``, so a
+mined curve can be keyed by anything that determines its transactions.
+There are two kinds of curve, and each is keyed by the cheapest name
+that determines it:
 
-* a fingerprint of the exact transactions mined
+* **Model curves** (one per simulated run, the ensemble path) are keyed
+  by :func:`run_curve_key`: a SHA-256 over the run's run-cache key
+  (:func:`~repro.runtime.cache.fingerprint_many`: model, parameters,
+  spec, seed, resolved engine and its stream version), the level, the
+  mining configuration, the payload kind and
+  :data:`CURVE_FORMAT_VERSION`.  The run key already names every input
+  that decides the run, and the run cache already trusts it, so a
+  model curve is found without reading or hashing the run's plane.
+  The category level maps ingredients through the run's spec, which
+  the run key covers.
+* **Empirical curves** (one per corpus cuisine) are keyed by
+  :func:`curve_key`, over a fingerprint of the exact transactions mined
   (:func:`transactions_fingerprint`; order-sensitive across
-  transactions, a set within one),
-* the mining configuration (support threshold and size cap),
-* the payload kind (aggregated frequencies vs a full
-  :class:`~repro.analysis.itemsets.MiningResult`), and
-* :data:`CURVE_FORMAT_VERSION`.
+  transactions, a set within one).  A corpus has no run key, so its
+  curves stay content-addressed.
 
 A :class:`CurveCache` shares its directory with the
 :class:`~repro.runtime.cache.RunCache` (entries are namespaced by
@@ -19,10 +27,10 @@ suffix), so one ``--cache-dir`` warms both layers: the run cache skips
 simulation, the curve cache skips re-mining — a warm
 ``repro experiment fig4`` performs zero mining calls.
 
-Content addressing means invalidation is automatic: a different seed,
-engine, model parameter or corpus produces different transactions and
-therefore a different key; a changed mining config changes the key
-directly.  Because every run is bit-identical across backends
+Invalidation is automatic either way: a different seed, engine, model
+parameter or spec changes the run key, a different corpus changes the
+content fingerprint, and a changed mining config or level changes the
+key directly.  Because run keys and runs are identical across backends
 (DESIGN.md §5), a curve cache warmed by a process-parallel sweep is
 reused verbatim by a serial rerun.
 """
@@ -44,6 +52,7 @@ __all__ = [
     "CurveCache",
     "curve_key",
     "fingerprint_planes",
+    "run_curve_key",
     "transactions_fingerprint",
 ]
 
@@ -123,17 +132,28 @@ def fingerprint_planes(lengths: np.ndarray, flat: np.ndarray) -> str:
     return hasher.hexdigest()
 
 
+def _digest(payload: dict) -> str:
+    """SHA-256 over the canonical JSON encoding of a key payload."""
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def _mining_payload(mining: MiningConfig) -> dict:
+    return {"min_support": mining.min_support, "max_size": mining.max_size}
+
+
 def curve_key(
     transactions_fp: str,
     mining: MiningConfig,
     level: str = "ingredient",
     kind: str = "frequencies",
 ) -> str:
-    """Cache key for one mined curve.
+    """Content key for one mined curve of transactions with no run key.
 
-    The key covers every input that changes the *output* of mining:
-    the transaction content, the support threshold and the size cap.
-    There is one miner (DESIGN.md §6), so no miner name is keyed.
+    The empirical path: a corpus cuisine has no run key, so its curve
+    is keyed by the transaction content, the support threshold and the
+    size cap.  There is one miner (DESIGN.md §6), so no miner name is
+    keyed.  Model runs are keyed by :func:`run_curve_key` instead.
 
     Args:
         transactions_fp: :func:`transactions_fingerprint` of the mined
@@ -143,27 +163,55 @@ def curve_key(
         level: ``"ingredient"`` or ``"category"`` — recorded for
             observability even though the level conversion is already
             baked into the transaction content.
-        kind: Payload kind: ``"frequencies"`` (a float ndarray, the
-            ensemble path) or ``"mining"`` (a pickled
+        kind: Payload kind: ``"frequencies"`` (a float ndarray) or
+            ``"mining"`` (a pickled
             :class:`~repro.analysis.itemsets.MiningResult`, the
             empirical path).  Distinct kinds must never alias.
     """
-    payload = {
+    return _digest({
         "version": CURVE_FORMAT_VERSION,
         "kind": kind,
         "transactions": transactions_fp,
         "level": level,
-        "mining": {
-            "min_support": mining.min_support,
-            "max_size": mining.max_size,
-        },
-    }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        "mining": _mining_payload(mining),
+    })
+
+
+def run_curve_key(
+    run_key: str,
+    mining: MiningConfig,
+    level: str = "ingredient",
+    kind: str = "frequencies",
+) -> str:
+    """Key for the mined curve of one model run, named by its run key.
+
+    A run is a pure function of the inputs its run-cache key covers
+    (:func:`~repro.runtime.cache.fingerprint_many`), so its curve is a
+    pure function of that key, the level and the mining configuration;
+    no plane is read to key it.  The payload carries a ``run`` field
+    where :func:`curve_key`'s carries ``transactions``, so the two
+    schemes never alias.
+
+    Args:
+        run_key: The run's run-cache key.
+        mining: Mining configuration; a change to ``min_support`` or
+            ``max_size`` keys a different entry.
+        level: ``"ingredient"`` or ``"category"``.  Both levels mine the
+            same run, so the level is what keeps them apart.
+        kind: Payload kind (``"frequencies"`` on the ensemble path).
+    """
+    return _digest({
+        "version": CURVE_FORMAT_VERSION,
+        "kind": kind,
+        "run": run_key,
+        "level": level,
+        "mining": _mining_payload(mining),
+    })
 
 
 class CurveCache(PickleStore):
-    """A directory of mined-curve payloads keyed by :func:`curve_key`.
+    """A directory of mined-curve payloads keyed by :func:`run_curve_key`
+    (model runs) or :func:`curve_key` (empirical curves).
 
     Payloads are either 1-D float arrays of descending normalized
     frequencies (ensemble per-run curves; labels are reattached by the

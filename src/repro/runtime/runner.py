@@ -361,18 +361,21 @@ class _ReducedCell:
 
     The unit of dispatch of a reduced sweep (:func:`dispatch_reduced`):
     whoever executes it simulates the cell's misses, writes them
-    through to the run cache, and returns only ``reduce(cell, runs)``,
-    so the cell's runs never leave the process that holds them.
+    through to the run cache, and returns only
+    ``reduce(cell, runs, keys)``, so the cell's runs never leave the
+    process that holds them.
 
     Attributes:
         cell: The planned cell, handed to ``reduce``.
         items: The cell's work items, shrunk to its cache misses.
         served: The cell's runs in run order with ``None`` at each
             miss, when some were cached; ``None`` when none were.
-        reduce: Module-level (picklable) ``(cell, runs) -> value``.
+        reduce: Module-level (picklable) ``(cell, runs, keys) -> value``.
         cache_dir: Run-cache directory to write fresh runs into, or
             ``None`` without a cache.
-        keys: Cache keys of the fresh runs, in ``items`` run order.
+        keys: The cell's run-cache keys in run order, or ``None``
+            without a cache.  Fresh runs are written under the keys at
+            the misses.
     """
 
     cell: object
@@ -380,7 +383,7 @@ class _ReducedCell:
     served: tuple["EvolutionRun | None", ...] | None
     reduce: Callable
     cache_dir: str | None = None
-    keys: tuple[str, ...] = ()
+    keys: tuple[str, ...] | None = None
 
 
 def _execute_reduced(work: _ReducedCell) -> object:
@@ -390,13 +393,19 @@ def _execute_reduced(work: _ReducedCell) -> object:
     """
     runs = [run for item in work.items for run in _execute_work(item)]
     if work.cache_dir is not None:
-        _write_through(work.cache_dir, work.keys, runs)
+        miss_keys = (
+            work.keys if work.served is None else [
+                key for key, run in zip(work.keys, work.served)
+                if run is None
+            ]
+        )
+        _write_through(work.cache_dir, miss_keys, runs)
     if work.served is not None:
         fresh = iter(runs)
         runs = [
             run if run is not None else next(fresh) for run in work.served
         ]
-    return work.reduce(work.cell, tuple(runs))
+    return work.reduce(work.cell, tuple(runs), work.keys)
 
 
 def dispatch_work(
@@ -497,7 +506,9 @@ def dispatch_reduced(
         tuple[object, Sequence[tuple["RunRequest | BatchRequest",
                                      Sequence[str] | None]]]
     ],
-    reduce: Callable[[object, tuple["EvolutionRun", ...]], R],
+    reduce: Callable[
+        [object, tuple["EvolutionRun", ...], tuple[str, ...] | None], R
+    ],
     config: RuntimeConfig,
     cache: RunCache | None,
 ) -> list[tuple[R, int]]:
@@ -514,13 +525,18 @@ def dispatch_reduced(
     writes its fresh runs through to the cache wherever it runs, on
     every backend, and returns only the cell's reduction, so no plane
     outlives its cell and workers send back reductions, not runs.
+    The reducer also gets the cell's run keys — the very keys the run
+    cache used — so it can key what it derives from the runs (the
+    mined-curve cache) without canonicalizing the cell again.
 
     Args:
         cells: ``(cell, [(item, keys), ...])`` per cell, in plan order;
             ``keys`` may be ``None`` when ``cache`` is.
-        reduce: ``(cell, runs) -> value``.  Must be module-level (and
-            its state picklable) to run on a process or distributed
-            backend; otherwise ``parallel_map`` runs the tasks serially.
+        reduce: ``(cell, runs, keys) -> value``, given the cell's runs
+            and run-cache keys in run order (``keys`` is ``None``
+            without a cache).  Must be module-level (and its state
+            picklable) to run on a process or distributed backend;
+            otherwise ``parallel_map`` runs the tasks serially.
         config: Backend/jobs selection.
         cache: Cache instance; ``None`` disables lookups and writes.
 
@@ -544,7 +560,7 @@ def dispatch_reduced(
         # the next cell rebinds it before its own lookups.
         served: list = []
         items = []
-        miss_keys: list[str] = []
+        cell_keys = tuple(key for _, keys in work for key in keys)
         for item, keys in work:
             start = len(served)
             served.extend(cache.get(key) for key in keys)
@@ -552,17 +568,15 @@ def dispatch_reduced(
                       if served[start + position] is None]
             if misses:
                 items.append(_shrink(item, misses))
-                miss_keys.extend(keys[position] for position in misses)
-        cached[index] = len(served) - len(miss_keys)
+        cached[index] = sum(run is not None for run in served)
         if not items:
-            results[index] = reduce(cell, tuple(served))
+            results[index] = reduce(cell, tuple(served), cell_keys)
             continue
         pending.append(index)
         tasks.append(_ReducedCell(
             cell=cell, items=tuple(items),
             served=tuple(served) if cached[index] else None,
-            reduce=reduce, cache_dir=str(cache.directory),
-            keys=tuple(miss_keys),
+            reduce=reduce, cache_dir=str(cache.directory), keys=cell_keys,
         ))
     if tasks:
         for index, value in zip(

@@ -21,11 +21,13 @@ planner removes that barrier:
 A reduced sweep (``execute_sweep(..., reduce=...)``) finishes each cell
 where it runs: one task per uncached cell simulates the cell's misses,
 writes them through to the run cache and returns only
-``reduce(cell, runs)``; a fully cached cell is reduced in the caller
-right after its lookups.  All tasks still share the one fan-out, but
+``reduce(cell, runs, keys)``, where ``keys`` are the cell's run-cache
+keys; a fully cached cell is reduced in the caller right after its
+lookups.  All tasks still share the one fan-out, but
 no cell's runs outlive the cell, and workers send back reductions
 instead of runs.  The grid drivers reduce each cell to its averaged
-curve this way (:class:`repro.experiments.fig4.CellCurve`).
+curve this way (:class:`repro.experiments.fig4.CellCurve`), caching
+each run's curve under its run key.
 
 Determinism: the planner draws seeds cell by cell, in cell order, from
 the root generator — exactly the draws a serial loop of per-cell
@@ -251,14 +253,19 @@ class CellRuns:
         runs: Completed runs aligned with ``cell.seeds``; empty when the
             sweep reduced its cells.
         cached: How many of the cell's runs were served from the cache.
-        reduction: ``reduce(cell, runs)`` when the sweep was given a
-            reducer, else ``None``.
+        reduction: ``reduce(cell, runs, keys)`` when the sweep was given
+            a reducer, else ``None``.
+        keys: The runs' run-cache keys aligned with ``cell.seeds``, or
+            ``None`` when the sweep ran without a cache or reduced its
+            cells (the reducer got them).  They also key the runs'
+            mined curves (:class:`~repro.models.ensemble.EnsembleCell`).
     """
 
     cell: SweepCell
     runs: tuple["EvolutionRun", ...]
     cached: int = 0
     reduction: Any = None
+    keys: tuple[str, ...] | None = None
 
     @property
     def model_name(self) -> str:
@@ -347,7 +354,9 @@ def execute_sweep(
     plan: SweepPlan,
     runtime: RuntimeConfig | None = None,
     cache: RunCache | None = None,
-    reduce: Callable[[SweepCell, tuple["EvolutionRun", ...]], Any] | None = None,
+    reduce: Callable[
+        [SweepCell, tuple["EvolutionRun", ...], tuple[str, ...] | None], Any
+    ] | None = None,
 ) -> SweepResult:
     """Execute a planned sweep as one pass over the backend.
 
@@ -363,8 +372,8 @@ def execute_sweep(
     With ``reduce``, each cell is finished where it runs
     (:func:`~repro.runtime.runner.dispatch_reduced`): one task per
     uncached cell simulates its misses, writes them through to the
-    cache and returns ``reduce(cell, runs)``; a fully cached cell is
-    reduced in the caller right after its lookups.  Every cell is
+    cache and returns ``reduce(cell, runs, keys)``; a fully cached cell
+    is reduced in the caller right after its lookups.  Every cell is
     still in the one fan-out, but the result holds each cell's
     reduction instead of its runs, so no cell's runs outlive it.
 
@@ -373,9 +382,10 @@ def execute_sweep(
         runtime: Backend/jobs/cache selection; ``None`` = serial.
         cache: Explicit cache instance (overrides ``runtime.cache_dir``;
             useful for inspecting hit/miss stats).
-        reduce: Optional per-cell reduction ``(cell, runs) -> value``,
-            given the cell's runs in seed order.  It must be
-            module-level with picklable state for the process and
+        reduce: Optional per-cell reduction ``(cell, runs, keys) ->
+            value``, given the cell's runs and their run-cache keys in
+            seed order (``keys`` is ``None`` without a cache).  It must
+            be module-level with picklable state for the process and
             distributed backends.
 
     Returns:
@@ -418,6 +428,9 @@ def execute_sweep(
                     cell=cell,
                     runs=tuple(run for runs, _ in parts for run in runs),
                     cached=sum(cached for _, cached in parts),
+                    keys=None if cache is None else tuple(
+                        key for _, keys in work for key in keys
+                    ),
                 )
             )
     cached = sum(cell_runs.cached for cell_runs in cells)

@@ -4,7 +4,8 @@ With a ``cache_dir`` runtime, the first invocation of an experiment
 fills both stores (runs + mined curves); a repeat invocation must serve
 every run from the run cache and every mined curve — empirical and
 per-run model curves alike — from the curve cache, reaching no miner at
-all, and produce an identical result (DESIGN.md §6).
+all, and produce an identical result (DESIGN.md §6).  Model curves are
+found by their runs' run keys, so no run's plane is ever fingerprinted.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 from repro.experiments.base import ExperimentContext
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
-from repro.runtime import RuntimeConfig
+from repro.experiments.islands import run_islands
+from repro.runtime import RuntimeConfig, curve_cache
 
 
 @pytest.fixture()
@@ -46,6 +48,40 @@ def test_warm_fig4_zero_mining_calls(cached_context, monkeypatch):
     cold = run_fig4(cached_context, region_codes=("ITA", "KOR"))
     _forbid_mining(monkeypatch)
     warm = run_fig4(cached_context, region_codes=("ITA", "KOR"))
+    assert warm.to_payload() == cold.to_payload()
+
+
+def test_fig4_never_fingerprints_a_model_plane(cached_context, monkeypatch):
+    def _no_fingerprint(*_args, **_kwargs):
+        raise AssertionError("the model-curve path fingerprinted a plane")
+
+    monkeypatch.setattr(
+        "repro.models.ensemble.transactions_fingerprint", _no_fingerprint
+    )
+    hashed: list[int] = []
+    digest = curve_cache.fingerprint_planes
+
+    def _counting(lengths, flat):
+        hashed.append(len(lengths))
+        return digest(lengths, flat)
+
+    # The one digest core under every content key.
+    monkeypatch.setattr(curve_cache, "fingerprint_planes", _counting)
+    regions = ("ITA", "KOR")
+    cold = run_fig4(cached_context, region_codes=regions)
+    _forbid_mining(monkeypatch)
+    warm = run_fig4(cached_context, region_codes=regions)
+    assert warm.to_payload() == cold.to_payload()
+    # Only the empirical curves, one per cuisine and invocation, are
+    # content-addressed: 16 model runs per invocation hash nothing.
+    assert len(hashed) == 2 * len(regions)
+
+
+def test_warm_islands_zero_mining_calls(cached_context, monkeypatch):
+    # Island member curves are keyed by the ensemble's member run keys.
+    cold = run_islands(cached_context)
+    _forbid_mining(monkeypatch)
+    warm = run_islands(cached_context)
     assert warm.to_payload() == cold.to_payload()
 
 

@@ -18,7 +18,13 @@ from repro.models.ensemble import (
     run_ensemble,
 )
 from repro.models.params import CuisineSpec
-from repro.runtime import CurveCache, RuntimeConfig
+from repro.rng import ensure_rng, spawn_seeds
+from repro.runtime import (
+    CurveCache,
+    RuntimeConfig,
+    execute_runs,
+    fingerprint_many,
+)
 from repro.transactions import TransactionPlane
 from tests.analysis.oracle import eclat as oracle_eclat
 
@@ -64,12 +70,19 @@ def test_ingredient_curve_aggregated():
     assert (curve.frequencies <= 1.0).all()
 
 
-def test_category_curve_requires_lexicon():
+def _keyed_runs(n_runs, seed, spec=None):
+    """``n_runs`` CM-R runs on ``spec`` and their run-cache keys."""
+    model, spec = CopyMutateRandom(), spec or _spec()
+    seeds = spawn_seeds(ensure_rng(seed), n_runs)
+    runs = tuple(execute_runs(model, spec, seeds))
+    return runs, fingerprint_many(model, spec, seeds)
+
+
+def test_category_curve_requires_spec():
+    # Categories come from the cell's spec, which the run key covers.
+    runs, _keys = _keyed_runs(2, 1)
     with pytest.raises(ModelError):
-        run_ensemble(
-            CopyMutateRandom(), _spec(), n_runs=2, seed=1,
-            include_category_level=True,
-        )
+        ensemble_curve(runs, "CM-R", level="category")
 
 
 def test_category_curve_with_lexicon(lexicon):
@@ -84,7 +97,7 @@ def test_category_curve_with_lexicon(lexicon):
     )
     result = run_ensemble(
         CopyMutateRandom(), spec, n_runs=2, seed=2,
-        lexicon=lexicon, include_category_level=True,
+        include_category_level=True,
     )
     assert result.category_curve is not None
     assert len(result.category_curve) > 0
@@ -170,9 +183,9 @@ def test_bitset_curve_equals_pure_python_curve(monkeypatch):
 
 
 def test_warm_curve_cache_skips_mining_entirely(tmp_path, monkeypatch):
-    runs = run_ensemble(CopyMutateRandom(), _spec(), n_runs=3, seed=4).runs
+    runs, keys = _keyed_runs(3, 4)
     runtime = RuntimeConfig(cache_dir=tmp_path)
-    cold = ensemble_curve(runs, "CM-R", runtime=runtime)
+    cold = ensemble_curve(runs, "CM-R", keys=keys, runtime=runtime)
 
     def _no_mining(*_args, **_kwargs):
         raise AssertionError("warm path must not mine")
@@ -181,18 +194,54 @@ def test_warm_curve_cache_skips_mining_entirely(tmp_path, monkeypatch):
         "repro.models.ensemble.mine_frequencies", _no_mining
     )
     cache = CurveCache(tmp_path)
-    warm = ensemble_curve(runs, "CM-R", runtime=runtime, curve_cache=cache)
+    warm = ensemble_curve(
+        runs, "CM-R", keys=keys, runtime=runtime, curve_cache=cache
+    )
     assert np.array_equal(cold.frequencies, warm.frequencies)
     assert cache.stats.hits == 3 and cache.stats.misses == 0
 
 
-def test_curve_cache_invalidated_by_mining_config(tmp_path):
-    runs = run_ensemble(CopyMutateRandom(), _spec(), n_runs=2, seed=4).runs
+def test_runs_without_keys_are_not_curve_cached(tmp_path):
+    runs, _keys = _keyed_runs(2, 4)
+    cache = CurveCache(tmp_path)
+    ensemble_curve(runs, "CM-R", curve_cache=cache)
+    ensemble_curve(runs, "CM-R", curve_cache=cache)
+    assert len(cache) == 0
+    assert cache.stats.hits == cache.stats.misses == 0
+
+
+def test_keys_must_align_with_runs():
+    runs, keys = _keyed_runs(2, 4)
+    with pytest.raises(ModelError):
+        ensemble_curve(runs, "CM-R", keys=keys[:1])
+
+
+def test_run_ensemble_curves_warm_from_its_run_keys(tmp_path, monkeypatch):
+    # run_ensemble keys its curves by the same run keys as its runs.
     runtime = RuntimeConfig(cache_dir=tmp_path)
-    ensemble_curve(runs, "CM-R", runtime=runtime)
+    cold = run_ensemble(
+        CopyMutateRandom(), _spec(), n_runs=2, seed=3, runtime=runtime
+    )
+    assert len(CurveCache(tmp_path)) == 2
+    monkeypatch.setattr(
+        "repro.models.ensemble.mine_frequencies",
+        lambda *_args, **_kwargs: pytest.fail("warm ensemble mined"),
+    )
+    warm = run_ensemble(
+        CopyMutateRandom(), _spec(), n_runs=2, seed=3, runtime=runtime
+    )
+    assert np.array_equal(
+        cold.ingredient_curve.frequencies, warm.ingredient_curve.frequencies
+    )
+
+
+def test_curve_cache_invalidated_by_mining_config(tmp_path):
+    runs, keys = _keyed_runs(2, 4)
+    runtime = RuntimeConfig(cache_dir=tmp_path)
+    ensemble_curve(runs, "CM-R", keys=keys, runtime=runtime)
     cache = CurveCache(tmp_path)
     ensemble_curve(
-        runs, "CM-R", mining=MiningConfig(min_support=0.2),
+        runs, "CM-R", mining=MiningConfig(min_support=0.2), keys=keys,
         runtime=runtime, curve_cache=cache,
     )
     assert cache.stats.hits == 0 and cache.stats.misses == 2
@@ -200,22 +249,27 @@ def test_curve_cache_invalidated_by_mining_config(tmp_path):
 
 def test_curve_cache_invalidated_by_different_runs(tmp_path):
     runtime = RuntimeConfig(cache_dir=tmp_path)
-    runs_a = run_ensemble(CopyMutateRandom(), _spec(), n_runs=2, seed=1).runs
-    ensemble_curve(runs_a, "CM-R", runtime=runtime)
-    runs_b = run_ensemble(CopyMutateRandom(), _spec(), n_runs=2, seed=2).runs
+    runs_a, keys_a = _keyed_runs(2, 1)
+    ensemble_curve(runs_a, "CM-R", keys=keys_a, runtime=runtime)
+    runs_b, keys_b = _keyed_runs(2, 2)
     cache = CurveCache(tmp_path)
-    ensemble_curve(runs_b, "CM-R", runtime=runtime, curve_cache=cache)
+    ensemble_curve(
+        runs_b, "CM-R", keys=keys_b, runtime=runtime, curve_cache=cache
+    )
     assert cache.stats.hits == 0 and cache.stats.misses == 2
 
 
 def test_cached_curve_label_independent(tmp_path):
-    # Content addressing: the same runs aggregated under another label
-    # reuse the cached frequencies (labels are reattached on load).
-    runs = run_ensemble(CopyMutateRandom(), _spec(), n_runs=2, seed=6).runs
+    # Run keys name runs, not labels: the same runs aggregated under
+    # another label reuse the cached frequencies (labels are reattached
+    # on load).
+    runs, keys = _keyed_runs(2, 6)
     runtime = RuntimeConfig(cache_dir=tmp_path)
-    first = ensemble_curve(runs, "label-a", runtime=runtime)
+    first = ensemble_curve(runs, "label-a", keys=keys, runtime=runtime)
     cache = CurveCache(tmp_path)
-    second = ensemble_curve(runs, "label-b", runtime=runtime, curve_cache=cache)
+    second = ensemble_curve(
+        runs, "label-b", keys=keys, runtime=runtime, curve_cache=cache
+    )
     assert cache.stats.hits == 2
     assert second.label == "label-b"
     assert np.array_equal(first.frequencies, second.frequencies)

@@ -34,7 +34,7 @@ from repro.models.extensions.variable_size import VariableSizeCopyMutate
 from repro.models.params import CuisineSpec, ModelParams
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
-from repro.runtime import CurveCache, RunCache, execute_runs
+from repro.runtime import CurveCache, RunCache, execute_runs, fingerprint_many
 from repro.runtime.curve_cache import transactions_fingerprint
 from repro.transactions import TransactionPlane
 from tests.analysis.oracle import eclat
@@ -241,14 +241,15 @@ def test_plane_mines_like_oracle(runs, case):
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED))
-def test_category_plane_mines_like_oracle(runs, case, lexicon):
+def test_category_plane_mines_like_oracle(runs, case):
     run = runs[case]
-    category_of = lexicon.id_to_category_array()
+    spec = _spec()
+    category_of = dict(zip(spec.ingredient_ids, spec.categories))
     expected_rows = [
         frozenset(CATEGORY_INDEX[category_of[i]] for i in transaction)
         for transaction in run.transactions.materialize()
     ]
-    plane = _category_transactions(run, lexicon)
+    plane = _category_transactions(run, spec)
     assert plane == expected_rows
     assert transactions_fingerprint(plane) == transactions_fingerprint(
         expected_rows
@@ -293,8 +294,10 @@ def test_run_cache_entries_hold_no_frozenset(tmp_path):
 
 def test_ingredient_curves_never_iterate_a_plane(monkeypatch, tmp_path):
     model = create_model("CM-M")
-    runs = execute_runs(model, _spec(), spawn_seeds(ensure_rng(4), 4))
-    cells = [(runs[:2], "CM-M"), (runs[2:], "CM-M")]
+    seeds = spawn_seeds(ensure_rng(4), 4)
+    runs = execute_runs(model, _spec(), seeds)
+    keys = fingerprint_many(model, _spec(), seeds)
+    cells = [(runs[:2], "CM-M", keys[:2]), (runs[2:], "CM-M", keys[2:])]
     calls = []
 
     def spy(self):

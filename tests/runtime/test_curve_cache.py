@@ -1,17 +1,34 @@
-"""Tests for the mined-curve cache (key scheme, hit/miss, coexistence)."""
+"""Tests for the mined-curve cache (key schemes, hit/miss, coexistence)."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequencies
+from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
 from repro.config import MiningConfig
-from repro.errors import RunCacheError
+from repro.errors import ModelError, RunCacheError
+from repro.experiments.fig4 import CellCurve
+from repro.lexicon.categories import Category
+from repro.models import ensemble
+from repro.models.ensemble import ensemble_curve
+from repro.models.params import ModelParams
+from repro.models.registry import create_model
+from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
     CacheCorruptionWarning,
     CurveCache,
     RunCache,
+    RuntimeConfig,
     curve_key,
+    execute_runs,
+    execute_sweep,
+    fingerprint_many,
+    plan_grid,
+    run_curve_key,
     transactions_fingerprint,
 )
 
@@ -134,3 +151,180 @@ def test_bare_pickle_store_is_unusable(tmp_path):
 
     with pytest.raises(RunCacheError, match="suffix"):
         PickleStore(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# Model curves: keyed by run key, never by plane content
+# ---------------------------------------------------------------------------
+
+
+def test_run_curve_key_never_aliases_a_content_key():
+    # Same hex string, same config: a run key and a content fingerprint
+    # land under different fields, so the two schemes cannot collide.
+    digest = "d" * 64
+    assert run_curve_key(digest, MINING) != curve_key(digest, MINING)
+    assert run_curve_key(digest, MINING) == run_curve_key(digest, MINING)
+
+
+def _bump_stream_version(monkeypatch):
+    monkeypatch.setattr("repro.models.base.BATCHED_STREAM_VERSION", 2)
+    return {}
+
+
+#: One change to each input of a model curve's key, as keyword overrides
+#: of ``_model_curve_keys`` (built lazily: the stream version needs a
+#: patch in place while the keys are computed).
+KEY_CHANGES = {
+    "model parameter": lambda _patch: {
+        "model": create_model("CM-R", params=ModelParams(mutations=3))
+    },
+    "seed": lambda _patch: {"seed": 4},
+    "spec": lambda _patch: {"spec_change": {"phi": 0.5}},
+    "engine": lambda _patch: {"engine": "reference"},
+    "stream version": _bump_stream_version,
+    "min_support": lambda _patch: {"mining": MiningConfig(min_support=0.1)},
+    "max_size": lambda _patch: {
+        "mining": MiningConfig(min_support=0.05, max_size=2)
+    },
+    "level": lambda _patch: {"level": "category"},
+    "kind": lambda _patch: {"kind": "mining"},
+}
+
+
+def _model_curve_keys(
+    spec, model=None, seed=3, spec_change=None, engine=None,
+    mining=MINING, level="ingredient", kind="frequencies",
+):
+    """The curve keys of two CM-R runs, from their run keys alone."""
+    model = model or create_model("CM-R")
+    if spec_change:
+        spec = dataclasses.replace(spec, **spec_change)
+    seeds = spawn_seeds(ensure_rng(seed), 2)
+    return [
+        run_curve_key(key, mining, level=level, kind=kind)
+        for key in fingerprint_many(model, spec, seeds, engine=engine)
+    ]
+
+
+@pytest.mark.parametrize("change", sorted(KEY_CHANGES))
+def test_model_curve_misses_when_any_key_input_changes(
+    change, tiny_spec, tmp_path, monkeypatch
+):
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(3), 2)
+    runs = execute_runs(model, tiny_spec, seeds)
+    cache = CurveCache(tmp_path)
+    ensemble_curve(
+        runs, "CM-R", mining=MINING,
+        keys=fingerprint_many(model, tiny_spec, seeds), curve_cache=cache,
+    )
+    warm = _model_curve_keys(tiny_spec)
+    assert all(cache.get(key) is not None for key in warm)
+    changed = _model_curve_keys(
+        tiny_spec, **KEY_CHANGES[change](monkeypatch)
+    )
+    assert set(changed).isdisjoint(warm)
+    assert all(cache.get(key) is None for key in changed)
+
+
+def test_process_sweep_curves_hit_on_a_serial_rerun(
+    tiny_spec, tmp_path, monkeypatch
+):
+    plan = plan_grid(
+        [create_model("CM-R"), create_model("NM")], [tiny_spec],
+        n_runs=3, seed=8,
+    )
+    reducer = CellCurve(mining=MINING, cache_dir=str(tmp_path))
+    cold = execute_sweep(
+        plan,
+        runtime=RuntimeConfig(backend="process", jobs=2, cache_dir=tmp_path),
+        reduce=reducer,
+    )
+    # Every run's curve sits under its run key, whoever mined it.
+    cache = CurveCache(tmp_path)
+    assert len(cache) == plan.total_runs
+    for cell in plan.cells:
+        for key in fingerprint_many(cell.model, cell.spec, cell.seeds):
+            assert cache.get(run_curve_key(key, MINING)) is not None
+
+    def _explode(*_args, **_kwargs):
+        raise AssertionError("a serial rerun must not mine")
+
+    monkeypatch.setattr(ensemble, "mine_frequencies", _explode)
+    warm = execute_sweep(
+        plan, runtime=RuntimeConfig(cache_dir=tmp_path), reduce=reducer
+    )
+    for first, second in zip(cold.cells, warm.cells):
+        assert np.array_equal(
+            first.reduction.frequencies, second.reduction.frequencies
+        )
+
+
+def _recategorized(spec, categories):
+    return dataclasses.replace(
+        spec,
+        categories=tuple(
+            categories[i % len(categories)]
+            for i in range(spec.n_ingredients)
+        ),
+    )
+
+
+def test_category_curves_follow_the_spec_that_keys_them(tiny_spec, tmp_path):
+    """The id -> category mapping comes from the spec, which the run key
+    covers: specs differing only in categories evolve the same CM-R
+    runs, yet neither's category curves serve the other."""
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(6), 3)
+    one = _recategorized(tiny_spec, [Category.SPICE])
+    four = _recategorized(tiny_spec, list(Category)[:4])
+    runs = execute_runs(model, one, seeds)
+    assert [run.transactions for run in execute_runs(model, four, seeds)] == [
+        run.transactions for run in runs
+    ]
+    cache = CurveCache(tmp_path)
+    ensemble_curve(
+        runs, "CM-R", level="category",
+        keys=fingerprint_many(model, one, seeds), spec=one,
+        curve_cache=cache,
+    )
+    assert cache.stats.misses == 3
+    curve = ensemble_curve(
+        runs, "CM-R", level="category",
+        keys=fingerprint_many(model, four, seeds), spec=four,
+        curve_cache=cache,
+    )
+    assert cache.stats.hits == 0 and cache.stats.misses == 6
+
+    # The curve is the four-category one, mined from the spec's mapping.
+    category_of = dict(zip(four.ingredient_ids, four.categories))
+    planes = [
+        [
+            {CATEGORY_INDEX[category_of[item]] for item in row}
+            for row in run.transactions
+        ]
+        for run in runs
+    ]
+    expected = average_curves(
+        [
+            RankFrequencyCurve(f"CM-R#{index}", frequencies)
+            for index, frequencies in enumerate(
+                mine_frequencies(planes, min_support=MINING.min_support)
+            )
+        ],
+        "CM-R",
+    )
+    assert np.array_equal(curve.frequencies, expected.frequencies)
+
+
+def test_category_level_rejects_ingredients_outside_the_spec(tiny_spec):
+    runs = execute_runs(
+        create_model("CM-R"), tiny_spec, spawn_seeds(ensure_rng(1), 1)
+    )
+    narrow = dataclasses.replace(
+        tiny_spec,
+        ingredient_ids=tiny_spec.ingredient_ids[:10],
+        categories=tiny_spec.categories[:10],
+    )
+    with pytest.raises(ModelError, match="not in the TST spec"):
+        ensemble_curve(runs, "CM-R", level="category", spec=narrow)

@@ -160,6 +160,21 @@ def test_ensemble_caches_member_runs(tmp_path):
     assert _ensemble_payload(first) == _ensemble_payload(second)
 
 
+def test_ensemble_reports_the_member_keys_it_cached_under(tmp_path):
+    """The keys an island ensemble hands on (they key the runs' mined
+    curves) are the run-cache keys of its member runs."""
+    simulation = _simulation()
+    result = run_island_ensemble(
+        simulation, 2, seed=77, runtime=RuntimeConfig(cache_dir=tmp_path)
+    )
+    cache = RunCache(tmp_path)
+    for member, code in zip(simulation.members(), result.codes):
+        keys = fingerprint_many(member, member.spec, result.seeds)
+        assert result.keys[code] == tuple(keys)
+        assert all(cache.get(key) is not None for key in keys)
+    assert run_island_ensemble(simulation, 1, seed=77).keys is None
+
+
 def test_partial_cache_hits_never_change_results(tmp_path):
     """Warming a single member's cache splits its archipelago group on
     the next ensemble; results must stay bit-identical anyway."""

@@ -369,7 +369,7 @@ class _OneCellAlive:
         alive = sum(ref() is not None for ref in self.earlier)
         assert alive == 0, f"{alive} runs of earlier cells are alive"
 
-    def __call__(self, cell, runs):
+    def __call__(self, cell, runs, keys):
         self.assert_earlier_dead()
         self.earlier.extend(weakref.ref(run) for run in runs)
         self.cells += 1
