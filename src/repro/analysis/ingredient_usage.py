@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
+from repro.analysis.least_squares import linear_fit
 from repro.analysis.mae import pairwise_distance_matrix
 from repro.analysis.rank_frequency import RankFrequencyCurve, curve_from_counts
 from repro.corpus.dataset import CuisineView, RecipeDataset
@@ -89,11 +89,11 @@ def fit_zipf(curve: RankFrequencyCurve) -> ZipfFit:
     ranks = np.arange(1, len(frequencies) + 1, dtype=float)[positive]
     log_rank = np.log(ranks)
     log_freq = np.log(frequencies[positive])
-    fit = scipy_stats.linregress(log_rank, log_freq)
+    slope, intercept, rvalue = linear_fit(log_rank, log_freq)
     return ZipfFit(
-        exponent=-float(fit.slope),
-        intercept=float(fit.intercept),
-        r_squared=float(fit.rvalue**2),
+        exponent=-slope,
+        intercept=intercept,
+        r_squared=rvalue**2,
         n_ranks=int(positive.sum()),
     )
 

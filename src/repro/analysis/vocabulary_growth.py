@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
+from repro.analysis.least_squares import linear_fit
 from repro.corpus.dataset import CuisineView
 from repro.errors import AnalysisError
 
@@ -74,9 +74,9 @@ def fit_heaps(growth: Sequence[int] | np.ndarray) -> HeapsFit:
     if values.size < 3:
         raise AnalysisError("need at least three growth points to fit")
     n = np.arange(1, values.size + 1, dtype=float)
-    fit = scipy_stats.linregress(np.log(n), np.log(values))
+    slope, intercept, rvalue = linear_fit(np.log(n), np.log(values))
     return HeapsFit(
-        k=float(np.exp(fit.intercept)),
-        beta=float(fit.slope),
-        r_squared=float(fit.rvalue**2),
+        k=float(np.exp(intercept)),
+        beta=slope,
+        r_squared=rvalue**2,
     )

@@ -222,7 +222,7 @@ def _initial_recipes(
         words.reshape(runs * count, per_choice), pool_size, length
     )
     drawn = drawn.reshape(runs, count, length)
-    for row in np.unique(np.nonzero(rejected)[0] // count).tolist():
+    for row in np.flatnonzero(rejected.reshape(runs, count).any(axis=1)).tolist():
         rngs[row].bit_generator.state = states[row]
         drawn[row] = _choice_rows(rngs[row], pool_size, length, count)
     return drawn

@@ -55,7 +55,12 @@ def _pack_rows(
     duplicate-policy runs and category remaps all pass through here.
     """
     span = max(int(ids.size), 1)
-    keys = np.unique(row_of.astype(np.int64) * span + positions)
+    # Sort and drop repeats: the sorted unique keys np.unique would give,
+    # without its first call loading numpy.ma.
+    keys = np.sort(row_of.astype(np.int64) * span + positions)
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
     row_of = keys // span
     lengths = np.bincount(row_of, minlength=n_rows)
     width = int(lengths.max()) if n_rows else 0

@@ -25,6 +25,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequent_itemsets
 from repro.config import MiningConfig
@@ -36,7 +38,7 @@ from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import CurveCache, RunCache, execute_runs, fingerprint_many
 from repro.runtime.curve_cache import transactions_fingerprint
-from repro.transactions import TransactionPlane
+from repro.transactions import TransactionPlane, _pack_rows
 from tests.analysis.oracle import eclat
 
 SUPPORT = 0.05
@@ -216,6 +218,56 @@ def test_unsorted_id_table_is_reindexed():
     )
     assert plane.ids.tolist() == [10, 20, 30]
     assert plane == [frozenset({30, 10}), frozenset({20})]
+
+
+def _pack_rows_with_unique(n_rows, row_of, positions, ids):
+    """``_pack_rows`` as it was, deduplicating keys with ``np.unique``."""
+    span = max(int(ids.size), 1)
+    keys = np.unique(row_of.astype(np.int64) * span + positions)
+    row_of = keys // span
+    lengths = np.bincount(row_of, minlength=n_rows)
+    width = int(lengths.max()) if n_rows else 0
+    starts = np.cumsum(lengths) - lengths
+    columns = np.arange(keys.size) - starts[row_of]
+    matrix = np.zeros((n_rows, width), dtype=np.int32)
+    matrix[row_of, columns] = keys - row_of * span
+    full = bool((lengths == width).all())
+    return TransactionPlane(matrix, None if full else lengths, ids)
+
+
+def _entries_case(n_rows, n_ids, entries):
+    """``_pack_rows`` arguments for ``(row, position)`` ``entries``."""
+    row_of = np.array([row for row, _ in entries], dtype=np.int64)
+    positions = np.array([position for _, position in entries], dtype=np.intp)
+    return n_rows, row_of, positions, np.arange(n_ids, dtype=np.int64) * 3 + 1
+
+
+@st.composite
+def _row_entries(draw):
+    """Random ``(row, position)`` entries, repeats likely."""
+    n_rows = draw(st.integers(0, 6))
+    n_ids = draw(st.integers(0, 8))
+    entry = st.tuples(
+        st.integers(0, max(n_rows - 1, 0)), st.integers(0, max(n_ids - 1, 0))
+    )
+    entries = draw(st.lists(entry, max_size=30)) if n_rows and n_ids else []
+    return _entries_case(n_rows, n_ids, entries)
+
+
+def _plane_arrays(plane):
+    lengths = None if plane.lengths is None else plane.lengths.tolist()
+    return plane.positions.dtype, plane.positions.tolist(), lengths, plane.ids.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_entries())
+@example(_entries_case(2, 3, []))
+@example(_entries_case(2, 3, [(0, 0)]))
+@example(_entries_case(2, 3, [(1, 2)] * 3))
+def test_pack_rows_matches_unique_keys(case):
+    assert _plane_arrays(_pack_rows(*case)) == _plane_arrays(
+        _pack_rows_with_unique(*case)
+    )
 
 
 # ----------------------------------------------------------------------
