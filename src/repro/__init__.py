@@ -15,10 +15,10 @@ Quickstart::
     print(curve_distance(empirical, ensemble.ingredient_curve))
 
 Subpackages: :mod:`repro.lexicon` (ingredient dictionary + aliasing),
-:mod:`repro.corpus` (recipes, regions, ETL), :mod:`repro.storage`
-(memory-mapped columnar corpus), :mod:`repro.synthesis` (calibrated
-corpus generator), :mod:`repro.analysis` (Secs. III-IV metrics and
-mining), :mod:`repro.models` (Sec. V evolution models),
+:mod:`repro.corpus` (recipes, regions, ETL, the JSONL corpus file),
+:mod:`repro.synthesis` (calibrated corpus generator),
+:mod:`repro.analysis` (Secs. III-IV metrics and mining),
+:mod:`repro.models` (Sec. V evolution models),
 :mod:`repro.experiments` (per-table/figure drivers),
 :mod:`repro.runtime` (parallel ensemble execution + run caching).
 """

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.analysis.itemsets import (
-    CATEGORY_INDEX,
     MiningResult,
     category_transactions,
     ingredient_transactions,
@@ -29,7 +28,6 @@ from repro.runtime.curve_cache import (
     curve_key,
     transactions_fingerprint,
 )
-from repro.storage.columnar import ColumnarCorpus
 from repro.transactions import TransactionPlane
 
 __all__ = ["InvariantAnalysis", "analyze_invariants", "combination_curve"]
@@ -101,26 +99,11 @@ class InvariantAnalysis:
 
 
 def _transactions_for(
-    dataset: RecipeDataset | ColumnarCorpus,
+    dataset: RecipeDataset,
     region_code: str,
     lexicon: Lexicon,
     level: str,
 ) -> list[frozenset[int]]:
-    if isinstance(dataset, ColumnarCorpus):
-        if level == "ingredient":
-            return dataset.transactions(region_code)
-        if level == "category":
-            id_to_category = lexicon.id_to_category_array()
-            return [
-                frozenset(
-                    CATEGORY_INDEX[id_to_category[ingredient_id]]
-                    for ingredient_id in transaction
-                )
-                for transaction in dataset.transactions(region_code)
-            ]
-        raise AnalysisError(
-            f"unknown level {level!r}; use 'ingredient' or 'category'"
-        )
     view = dataset.cuisine(region_code)
     if level == "ingredient":
         return ingredient_transactions(view)
@@ -130,7 +113,7 @@ def _transactions_for(
 
 
 def combination_curve(
-    dataset: RecipeDataset | ColumnarCorpus,
+    dataset: RecipeDataset,
     region_code: str,
     lexicon: Lexicon,
     level: str = "ingredient",
@@ -143,43 +126,14 @@ def combination_curve(
     the cuisine's transaction content and mining config match a prior
     call, and stored otherwise — the empirical half of the warm
     zero-mining path (DESIGN.md §6).
-
-    A memory-mapped :class:`~repro.storage.columnar.ColumnarCorpus` is
-    accepted in place of a dataset.  At the ingredient level this is
-    the zero-object fast path: the cache key's transaction fingerprint
-    comes straight from the stored CSR planes (identical to the object
-    path's, so either path warms the other), and a miss mines the
-    stored packed-bit planes without materializing any transactions.
     """
-    if (
-        isinstance(dataset, ColumnarCorpus)
-        and level == "ingredient"
-    ):
-        key = None
-        if curve_cache is not None:
-            key = curve_key(
-                dataset.transactions_fingerprint_for(region_code), mining,
-                level=level, kind="mining",
-            )
-            cached = curve_cache.get(key)
-            if isinstance(cached, MiningResult):
-                return curve_from_mining(cached, region_code), cached
-        result = dataset.mine(
-            region_code, mining.min_support, max_size=mining.max_size
-        )
-        if curve_cache is not None and key is not None:
-            try:
-                curve_cache.put(key, result)
-            except RunCacheError:
-                pass  # the cache is an optimization; never fail the analysis
-        return curve_from_mining(result, region_code), result
     transactions = _transactions_for(dataset, region_code, lexicon, level)
     result = _mine_cached(transactions, mining, level, curve_cache)
     return curve_from_mining(result, region_code), result
 
 
 def analyze_invariants(
-    dataset: RecipeDataset | ColumnarCorpus,
+    dataset: RecipeDataset,
     lexicon: Lexicon,
     level: str = "ingredient",
     mining: MiningConfig = DEFAULT_MINING,
@@ -189,9 +143,7 @@ def analyze_invariants(
     """Full Fig. 3 analysis at one level.
 
     Args:
-        dataset: Multi-cuisine corpus — a :class:`RecipeDataset` or a
-            memory-mapped :class:`~repro.storage.columnar.ColumnarCorpus`
-            (mined over its stored planes at the ingredient level).
+        dataset: Multi-cuisine corpus.
         lexicon: Lexicon (category map for the category level).
         level: ``"ingredient"`` (Fig. 3a) or ``"category"`` (Fig. 3b).
         mining: Mining configuration (paper: min_support=0.05).

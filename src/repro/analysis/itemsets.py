@@ -21,18 +21,16 @@ of transaction pools ("runs") in the same passes.
    parent becomes its prefix class.  Pairs are evaluated in fixed-size
    blocks, which bounds the intermediate arrays.
 
-Three entry points share that pass.  :func:`mine_frequencies` returns
+Two entry points share that pass.  :func:`mine_frequencies` returns
 each run's rank-frequency values (descending relative supports) and
 never builds an itemset; it is the ensemble curve path, which mines
 all runs of a (model, cuisine) cell at once.
 :func:`mine_frequent_itemsets` is the one-run case that rebuilds the
 itemsets from the per-level parent arrays, ranked by
 ``(-support, size, items)`` — the order of the Fig. 3/4 rank-frequency
-curves.  :func:`mine_packed` is the same one-run case over a matrix
-that is already packed (the columnar store's stored planes).  A
-pure-Python set-tidset Eclat kept in the test suite
-(``tests/analysis/oracle.py``) is the oracle all three are checked
-against (DESIGN.md §6).
+curves.  A pure-Python set-tidset Eclat kept in the test suite
+(``tests/analysis/oracle.py``) is the oracle both are checked against
+(DESIGN.md §6).
 
 Items are integers (lexicon ingredient ids, or category indexes via
 :func:`category_transactions`).
@@ -58,7 +56,6 @@ __all__ = [
     "MiningResult",
     "mine_frequencies",
     "mine_frequent_itemsets",
-    "mine_packed",
     "category_transactions",
     "ingredient_transactions",
     "CATEGORY_INDEX",
@@ -81,10 +78,6 @@ MAX_ITEMSETS = 2_000_000
 #: ~2,000-transaction runs, fewer for larger runs — which bounds the
 #: ``AND`` and popcount intermediates however many pairs a level holds.
 _BLOCK_WORDS = 1 << 17
-
-#: Rows processed per block when computing supports over a stored
-#: matrix — bounds the popcount intermediate, not the matrix.
-_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -443,90 +436,6 @@ def mine_frequent_itemsets(
     """
     levels, sizes = _mine_planes([transactions], min_support, max_size)
     return _result(levels, int(sizes[0]), min_support)
-
-
-def mine_packed(
-    matrix: np.ndarray,
-    item_ids: np.ndarray,
-    n_transactions: int,
-    min_support: float,
-    max_size: int | None = None,
-) -> MiningResult:
-    """Mine a stored packed-bit transaction matrix zero-copy.
-
-    The columnar store's ``bits:<code>`` planes are exactly the rows
-    :func:`mine_frequent_itemsets` packs internally — row = item, bit =
-    transaction, ``np.packbits`` layout — so a memory-mapped plane can
-    be mined without round-tripping through ``Recipe`` objects or
-    frozensets.  Supports are popcounted block-wise straight off the
-    mapping; only the frequent rows (typically a small fraction at the
-    paper's thresholds) are copied into memory for the level-wise pass.
-    The shape and pad-bit checks read the last byte column alone.
-
-    Args:
-        matrix: ``(len(item_ids), ceil(n_transactions / 8))`` uint8
-            packed membership bits (may be a ``np.memmap`` view); bits
-            past ``n_transactions`` must be zero.
-        item_ids: Ascending item id per matrix row.
-        n_transactions: Number of transactions the bits encode.
-        min_support: Relative support threshold in ``(0, 1]``.
-        max_size: Optional cap on itemset size.
-
-    Returns:
-        A result identical to :func:`mine_frequent_itemsets` over the
-        same transactions.
-
-    Raises:
-        MiningError: On a malformed matrix (wrong dtype, rank or width,
-            a row count that differs from ``item_ids``, unsorted ids,
-            or a set bit past ``n_transactions``), a threshold outside
-            ``(0, 1]``, a size cap below 1, or more than
-            ``MAX_ITEMSETS`` itemsets.
-    """
-    _check_max_size(max_size)
-    matrix = np.asarray(matrix)
-    item_ids = np.asarray(item_ids)
-    if matrix.ndim != 2 or matrix.dtype != np.uint8:
-        raise MiningError(
-            f"packed matrix must be 2-D uint8, got {matrix.dtype} "
-            f"ndim={matrix.ndim}"
-        )
-    if matrix.shape[0] != item_ids.size:
-        raise MiningError(
-            f"{matrix.shape[0]} matrix rows vs {item_ids.size} item ids"
-        )
-    if item_ids.size > 1 and not (np.diff(item_ids) > 0).all():
-        raise MiningError("item_ids must be strictly ascending")
-    n = int(n_transactions)
-    width = -(-n // 8)
-    if n < 0 or matrix.shape[1] != width:
-        raise MiningError(
-            f"packed matrix has {matrix.shape[1]} byte columns; "
-            f"{n_transactions} transactions need {max(width, 0)}"
-        )
-    pad_bits = 8 * width - n
-    if pad_bits and (matrix[:, -1] & ((1 << pad_bits) - 1)).any():
-        raise MiningError(
-            f"packed matrix sets bits past its {n} transactions"
-        )
-    if n == 0:
-        return MiningResult((), 0, min_support)
-    min_count = _min_count(min_support, n)
-
-    supports = np.empty(matrix.shape[0], dtype=np.int64)
-    for start in range(0, matrix.shape[0], _ROW_BLOCK):
-        block = matrix[start:start + _ROW_BLOCK]
-        supports[start:start + _ROW_BLOCK] = np.bitwise_count(block).sum(
-            axis=1, dtype=np.int64
-        )
-    frequent = supports >= min_count
-    run = _Run(
-        item_ids[frequent],
-        supports[frequent],
-        np.ascontiguousarray(matrix[frequent]),
-    )
-    levels = _mine_stack([run], np.array([min_count]), max_size)
-    return _result(levels, n, min_support)
 
 
 # ---------------------------------------------------------------------------

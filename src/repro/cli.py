@@ -2,15 +2,9 @@
 
 Subcommands::
 
-    repro generate    — write a calibrated synthetic corpus to JSONL, or
-                        stream it to a memory-mapped columnar container
-                        (``--format columnar``) at scales no eager
-                        loader should hold
+    repro generate    — write a calibrated synthetic corpus to JSONL
     repro stats       — print corpus statistics (Sec. II numbers) from a
-                        JSONL corpus or a packed ``.col`` container
-    repro corpus      — pack a JSONL/pickle corpus into the columnar
-                        container (`pack`), or report a container's
-                        plane layout and disk footprint (`stats`)
+                        JSONL corpus
     repro experiment  — run a paper experiment and print its report
     repro evolve      — run one evolution model on one cuisine
     repro resolve     — resolve raw ingredient mentions via the lexicon
@@ -51,13 +45,8 @@ from pathlib import Path
 from repro.analysis.invariants import combination_curve
 from repro.analysis.mae import curve_distance
 from repro.config import MiningConfig
-from repro.corpus.io import load_jsonl, load_pickle, save_jsonl
+from repro.corpus.io import load_jsonl, save_jsonl
 from repro.corpus.stats import corpus_stats
-from repro.storage.columnar import (
-    COLUMNAR_SUFFIX,
-    ColumnarCorpus,
-    pack_dataset,
-)
 from repro.experiments.base import ExperimentContext
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.lexicon.builder import standard_lexicon
@@ -180,78 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate a synthetic corpus")
-    generate.add_argument(
-        "output", type=Path, help="output path (JSONL, or .col container)"
-    )
+    generate.add_argument("output", type=Path, help="output JSONL path")
     generate.add_argument("--scale", type=float, default=0.1)
     generate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     generate.add_argument(
         "--regions", nargs="*", default=None, help="region codes (default all)"
     )
-    generate.add_argument(
-        "--format", choices=("jsonl", "columnar"), default="jsonl",
-        help=(
-            "output format: jsonl (eager, text) or columnar (streamed "
-            "chunk-wise to a memory-mapped .col container — the only "
-            "path that holds at 100x-1000x paper scale)"
-        ),
-    )
-    generate.add_argument(
-        "--chunk-size", type=int, default=100_000,
-        help=(
-            "columnar: recipes generated and flushed per chunk — the "
-            "memory bound (default: 100000)"
-        ),
-    )
-    generate.add_argument(
-        "--no-bitplanes", action="store_true",
-        help="columnar: skip per-cuisine packed-bit mining planes",
-    )
-    generate.add_argument(
-        "--no-text", action="store_true",
-        help="columnar: drop procedural titles (smaller container)",
-    )
 
     stats = sub.add_parser("stats", help="print corpus statistics")
-    stats.add_argument(
-        "dataset", type=Path, help="JSONL corpus path or .col container"
-    )
-
-    corpus = sub.add_parser(
-        "corpus",
-        help="pack a corpus into the columnar container, or inspect one",
-        description=(
-            "`pack` converts an existing JSONL (or pickle) corpus into "
-            "the memory-mapped columnar container of DESIGN.md §11 — "
-            "CSR ingredient planes, per-cuisine slices, optional "
-            "packed-bit mining planes — written atomically with "
-            "checksummed planes.  `stats` prints a packed container's "
-            "corpus summary plus its per-plane disk footprint, in the "
-            "same telemetry shape as `repro cache stats` and "
-            "`repro spool stats`."
-        ),
-    )
-    corpus.add_argument("action", choices=("pack", "stats"))
-    corpus.add_argument(
-        "path", type=Path,
-        help="pack: input corpus (.jsonl/.pkl); stats: the .col container",
-    )
-    corpus.add_argument(
-        "output", type=Path, nargs="?", default=None,
-        help="pack: output container path (default: input with .col)",
-    )
-    corpus.add_argument(
-        "--no-bitplanes", action="store_true",
-        help="pack: skip per-cuisine packed-bit mining planes",
-    )
-    corpus.add_argument(
-        "--no-text", action="store_true",
-        help="pack: drop titles/sources from the container",
-    )
-    corpus.add_argument(
-        "--verify", action="store_true",
-        help="stats: recompute and check every plane's SHA-256",
-    )
+    stats.add_argument("dataset", type=Path, help="JSONL corpus path")
 
     experiment = sub.add_parser("experiment", help="run a paper experiment")
     experiment.add_argument(
@@ -267,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--corpus", type=Path, default=None,
         help=(
-            "run over a packed columnar corpus (.col) instead of "
-            "generating one; --scale then only labels the context"
+            "run over a JSONL corpus (as `repro generate` writes it) "
+            "instead of generating one; --scale then only labels the "
+            "context"
         ),
     )
     _add_mining_flags(experiment)
@@ -323,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--corpus", type=Path, default=None,
         help=(
-            "sweep over a packed columnar corpus (.col) instead of "
-            "generating one; --scale then only labels the context"
+            "sweep over a JSONL corpus (as `repro generate` writes it) "
+            "instead of generating one; --scale then only labels the "
+            "context"
         ),
     )
     sweep.add_argument(
@@ -439,22 +367,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     lexicon = standard_lexicon()
     kitchen = WorldKitchen(lexicon, seed=args.seed)
     regions = tuple(args.regions) if args.regions else None
-    if args.format == "columnar":
-        with kitchen.generate_columnar(
-            args.output,
-            region_codes=regions,
-            scale=args.scale,
-            chunk_recipes=args.chunk_size,
-            store_text=not args.no_text,
-            bitplanes=not args.no_bitplanes,
-        ) as corpus:
-            count = corpus.n_recipes
-            size = corpus.disk_stats().total_bytes
-        print(
-            f"wrote {count} recipes to {args.output} "
-            f"({_format_bytes(size)}, columnar)"
-        )
-        return 0
     dataset = kitchen.generate_dataset(region_codes=regions, scale=args.scale)
     count = save_jsonl(dataset, args.output)
     print(f"wrote {count} recipes to {args.output}")
@@ -462,12 +374,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.dataset.suffix == COLUMNAR_SUFFIX:
-        with ColumnarCorpus.open(args.dataset) as corpus:
-            stats = corpus.stats()
-    else:
-        dataset = load_jsonl(args.dataset)
-        stats = corpus_stats(dataset)
+    stats = corpus_stats(load_jsonl(args.dataset))
     rows = [
         (s.region_code, s.n_recipes, s.n_ingredients,
          f"{s.avg_recipe_size:.2f}", f"{s.phi:.4f}")
@@ -483,52 +390,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{stats.smallest_cuisine[0]} ({stats.smallest_cuisine[1]}); "
             f"mean recipe size {stats.mean_recipe_size:.2f}"
         ),
-    ))
-    return 0
-
-
-def _cmd_corpus(args: argparse.Namespace) -> int:
-    if args.action == "pack":
-        output = args.output
-        if output is None:
-            output = args.path.with_suffix(COLUMNAR_SUFFIX)
-        loader = load_pickle if args.path.suffix == ".pkl" else load_jsonl
-        dataset = loader(args.path)
-        with pack_dataset(
-            dataset,
-            output,
-            store_text=not args.no_text,
-            bitplanes=not args.no_bitplanes,
-        ) as corpus:
-            disk = corpus.disk_stats()
-        print(
-            f"packed {disk.n_recipes} recipes into {output} "
-            f"({_format_bytes(disk.total_bytes)}, {disk.n_planes} planes)"
-        )
-        return 0
-    with ColumnarCorpus.open(args.path, verify=args.verify) as corpus:
-        stats = corpus.stats()
-        disk = corpus.disk_stats()
-    rows: list[tuple[str, str, str]] = [
-        ("corpus", "recipes", str(stats.n_recipes)),
-        ("corpus", "cuisines", str(stats.n_cuisines)),
-        ("corpus", "mean recipe size", f"{stats.mean_recipe_size:.2f}"),
-        ("corpus", "total size", _format_bytes(disk.total_bytes)),
-        ("corpus", "planes", str(disk.n_planes)),
-    ]
-    for plane in disk.planes:
-        shape = "x".join(str(dim) for dim in plane.shape)
-        rows.append(
-            (
-                "plane",
-                f"{plane.name} [{plane.dtype} {shape}]",
-                _format_bytes(plane.nbytes),
-            )
-        )
-    verified = " (planes verified)" if args.verify else ""
-    print(render_table(
-        ("Store", "Quantity", "Value"), rows,
-        title=f"Columnar corpus {args.path}{verified}",
     ))
     return 0
 
@@ -638,7 +499,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     requested = tuple(args.regions) if args.regions else None
     if requested is not None:
         # Unknown codes fail when the context resolves them against
-        # the corpus below (generated or packed); duplicates must fail
+        # the corpus below (generated or read); duplicates must fail
         # here — they would silently inflate the duplicated cuisine's
         # corpus before any grid work.
         select_regions(requested, requested)
@@ -816,21 +677,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         rows.append((
             label, "orphan temp files", str(len(store.orphan_tmp_paths()))
         ))
-    # Packed corpora share operator directories with caches; surface
-    # their footprint in the same telemetry table so corpus, cache and
-    # spool accounting read consistently (`repro corpus stats` has the
-    # per-plane drill-down).
-    corpora = sorted(directory.glob(f"*{COLUMNAR_SUFFIX}"))
-    if corpora:
-        rows.append(("corpora", "entries", str(len(corpora))))
-        rows.append((
-            "corpora", "total size",
-            _format_bytes(sum(path.stat().st_size for path in corpora)),
-        ))
-        for path in corpora:
-            rows.append((
-                "corpora", path.name, _format_bytes(path.stat().st_size)
-            ))
     print(render_table(
         ("Store", "Quantity", "Value"), rows, title=f"Cache {directory}"
     ))
@@ -901,7 +747,6 @@ def _cmd_spool(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "generate": _cmd_generate,
     "stats": _cmd_stats,
-    "corpus": _cmd_corpus,
     "experiment": _cmd_experiment,
     "evolve": _cmd_evolve,
     "resolve": _cmd_resolve,

@@ -10,19 +10,14 @@ from repro.corpus.builder import (
     CompilationReport,
     CompilationResult,
     compile_corpus,
-    compile_corpus_columnar,
 )
 from repro.corpus.dataset import CuisineView, RecipeDataset
 from repro.corpus.io import (
-    load_columnar,
     load_csv,
     load_jsonl,
-    load_pickle,
     load_raw_jsonl,
-    save_columnar,
     save_csv,
     save_jsonl,
-    save_pickle,
     save_raw_jsonl,
 )
 from repro.corpus.merge import merge_datasets, reassign_ids, subsample_dataset
@@ -46,18 +41,13 @@ __all__ = [
     "CompilationReport",
     "CompilationResult",
     "compile_corpus",
-    "compile_corpus_columnar",
     "CuisineView",
     "RecipeDataset",
-    "load_columnar",
     "load_csv",
     "load_jsonl",
-    "load_pickle",
     "load_raw_jsonl",
-    "save_columnar",
     "save_csv",
     "save_jsonl",
-    "save_pickle",
     "save_raw_jsonl",
     "merge_datasets",
     "reassign_ids",

@@ -17,8 +17,7 @@ mirroring the care a real compilation requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.config import PAPER
 from repro.corpus.dataset import RecipeDataset
@@ -31,7 +30,6 @@ __all__ = [
     "CompilationReport",
     "CompilationResult",
     "compile_corpus",
-    "compile_corpus_columnar",
 ]
 
 
@@ -101,29 +99,7 @@ def compile_corpus(
         The standardized dataset plus a :class:`CompilationReport`.
     """
     report = CompilationReport()
-    recipes = list(
-        _standardize(
-            raw_recipes, lexicon, min_size, max_size, start_recipe_id, report
-        )
-    )
-    report.n_compiled = len(recipes)
-    return CompilationResult(dataset=RecipeDataset(recipes), report=report)
-
-
-def _standardize(
-    raw_recipes: Iterable[RawRecipe],
-    lexicon: Lexicon,
-    min_size: int,
-    max_size: int,
-    start_recipe_id: int,
-    report: CompilationReport,
-) -> Iterator[Recipe]:
-    """The per-record ETL core, yielding standardized recipes lazily.
-
-    Shared by the eager :func:`compile_corpus` and the streaming
-    :func:`compile_corpus_columnar`; mutates ``report`` as it goes.
-    """
-    next_id = start_recipe_id
+    recipes: list[Recipe] = []
     for raw in raw_recipes:
         report.n_raw += 1
         try:
@@ -149,64 +125,12 @@ def _standardize(
             report.n_dropped_too_large += 1
             continue
 
-        yield Recipe(
-            recipe_id=next_id,
+        recipes.append(Recipe(
+            recipe_id=start_recipe_id + len(recipes),
             region_code=region.code,
             ingredient_ids=tuple(sorted(resolved_ids)),
             title=raw.title,
             source=raw.source,
-        )
-        next_id += 1
-
-
-def compile_corpus_columnar(
-    raw_recipes: Iterable[RawRecipe],
-    lexicon: Lexicon,
-    path: str | Path,
-    min_size: int = PAPER.recipe_size_min,
-    max_size: int = PAPER.recipe_size_max,
-    start_recipe_id: int = 0,
-    chunk_size: int = 8192,
-    store_text: bool = True,
-    bitplanes: bool = True,
-):
-    """Standardize raw records straight into a columnar container.
-
-    The streaming counterpart of :func:`compile_corpus`: recipes flow
-    from the ETL generator into a
-    :class:`~repro.storage.columnar.ColumnarWriter` ``chunk_size`` at a
-    time, so arbitrarily large raw feeds compile in bounded memory —
-    no :class:`RecipeDataset` (or recipe list) is ever built.
-
-    Args:
-        raw_recipes: Raw website records (any iterable, consumed once).
-        lexicon: Standardized ingredient dictionary to resolve against.
-        path: Target columnar file.
-        min_size: Minimum distinct-ingredient count to keep a recipe.
-        max_size: Maximum distinct-ingredient count to keep a recipe.
-        start_recipe_id: First recipe id to assign.
-        chunk_size: Recipes buffered per columnar flush.
-        store_text: Keep titles/sources in the container.
-        bitplanes: Build per-cuisine packed-bit mining planes.
-
-    Returns:
-        ``(corpus, report)`` — the opened
-        :class:`~repro.storage.columnar.ColumnarCorpus` and the same
-        :class:`CompilationReport` :func:`compile_corpus` produces.
-    """
-    from repro.storage.columnar import ColumnarCorpus, ColumnarWriter
-
-    report = CompilationReport()
-    with ColumnarWriter(
-        path, store_text=store_text, bitplanes=bitplanes
-    ) as writer:
-        writer.add_recipes(
-            _standardize(
-                raw_recipes, lexicon, min_size, max_size, start_recipe_id,
-                report,
-            ),
-            chunk_size=chunk_size,
-        )
-    corpus = ColumnarCorpus.open(path)
-    report.n_compiled = corpus.n_recipes
-    return corpus, report
+        ))
+    report.n_compiled = len(recipes)
+    return CompilationResult(dataset=RecipeDataset(recipes), report=report)

@@ -1,23 +1,23 @@
-"""Dataset persistence: JSON-lines, CSV, pickle and columnar round-trips.
+"""Dataset persistence: JSON-lines and CSV round-trips.
 
-JSONL is the primary text format (one recipe per line,
-order-preserving); CSV is provided for interoperability with
-spreadsheet tooling.  Pickle is the fastest whole-object snapshot —
-and the baseline the storage benchmark measures the columnar format
-against.  :func:`save_columnar`/:func:`load_columnar` delegate to
-:mod:`repro.storage.columnar`, the memory-mapped format that scales
-past what any eager loader should attempt (DESIGN.md §11).  All
-formats round-trip exactly.
+JSONL is the one corpus file (one recipe per line, order-preserving):
+``repro generate`` writes it and ``--corpus`` reads it back.  It is
+written through :func:`repro.durable.atomic_write` with fsync, so a
+killed writer leaves the previous file or none, never a truncated
+corpus that reads as a shorter valid one.  The memory-mapped columnar
+container it replaced is retired (DESIGN.md §11).  CSV is provided for
+interoperability with spreadsheet tooling.  Both formats round-trip
+exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import pickle
 from pathlib import Path
 from typing import Iterable
 
+from repro import durable
 from repro.corpus.dataset import RecipeDataset
 from repro.corpus.recipe import RawRecipe, Recipe
 from repro.errors import SerializationError
@@ -27,10 +27,6 @@ __all__ = [
     "load_jsonl",
     "save_csv",
     "load_csv",
-    "save_pickle",
-    "load_pickle",
-    "save_columnar",
-    "load_columnar",
     "save_raw_jsonl",
     "load_raw_jsonl",
 ]
@@ -62,13 +58,14 @@ def _recipe_from_record(record: dict, line_number: int) -> Recipe:
 
 
 def save_jsonl(dataset: RecipeDataset | Iterable[Recipe], path: str | Path) -> int:
-    """Write recipes to a JSONL file; returns the number written."""
+    """Write recipes to a JSONL file atomically; returns the number written."""
     recipes = dataset.recipes if isinstance(dataset, RecipeDataset) else tuple(dataset)
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
+    with durable.atomic_write(target, durable=True) as handle:
         for recipe in recipes:
-            handle.write(json.dumps(_recipe_to_record(recipe)) + "\n")
+            line = json.dumps(_recipe_to_record(recipe)) + "\n"
+            handle.write(line.encode("utf-8"))
     return len(recipes)
 
 
@@ -91,74 +88,6 @@ def load_jsonl(path: str | Path) -> RecipeDataset:
                 ) from exc
             recipes.append(_recipe_from_record(record, line_number))
     return RecipeDataset(recipes)
-
-
-def save_pickle(
-    dataset: RecipeDataset | Iterable[Recipe], path: str | Path
-) -> int:
-    """Snapshot a dataset to a pickle; returns the number of recipes.
-
-    The eager-load baseline: fastest for small corpora, but load time
-    and memory scale with the whole corpus.  Prefer
-    :func:`save_columnar` once corpora stop fitting comfortably.
-    """
-    recipes = (
-        dataset.recipes
-        if isinstance(dataset, RecipeDataset)
-        else tuple(dataset)
-    )
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("wb") as handle:
-        pickle.dump(recipes, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    return len(recipes)
-
-
-def load_pickle(path: str | Path) -> RecipeDataset:
-    """Read a pickle written by :func:`save_pickle`."""
-    source = Path(path)
-    if not source.exists():
-        raise SerializationError(f"no such dataset file: {source}")
-    try:
-        with source.open("rb") as handle:
-            recipes = pickle.load(handle)
-    except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise SerializationError(
-            f"unreadable dataset pickle {source}: {exc}"
-        ) from exc
-    return RecipeDataset(recipes)
-
-
-def save_columnar(
-    dataset: RecipeDataset | Iterable[Recipe],
-    path: str | Path,
-    store_text: bool = True,
-    bitplanes: bool = True,
-) -> int:
-    """Pack a dataset into the columnar container (DESIGN.md §11).
-
-    Returns the number of recipes written.  For corpora too large to
-    hold as objects at all, stream directly with
-    :meth:`repro.synthesis.worldgen.WorldKitchen.generate_columnar` or
-    a :class:`repro.storage.columnar.ColumnarWriter` instead.
-    """
-    from repro.storage.columnar import pack_dataset
-
-    with pack_dataset(
-        dataset, path, store_text=store_text, bitplanes=bitplanes
-    ) as corpus:
-        return corpus.n_recipes
-
-
-def load_columnar(path: str | Path):
-    """Open a columnar container memory-mapped (no materialization).
-
-    Returns a :class:`repro.storage.columnar.ColumnarCorpus`; call its
-    ``to_dataset()`` for the eager object view.
-    """
-    from repro.storage.columnar import ColumnarCorpus
-
-    return ColumnarCorpus.open(path)
 
 
 _CSV_FIELDS = ("recipe_id", "region_code", "ingredient_ids", "title", "source")

@@ -1,18 +1,18 @@
 """How a file reaches disk: the one primitive under every on-disk store.
 
-Caches (DESIGN.md §5, §6), the spool (§8) and ``.col`` corpora (§11)
-all write through :func:`atomic_write`: bytes go to
-``<final name>.tmp.<pid>`` and land by :func:`os.replace`, so a reader
-sees the old file, the new one or none.  A failed write unlinks its
-temp; a killed writer strands it for :func:`orphan_temps` and
-:func:`sweep`.  Whether a write is fsynced (file before the rename,
-directory after it) is a fixed fact about each store: corpora are;
-caches (recomputable) and the spool (recovered by leases) are not.  Pickled store entries sit in a SHA-256 frame
-(:func:`dump_framed` / :func:`load_framed`) whose every failure maps to
-one shared kind — ``torn``, ``checksum-mismatch`` or
-``format-version`` — and :func:`quarantine` takes a failed file out of
-service and records a :class:`~repro.runtime.events.CacheCorruption` in
-the runtime event log.
+Caches (DESIGN.md §5, §6), the spool (§8) and JSONL corpora all write
+through :func:`atomic_write`: bytes go to ``<final name>.tmp.<pid>``
+and land by :func:`os.replace`, so a reader sees the old file, the new
+one or none.  A failed write unlinks its temp; a killed writer strands
+it for :func:`orphan_temps` and :func:`sweep`.  Whether a write is
+fsynced (file before the rename, directory after it) is a fixed fact
+about each store: corpora are; caches (recomputable) and the spool
+(recovered by leases) are not.  Pickled store entries sit in a SHA-256
+frame (:func:`dump_framed` / :func:`load_framed`) whose every failure
+maps to one shared kind — ``torn``, ``checksum-mismatch`` or
+``format-version`` — and :func:`quarantine` evicts a failed entry and
+records a :class:`~repro.runtime.events.CacheCorruption` in the runtime
+event log.
 """
 
 from __future__ import annotations
@@ -147,23 +147,15 @@ def load_framed(path: Path, version: int) -> object:
         raise CorruptFileError(FORMAT_VERSION, detail) from exc
 
 
-def quarantine(
-    store: str, path: Path, error: CorruptFileError, bad_path: Path | None
-) -> str:
-    """Take a corrupt file out of service and record it.
+def quarantine(store: str, path: Path, error: CorruptFileError) -> str:
+    """Evict a corrupt entry and record it.
 
-    ``bad_path`` is where the file is renamed for post-mortem
-    (corpora); ``None`` evicts it (caches).  Returns the
-    recorded action: ``"quarantined"``, ``"removed"`` or, when the
-    filesystem refuses, ``"left in place"``.
+    Returns the recorded action: ``"removed"`` or, when the filesystem
+    refuses, ``"left in place"``.
     """
     try:
-        if bad_path is None:
-            path.unlink(missing_ok=True)
-            action = "removed"
-        else:
-            os.replace(path, bad_path)
-            action = "quarantined"
+        path.unlink(missing_ok=True)
+        action = "removed"
     except OSError:
         action = "left in place"
     events.record(events.CacheCorruption(

@@ -18,7 +18,6 @@ __all__ = [
     "UnknownRegionError",
     "EmptyCorpusError",
     "SerializationError",
-    "StorageError",
     "SynthesisError",
     "CalibrationError",
     "AnalysisError",
@@ -102,10 +101,6 @@ class SerializationError(CorpusError):
 # ---------------------------------------------------------------------------
 # Storage domain
 # ---------------------------------------------------------------------------
-
-
-class StorageError(ReproError):
-    """A problem inside the columnar corpus store."""
 
 
 # ---------------------------------------------------------------------------

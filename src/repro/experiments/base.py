@@ -16,6 +16,7 @@ from typing import Protocol
 
 from repro.config import DEFAULT_MINING, MiningConfig
 from repro.corpus.dataset import RecipeDataset
+from repro.corpus.io import load_jsonl
 from repro.errors import ExperimentError
 from repro.lexicon.builder import standard_lexicon
 from repro.lexicon.lexicon import Lexicon
@@ -105,17 +106,14 @@ class ExperimentContext:
             engine: Simulation engine for model runs —
                 ``"reference"`` or ``"batched"`` (default: each
                 model's own, i.e. batched).
-            corpus_path: Open a packed columnar corpus (DESIGN.md §11)
-                instead of generating one; ``scale``/``seed`` then do
-                not shape the corpus (seed still drives model runs) and
-                ``region_codes`` selects from it.  The experiments' model
-                calibration needs object views, so the corpus is
-                materialized here — packing wins by making worldgen a
-                one-time cost, not by keeping experiments zero-copy.
+            corpus_path: Read a JSONL corpus (as ``repro generate``
+                writes it) instead of generating one; ``scale``/``seed``
+                then do not shape the corpus (seed still drives model
+                runs) and ``region_codes`` selects from it.
 
         Raises:
             ExecutionError: If ``region_codes`` names a cuisine the
-                packed corpus lacks, or names one twice.
+                corpus file lacks, or names one twice.
         """
         if scale <= 0:
             raise ExperimentError(f"scale must be > 0, got {scale}")
@@ -125,10 +123,7 @@ class ExperimentContext:
             )
         lex = lexicon if lexicon is not None else standard_lexicon()
         if corpus_path is not None:
-            from repro.storage.columnar import ColumnarCorpus
-
-            with ColumnarCorpus.open(corpus_path) as corpus:
-                dataset = corpus.to_dataset()
+            dataset = load_jsonl(corpus_path)
             if region_codes is not None:
                 # Against the corpus itself, not the global region
                 # table: a code the corpus lacks must fail, not vanish.

@@ -60,7 +60,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
 from repro.runtime.curve_cache import (
-    fingerprint_planes,
     CURVE_FORMAT_VERSION,
     CurveCache,
     curve_key,
@@ -163,7 +162,6 @@ __all__ = [
     "execute_runs",
     "execute_sweep",
     "fingerprint_many",
-    "fingerprint_planes",
     "get_executor",
     "parallel_map",
     "plan_cells",

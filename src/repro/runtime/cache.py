@@ -303,7 +303,7 @@ class PickleStore:
         except FileNotFoundError:
             payload = None
         except durable.CorruptFileError as exc:
-            durable.quarantine(type(self).__name__, path, exc, None)
+            durable.quarantine(type(self).__name__, path, exc)
             payload = None
         if payload is None:
             self.stats.misses += 1

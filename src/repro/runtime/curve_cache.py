@@ -51,7 +51,6 @@ __all__ = [
     "CURVE_FORMAT_VERSION",
     "CurveCache",
     "curve_key",
-    "fingerprint_planes",
     "run_curve_key",
     "transactions_fingerprint",
 ]
@@ -86,36 +85,17 @@ def transactions_fingerprint(
 
     A :class:`~repro.transactions.TransactionPlane` is hashed straight
     from its arrays; any other iterable is converted into one first
-    (which deduplicates each row).  See :func:`fingerprint_planes` for
-    the digest itself.
+    (which deduplicates each row).  A vectorized splitmix64 scramble of
+    the items is summed per transaction (commutative, so
+    within-transaction ordering cannot leak in), and SHA-256 runs over
+    the length and digest arrays.  An accidental collision needs two
+    *different* transactions at the same position whose scrambled-item
+    sums agree, a ~2^-64 event.
     """
     plane = TransactionPlane.of(transactions)
-    lengths, flat = plane.csr()
-    return fingerprint_planes(lengths, plane.ids[flat])
-
-
-def fingerprint_planes(lengths: np.ndarray, flat: np.ndarray) -> str:
-    """:func:`transactions_fingerprint` computed from CSR-shaped planes.
-
-    The digest core shared by transaction planes and the columnar
-    store: ``lengths`` holds each transaction's item count, ``flat``
-    the concatenated items in transaction order.  A vectorized
-    splitmix64 scramble of the items is summed per transaction
-    (commutative, so within-transaction ordering cannot leak in), and
-    SHA-256 runs over the length and digest arrays.  A columnar
-    corpus's (sorted) CSR planes therefore fingerprint identically to
-    the same recipes held in a plane, and one warm :class:`CurveCache`
-    serves both paths.  An accidental collision needs two *different*
-    transactions at the same position whose scrambled-item sums agree,
-    a ~2^-64 event.
-
-    Args:
-        lengths: ``(n,)`` per-transaction item counts, int64-compatible.
-        flat: Concatenated items (each transaction duplicate-free),
-            int64-compatible, ``flat.size == lengths.sum()``.
-    """
+    lengths, positions = plane.csr()
     lengths = np.ascontiguousarray(lengths, dtype="<i8")
-    flat = np.ascontiguousarray(flat, dtype="<i8")
+    flat = np.ascontiguousarray(plane.ids[positions], dtype="<i8")
     hasher = hashlib.sha256()
     with np.errstate(over="ignore"):
         mixed = _mix64(flat.view("<u8"))

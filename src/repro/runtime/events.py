@@ -3,7 +3,7 @@
 Every runtime observation an operator may need after the fact is one
 typed event appended to one process-wide log: a backend degradation
 (the runtime ran a map on a weaker backend than asked), a cache
-corruption (a store evicted or quarantined a corrupt file) and a
+corruption (a store evicted a corrupt file) and a
 distributed task attempt (:class:`~repro.runtime.distributed.
 TaskAttempt`).  Producers call :func:`record`; readers filter the log by
 type with :func:`recorded` (or the one-line queries such as
@@ -78,7 +78,7 @@ class BackendDegradationWarning(UserWarning):
 
 
 class CacheCorruptionWarning(UserWarning):
-    """Emitted when a store evicts or quarantines a corrupt entry."""
+    """Emitted when a store evicts a corrupt entry."""
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,21 @@ class BackendDegradation(Event):
 class CacheCorruption(Event):
     """One corrupt on-disk entry, as observed and handled by a store.
 
-    Stores survive corruption (:func:`repro.durable.quarantine` evicts a
-    cache entry or renames a corpus to ``*.bad``), but
-    survival alone would make a poisoned shared cache look like a cold
-    one, so every observation is recorded and the first per
-    ``(store, kind)`` warns.
+    Stores survive corruption (:func:`repro.durable.quarantine` evicts
+    the entry, which is then recomputed), but survival alone would make
+    a poisoned shared cache look like a cold one, so every observation
+    is recorded and the first per ``(store, kind)`` warns.
 
     Attributes:
-        store: Class name of the observing store (``RunCache``,
-            ``CurveCache`` or ``ColumnarCorpus``).
+        store: Class name of the observing store (``RunCache`` or
+            ``CurveCache``).
         path: The corrupt file, as observed.
         kind: One of :mod:`repro.durable`'s shared kinds: ``"torn"``,
             ``"checksum-mismatch"`` or ``"format-version"``.
         detail: The underlying error, verbatim.
-        action: What the store did about it — ``"removed"`` (cache
-            entries: evicted, will recompute), ``"quarantined"``
-            (corpora: renamed aside for post-mortem) or
-            ``"left in place"`` (the filesystem refused).
+        action: What the store did about it — ``"removed"`` (evicted,
+            will recompute) or ``"left in place"`` (the filesystem
+            refused).
     """
 
     store: str

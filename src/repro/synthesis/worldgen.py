@@ -266,7 +266,7 @@ class WorldKitchen:
 
         rng = self._region_rng(region, "recipes")
         lengths, flat_ids, recipe_ids, titles = self._cuisine_arrays(
-            blueprint, rng, count, start_recipe_id, row_offset=0
+            blueprint, rng, count, start_recipe_id
         )
         recipes: list[Recipe] = []
         bounds = np.cumsum(lengths)
@@ -289,21 +289,13 @@ class WorldKitchen:
         rng: np.random.Generator,
         count: int,
         start_recipe_id: int,
-        row_offset: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
         """The sampling core, emitting flat arrays instead of objects.
 
-        Draws ``count`` recipes from ``rng`` exactly as
-        :meth:`generate_cuisine` always has (same RNG call sequence:
-        one archetype assignment, then per-archetype size and Gumbel
-        top-k draws) and returns them CSR-shaped — per-recipe lengths,
-        concatenated sorted ingredient ids, recipe ids and titles in
-        row order — so the streaming columnar path shares one sampling
-        implementation with the object path.
-
-        Args:
-            row_offset: Global row number of this batch's first recipe
-                within its cuisine (keeps titles unique across chunks).
+        Draws ``count`` recipes from ``rng`` (one archetype assignment,
+        then per-archetype size and Gumbel top-k draws) and returns them
+        CSR-shaped — per-recipe lengths, concatenated sorted ingredient
+        ids, recipe ids and titles in row order.
         """
         region = blueprint.region
         profile = REGION_PROFILES[region.code]
@@ -332,7 +324,7 @@ class WorldKitchen:
             for row, positions in zip(rows, draws):
                 per_row_ids[row] = np.sort(vocab[positions])
                 titles[row] = (
-                    f"{region.code} {archetype.title} #{row_offset + int(row)}"
+                    f"{region.code} {archetype.title} #{int(row)}"
                 )
         lengths = np.fromiter(
             (ids.size for ids in per_row_ids), dtype=np.int64, count=count
@@ -382,98 +374,6 @@ class WorldKitchen:
             next_id += count
             recipes.extend(generated)
         return RecipeDataset(recipes)
-
-    def generate_columnar(
-        self,
-        path,
-        region_codes: tuple[str, ...] | list[str] | None = None,
-        scale: float = 1.0,
-        min_recipes: int = 30,
-        chunk_recipes: int = 100_000,
-        store_text: bool = True,
-        bitplanes: bool = True,
-    ):
-        """Stream a (possibly 100×–1000× scale) corpus straight to disk.
-
-        Generates the same worlds as :meth:`generate_dataset` but emits
-        each cuisine chunk-wise into a
-        :class:`~repro.storage.columnar.ColumnarWriter`, so no
-        ``Recipe`` objects — and never the whole corpus — exist in
-        memory.  Determinism contract: a cuisine whose recipe count
-        fits one chunk is drawn from the single ``"recipes"`` stream
-        and is **content-identical** to :meth:`generate_dataset` at the
-        same seed/scale (pinned by the round-trip tests); larger
-        cuisines draw chunk ``i`` from its own
-        ``"recipes/{i}"`` stream — still fully deterministic in
-        ``(seed, scale, chunk_recipes)``, but a different (bigger)
-        world than any object-path call could produce.
-
-        Args:
-            path: Target columnar file (conventionally ``*.col``).
-            region_codes: Regions to include (default: all 25).
-            scale: Multiplier on every region's Table I recipe count.
-            min_recipes: Per-region floor after scaling.
-            chunk_recipes: Recipes sampled and flushed per chunk — the
-                memory bound.
-            store_text: Keep procedural titles in the container.
-            bitplanes: Build per-cuisine packed-bit mining planes.
-
-        Returns:
-            The opened :class:`~repro.storage.columnar.ColumnarCorpus`.
-        """
-        from repro.storage.columnar import ColumnarCorpus, ColumnarWriter
-
-        if scale <= 0:
-            raise SynthesisError(f"scale must be > 0, got {scale}")
-        if chunk_recipes < 1:
-            raise SynthesisError(
-                f"chunk_recipes must be >= 1, got {chunk_recipes}"
-            )
-        codes = (
-            tuple(region.code for region in REGIONS)
-            if region_codes is None
-            else tuple(get_region(code).code for code in region_codes)
-        )
-        next_id = 0
-        with ColumnarWriter(
-            path, store_text=store_text, bitplanes=bitplanes
-        ) as writer:
-            for code in codes:
-                region = get_region(code)
-                count = max(int(round(region.n_recipes * scale)), min_recipes)
-                blueprint = self.blueprint(code)
-                if count <= chunk_recipes:
-                    chunks = [(self._region_rng(region, "recipes"), 0, count)]
-                else:
-                    chunks = [
-                        (
-                            self._region_rng(region, f"recipes/{index}"),
-                            offset,
-                            min(chunk_recipes, count - offset),
-                        )
-                        for index, offset in enumerate(
-                            range(0, count, chunk_recipes)
-                        )
-                    ]
-                for rng, offset, take in chunks:
-                    lengths, flat_ids, recipe_ids, titles = (
-                        self._cuisine_arrays(
-                            blueprint,
-                            rng,
-                            take,
-                            next_id + offset,
-                            row_offset=offset,
-                        )
-                    )
-                    writer.add_chunk(
-                        region.code,
-                        lengths,
-                        flat_ids,
-                        recipe_ids,
-                        titles=titles if store_text else None,
-                    )
-                next_id += count
-        return ColumnarCorpus.open(path)
 
     # ------------------------------------------------------------------
     # Raw (website-style) generation

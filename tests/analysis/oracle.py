@@ -3,10 +3,11 @@
 A pure-Python depth-first Eclat over ``set`` tidsets: each item's
 transactions are a Python set and candidates are intersected one pair
 at a time.  It is slow but short enough to read at a glance, so the
-production miner (:func:`repro.analysis.itemsets.mine_frequent_itemsets`)
-and its stored-plane entry point (``mine_packed``) are checked against
+production miner's two entry points
+(:func:`repro.analysis.itemsets.mine_frequent_itemsets` and
+:func:`~repro.analysis.itemsets.mine_frequencies`) are checked against
 it — same itemsets, same supports, same ``(-support, size, items)``
-rank order (DESIGN.md §6).
+rank order, and the same curve values (DESIGN.md §6).
 
 The support threshold itself comes from the production ``_min_count``:
 how a relative support becomes a count is a rule with its own tests,
@@ -23,8 +24,8 @@ from repro.analysis.itemsets import (
     FrequentItemset,
     MiningResult,
     _min_count,
+    mine_frequencies,
     mine_frequent_itemsets,
-    mine_packed,
 )
 
 
@@ -79,26 +80,6 @@ def eclat(
     )
 
 
-def pack(transactions) -> tuple[np.ndarray, np.ndarray, int]:
-    """``(matrix, item_ids, n)`` in the columnar store's packed-bit layout.
-
-    Built through a dense 0/1 matrix rather than the miner's own packing
-    code, so ``mine_packed`` is fed an independently built plane.
-    """
-    transactions = [frozenset(t) for t in transactions]
-    universe = sorted({item for t in transactions for item in t})
-    dense = np.zeros((len(universe), len(transactions)), dtype=np.uint8)
-    position = {item: row for row, item in enumerate(universe)}
-    for column, transaction in enumerate(transactions):
-        for item in transaction:
-            dense[position[item], column] = 1
-    return (
-        np.packbits(dense, axis=1),
-        np.asarray(universe, dtype=np.int64),
-        len(transactions),
-    )
-
-
 def assert_matches_oracle(
     transactions, min_support: float, max_size: int | None = None
 ) -> MiningResult:
@@ -108,8 +89,10 @@ def assert_matches_oracle(
     mined = mine_frequent_itemsets(
         transactions, min_support, max_size=max_size
     )
-    packed = mine_packed(*pack(transactions), min_support, max_size=max_size)
-    for result in (mined, packed):
-        assert result.itemsets == expected.itemsets
-        assert result.n_transactions == expected.n_transactions
+    assert mined.itemsets == expected.itemsets
+    assert mined.n_transactions == expected.n_transactions
+    (frequencies,) = mine_frequencies(
+        [transactions], min_support, max_size=max_size
+    )
+    assert np.array_equal(frequencies, np.array(expected.frequencies()))
     return expected

@@ -17,13 +17,13 @@ from repro.analysis.itemsets import (
     category_from_index,
     category_transactions,
     ingredient_transactions,
+    mine_frequencies,
     mine_frequent_itemsets,
-    mine_packed,
 )
 from repro.config import MiningConfig
 from repro.errors import MiningError
 from repro.lexicon.categories import Category
-from tests.analysis.oracle import assert_matches_oracle, eclat, pack
+from tests.analysis.oracle import assert_matches_oracle, eclat
 
 TRANSACTIONS = [
     {1, 2, 3},
@@ -72,7 +72,7 @@ def test_max_size_below_one_rejected(max_size):
     with pytest.raises(MiningError, match="max_size"):
         mine_frequent_itemsets(transactions, 0.5, max_size=max_size)
     with pytest.raises(MiningError, match="max_size"):
-        mine_packed(*pack(transactions), 0.5, max_size=max_size)
+        mine_frequencies([transactions], 0.5, max_size=max_size)
 
 
 def test_min_support_one_returns_universal_sets():
@@ -84,10 +84,11 @@ def test_empty_transactions():
     for result in (
         eclat([], min_support=0.5),
         mine_frequent_itemsets([], min_support=0.5),
-        mine_packed(*pack([]), min_support=0.5),
     ):
         assert len(result) == 0
         assert result.n_transactions == 0
+    (frequencies,) = mine_frequencies([[]], min_support=0.5)
+    assert frequencies.size == 0
 
 
 def test_invalid_support_rejected():

@@ -4,7 +4,7 @@ The production miner's contract (DESIGN.md §6) is *exact* equality with
 the oracle in ``tests/analysis/oracle.py`` — same itemsets, same
 supports, same ``(-support, size, items)`` rank order — on any input,
 for both entry points (:func:`mine_frequent_itemsets` and
-:func:`mine_packed`).  These tests pin that over randomized transaction
+:func:`mine_frequencies`).  These tests pin that over randomized transaction
 sets spanning sizes, densities and ``max_size`` caps, plus the
 degenerate shapes that break bit-matrix code (empty input, empty
 transactions, single transaction, items with large/sparse ids).
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.analysis.itemsets import mine_frequent_itemsets, mine_packed
+from repro.analysis.itemsets import mine_frequencies, mine_frequent_itemsets
 from repro.config import MiningConfig
 from repro.errors import MiningError
-from tests.analysis.oracle import assert_matches_oracle, pack
+from tests.analysis.oracle import assert_matches_oracle
 
 
 def _random_transactions(
@@ -110,47 +109,10 @@ def test_bitset_invalid_support():
     with pytest.raises(MiningError):
         mine_frequent_itemsets([{1}], 1.5)
     with pytest.raises(MiningError):
-        mine_packed(*pack([{1}]), min_support=1.5)
+        mine_frequencies([[{1}]], min_support=1.5)
 
 
 def test_unknown_algorithm_lists_bitset():
     with pytest.raises(ValueError) as excinfo:
         MiningConfig(algorithm="no-such-miner")
     assert "bitset" in str(excinfo.value)
-
-
-# ---------------------------------------------------------------------------
-# mine_packed: mining directly over the packed-bit layout
-# ---------------------------------------------------------------------------
-
-
-def test_mine_packed_matches_bitset_eclat():
-    rng = random.Random(5)
-    transactions = [
-        frozenset(rng.sample(range(20), rng.randint(2, 8))) for _ in range(60)
-    ]
-    assert len(assert_matches_oracle(transactions, 0.1)) > 0
-
-
-def test_mine_packed_respects_max_size():
-    transactions = [frozenset({1, 2, 3, 4})] * 10
-    result = mine_packed(*pack(transactions), min_support=0.5, max_size=2)
-    assert max(itemset.size for itemset in result.itemsets) == 2
-
-
-def test_mine_packed_validates_inputs():
-    matrix = np.zeros((2, 1), dtype=np.uint8)
-    with pytest.raises(MiningError):  # descending item ids
-        mine_packed(matrix, np.array([5, 3]), 4, min_support=0.5)
-    with pytest.raises(MiningError):  # row/id count mismatch
-        mine_packed(matrix, np.array([1]), 4, min_support=0.5)
-    with pytest.raises(MiningError):  # not uint8
-        mine_packed(matrix.astype(np.int32), np.array([1, 2]), 4, 0.5)
-
-
-def test_mine_packed_empty():
-    result = mine_packed(
-        np.zeros((0, 0), dtype=np.uint8), np.array([], dtype=np.int64),
-        0, min_support=0.5,
-    )
-    assert result.itemsets == ()

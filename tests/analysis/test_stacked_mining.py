@@ -4,8 +4,7 @@
 level-wise passes (DESIGN.md §6).  Each run keeps its own minimum
 count, padding and size cap, so its curve must equal the oracle's
 curve for that run alone — and the one-run entry point's — bit for
-bit.  Also here: the ``MAX_ITEMSETS`` guard on both paths, and the
-malformed-matrix checks of :func:`mine_packed`.
+bit.  Also here: the ``MAX_ITEMSETS`` guard on both paths.
 """
 
 from __future__ import annotations
@@ -18,14 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import itemsets
-from repro.analysis.itemsets import (
-    mine_frequencies,
-    mine_frequent_itemsets,
-    mine_packed,
-)
+from repro.analysis.itemsets import mine_frequencies, mine_frequent_itemsets
 from repro.errors import MiningError
 from repro.transactions import TransactionPlane
-from tests.analysis.oracle import eclat, pack
+from tests.analysis.oracle import eclat
 
 
 def _oracle_frequencies(run, min_support, max_size=None) -> np.ndarray:
@@ -140,7 +135,7 @@ def test_cap_raises_on_the_one_run_path(monkeypatch, cap):
     with pytest.raises(MiningError, match="itemsets"):
         mine_frequent_itemsets(DENSE, 0.5)
     with pytest.raises(MiningError, match="itemsets"):
-        mine_packed(*pack(DENSE), 0.5)
+        mine_frequencies([DENSE], 0.5)
 
 
 def test_cap_applies_per_run_on_the_stacked_path(monkeypatch):
@@ -151,57 +146,3 @@ def test_cap_applies_per_run_on_the_stacked_path(monkeypatch):
     assert [f.size for f in mine_frequencies([pair, pair], 0.5)] == [3, 3]
     with pytest.raises(MiningError, match="itemsets"):
         mine_frequencies([pair, DENSE, pair], 0.5)
-
-
-# ---------------------------------------------------------------------------
-# mine_packed rejects a malformed matrix
-# ---------------------------------------------------------------------------
-
-SMALL = [{1, 2}, {1}, {2}, {1, 2}]
-
-
-def test_packed_matrix_without_byte_columns_rejected():
-    matrix, ids, _n = pack(SMALL)
-    with pytest.raises(MiningError, match="byte columns"):
-        mine_packed(matrix[:, :0], ids, 4, 0.5)
-
-
-def test_packed_matrix_too_narrow_for_transaction_count_rejected():
-    matrix, ids, _n = pack(SMALL)
-    with pytest.raises(MiningError, match="byte columns"):
-        mine_packed(matrix, ids, 100, 0.01)
-
-
-def test_packed_matrix_too_wide_rejected():
-    matrix, ids, n = pack(SMALL)
-    wide = np.hstack([matrix, np.zeros((2, 1), dtype=np.uint8)])
-    with pytest.raises(MiningError, match="byte columns"):
-        mine_packed(wide, ids, n, 0.5)
-
-
-@pytest.mark.parametrize("bit", [1, 8])
-def test_packed_matrix_with_a_pad_bit_set_rejected(bit):
-    matrix, ids, n = pack(SMALL)
-    matrix[:, 0] |= bit  # bits 0-3 of the byte lie past transaction 4
-    with pytest.raises(MiningError, match="past"):
-        mine_packed(matrix, ids, n, 0.5)
-
-
-def test_packed_matrix_pad_bits_live_in_the_last_byte():
-    # 9 transactions: the second byte holds one transaction bit and
-    # seven pad bits; the first byte has none.
-    transactions = [{1}] * 8 + [{1, 2}]
-    matrix, ids, n = pack(transactions)
-    assert matrix.shape == (2, 2)
-    assert len(mine_packed(matrix, ids, n, 0.1)) == 3
-    matrix[1, 1] |= 0x01
-    with pytest.raises(MiningError, match="past"):
-        mine_packed(matrix, ids, n, 0.1)
-
-
-def test_packed_matrix_at_whole_bytes_has_no_pad_bits():
-    transactions = [{1, 2}] * 8
-    matrix, ids, n = pack(transactions)
-    assert matrix.shape == (2, 1) and (matrix == 0xFF).all()
-    result = mine_packed(matrix, ids, n, 0.5)
-    assert [i.support for i in result.itemsets] == [8, 8, 8]

@@ -89,56 +89,3 @@ def test_region_accepts_full_names(lexicon):
     ]
     result = compile_corpus(raws, lexicon)
     assert result.dataset.recipes[0].region_code == "ITA"
-
-
-# ---------------------------------------------------------------------------
-# Streaming columnar compilation
-# ---------------------------------------------------------------------------
-
-
-def _mixed_raws():
-    return [
-        _raw(0, ["2 tomatoes", "1 onion", "fresh basil"]),
-        _raw(1, ["2 tomatoes", "garlic clove", "butter"], region="FRA"),
-        _raw(2, ["milk", "flour", "butter"], region="FRA"),
-        _raw(3, ["1 cup powdered unicorn", "tomato"]),
-        _raw(4, ["soy sauce", "rice", "garlic clove"], region="KOR"),
-        _raw(5, ["tomato", "onion"], region="NARNIA"),
-    ]
-
-
-def test_compile_columnar_matches_eager(lexicon, tmp_path):
-    from repro.corpus.builder import compile_corpus_columnar
-
-    raws = _mixed_raws()
-    eager = compile_corpus(raws, lexicon)
-    with_path = tmp_path / "compiled.col"
-    corpus, report = compile_corpus_columnar(raws, lexicon, with_path)
-    with corpus:
-        assert list(corpus.to_dataset()) == list(eager.dataset)
-    assert report == eager.report
-
-
-def test_compile_columnar_chunked_matches(lexicon, tmp_path):
-    from repro.corpus.builder import compile_corpus_columnar
-
-    raws = _mixed_raws()
-    eager = compile_corpus(raws, lexicon)
-    corpus, report = compile_corpus_columnar(
-        raws, lexicon, tmp_path / "chunked.col", chunk_size=1
-    )
-    with corpus:
-        assert list(corpus.to_dataset()) == list(eager.dataset)
-    assert report == eager.report
-
-
-def test_compile_columnar_empty_input(lexicon, tmp_path):
-    from repro.corpus.builder import compile_corpus_columnar
-
-    corpus, report = compile_corpus_columnar(
-        [], lexicon, tmp_path / "empty.col"
-    )
-    with corpus:
-        assert len(corpus) == 0
-        assert corpus.region_codes() == ()
-    assert report.n_compiled == 0

@@ -126,55 +126,3 @@ def test_raw_jsonl_malformed(tmp_path):
     path.write_text('{"raw_id": 1}\n')
     with pytest.raises(SerializationError):
         load_raw_jsonl(path)
-
-
-# ---------------------------------------------------------------------------
-# Pickle and columnar persistence
-# ---------------------------------------------------------------------------
-
-
-def test_pickle_roundtrip(tmp_path, tiny_dataset):
-    from repro.corpus.io import load_pickle, save_pickle
-
-    path = tmp_path / "corpus.pkl"
-    count = save_pickle(tiny_dataset, path)
-    assert count == len(tiny_dataset)
-    assert path.stat().st_size > 0
-    assert _as_records(load_pickle(path)) == _as_records(tiny_dataset)
-
-
-def test_pickle_missing_file(tmp_path):
-    from repro.corpus.io import load_pickle
-
-    with pytest.raises(SerializationError):
-        load_pickle(tmp_path / "absent.pkl")
-
-
-def test_pickle_garbage_file(tmp_path):
-    from repro.corpus.io import load_pickle
-
-    path = tmp_path / "garbage.pkl"
-    path.write_bytes(b"not a pickle at all")
-    with pytest.raises(SerializationError):
-        load_pickle(path)
-
-
-def test_columnar_roundtrip(tmp_path, tiny_dataset):
-    from repro.corpus.io import load_columnar, save_columnar
-
-    path = tmp_path / "corpus.col"
-    count = save_columnar(tiny_dataset, path)
-    assert count == len(tiny_dataset)
-    assert path.stat().st_size > 0
-    with load_columnar(path) as corpus:
-        assert _as_records(corpus.to_dataset()) == _as_records(tiny_dataset)
-
-
-@given(dataset_strategy())
-@settings(max_examples=20, deadline=None)
-def test_pickle_property_roundtrip(tmp_path_factory, dataset):
-    from repro.corpus.io import load_pickle, save_pickle
-
-    path = tmp_path_factory.mktemp("pickle") / "corpus.pkl"
-    save_pickle(dataset, path)
-    assert _as_records(load_pickle(path)) == _as_records(dataset)

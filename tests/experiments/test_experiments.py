@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.cli import main
+from repro.corpus.io import save_jsonl
 from repro.errors import ExecutionError, ExperimentError
 from repro.experiments.base import ExperimentContext
 from repro.experiments.fig1 import run_fig1
@@ -13,7 +15,6 @@ from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.table1 import run_table1
-from repro.storage.columnar import pack_dataset
 from repro.synthesis.worldgen import WorldKitchen
 
 
@@ -36,15 +37,27 @@ def test_context_create_builds_corpus(lexicon):
     assert context.scale == 0.02
 
 
-def test_context_create_refuses_regions_the_packed_corpus_lacks(
+def test_context_create_reads_a_jsonl_corpus(lexicon, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    assert main([
+        "generate", str(path), "--scale", "0.02", "--seed", "3",
+        "--regions", "KOR", "JPN",
+    ]) == 0
+    from_file = ExperimentContext.create(corpus_path=path, seed=3)
+    generated = WorldKitchen(lexicon, seed=3).generate_dataset(
+        region_codes=("KOR", "JPN"), scale=0.02
+    )
+    assert from_file.dataset.recipes == generated.recipes
+
+
+def test_context_create_refuses_regions_the_jsonl_corpus_lacks(
     lexicon, tmp_path
 ):
     dataset = WorldKitchen(lexicon, seed=1).generate_dataset(
         region_codes=("KOR",), scale=0.02
     )
-    path = tmp_path / "kor.col"
-    with pack_dataset(dataset, path):
-        pass
+    path = tmp_path / "kor.jsonl"
+    save_jsonl(dataset, path)
     context = ExperimentContext.create(corpus_path=path, region_codes=("KOR",))
     assert context.dataset.region_codes() == ("KOR",)
     with pytest.raises(ExecutionError, match=r"\['ITA'\].*\('KOR',\)"):

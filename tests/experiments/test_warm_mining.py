@@ -59,14 +59,16 @@ def test_fig4_never_fingerprints_a_model_plane(cached_context, monkeypatch):
         "repro.models.ensemble.transactions_fingerprint", _no_fingerprint
     )
     hashed: list[int] = []
-    digest = curve_cache.fingerprint_planes
+    digest = curve_cache.transactions_fingerprint
 
-    def _counting(lengths, flat):
-        hashed.append(len(lengths))
-        return digest(lengths, flat)
+    def _counting(transactions):
+        hashed.append(len(transactions))
+        return digest(transactions)
 
-    # The one digest core under every content key.
-    monkeypatch.setattr(curve_cache, "fingerprint_planes", _counting)
+    # The empirical curves' content keys: the one other caller.
+    monkeypatch.setattr(
+        "repro.analysis.invariants.transactions_fingerprint", _counting
+    )
     regions = ("ITA", "KOR")
     cold = run_fig4(cached_context, region_codes=regions)
     _forbid_mining(monkeypatch)

@@ -9,8 +9,8 @@ one point of the write, selected by patching ``os.fsync`` or
 * ``after-fsync``: the file fsync ran, the rename has not;
 * ``before-rename``: everything but the rename.
 
-Only the durable store (corpora) reaches an fsync, so caches and the
-spool are killed in the last window only.  The parent then
+Only the durable store (JSONL corpora) reaches an fsync, so caches and
+the spool are killed in the last window only.  The parent then
 asserts that the fault fired (the child's exit code), that a reader
 sees the previous value or a miss and never a partial payload, and
 that the stranded temp is listed and then swept.  The last test pins
@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro import durable
+from repro.corpus.io import load_jsonl, save_jsonl
 from repro.runtime import (
     CurveCache,
     DistributedConfig,
@@ -51,7 +52,6 @@ from repro.runtime.distributed import (
     SpoolTask,
     _MapSession,
 )
-from repro.storage.columnar import ColumnarCorpus, pack_dataset
 
 #: Exit code of a child killed inside its crash window.
 KILLED = 97
@@ -192,27 +192,26 @@ def _spool_orphans(directory: Path) -> list[Path]:
     return orphans
 
 
-CORPUS = "victim.col"
+CORPUS = "victim.jsonl"
 
 
-def _columnar_case(tiny_dataset) -> Case:
+def _jsonl_case(tiny_dataset) -> Case:
     recipes = tiny_dataset.recipes
 
     def prepare(directory: Path) -> Path:
-        pack_dataset(tiny_dataset, directory / CORPUS).close()
+        save_jsonl(tiny_dataset, directory / CORPUS)
         return directory / CORPUS
 
     def read(directory: Path) -> None:
-        with ColumnarCorpus.open(directory / CORPUS, verify=True) as corpus:
-            assert corpus.n_recipes == len(recipes)
+        assert load_jsonl(directory / CORPUS).recipes == recipes
 
     def orphans(directory: Path) -> list[Path]:
-        return durable.orphan_temps(directory, f"{CORPUS}*")
+        return durable.orphan_temps(directory, CORPUS)
 
     return Case(
         windows=WINDOWS,
         prepare=prepare,
-        write=lambda directory: pack_dataset(recipes[:2], directory / CORPUS),
+        write=lambda directory: save_jsonl(recipes[:2], directory / CORPUS),
         read=read,
         orphans=orphans,
         sweep=lambda directory: durable.sweep(orphans(directory)),
@@ -253,7 +252,7 @@ def _cases(tiny_dataset) -> dict[str, Case]:
             orphans=_spool_orphans,
             sweep=_compact,
         ),
-        "columnar": _columnar_case(tiny_dataset),
+        "jsonl": _jsonl_case(tiny_dataset),
     }
 
 
@@ -262,7 +261,7 @@ CRASHES = [
     ("curve-cache", "before-rename"),
     ("spool-task", "before-rename"),
     ("spool-result", "before-rename"),
-    *(("columnar", window) for window in WINDOWS),
+    *(("jsonl", window) for window in WINDOWS),
 ]
 
 
@@ -315,7 +314,7 @@ POLICY = {
     "curve-cache": ["replace"],
     "spool-task": ["replace"],
     "spool-result": ["replace"],
-    "columnar": DURABLE_WRITE,
+    "jsonl": DURABLE_WRITE,
 }
 
 

@@ -143,55 +143,3 @@ def test_generation_properties(lexicon, code, count, seed):
     assert [r.ingredient_ids for r in again] == [
         r.ingredient_ids for r in recipes
     ]
-
-
-# ---------------------------------------------------------------------------
-# Streaming columnar generation
-# ---------------------------------------------------------------------------
-
-
-def test_generate_columnar_matches_generate_dataset(lexicon, tmp_path):
-    """Cuisines that fit one chunk stream the exact in-memory world."""
-    kitchen = WorldKitchen(lexicon, seed=1234)
-    eager = kitchen.generate_dataset(region_codes=("ITA", "KOR"), scale=0.05)
-    with WorldKitchen(lexicon, seed=1234).generate_columnar(
-        tmp_path / "world.col", region_codes=("ITA", "KOR"), scale=0.05
-    ) as corpus:
-        assert list(corpus.to_dataset()) == list(eager)
-
-
-def test_generate_columnar_chunked_is_deterministic(lexicon, tmp_path):
-    """Multi-chunk cuisines are a fixed function of (seed, scale, chunk)."""
-    first = tmp_path / "a.col"
-    second = tmp_path / "b.col"
-    for path in (first, second):
-        WorldKitchen(lexicon, seed=7).generate_columnar(
-            path, region_codes=("ITA",), scale=0.02, chunk_recipes=100
-        ).close()
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_generate_columnar_chunked_world_is_valid(lexicon, tmp_path):
-    from repro.config import PAPER
-
-    with WorldKitchen(lexicon, seed=7).generate_columnar(
-        tmp_path / "chunked.col",
-        region_codes=("ITA",),
-        scale=0.02,
-        chunk_recipes=100,
-    ) as corpus:
-        region = get_region("ITA")
-        expected = max(int(round(region.n_recipes * 0.02)), 30)
-        assert corpus.cuisine_size("ITA") == expected
-        sizes = corpus.sizes()
-        assert sizes.min() >= PAPER.recipe_size_min
-        assert sizes.max() <= PAPER.recipe_size_max
-        ids = corpus.recipe_ids
-        assert ids.tolist() == list(range(len(ids)))
-
-
-def test_generate_columnar_scale_floor(lexicon, tmp_path):
-    with WorldKitchen(lexicon, seed=7).generate_columnar(
-        tmp_path / "floor.col", region_codes=("IRL",), scale=0.0001
-    ) as corpus:
-        assert corpus.cuisine_size("IRL") == 30

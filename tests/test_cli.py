@@ -321,89 +321,20 @@ def test_cache_prune_roundtrip(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Columnar corpus commands
+# --corpus: runs over a JSONL corpus file
 # ---------------------------------------------------------------------------
 
 
-def test_generate_columnar_and_stats(tmp_path, capsys):
-    output = tmp_path / "corpus.col"
-    code = main([
-        "generate", str(output), "--format", "columnar",
-        "--scale", "0.02", "--seed", "7", "--regions", "KOR", "JPN",
-    ])
-    assert code == 0
-    assert output.exists()
-    out = capsys.readouterr().out
-    assert "columnar" in out
-
-    code = main(["stats", str(output)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "KOR" in out and "JPN" in out
-
-
-def test_corpus_pack_and_stats(tmp_path, capsys):
-    jsonl = tmp_path / "corpus.jsonl"
+def _generate(path, *regions: str) -> None:
     assert main([
-        "generate", str(jsonl), "--scale", "0.02", "--seed", "7",
-        "--regions", "KOR",
+        "generate", str(path), "--scale", "0.03", "--seed", "7",
+        "--regions", *regions,
     ]) == 0
-    capsys.readouterr()
-
-    assert main(["corpus", "pack", str(jsonl)]) == 0
-    out = capsys.readouterr().out
-    assert "packed" in out
-    packed = tmp_path / "corpus.col"
-    assert packed.exists()
-
-    assert main(["corpus", "stats", str(packed), "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "planes verified" in out
-    assert "bits:KOR" in out
 
 
-def test_corpus_pack_explicit_output(tmp_path, capsys):
-    jsonl = tmp_path / "corpus.jsonl"
-    assert main([
-        "generate", str(jsonl), "--scale", "0.02", "--seed", "7",
-        "--regions", "KOR",
-    ]) == 0
-    target = tmp_path / "elsewhere.col"
-    assert main(["corpus", "pack", str(jsonl), str(target)]) == 0
-    assert target.exists()
-
-
-def test_generated_columnar_equals_packed_jsonl(tmp_path, capsys):
-    """generate --format columnar == generate jsonl + corpus pack."""
-    direct = tmp_path / "direct.col"
-    jsonl = tmp_path / "corpus.jsonl"
-    packed = tmp_path / "corpus.col"
-    common = ["--scale", "0.02", "--seed", "7", "--regions", "KOR", "JPN"]
-    assert main(["generate", str(direct), "--format", "columnar", *common]) == 0
-    assert main(["generate", str(jsonl), *common]) == 0
-    assert main(["corpus", "pack", str(jsonl)]) == 0
-    assert direct.read_bytes() == packed.read_bytes()
-
-
-def test_cache_stats_reports_corpora(tmp_path, capsys):
-    output = tmp_path / "corpus.col"
-    assert main([
-        "generate", str(output), "--format", "columnar",
-        "--scale", "0.02", "--seed", "7", "--regions", "KOR",
-    ]) == 0
-    capsys.readouterr()
-    assert main(["cache", "stats", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "corpora" in out
-    assert "corpus.col" in out
-
-
-def test_experiment_accepts_packed_corpus(tmp_path, capsys):
-    output = tmp_path / "corpus.col"
-    assert main([
-        "generate", str(output), "--format", "columnar",
-        "--scale", "0.03", "--seed", "7", "--regions", "KOR", "JPN",
-    ]) == 0
+def test_experiment_accepts_jsonl_corpus(tmp_path, capsys):
+    output = tmp_path / "corpus.jsonl"
+    _generate(output, "KOR", "JPN")
     capsys.readouterr()
     code = main([
         "experiment", "fig3", "--corpus", str(output), "--runs", "1",
@@ -413,13 +344,17 @@ def test_experiment_accepts_packed_corpus(tmp_path, capsys):
     assert "Fig. 3" in out
 
 
-def test_sweep_refuses_regions_the_packed_corpus_lacks(tmp_path, capsys):
-    output = tmp_path / "kor.col"
-    assert main([
-        "generate", str(output), "--format", "columnar",
-        "--scale", "0.02", "--seed", "7", "--regions", "KOR",
-    ]) == 0
+def test_sweep_refuses_regions_the_jsonl_corpus_lacks(
+    tmp_path, capsys, monkeypatch
+):
+    output = tmp_path / "kor.jsonl"
+    _generate(output, "KOR")
     capsys.readouterr()
+
+    def _no_grid_work(*_args, **_kwargs):
+        raise AssertionError("the sweep ran before refusing its regions")
+
+    monkeypatch.setattr("repro.cli.execute_sweep", _no_grid_work)
     code = main([
         "sweep", "--corpus", str(output), "--regions", "KOR", "ITA",
         "--models", "CM-R", "--runs", "2",
@@ -427,6 +362,20 @@ def test_sweep_refuses_regions_the_packed_corpus_lacks(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "['ITA']" in err and "('KOR',)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "stats", "x"],
+        ["generate", "x.jsonl", "--format", "jsonl"],
+        ["generate", "x.jsonl", "--chunk-size", "10"],
+    ],
+)
+def test_retired_corpus_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize("command", [["experiment", "fig4"], ["sweep"]])
