@@ -8,8 +8,8 @@ keep:
 
 * **cold serial** — baseline ``execute_runs`` into an empty cache;
 * **cold distributed** — the same ensemble through two local workers,
-  whose write-through puts must leave the shared cache fully populated
-  (the result rendezvous);
+  whose write-through puts must leave the shared cache fully populated,
+  one entry per work item (the result rendezvous);
 * **warm serial** / **warm distributed** — the same calls again, now
   served from disk.  The tripwire: on a warm cache the distributed
   backend must not fall behind serial, because a fully-hit sweep never
@@ -47,6 +47,7 @@ from repro.runtime import (
     RuntimeConfig,
     execute_runs,
 )
+from repro.runtime.runner import _plan_cell
 from repro.synthesis.worldgen import WorldKitchen
 
 # Warm-cache tripwire budget: a fully-hit distributed pass does no spool
@@ -118,8 +119,10 @@ def run_distributed_comparison(
         signature(runs) == reference
         for runs in (dist_runs, warm_serial_runs, warm_dist_runs)
     )
-    # The rendezvous contract: workers themselves populated the cache.
-    workers_wrote_cache = len(RunCache(dist_cache)) == n_runs
+    # The rendezvous contract: workers themselves populated the cache,
+    # one entry per work item (a batched ensemble is one item).
+    n_items = len(_plan_cell(model, spec, seeds))
+    workers_wrote_cache = len(RunCache(dist_cache)) == n_items
     rows = [
         {"mode": mode, "seconds": elapsed,
          "runs_per_second": n_runs / elapsed if elapsed > 0 else float("inf")}

@@ -562,8 +562,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         # One executor pass for the whole grid (ensemble_curves), not
         # one pool per cell — same curves, a fraction of the overhead.
-        # Each run's curve is keyed by the run key the sweep used, the
-        # key `repro experiment fig4` hands its cells' curves.
+        # Each cell's curves are one entry keyed by the run keys the
+        # sweep used, the keys `repro experiment fig4` hands its cells.
         ensemble_curves(
             [
                 (cell_runs.runs, cell_runs.model_name, cell_runs.keys)
@@ -584,14 +584,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"mined {len(result.cells)} cells x {args.runs} runs "
             f"(+ {len(codes)} empirical curves) with "
             f"support {mining.min_support:g} in "
-            f"{elapsed:.1f}s ({curve_cache.stats.misses} mined, "
-            f"{curve_cache.stats.hits} curve-cache hits)"
+            f"{elapsed:.1f}s ({curve_cache.stats.misses} curve entries "
+            f"mined, {curve_cache.stats.hits} curve-cache hits)"
         )
     if runtime.cache_dir is not None:
         print(
             f"cache {runtime.cache_dir}: "
-            f"{len(RunCache(runtime.cache_dir))} runs, "
-            f"{len(CurveCache(runtime.cache_dir))} curves"
+            f"{len(RunCache(runtime.cache_dir))} run entries, "
+            f"{len(CurveCache(runtime.cache_dir))} curve entries"
         )
     return 0
 
@@ -651,7 +651,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             kept = f" ({entries} kept)"
         runs, curves = (counts.entries for counts in swept)
         print(
-            f"{verb} {runs} cached runs and {curves} mined curves{age} "
+            f"{verb} {runs} run entries and {curves} curve entries{age} "
             f"from {directory}{kept}"
         )
         print(

@@ -61,7 +61,7 @@ class ExperimentContext:
         engine: Simulation engine for every model the experiments
             instantiate (``"reference"`` or ``"batched"``); ``None``
             keeps each model's default (batched, which executes each
-            ensemble's uncached runs as one stacked pass; CM-V runs on
+            uncached ensemble as one stacked pass; CM-V runs on
             reference; DESIGN.md §7).
             Part of the run cache key, so switching engines never
             replays another engine's cached runs.

@@ -43,9 +43,9 @@ class CellCurve:
     (:func:`~repro.runtime.sweep.execute_sweep` ``reduce=``): it mines
     the cell with :func:`ensemble_curves` on a serial runtime, wherever
     the cell ran, so a worker sends back one curve instead of the
-    cell's planes.  Each run's curve is cached under the run key the
-    sweep handed over — the key the run cache used — so it is never
-    derived a second time.  Its state is picklable, which keeps it on
+    cell's planes.  The cell's curves are cached as one entry under the
+    run keys the sweep handed over — the keys the run cache used — so
+    they are never derived a second time.  Its state is picklable, which keeps it on
     the process and distributed backends.
 
     Attributes:
@@ -220,8 +220,8 @@ def run_fig4(
     cell's runs are alive per task and workers return curves.
     With a ``--cache-dir`` runtime both layers warm: cached runs skip
     simulation, and the mined-curve cache (empirical curves keyed by
-    content, per-run model curves by run key) makes a repeat invocation
-    perform zero mining calls and fingerprint no plane.
+    content, each cell's model curves by its run keys) makes a repeat
+    invocation perform zero mining calls and fingerprint no plane.
 
     Args:
         context: Experiment context (corpus + mining + ensemble size).

@@ -4,10 +4,11 @@
 copy-mutate recipes and study the aggregated statistics."  This module
 runs a model repeatedly with independent seeds and aggregates the
 per-run rank-frequency curves of frequent combinations.  Each run is
-mined on its own terms (its own support count, its own curve and
-curve-cache entry, keyed by its run key), but all uncached runs of a
-(model, cuisine) cell are mined together in one stacked pass
-(:func:`~repro.analysis.itemsets.mine_frequencies`), one task per cell.
+mined on its own terms (its own support count and its own curve), but
+the runs of a (model, cuisine) cell are mined together in one stacked
+pass (:func:`~repro.analysis.itemsets.mine_frequencies`), one task per
+cell, and cached together as one curve-cache entry keyed by the cell's
+run keys.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from repro.runtime import (
     RuntimeConfig,
     execute_runs,
     fingerprint_many,
+    cell_curve_key,
     parallel_map,
-    run_curve_key,
 )
 # Kept bound for perfbench/tracing.py, which wraps this name to time
 # plane fingerprinting.  Model curves are keyed by run key and never
@@ -116,8 +117,9 @@ class EnsembleCell(NamedTuple):
             ``"<label>#<index>"``.
         keys: The runs' run-cache keys
             (:func:`~repro.runtime.cache.fingerprint_many`), aligned
-            with ``runs``.  Each run's curve is cached under its run
-            key; a cell without keys is not curve-cached.
+            with ``runs``.  The cell's curves are cached as one entry
+            under :func:`~repro.runtime.curve_cache.cell_curve_key` of
+            these keys; a cell without keys is not curve-cached.
         spec: The cuisine spec the runs evolved; required at category
             level, where it maps ingredients to categories.
     """
@@ -182,8 +184,8 @@ def ensemble_curves(
     The grid-mining entry point: a figure-4 style grid of
     (model × cuisine) cells used to pay one executor fan-out *per
     cell* — pool startup, probe, teardown, many times over.  Here each
-    cell's uncached runs become one :class:`CurveMiningTask`, mined in
-    one stacked pass (:func:`~repro.analysis.itemsets.mine_frequencies`),
+    uncached cell becomes one :class:`CurveMiningTask`, mined in one
+    stacked pass (:func:`~repro.analysis.itemsets.mine_frequencies`),
     and every cell's task goes through a single order-preserving
     :func:`~repro.runtime.runner.parallel_map` call, so one pool (or
     one distributed spool session) serves the whole grid; the per-cell
@@ -193,13 +195,13 @@ def ensemble_curves(
     map preserves order, and averaging happens per cell either way.
 
     When a curve cache is available (explicitly, or built from
-    ``runtime.cache_dir``), each run's mined frequencies are served
-    from disk when present and written back when mined, keyed by the
-    run's run-cache key, the level and the mining config
-    (:func:`~repro.runtime.curve_cache.run_curve_key`).  The run key
-    names every input that decides the run, so no plane is read to key
-    its curve, and a warm grid performs zero mining calls (DESIGN.md
-    §6).  Runs of a cell without keys are mined every time.
+    ``runtime.cache_dir``), each cell's per-run frequencies are one
+    entry, served from disk whole when present and written back when
+    mined, keyed by the cell's run-cache keys, the level and the mining
+    config (:func:`~repro.runtime.curve_cache.cell_curve_key`).  The
+    run keys name every input that decides the runs, so no plane is
+    read to key the curves, and a warm grid performs zero mining calls
+    (DESIGN.md §6).  A cell without keys is mined every time.
 
     Args:
         cells: :class:`EnsembleCell` values (or plain tuples in its
@@ -231,81 +233,77 @@ def ensemble_curves(
     if curve_cache is None and config.cache_dir is not None:
         curve_cache = CurveCache(config.cache_dir)
 
-    # Flatten to per-run units tagged with their cell: (cell, index).
-    # All cache and mining bookkeeping below works on this flat list;
-    # cells only reappear at averaging time.  Keys come from run keys
-    # alone, and only runs left to mine are converted to their level.
-    flat = [
-        (position, index)
-        for position, cell in enumerate(cells)
-        for index in range(len(cell.runs))
-    ]
-    curves: list[RankFrequencyCurve | None] = [None] * len(flat)
-    keys: list[str | None] = [None] * len(flat)
-    pending: list[int] = []
-    for position, (cell_position, index) in enumerate(flat):
-        cell = cells[cell_position]
-        if curve_cache is not None and cell.keys is not None:
-            keys[position] = run_curve_key(
-                cell.keys[index], mining, level=level
-            )
-            frequencies = curve_cache.get(keys[position])
-            # Guard the payload type: an entry that unpickles to the
-            # wrong shape (layout drift, damaged file) is a miss to
-            # re-mine, not a crash.
-            if (
-                isinstance(frequencies, np.ndarray)
-                and frequencies.ndim == 1
-            ):
-                curves[position] = RankFrequencyCurve(
-                    f"{cell.label}#{index}", frequencies
-                )
-                continue
-        pending.append(position)
+    # Per cell: its curve key and its per-run curves, served whole or
+    # mined whole.  Only cells left to mine are converted to their level.
+    keys: list[str | None] = [None] * len(cells)
+    curves: list[list[RankFrequencyCurve] | None] = [None] * len(cells)
+    for position, cell in enumerate(cells):
+        if curve_cache is None or cell.keys is None:
+            continue
+        keys[position] = cell_curve_key(cell.keys, mining, level=level)
+        cached = curve_cache.get(
+            keys[position], valid=_frequencies_of(len(cell.runs))
+        )
+        if cached is not None:
+            curves[position] = [
+                RankFrequencyCurve(f"{cell.label}#{index}", frequencies)
+                for index, frequencies in enumerate(cached)
+            ]
+    pending = [position for position, found in enumerate(curves) if found is None]
 
     if pending:
-        # One task per cell: a cell's uncached runs are mined together
-        # in one stacked pass, while cache keys stay per run.
-        groups: dict[int, list[int]] = {}
-        for position in pending:
-            groups.setdefault(flat[position][0], []).append(position)
-        tasks = []
-        for cell_position, group in groups.items():
-            cell = cells[cell_position]
-            runs = [cell.runs[flat[position][1]] for position in group]
-            tasks.append(CurveMiningTask(
+        tasks = [
+            CurveMiningTask(
                 transactions=tuple(
                     run.transactions if level == "ingredient"
-                    else _category_transactions(run, cell.spec)
-                    for run in runs
+                    else _category_transactions(run, cells[position].spec)
+                    for run in cells[position].runs
                 ),
                 mining=mining,
                 labels=tuple(
-                    f"{cell.label}#{flat[position][1]}" for position in group
+                    f"{cells[position].label}#{index}"
+                    for index in range(len(cells[position].runs))
                 ),
-            ))
+            )
+            for position in pending
+        ]
         mined = parallel_map(mine_curve_task, tasks, runtime=config)
-        for group, cell_curves in zip(groups.values(), mined):
-            for position, curve in zip(group, cell_curves):
-                curves[position] = curve
-                if curve_cache is not None and keys[position] is not None:
-                    # Same policy as the run cache: a write failure
-                    # must never discard mined results; stop writing
-                    # instead.
-                    try:
-                        curve_cache.put(keys[position], curve.frequencies)
-                    except RunCacheError:
-                        curve_cache = None
+        for position, cell_curves in zip(pending, mined):
+            curves[position] = cell_curves
+            if curve_cache is not None and keys[position] is not None:
+                # Same policy as the run cache: a write failure must
+                # never discard mined results; stop writing instead.
+                try:
+                    curve_cache.put(
+                        keys[position],
+                        tuple(curve.frequencies for curve in cell_curves),
+                    )
+                except RunCacheError:
+                    curve_cache = None
 
-    averaged: list[RankFrequencyCurve] = []
-    cursor = 0
-    for cell in cells:
-        cell_curves = curves[cursor:cursor + len(cell.runs)]
-        cursor += len(cell.runs)
-        averaged.append(
-            average_curves(cell_curves, cell.label)  # type: ignore[arg-type]
+    return [
+        average_curves(cell_curves, cell.label)  # type: ignore[arg-type]
+        for cell, cell_curves in zip(cells, curves)
+    ]
+
+
+def _frequencies_of(n_runs: int):
+    """Whether a curve-cache payload is ``n_runs`` 1-D frequency arrays.
+
+    An entry of another shape (layout drift, damaged file) is evicted
+    as corrupt and the cell re-mined, not a crash.
+    """
+    def valid(payload: object) -> bool:
+        return (
+            isinstance(payload, tuple)
+            and len(payload) == n_runs
+            and all(
+                isinstance(frequencies, np.ndarray) and frequencies.ndim == 1
+                for frequencies in payload
+            )
         )
-    return averaged
+
+    return valid
 
 
 def ensemble_curve(
@@ -322,7 +320,7 @@ def ensemble_curve(
 
     The single-cell case of :func:`ensemble_curves` (one
     :class:`EnsembleCell` of ``runs``, ``label``, ``keys`` and
-    ``spec``): the uncached runs are one :class:`CurveMiningTask`,
+    ``spec``): an uncached cell is one :class:`CurveMiningTask`,
     mined in one stacked pass by the module-level
     :func:`mine_curve_task` through
     :func:`~repro.runtime.runner.parallel_map`, so the averaged curve
@@ -412,8 +410,8 @@ def run_ensemble(
             ``params.engine``).  The whole ensemble is one same-cell
             group, so an engine that resolves to ``"batched"`` — the
             four paper models; CM-V resolves to reference — executes
-            the uncached runs as one stacked pass instead of
-            ``n_runs`` dispatches (DESIGN.md §7).
+            the ensemble as one stacked pass, cached as one entry,
+            instead of ``n_runs`` dispatches (DESIGN.md §7).
 
     Returns:
         An :class:`EnsembleResult`.

@@ -31,12 +31,12 @@ Determinism follows the §5 runtime contract, extended per island:
 
 :class:`IslandMemberModel` adapts one island into a standard
 dispatchable model: its result is a pure function of
-``(simulation, member, seed)``, cached per island in the
-:class:`~repro.runtime.cache.RunCache` under the versioned
+``(simulation, member, seed)``, keyed per island under the versioned
 :data:`ISLANDS_STREAM_VERSION` contract, and
 :func:`run_island_ensemble` fans whole archipelago ensembles out
 through :func:`~repro.runtime.runner.dispatch_work` (process /
-distributed backends) as one archipelago execution per master seed.
+distributed backends) as one archipelago execution per master seed,
+cached as one :class:`~repro.runtime.cache.RunCache` entry.
 """
 
 from __future__ import annotations
@@ -623,14 +623,15 @@ class IslandMemberModel(CulinaryEvolutionModel):
     A member run is a pure function of ``(simulation, member, seed)``:
     ``run()`` executes the *whole* archipelago for the given seed and
     returns this island's :class:`EvolutionRun`.  That makes islands
-    first-class runtime citizens — member runs cache individually in
-    the :class:`~repro.runtime.cache.RunCache` (the key canonicalizes
-    the full simulation: inner model, every spec, topology, import
-    policy, plus the :data:`ISLANDS_STREAM_VERSION` contract) and
-    dispatch through any backend, while
-    :func:`run_island_ensemble` plans all members of one master seed
-    as one :class:`~repro.runtime.runner.ArchipelagoRequest` so an
-    N-island execution costs one simulation, not N.
+    first-class runtime citizens — a solo member run is keyed and
+    cached like any run (the key canonicalizes the full simulation:
+    inner model, every spec, topology, import policy, plus the
+    :data:`ISLANDS_STREAM_VERSION` contract) and dispatches through
+    any backend, while :func:`run_island_ensemble` plans all members of
+    one master seed as one
+    :class:`~repro.runtime.runner.ArchipelagoRequest`, one cache entry,
+    so an N-island execution costs one simulation, not N.  A solo
+    member run never serves an archipelago's entry.
     """
 
     def __init__(self, simulation: IslandSimulation, member_index: int):
@@ -728,10 +729,11 @@ def run_island_ensemble(
     """Run ``n_runs`` archipelago simulations through the runtime.
 
     Plans one :class:`~repro.runtime.runner.ArchipelagoRequest` per
-    master seed, so each uncached archipelago executes exactly once,
-    while cached member runs are served per island from the
-    :class:`~repro.runtime.cache.RunCache`.  Bit-identical across
-    serial/process/distributed backends for a fixed ``seed``.
+    master seed, so each uncached archipelago executes exactly once and
+    is cached as one :class:`~repro.runtime.cache.RunCache` entry
+    holding every member's run; a cached archipelago is served whole.
+    Bit-identical across serial/process/distributed backends for a
+    fixed ``seed``.
 
     Args:
         simulation: The configured archipelago.

@@ -28,14 +28,14 @@ swappable concern:
   (:func:`execute_runs`) built on per-run integer seed streams: the
   cell is the unit of dispatch, so an ``engine="batched"`` cell runs
   as one stacked pass (DESIGN.md §7); plus :func:`parallel_map` for
-  the per-run mining fan-out;
-* :mod:`~repro.runtime.cache` — an on-disk run cache keyed by
-  ``(model, params, cuisine, seed)`` shared across backends and
-  invocations;
+  the per-cell mining fan-out;
+* :mod:`~repro.runtime.cache` — an on-disk run cache, one entry per
+  work item keyed by its runs' ``(model, params, cuisine, seed)``
+  keys (:func:`item_key`), shared across backends and invocations;
 * :mod:`~repro.runtime.curve_cache` — a cache of mined rank-frequency
   curves layered beside the run cache (same directory, distinct entry
-  suffix; model curves keyed by their run's key, empirical curves by
-  content), so warm sweeps and experiments skip re-mining entirely
+  suffix; one entry per model cell keyed by its runs' keys, empirical
+  curves by content), so warm sweeps and experiments skip re-mining entirely
   (DESIGN.md §6);
 * :mod:`~repro.runtime.sweep` — the grid sweep planner: expand a full
   (model × cuisine × seed) grid into per-cell seed streams, dispatch
@@ -56,14 +56,15 @@ from repro.runtime.cache import (
     PickleStore,
     RunCache,
     fingerprint_many,
+    item_key,
     run_fingerprint,
 )
 from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
 from repro.runtime.curve_cache import (
     CURVE_FORMAT_VERSION,
     CurveCache,
+    cell_curve_key,
     curve_key,
-    run_curve_key,
     transactions_fingerprint,
 )
 from repro.runtime.distributed import (
@@ -154,6 +155,7 @@ __all__ = [
     "WorkerSummary",
     "backend_degradations",
     "cache_corruptions",
+    "cell_curve_key",
     "compact_spool",
     "curve_key",
     "execute_archipelago",
@@ -163,10 +165,10 @@ __all__ = [
     "execute_sweep",
     "fingerprint_many",
     "get_executor",
+    "item_key",
     "parallel_map",
     "plan_cells",
     "plan_grid",
-    "run_curve_key",
     "run_fingerprint",
     "run_worker",
     "select_regions",

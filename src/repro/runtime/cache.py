@@ -1,10 +1,14 @@
 """On-disk cache of completed :class:`~repro.models.base.EvolutionRun`s.
 
 Runs are pure functions of ``(model configuration, cuisine spec, seed,
-record_history)``, so they cache perfectly: the key is a SHA-256 over a
-canonical JSON encoding of exactly those inputs (plus a format version),
-and the value is the pickled run.  Because every backend derives the
-same per-run integer seeds (:func:`repro.rng.spawn_seeds`), a cache
+record_history)``, so they cache perfectly: a run's key is a SHA-256
+over a canonical JSON encoding of exactly those inputs (plus a format
+version).  An entry holds one work item — a batched cell, one
+reference run or one archipelago execution — as the tuple of its runs,
+keyed by :func:`item_key` over the item's ordered run keys, so a cold
+100-run batched cell creates one file rather than a hundred.  Because
+every backend derives the same per-run integer seeds
+(:func:`repro.rng.spawn_seeds`) and plans the same items, a cache
 populated by a process-parallel sweep is byte-for-byte reusable by a
 serial rerun — and vice versa — which is what lets experiments resume
 and share runs across invocations.
@@ -35,7 +39,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, ClassVar, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +58,7 @@ __all__ = [
     "RunCache",
     "SweepCounts",
     "fingerprint_many",
+    "item_key",
     "run_fingerprint",
 ]
 
@@ -80,7 +85,10 @@ __all__ = [
 #: v6: entries are stored inside the :mod:`repro.durable` checksum
 #: frame, so a torn or bit-flipped entry reads as a recorded miss; v5
 #: entries are plain pickles under keys that are never looked up again.
-CACHE_FORMAT_VERSION = 6
+#: v7: one entry per work item (:func:`item_key`), holding the tuple of
+#: its runs, in the protocol-5 frame with out-of-band buffers; v6
+#: entries hold one run each under keys that are never looked up again.
+CACHE_FORMAT_VERSION = 7
 
 
 def _canonical(value: object) -> object:
@@ -201,12 +209,27 @@ def run_fingerprint(
     return fingerprint_many(model, spec, [seed], record_history, engine)[0]
 
 
+def item_key(run_keys: "Sequence[str]") -> str:
+    """Run-cache key of one work item: SHA-256 over its ordered run keys.
+
+    The encoded payload is namespaced (an ``"item"`` field where a run
+    key's carries ``"base"`` and ``"seed"``), so an item key never
+    equals a run key, even for an item of one run.
+    """
+    encoded = json.dumps(
+        {"item": list(run_keys), "version": CACHE_FORMAT_VERSION},
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class CacheDiskStats:
     """What one cache directory holds on disk right now.
 
     Attributes:
-        entries: Number of cached runs.
+        entries: Number of entries (a run-cache entry holds one work
+            item's runs, a curve-cache entry one cell's curves).
         total_bytes: Their combined size.
         oldest_mtime: Epoch mtime of the oldest entry (``None`` when
             empty).
@@ -289,17 +312,26 @@ class PickleStore:
         """On-disk location of one cache entry."""
         return self.directory / f"{key}{self.suffix}"
 
-    def get(self, key: str) -> object | None:
+    def get(
+        self, key: str, valid: Callable[[object], bool] | None = None
+    ) -> object | None:
         """Load a cached payload, or ``None`` on miss (or corrupt entry).
 
         A corrupt entry is evicted, not raised — recorded as a
         :class:`~repro.runtime.events.CacheCorruption` with a warning
         once per store and kind, so a flaky shared disk looks different
-        from a cold cache.
+        from a cold cache.  So is an intact entry whose payload fails
+        ``valid`` (the wrong shape for what its key names), as a
+        ``format-version`` corruption.
         """
         path = self.path_for(key)
         try:
             payload = durable.load_framed(path, self.format_version)
+            if valid is not None and not valid(payload):
+                raise durable.CorruptFileError(
+                    durable.FORMAT_VERSION,
+                    f"unexpected payload {type(payload).__name__}",
+                )
         except FileNotFoundError:
             payload = None
         except durable.CorruptFileError as exc:
@@ -312,12 +344,19 @@ class PickleStore:
         return payload
 
     def put(self, key: str, payload: object) -> None:
-        """Store a payload atomically (safe under concurrent writers)."""
+        """Store a payload atomically (safe under concurrent writers).
+
+        Raises:
+            RunCacheError: If the write fails or the payload does not
+                pickle (pickle raises ``TypeError`` or
+                ``AttributeError`` for a lock or a local class); no temp
+                is left behind either way.
+        """
         path = self.path_for(key)
         try:
             with durable.atomic_write(path, durable=False) as handle:
                 durable.dump_framed(handle, payload, self.format_version)
-        except (OSError, pickle.PicklingError) as exc:
+        except (OSError, pickle.PicklingError, TypeError, AttributeError) as exc:
             raise RunCacheError(f"failed to write {path.name}: {exc}") from exc
         self.stats.stores += 1
 
@@ -414,19 +453,32 @@ class PickleStore:
 
 
 class RunCache(PickleStore):
-    """A directory of pickled runs keyed by :func:`run_fingerprint`.
+    """A directory of work items' runs keyed by :func:`item_key`.
 
-    Payloads are complete :class:`~repro.models.base.EvolutionRun`
-    objects — a run is a pure function of ``(model, spec, seed,
-    record_history, engine)``, so its key covers exactly those inputs.
+    Payloads are tuples of complete
+    :class:`~repro.models.base.EvolutionRun` objects, one per run of the
+    item, in its run order — a run is a pure function of ``(model, spec,
+    seed, record_history, engine)``, and its run key covers exactly
+    those inputs.  An item is served whole or runs whole.
     """
 
     suffix = ".run.pkl"
 
-    def get(self, key: str) -> "EvolutionRun | None":
-        """Load a cached run, or ``None`` on miss."""
-        return super().get(key)  # type: ignore[return-value]
+    def get(
+        self, key: str, n_runs: int | None = None
+    ) -> "tuple[EvolutionRun, ...] | None":
+        """Load an item's runs, or ``None`` on miss.
 
-    def put(self, key: str, run: "EvolutionRun") -> None:
-        """Store a run atomically (safe under concurrent writers)."""
-        super().put(key, run)
+        With ``n_runs``, an entry that is not a tuple of that many runs
+        is evicted and recorded as corrupt.
+        """
+        return super().get(  # type: ignore[return-value]
+            key,
+            None if n_runs is None else (
+                lambda runs: isinstance(runs, tuple) and len(runs) == n_runs
+            ),
+        )
+
+    def put(self, key: str, runs: "Sequence[EvolutionRun]") -> None:
+        """Store an item's runs atomically (safe under concurrent writers)."""
+        super().put(key, tuple(runs))

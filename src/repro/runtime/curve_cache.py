@@ -5,16 +5,17 @@ mined curve can be keyed by anything that determines its transactions.
 There are two kinds of curve, and each is keyed by the cheapest name
 that determines it:
 
-* **Model curves** (one per simulated run, the ensemble path) are keyed
-  by :func:`run_curve_key`: a SHA-256 over the run's run-cache key
+* **Model curves** (one entry per ensemble cell, holding the per-run
+  curves of its runs) are keyed by :func:`cell_curve_key`: a SHA-256
+  over the cell's ordered run-cache keys
   (:func:`~repro.runtime.cache.fingerprint_many`: model, parameters,
   spec, seed, resolved engine and its stream version), the level, the
   mining configuration, the payload kind and
-  :data:`CURVE_FORMAT_VERSION`.  The run key already names every input
-  that decides the run, and the run cache already trusts it, so a
-  model curve is found without reading or hashing the run's plane.
-  The category level maps ingredients through the run's spec, which
-  the run key covers.
+  :data:`CURVE_FORMAT_VERSION`.  The run keys already name every input
+  that decides the runs, and the run cache already trusts them, so a
+  cell's curves are found without reading or hashing a plane.  The
+  category level maps ingredients through the runs' spec, which the
+  run keys cover.  A cell hits whole or is mined whole.
 * **Empirical curves** (one per corpus cuisine) are keyed by
   :func:`curve_key`, over a fingerprint of the exact transactions mined
   (:func:`transactions_fingerprint`; order-sensitive across
@@ -28,7 +29,7 @@ simulation, the curve cache skips re-mining — a warm
 ``repro experiment fig4`` performs zero mining calls.
 
 Invalidation is automatic either way: a different seed, engine, model
-parameter or spec changes the run key, a different corpus changes the
+parameter or spec changes a run key, a different corpus changes the
 content fingerprint, and a changed mining config or level changes the
 key directly.  Because run keys and runs are identical across backends
 (DESIGN.md §5), a curve cache warmed by a process-parallel sweep is
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,14 +51,16 @@ from repro.transactions import TransactionPlane
 __all__ = [
     "CURVE_FORMAT_VERSION",
     "CurveCache",
+    "cell_curve_key",
     "curve_key",
-    "run_curve_key",
     "transactions_fingerprint",
 ]
 
 #: Bump when the key layout or the pickled payload layout changes; old
 #: entries then miss instead of deserializing garbage.
-CURVE_FORMAT_VERSION = 2
+#: v3: one entry per ensemble cell (:func:`cell_curve_key`), holding
+#: the tuple of its runs' frequency arrays, in the protocol-5 frame.
+CURVE_FORMAT_VERSION = 3
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -133,7 +136,7 @@ def curve_key(
     The empirical path: a corpus cuisine has no run key, so its curve
     is keyed by the transaction content, the support threshold and the
     size cap.  There is one miner (DESIGN.md §6), so no miner name is
-    keyed.  Model runs are keyed by :func:`run_curve_key` instead.
+    keyed.  Model cells are keyed by :func:`cell_curve_key` instead.
 
     Args:
         transactions_fp: :func:`transactions_fingerprint` of the mined
@@ -157,51 +160,51 @@ def curve_key(
     })
 
 
-def run_curve_key(
-    run_key: str,
+def cell_curve_key(
+    run_keys: Sequence[str],
     mining: MiningConfig,
     level: str = "ingredient",
     kind: str = "frequencies",
 ) -> str:
-    """Key for the mined curve of one model run, named by its run key.
+    """Key for the mined curves of one ensemble cell, named by its runs'
+    keys.
 
     A run is a pure function of the inputs its run-cache key covers
-    (:func:`~repro.runtime.cache.fingerprint_many`), so its curve is a
-    pure function of that key, the level and the mining configuration;
-    no plane is read to key it.  The payload carries a ``run`` field
-    where :func:`curve_key`'s carries ``transactions``, so the two
-    schemes never alias.
+    (:func:`~repro.runtime.cache.fingerprint_many`), so a cell's per-run
+    curves are a pure function of its ordered run keys, the level and
+    the mining configuration; no plane is read to key them.  The
+    payload carries a ``runs`` field where :func:`curve_key`'s carries
+    ``transactions``, so the two schemes never alias.
 
     Args:
-        run_key: The run's run-cache key.
+        run_keys: The cell's run-cache keys, in run order.
         mining: Mining configuration; a change to ``min_support`` or
             ``max_size`` keys a different entry.
         level: ``"ingredient"`` or ``"category"``.  Both levels mine the
-            same run, so the level is what keeps them apart.
+            same runs, so the level is what keeps them apart.
         kind: Payload kind (``"frequencies"`` on the ensemble path).
     """
     return _digest({
         "version": CURVE_FORMAT_VERSION,
         "kind": kind,
-        "run": run_key,
+        "runs": list(run_keys),
         "level": level,
         "mining": _mining_payload(mining),
     })
 
 
 class CurveCache(PickleStore):
-    """A directory of mined-curve payloads keyed by :func:`run_curve_key`
-    (model runs) or :func:`curve_key` (empirical curves).
+    """A directory of mined-curve payloads keyed by :func:`cell_curve_key`
+    (model cells) or :func:`curve_key` (empirical curves).
 
-    Payloads are either 1-D float arrays of descending normalized
-    frequencies (ensemble per-run curves; labels are reattached by the
-    caller, so one entry serves every labeling) or full
+    Payloads are either tuples of 1-D float arrays of descending
+    normalized frequencies, one per run of an ensemble cell (labels are
+    reattached by the caller, so one entry serves every labeling), or
+    full
     :class:`~repro.analysis.itemsets.MiningResult` objects (empirical
     curves, whose callers also need the itemsets).  Shares its directory
     with :class:`~repro.runtime.cache.RunCache` — entries are
-    namespaced by the ``.curve.pkl`` suffix.  Curve keys predate the
-    frame, so an unframed older entry reads as one recorded ``torn``
-    miss and the curve is re-mined.
+    namespaced by the ``.curve.pkl`` suffix.
     """
 
     suffix = ".curve.pkl"

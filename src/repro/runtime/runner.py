@@ -18,13 +18,18 @@ front).  Determinism is structural rather than incidental:
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import RunCacheError
 from repro.rng import rng_from_seed
 from repro.runtime import events
-from repro.runtime.cache import RunCache, fingerprint_many, run_fingerprint
+from repro.runtime.cache import (
+    RunCache,
+    fingerprint_many,
+    item_key,
+    run_fingerprint,
+)
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.executor import _CannotCross, get_executor
 
@@ -138,8 +143,8 @@ class BatchRequest:
     a cell whose engine resolves to ``"batched"`` into one batch, so its
     seeds share the model, spec, history flag and engine override and
     advance through :func:`repro.models.batched.run_batched` in one set
-    of stacked arrays instead of ``len(seeds)`` per-run dispatches.  The
-    dispatcher shrinks a partly cached batch to its misses.  Like
+    of stacked arrays instead of ``len(seeds)`` per-run dispatches.  It
+    is one run-cache entry, served whole or run whole.  Like
     :class:`RunRequest` it is a pure, picklable payload — a batch can
     cross a process boundary whole.
 
@@ -166,8 +171,7 @@ def execute_batch(batch: BatchRequest) -> list["EvolutionRun"]:
     Module-level so the process backend can pickle it.  Each run of the
     result is bit-identical to what :func:`execute_request` would have
     produced for the same seed — batch composition never leaks into
-    per-run results — which is what keeps batched runs individually
-    cacheable.
+    per-run results.
     """
     from repro.models.batched import run_batched
 
@@ -189,9 +193,9 @@ class ArchipelagoRequest:
     archipelago execution for a given master seed.
     :func:`~repro.models.islands.run_island_ensemble` plans one such
     item per master seed, so the simulation runs once, not once per
-    member; the dispatcher shrinks a partly cached item to its
-    uncached members.  Like the other work items it is a pure,
-    picklable payload.
+    member.  It is one run-cache entry holding every requested member's
+    run, so solo runs of its members never serve it.  Like the other
+    work items it is a pure, picklable payload.
 
     Attributes:
         simulation: The archipelago to execute.
@@ -275,44 +279,16 @@ def _plan_cell(
     ]
 
 
-def _shrink(
-    item: "RunRequest | BatchRequest | ArchipelagoRequest",
-    keep: Sequence[int] | None = None,
-) -> "RunRequest | BatchRequest | ArchipelagoRequest":
-    """The part of a work item left to execute: its runs at ``keep``.
-
-    ``None`` keeps every run.  An archipelago left with one member
-    dispatches as that member's plain :class:`RunRequest`, which hands
-    the member its raw master seed exactly like any solo member run.
-    """
-    if isinstance(item, BatchRequest) and keep is not None:
-        return replace(
-            item, seeds=tuple(item.seeds[position] for position in keep)
-        )
-    if isinstance(item, ArchipelagoRequest):
-        members = item.members if keep is None else tuple(
-            item.members[position] for position in keep
-        )
-        if len(members) > 1:
-            return replace(item, members=members)
-        member = item.simulation.member(members[0])
-        return RunRequest(
-            model=member, spec=member.spec, seed=item.seed,
-            record_history=item.record_history,
-        )
-    return item
-
-
 @dataclass(frozen=True)
 class _CacheThroughWork:
-    """A work item bundled with its cache destination and keys.
+    """A work item bundled with its cache destination and run keys.
 
     The distributed backend's unit of dispatch: the worker that computes
     the runs also writes them into the shared
-    :class:`~repro.runtime.cache.RunCache` (keyed per run, aligned with
-    the item's run order), making the cache directory the result
-    rendezvous — an interrupted sweep resumes from whatever any worker
-    finished, even if the coordinator never saw it.
+    :class:`~repro.runtime.cache.RunCache` as the item's one entry,
+    making the cache directory the result rendezvous — an interrupted
+    sweep resumes from whatever any worker finished, even if the
+    coordinator never saw it.
     """
 
     item: "RunRequest | BatchRequest | ArchipelagoRequest"
@@ -340,72 +316,71 @@ def _execute_work_write_through(
 def _write_through(
     cache_dir: str, keys: Sequence[str], runs: Sequence["EvolutionRun"]
 ) -> None:
-    """Write fresh runs into the cache at ``cache_dir``, where they ran.
+    """Write one item's fresh runs, as its one entry, into the cache at
+    ``cache_dir``, where they ran.
 
     A write failure is tolerated: the runs (or what they reduce to)
     still travel back to the caller; the cache is the resumability
-    layer, not the only channel.  The first failure stops the item's
-    writes.
+    layer, not the only channel.
     """
     try:
-        cache = RunCache(cache_dir)
-        for key, run in zip(keys, runs):
-            cache.put(key, run)
+        RunCache(cache_dir).put(item_key(keys), runs)
     except RunCacheError:
         pass
 
 
 @dataclass(frozen=True)
 class _ReducedCell:
-    """One sweep cell's remaining work and the reduction that ends it.
+    """One sweep cell's work and the reduction that ends it.
 
     The unit of dispatch of a reduced sweep (:func:`dispatch_reduced`):
-    whoever executes it simulates the cell's misses, writes them
-    through to the run cache, and returns only
+    whoever executes it runs the cell's uncached items, writes each
+    through to the run cache as its one entry, and returns only
     ``reduce(cell, runs, keys)``, so the cell's runs never leave the
     process that holds them.
 
     Attributes:
         cell: The planned cell, handed to ``reduce``.
-        items: The cell's work items, shrunk to its cache misses.
-        served: The cell's runs in run order with ``None`` at each
-            miss, when some were cached; ``None`` when none were.
+        work: The cell's ``(item, run keys)`` pairs in run order; the
+            keys are ``None`` without a cache.
+        served: Per item, its cached runs or ``None`` to execute it,
+            when some item was cached; ``None`` when none was.
         reduce: Module-level (picklable) ``(cell, runs, keys) -> value``.
-        cache_dir: Run-cache directory to write fresh runs into, or
+        cache_dir: Run-cache directory to write fresh items into, or
             ``None`` without a cache.
-        keys: The cell's run-cache keys in run order, or ``None``
-            without a cache.  Fresh runs are written under the keys at
-            the misses.
     """
 
     cell: object
-    items: tuple["RunRequest | BatchRequest", ...]
-    served: tuple["EvolutionRun | None", ...] | None
+    work: tuple[tuple["RunRequest | BatchRequest", tuple[str, ...] | None], ...]
+    served: tuple[tuple["EvolutionRun", ...] | None, ...] | None
     reduce: Callable
     cache_dir: str | None = None
-    keys: tuple[str, ...] | None = None
 
 
 def _execute_reduced(work: _ReducedCell) -> object:
-    """Simulate a cell's misses, cache them, return the cell's reduction.
+    """Run a cell's uncached items, cache them, return the cell's reduction.
 
     Module-level so the process and distributed backends can pickle it.
     """
-    runs = [run for item in work.items for run in _execute_work(item)]
-    if work.cache_dir is not None:
-        miss_keys = (
-            work.keys if work.served is None else [
-                key for key, run in zip(work.keys, work.served)
-                if run is None
-            ]
-        )
-        _write_through(work.cache_dir, miss_keys, runs)
-    if work.served is not None:
-        fresh = iter(runs)
-        runs = [
-            run if run is not None else next(fresh) for run in work.served
-        ]
-    return work.reduce(work.cell, tuple(runs), work.keys)
+    served = work.served or (None,) * len(work.work)
+    runs: list["EvolutionRun"] = []
+    for (item, keys), item_runs in zip(work.work, served):
+        if item_runs is None:
+            item_runs = _execute_work(item)
+            if work.cache_dir is not None:
+                _write_through(work.cache_dir, keys, item_runs)
+        runs.extend(item_runs)
+    cell_keys = None if work.cache_dir is None else tuple(
+        key for _, keys in work.work for key in keys
+    )
+    return work.reduce(work.cell, tuple(runs), cell_keys)
+
+
+def _lookup(
+    cache: RunCache, keys: Sequence[str]
+) -> "tuple[EvolutionRun, ...] | None":
+    """An item's cached runs, or ``None`` when it must run."""
+    return cache.get(item_key(keys), len(keys))
 
 
 def dispatch_work(
@@ -422,14 +397,13 @@ def dispatch_work(
     :func:`~repro.runtime.sweep.execute_sweep` (and so of
     :func:`execute_runs`) and
     :func:`~repro.models.islands.run_island_ensemble` — one place owns
-    the cache policy (:func:`dispatch_reduced` applies it per cell).  Each item arrives with the cache keys of its
-    runs, in its run order.  Lookups happen up front: an item
-    whose runs are all cached is skipped, a partly cached one shrinks
-    to its misses (:func:`_shrink`), and the remaining items reach the
-    backend in one order-preserving map, in plan order.  Because every
-    run is bit-identical whatever item carries it, shrinking never
-    changes a result.  A cache *write* failure disables further writes
-    rather than discarding computed results.
+    the cache policy (:func:`dispatch_reduced` applies it per cell).
+    Each item arrives with the cache keys of its runs, in its run
+    order, and is one cache entry (:func:`~repro.runtime.cache.item_key`):
+    lookups happen up front, an item is served whole or runs whole, and
+    the items left reach the backend in one order-preserving map, in
+    plan order.  A cache *write* failure disables further writes rather
+    than discarding computed results.
 
     Args:
         work: ``(item, keys)`` pairs in result order; ``keys`` may be
@@ -441,30 +415,14 @@ def dispatch_work(
         Per item: its runs in the item's run order, and how many of
         them were served from cache.
     """
-    results: list[list["EvolutionRun | None"] | None] = []
-    cached: list[int] = []
-    # (work index, positions of the runs it fills or None for all,
-    # item to execute, cache keys of those runs)
-    pending: list[tuple] = []
-    for index, (item, keys) in enumerate(work):
-        if cache is None:
-            results.append(None)
-            cached.append(0)
-            pending.append((index, None, _shrink(item), None))
-            continue
-        served = [cache.get(key) for key in keys]
-        misses = [position for position, run in enumerate(served) if run is None]
-        results.append(served)
-        cached.append(len(served) - len(misses))
-        if misses:
-            pending.append((
-                index, misses, _shrink(item, misses),
-                tuple(keys[position] for position in misses),
-            ))
+    results: list = [
+        None if cache is None else _lookup(cache, keys) for _, keys in work
+    ]
+    cached = [0 if runs is None else len(runs) for runs in results]
+    pending = [index for index, runs in enumerate(results) if runs is None]
 
     if pending:
         executor = get_executor(config)
-        items = [item for _, _, item, _ in pending]
         # Under the distributed backend the *workers* write fresh runs
         # into the shared cache directory (the result rendezvous,
         # DESIGN.md §8) and the coordinator skips its own puts; every
@@ -475,30 +433,28 @@ def dispatch_work(
                 _execute_work_write_through,
                 [
                     _CacheThroughWork(
-                        item=item, cache_dir=str(cache.directory), keys=keys
+                        item=work[index][0], cache_dir=str(cache.directory),
+                        keys=tuple(work[index][1]),
                     )
-                    for item, (_, _, _, keys) in zip(items, pending)
+                    for index in pending
                 ],
             )
         else:
-            computed = executor.map(_execute_work, items)
-        for (index, misses, _, keys), runs in zip(pending, computed):
-            if misses is None:
-                results[index] = runs
-                continue
-            for position, key, run in zip(misses, keys, runs):
-                results[index][position] = run
-                if cache is not None and not write_through:
-                    # The cache is an optimization: a write failure
-                    # (disk full, permissions, unpicklable payload)
-                    # must never discard computed results.  Stop
-                    # writing after the first failure; lookups already
-                    # succeeded.
-                    try:
-                        cache.put(key, run)
-                    except RunCacheError:
-                        cache = None
-    return list(zip(results, cached))  # type: ignore[arg-type]
+            computed = executor.map(
+                _execute_work, [work[index][0] for index in pending]
+            )
+        for index, runs in zip(pending, computed):
+            results[index] = runs
+            if cache is not None and not write_through:
+                # The cache is an optimization: a write failure (disk
+                # full, permissions, unpicklable payload) must never
+                # discard computed results.  Stop writing after the
+                # first failure; lookups already succeeded.
+                try:
+                    cache.put(item_key(work[index][1]), runs)
+                except RunCacheError:
+                    cache = None
+    return [(list(runs), count) for runs, count in zip(results, cached)]
 
 
 def dispatch_reduced(
@@ -516,18 +472,19 @@ def dispatch_reduced(
 
     The reduced counterpart of :func:`dispatch_work`, with the same
     cache policy, applied per cell instead of per item.  Each cell
-    arrives with its work items and their keys.  A cell whose runs are
-    all cached is reduced here, right after its own lookups and before
-    the next cell's; its runs are dropped before those lookups.  Every
-    other cell becomes one :class:`_ReducedCell` carrying its misses
-    and, when partly cached, its cached runs.  Those tasks go through
-    one order-preserving :func:`parallel_map` in plan order.  A task
-    writes its fresh runs through to the cache wherever it runs, on
-    every backend, and returns only the cell's reduction, so no plane
-    outlives its cell and workers send back reductions, not runs.
-    The reducer also gets the cell's run keys — the very keys the run
-    cache used — so it can key what it derives from the runs (the
-    mined-curve cache) without canonicalizing the cell again.
+    arrives with its work items and their keys, and each item is one
+    cache entry, served whole or run whole.  A cell whose items are all
+    cached is reduced here, right after its own lookups and before the
+    next cell's; its runs are dropped before those lookups.  Every
+    other cell becomes one :class:`_ReducedCell` carrying its items
+    and, when partly cached, its cached items' runs.  Those tasks go
+    through one order-preserving :func:`parallel_map` in plan order.
+    A task writes each fresh item through to the cache wherever it
+    runs, on every backend, and returns only the cell's reduction, so
+    no plane outlives its cell and workers send back reductions, not
+    runs.  The reducer also gets the cell's run keys — the very keys
+    the run cache used — so it can key what it derives from the runs
+    (the mined-curve cache) without canonicalizing the cell again.
 
     Args:
         cells: ``(cell, [(item, keys), ...])`` per cell, in plan order;
@@ -549,34 +506,30 @@ def dispatch_reduced(
     pending: list[int] = []
     tasks: list[_ReducedCell] = []
     for index, (cell, work) in enumerate(cells):
+        work = tuple(work)
         if cache is None:
             pending.append(index)
             tasks.append(_ReducedCell(
-                cell=cell, items=tuple(item for item, _ in work),
-                served=None, reduce=reduce,
+                cell=cell, work=work, served=None, reduce=reduce,
             ))
             continue
-        # ``served`` is the only reference to the cell's cached runs:
-        # the next cell rebinds it before its own lookups.
-        served: list = []
-        items = []
-        cell_keys = tuple(key for _, keys in work for key in keys)
-        for item, keys in work:
-            start = len(served)
-            served.extend(cache.get(key) for key in keys)
-            misses = [position for position in range(len(keys))
-                      if served[start + position] is None]
-            if misses:
-                items.append(_shrink(item, misses))
-        cached[index] = sum(run is not None for run in served)
-        if not items:
-            results[index] = reduce(cell, tuple(served), cell_keys)
+        # ``served`` is the only reference to a cell's cached runs: the
+        # previous cell's go before this cell's lookups.
+        served = None
+        served = tuple(_lookup(cache, keys) for _, keys in work)
+        cached[index] = sum(len(runs) for runs in served if runs is not None)
+        if all(runs is not None for runs in served):
+            results[index] = reduce(
+                cell,
+                tuple(run for runs in served for run in runs),
+                tuple(key for _, keys in work for key in keys),
+            )
             continue
         pending.append(index)
         tasks.append(_ReducedCell(
-            cell=cell, items=tuple(items),
-            served=tuple(served) if cached[index] else None,
-            reduce=reduce, cache_dir=str(cache.directory), keys=cell_keys,
+            cell=cell, work=work,
+            served=served if cached[index] else None,
+            reduce=reduce, cache_dir=str(cache.directory),
         ))
     if tasks:
         for index, value in zip(
@@ -599,10 +552,10 @@ def execute_runs(
 
     A one-cell :func:`~repro.runtime.sweep.execute_sweep`: the cell is
     planned and dispatched exactly as a sweep cell is.  When a cache is
-    configured (explicitly, or via ``runtime.cache_dir``), cached runs
-    are served from disk and only the misses are dispatched to the
-    backend; fresh results are written back so later invocations — any
-    backend, any process — reuse them.
+    configured (explicitly, or via ``runtime.cache_dir``), cached work
+    items are served from disk and only the others are dispatched to
+    the backend; fresh results are written back so later invocations —
+    any backend, any process — reuse them.
 
     Args:
         model: The configured model.
@@ -615,9 +568,9 @@ def execute_runs(
         engine: Per-run engine override forwarded to every run
             (``"reference"`` or ``"batched"``; default: the model's
             ``params.engine``).  An engine resolving to ``"batched"``
-            executes the cell's cache misses as one stacked pass, each
-            run identical to its solo execution (DESIGN.md §7); CM-V
-            resolves to reference.
+            executes the cell as one stacked pass, cached as one entry,
+            each run identical to its solo execution (DESIGN.md §7);
+            CM-V resolves to reference.
 
     Returns:
         Runs aligned with ``seeds``.
@@ -641,7 +594,7 @@ def parallel_map(
     """Order-preserving map honoring ``process``/``distributed`` for
     picklable work.
 
-    Module-level callables over picklable payloads — e.g. the per-run
+    Module-level callables over picklable payloads — e.g. the per-cell
     mining tasks of :func:`~repro.models.ensemble.ensemble_curve` — run
     truly process-parallel under ``backend="process"`` and through the
     work queue under ``backend="distributed"``.  Work that cannot

@@ -19,15 +19,15 @@ planner removes that barrier:
    per-cell reducer, into the cell's reduction.
 
 A reduced sweep (``execute_sweep(..., reduce=...)``) finishes each cell
-where it runs: one task per uncached cell simulates the cell's misses,
-writes them through to the run cache and returns only
+where it runs: one task per uncached cell runs the cell's uncached
+items, writes each through to the run cache and returns only
 ``reduce(cell, runs, keys)``, where ``keys`` are the cell's run-cache
 keys; a fully cached cell is reduced in the caller right after its
 lookups.  All tasks still share the one fan-out, but
 no cell's runs outlive the cell, and workers send back reductions
 instead of runs.  The grid drivers reduce each cell to its averaged
 curve this way (:class:`repro.experiments.fig4.CellCurve`), caching
-each run's curve under its run key.
+the cell's per-run curves as one entry keyed by its run keys.
 
 Determinism: the planner draws seeds cell by cell, in cell order, from
 the root generator — exactly the draws a serial loop of per-cell
@@ -36,9 +36,10 @@ function of ``(model, spec, seed)`` and executors preserve order, a
 sweep is bit-identical to the per-cell path for a fixed master
 seed, on every backend (see DESIGN.md §5).
 
-The on-disk run cache is consulted per run, so a warm cell costs zero
-worker time and a sweep interrupted halfway resumes where it stopped —
-which is what bounds a crash to the cells in flight (DESIGN.md §9).
+The on-disk run cache is consulted per work item (a batched cell is
+one item and one entry), so a warm cell costs zero worker time and a
+sweep interrupted halfway resumes where it stopped — which is what
+bounds a crash to the cells in flight (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class SweepPlan:
             Carried on the plan so one grid can be re-executed on
             another engine without rebuilding the models, and so the
             cache keys of a sweep cover the engine its runs actually
-            used.  Under ``"batched"`` each cell's uncached runs
-            execute as one stacked pass (DESIGN.md §7); models without
+            used.  Under ``"batched"`` each uncached cell executes
+            as one stacked pass (DESIGN.md §7); models without
             batched support (CM-V) run on reference.
     """
 
@@ -365,13 +366,14 @@ def execute_sweep(
     cell's items go through one executor map in plan order, so many
     small cells saturate the worker pool that a per-cell loop would
     repeatedly drain.  When a cache is configured (explicitly, or via
-    ``runtime.cache_dir``), cached runs are served from disk and only
-    the misses are dispatched; fresh results are written back so later
-    sweeps — any backend, any grid slicing — reuse them.
+    ``runtime.cache_dir``), cached work items are served from disk,
+    each whole, and only the others are dispatched; fresh items are
+    written back so later sweeps — any backend, any process — reuse
+    them.
 
     With ``reduce``, each cell is finished where it runs
     (:func:`~repro.runtime.runner.dispatch_reduced`): one task per
-    uncached cell simulates its misses, writes them through to the
+    uncached cell runs its uncached items, writes them through to the
     cache and returns ``reduce(cell, runs, keys)``; a fully cached cell
     is reduced in the caller right after its lookups.  Every cell is
     still in the one fan-out, but the result holds each cell's

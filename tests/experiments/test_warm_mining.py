@@ -3,9 +3,11 @@
 With a ``cache_dir`` runtime, the first invocation of an experiment
 fills both stores (runs + mined curves); a repeat invocation must serve
 every run from the run cache and every mined curve — empirical and
-per-run model curves alike — from the curve cache, reaching no miner at
-all, and produce an identical result (DESIGN.md §6).  Model curves are
+model curves alike — from the curve cache, reaching no miner at all,
+and produce an identical result (DESIGN.md §6).  Model curves are
 found by their runs' run keys, so no run's plane is ever fingerprinted.
+A cell is one entry in each store, so a cold grid creates one run
+entry and one curve entry per cell, plus one curve per cuisine.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from repro.experiments.base import ExperimentContext
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.islands import run_islands
-from repro.runtime import RuntimeConfig, curve_cache
+from repro.runtime import CurveCache, RunCache, RuntimeConfig, curve_cache
+from repro.runtime import runner
 
 
 @pytest.fixture()
@@ -110,3 +113,60 @@ def test_cold_and_warm_agree_with_uncached(
     run_fig4(cached_context, region_codes=("ITA",))
     warm = run_fig4(cached_context, region_codes=("ITA",))
     assert warm.to_payload() == expected.to_payload()
+
+
+def _entries(directory) -> dict[str, int]:
+    """Every file in ``directory`` with its modification time."""
+    return {path.name: path.stat().st_mtime_ns for path in directory.iterdir()}
+
+
+def test_fig4_writes_one_entry_per_cell(
+    lexicon, small_corpus, tmp_path, monkeypatch
+):
+    """A cold 2-model x 2-cuisine fig4 writes 4 run entries and 4 + 2
+    curve entries on every backend; a warm rerun hits every entry,
+    writes nothing and neither simulates nor mines."""
+    models, regions = ("CM-R", "NM"), ("ITA", "KOR")
+
+    def fig4(cache_dir, backend="serial", jobs=1):
+        return run_fig4(
+            ExperimentContext(
+                lexicon=lexicon, dataset=small_corpus, scale=0.06, seed=5,
+                ensemble_runs=3,
+                runtime=RuntimeConfig(
+                    backend=backend, jobs=jobs, cache_dir=cache_dir
+                ),
+            ),
+            model_names=models, region_codes=regions,
+        )
+
+    serial_dir, process_dir = tmp_path / "serial", tmp_path / "process"
+    cold = fig4(serial_dir)
+    written = _entries(serial_dir)
+    names = sorted(written)
+    assert sum(name.endswith(".run.pkl") for name in names) == 4
+    assert sum(name.endswith(".curve.pkl") for name in names) == 4 + 2
+    assert len(names) == 10  # no temp or other file left behind
+    assert fig4(process_dir, "process", 2).to_payload() == cold.to_payload()
+    assert sorted(_entries(process_dir)) == names
+
+    found: list[tuple[str, bool]] = []
+    for store in (RunCache, CurveCache):
+        def spy(self, *args, _get=store.get, **kwargs):
+            payload = _get(self, *args, **kwargs)
+            found.append((type(self).__name__, payload is not None))
+            return payload
+
+        monkeypatch.setattr(store, "get", spy)
+
+    def _no_simulation(*_args, **_kwargs):
+        raise AssertionError("warm invocation must not simulate")
+
+    monkeypatch.setattr(runner, "execute_batch", _no_simulation)
+    _forbid_mining(monkeypatch)
+    warm = fig4(serial_dir)
+    assert warm.to_payload() == cold.to_payload()
+    assert _entries(serial_dir) == written
+    assert sorted(found) == (
+        [("CurveCache", True)] * 6 + [("RunCache", True)] * 4
+    )

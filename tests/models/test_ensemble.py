@@ -198,7 +198,8 @@ def test_warm_curve_cache_skips_mining_entirely(tmp_path, monkeypatch):
         runs, "CM-R", keys=keys, runtime=runtime, curve_cache=cache
     )
     assert np.array_equal(cold.frequencies, warm.frequencies)
-    assert cache.stats.hits == 3 and cache.stats.misses == 0
+    # The cell's three curves come back from its one entry.
+    assert cache.stats.hits == 1 and cache.stats.misses == 0
 
 
 def test_runs_without_keys_are_not_curve_cached(tmp_path):
@@ -222,7 +223,7 @@ def test_run_ensemble_curves_warm_from_its_run_keys(tmp_path, monkeypatch):
     cold = run_ensemble(
         CopyMutateRandom(), _spec(), n_runs=2, seed=3, runtime=runtime
     )
-    assert len(CurveCache(tmp_path)) == 2
+    assert len(CurveCache(tmp_path)) == 1  # one cell, one entry
     monkeypatch.setattr(
         "repro.models.ensemble.mine_frequencies",
         lambda *_args, **_kwargs: pytest.fail("warm ensemble mined"),
@@ -244,7 +245,7 @@ def test_curve_cache_invalidated_by_mining_config(tmp_path):
         runs, "CM-R", mining=MiningConfig(min_support=0.2), keys=keys,
         runtime=runtime, curve_cache=cache,
     )
-    assert cache.stats.hits == 0 and cache.stats.misses == 2
+    assert cache.stats.hits == 0 and cache.stats.misses == 1
 
 
 def test_curve_cache_invalidated_by_different_runs(tmp_path):
@@ -256,7 +257,7 @@ def test_curve_cache_invalidated_by_different_runs(tmp_path):
     ensemble_curve(
         runs_b, "CM-R", keys=keys_b, runtime=runtime, curve_cache=cache
     )
-    assert cache.stats.hits == 0 and cache.stats.misses == 2
+    assert cache.stats.hits == 0 and cache.stats.misses == 1
 
 
 def test_cached_curve_label_independent(tmp_path):
@@ -270,6 +271,6 @@ def test_cached_curve_label_independent(tmp_path):
     second = ensemble_curve(
         runs, "label-b", keys=keys, runtime=runtime, curve_cache=cache
     )
-    assert cache.stats.hits == 2
+    assert cache.stats.hits == 1
     assert second.label == "label-b"
     assert np.array_equal(first.frequencies, second.frequencies)

@@ -1,19 +1,17 @@
 """Batched-engine dispatch through the runtime (DESIGN.md §7).
 
 The cell is the unit of dispatch: the planner turns a cell whose
-engine resolves to ``"batched"`` into one :class:`BatchRequest`, the
-dispatcher shrinks it to its cache misses, and each batch executes as
-one stacked pass.  The contract tested here:
+engine resolves to ``"batched"`` into one :class:`BatchRequest`, which
+is one run-cache entry, and each batch executes as one stacked pass.
+The contract tested here:
 
 * a batch is exactly one cell — other engines and unbatchable models
-  plan plain per-run requests, a batch shrunk to one miss stays a
-  batch of one, and two cells never share a batch, even when built
-  from the same objects;
+  plan plain per-run requests, and two cells never share a batch, even
+  when built from the same objects;
 * results are bit-identical to solo (batch-of-one) execution on every
-  backend, regardless of how cache hits shrink a batch;
-* cached batched runs interoperate with per-run replay: each run is
-  individually cacheable and its transaction plane pickles back as an
-  equal plane;
+  backend;
+* a batch is cached as one entry, served whole or run whole, and its
+  transaction planes pickle back as equal planes;
 * :class:`~repro.transactions.TransactionPlane` honors the sequence
   protocol (len/index/slice/iterate/compare) both ways.
 """
@@ -39,7 +37,7 @@ from repro.runtime import (
     plan_cells,
 )
 from repro.runtime import runner
-from repro.runtime.runner import _plan_cell, _shrink
+from repro.runtime.runner import _plan_cell
 from repro.transactions import TransactionPlane
 
 
@@ -65,11 +63,10 @@ def test_plan_work_groups_same_cell_runs(tiny_spec):
     assert batch.seeds == (0, 1, 2, 3)
 
 
-def test_plan_work_shrinks_to_a_batch_of_one(tiny_spec):
-    """A batch shrunk to one miss stays a batch, equal to its solo run."""
+def test_batch_of_one_equals_its_solo_run(tiny_spec):
+    """A one-seed cell is still a batch, equal to its solo run."""
     model = create_model("CM-R")
-    (batch,) = _items(model, tiny_spec, range(3))
-    item = _shrink(batch, [1])
+    (item,) = _items(model, tiny_spec, [1])
     assert isinstance(item, BatchRequest)
     assert item.seeds == (1,)
     (run,) = runner.execute_batch(item)
@@ -77,15 +74,6 @@ def test_plan_work_shrinks_to_a_batch_of_one(tiny_spec):
         RunRequest(model=model, spec=tiny_spec, seed=1, engine="batched")
     )
     assert _signature([run]) == _signature([solo])
-
-
-def test_plan_work_groups_across_cache_hits(tiny_spec):
-    """A hit between two misses leaves one batch of the misses."""
-    model = create_model("CM-R")
-    (batch,) = _items(model, tiny_spec, range(3))
-    item = _shrink(batch, [0, 2])
-    assert isinstance(item, BatchRequest)
-    assert item.seeds == (0, 2)
 
 
 def test_plan_work_respects_cell_boundaries(tiny_spec):
@@ -173,20 +161,22 @@ def test_cm_v_dispatches_through_batched_request(tiny_spec):
 # ----------------------------------------------------------------------
 
 
-def test_batched_runs_cache_individually(tiny_spec, tmp_path):
+def test_batched_cell_caches_as_one_entry(tiny_spec, tmp_path):
     cache = RunCache(tmp_path)
     model = create_model("CM-R")
     seeds = spawn_seeds(ensure_rng(1), 5)
     first = execute_runs(
         model, tiny_spec, seeds, cache=cache, engine="batched"
     )
-    assert cache.stats.misses == 5 and cache.stats.stores == 5
+    assert cache.stats.misses == 1 and cache.stats.stores == 1
+    assert len(cache) == 1
 
-    # Warm replay serves every run individually, content-identical.
+    # Warm replay serves the whole batch from its one entry,
+    # content-identical.
     second = execute_runs(
         model, tiny_spec, seeds, cache=cache, engine="batched"
     )
-    assert cache.stats.hits == 5
+    assert cache.stats.hits == 1
     assert _signature(first) == _signature(second)
     # Planes round-trip through the cache as planes.
     assert all(
@@ -194,7 +184,9 @@ def test_batched_runs_cache_individually(tiny_spec, tmp_path):
     )
 
 
-def test_partial_warm_cache_splits_group_safely(tiny_spec, tmp_path):
+def test_partly_cached_batched_cell_runs_whole(tiny_spec, tmp_path):
+    """An entry serves only its own item: a batch holding two cached
+    seeds among others misses and runs whole."""
     cache = RunCache(tmp_path)
     model = create_model("CM-R")
     seeds = spawn_seeds(ensure_rng(1), 6)
@@ -205,11 +197,18 @@ def test_partial_warm_cache_splits_group_safely(tiny_spec, tmp_path):
     runs = execute_runs(
         model, tiny_spec, seeds, cache=cache, engine="batched"
     )
-    assert cache.stats.hits == 2
-    # Batch composition must not affect results: the split groups equal
-    # an uncached full-batch execution.
+    assert cache.stats.hits == 0 and cache.stats.stores == 2
+    # Batch composition must not affect results: the runs equal an
+    # uncached full-batch execution, and the small batch's runs equal
+    # their places in it.
     uncached = execute_runs(model, tiny_spec, seeds, engine="batched")
     assert _signature(runs) == _signature(uncached)
+    small = execute_runs(
+        model, tiny_spec, [seeds[1], seeds[4]], cache=cache,
+        engine="batched",
+    )
+    assert cache.stats.hits == 1
+    assert _signature(small) == _signature([uncached[1], uncached[4]])
 
 
 def test_batched_and_vectorized_keys_are_distinct(tiny_spec, tmp_path):
@@ -222,7 +221,7 @@ def test_batched_and_vectorized_keys_are_distinct(tiny_spec, tmp_path):
     with pytest.raises(ModelError, match="unknown engine"):
         execute_runs(model, tiny_spec, seeds, cache=cache, engine="vectorized")
     assert cache.stats.hits == 0
-    assert cache.stats.stores == 2
+    assert cache.stats.stores == 1
 
 
 # ----------------------------------------------------------------------

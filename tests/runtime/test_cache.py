@@ -19,6 +19,8 @@ from repro.runtime import (
     cache_corruptions,
     execute_runs,
     execute_sweep,
+    fingerprint_many,
+    item_key,
     plan_grid,
     run_fingerprint,
 )
@@ -29,14 +31,26 @@ def _signature(runs):
 
 
 def test_cold_cache_misses_then_stores(tiny_spec, tmp_path):
+    """A batched cell is one work item, so one lookup and one entry."""
     cache = RunCache(tmp_path)
     model = create_model("CM-R")
     seeds = spawn_seeds(ensure_rng(1), 4)
     execute_runs(model, tiny_spec, seeds, cache=cache)
-    assert cache.stats.misses == 4
+    assert cache.stats.misses == 1
     assert cache.stats.hits == 0
-    assert cache.stats.stores == 4
-    assert len(cache) == 4
+    assert cache.stats.stores == 1
+    assert len(cache) == 1
+    keys = fingerprint_many(model, tiny_spec, seeds)
+    assert cache.path_for(item_key(keys)).exists()
+
+
+def test_reference_cell_stores_one_entry_per_run(tiny_spec, tmp_path):
+    """A reference cell is one work item per seed, each its own entry."""
+    cache = RunCache(tmp_path)
+    model = create_model("CM-R", engine="reference")
+    seeds = spawn_seeds(ensure_rng(1), 4)
+    execute_runs(model, tiny_spec, seeds, cache=cache)
+    assert (cache.stats.misses, cache.stats.stores, len(cache)) == (4, 4, 4)
 
 
 def test_warm_cache_serves_identical_runs(tiny_spec, tmp_path):
@@ -45,14 +59,15 @@ def test_warm_cache_serves_identical_runs(tiny_spec, tmp_path):
     seeds = spawn_seeds(ensure_rng(1), 4)
     first = execute_runs(model, tiny_spec, seeds, cache=cache)
     second = execute_runs(model, tiny_spec, seeds, cache=cache)
-    assert cache.stats.hits == 4
-    assert cache.stats.stores == 4  # nothing re-stored
+    assert cache.stats.hits == 1
+    assert cache.stats.stores == 1  # nothing re-stored
     assert _signature(first) == _signature(second)
 
 
 def test_partial_hit_executes_only_misses(tiny_spec, tmp_path):
+    """A multi-item (reference) cell is partly served, item by item."""
     cache = RunCache(tmp_path)
-    model = create_model("CM-R")
+    model = create_model("CM-R", engine="reference")
     seeds = spawn_seeds(ensure_rng(1), 4)
     execute_runs(model, tiny_spec, seeds[:2], cache=cache)
     runs = execute_runs(model, tiny_spec, seeds, cache=cache)
@@ -73,7 +88,7 @@ def test_cache_is_shared_across_backends(tiny_spec, tmp_path):
 
     cache = RunCache(tmp_path)
     served = execute_runs(model, tiny_spec, seeds, cache=cache)
-    assert cache.stats.hits == 4 and cache.stats.misses == 0
+    assert cache.stats.hits == 1 and cache.stats.misses == 0
     assert _signature(served) == _signature(populated)
 
 
@@ -244,7 +259,7 @@ def test_run_ensemble_uses_cache_dir_from_runtime(tiny_spec, tmp_path):
     model = create_model("CM-R")
     config = RuntimeConfig(cache_dir=tmp_path)
     first = run_ensemble(model, tiny_spec, n_runs=3, seed=2, runtime=config)
-    assert len(RunCache(tmp_path)) == 3
+    assert len(RunCache(tmp_path)) == 1
     second = run_ensemble(model, tiny_spec, n_runs=3, seed=2, runtime=config)
     assert _signature(first.runs) == _signature(second.runs)
 
@@ -258,7 +273,7 @@ def test_cache_rejects_file_path(tmp_path):
 
 def test_cache_clear(tiny_spec, tmp_path):
     cache = RunCache(tmp_path)
-    model = create_model("CM-R")
+    model = create_model("CM-R", engine="reference")
     execute_runs(model, tiny_spec, spawn_seeds(ensure_rng(1), 3), cache=cache)
     assert cache.clear() == 3
     assert len(cache) == 0
@@ -310,7 +325,7 @@ def test_cached_reference_runs_not_served_to_batched(tiny_spec, tmp_path):
         cache=cache,
     )
     assert cache.stats.hits == 0
-    assert cache.stats.stores == 6
+    assert cache.stats.stores == 4
 
 
 def test_cached_reference_runs_not_served_to_vectorized(tiny_spec, tmp_path):
@@ -339,7 +354,7 @@ def test_prune_older_than_removes_only_stale_entries(tiny_spec, tmp_path):
     import time
 
     cache = RunCache(tmp_path)
-    model = create_model("CM-R")
+    model = create_model("CM-R", engine="reference")
     seeds = spawn_seeds(ensure_rng(1), 4)
     execute_runs(model, tiny_spec, seeds, cache=cache)
     paths = sorted(tmp_path.glob("*.run.pkl"))
@@ -383,7 +398,7 @@ def test_bit_flip_in_array_data_is_a_recorded_miss(tiny_spec, tmp_path):
     model = create_model("CM-R")
     seed = spawn_seeds(ensure_rng(1), 1)[0]
     (run,) = execute_runs(model, tiny_spec, [seed], cache=cache)
-    key = run_fingerprint(model, tiny_spec, seed)
+    key = item_key([run_fingerprint(model, tiny_spec, seed)])
     path = cache.path_for(key)
     raw = bytearray(path.read_bytes())
     positions = _narrow(np.asarray(run.transactions.positions)).tobytes()
@@ -443,3 +458,128 @@ def test_run_cache_prune_removes_aged_orphan_tmp(tmp_path):
     assert orphan.exists()
     assert cache.prune_older_than(0.0) == 1
     assert not orphan.exists()
+
+
+def test_unpicklable_payload_is_a_cache_error_and_leaves_no_temp(tmp_path):
+    """Pickle raises a bare ``TypeError`` for a lock; ``put`` maps it to
+    :class:`RunCacheError` like any other write failure."""
+    import threading
+
+    cache = RunCache(tmp_path)
+    with pytest.raises(RunCacheError, match="pickle"):
+        cache.put("ab" * 32, [threading.Lock()])
+    assert list(tmp_path.iterdir()) == []
+    assert cache.stats.stores == 0
+
+
+def test_sweep_with_unpicklable_runs_still_returns_them(
+    tiny_spec, tmp_path, monkeypatch
+):
+    """A run that cannot be pickled fails its cache write, and the sweep
+    keeps the computed runs instead of raising."""
+    import dataclasses
+    import threading
+
+    from repro.runtime import runner
+
+    real = runner._execute_work
+
+    def with_lock(item):
+        return [
+            dataclasses.replace(run, history=threading.Lock())
+            for run in real(item)
+        ]
+
+    monkeypatch.setattr(runner, "_execute_work", with_lock)
+    plan = plan_grid([create_model("CM-R")], [tiny_spec], n_runs=3, seed=4)
+    result = execute_sweep(plan, runtime=RuntimeConfig(cache_dir=tmp_path))
+    assert result.executed == 3 and len(result.cells[0].runs) == 3
+    assert list(tmp_path.iterdir()) == []  # no entry, no temp
+    monkeypatch.undo()
+    assert _signature(result.cells[0].runs) == _signature(
+        execute_sweep(plan).cells[0].runs
+    )
+
+
+def _frame_parts(data: bytes) -> tuple[int, list[int]]:
+    """Offset of the first buffer and the buffer sizes of one frame."""
+    import struct
+
+    _magic, _version, count, meta_size, _digest = struct.unpack_from(
+        "<8sIIQ32s", data
+    )
+    sizes = list(struct.unpack_from(f"<{count}Q", data, 56))
+    return 56 + 8 * count + meta_size, sizes
+
+
+def _truncate_in_buffer(path, cache, key, runs):
+    data = path.read_bytes()
+    start, sizes = _frame_parts(data)
+    path.write_bytes(data[:start + sizes[0] // 2])
+
+
+def _flip_in_buffer(path, cache, key, runs):
+    data = bytearray(path.read_bytes())
+    start, sizes = _frame_parts(bytes(data))
+    data[start + sizes[0] // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _flip_in_size_table(path, cache, key, runs):
+    data = bytearray(path.read_bytes())
+    data[56] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _old_frame(path, cache, key, runs):
+    """An entry in the previous frame layout (one in-band pickle)."""
+    import hashlib
+    import pickle
+    import struct
+
+    blob = pickle.dumps(tuple(runs), protocol=pickle.HIGHEST_PROTOCOL)
+    path.write_bytes(struct.pack(
+        "<8sIQ32s", b"RPFRAME\x01", 6, len(blob), hashlib.sha256(blob).digest()
+    ) + blob)
+
+
+def _short_tuple(path, cache, key, runs):
+    cache.put(key, runs[:-1])
+
+
+@pytest.mark.parametrize(
+    ("damage", "kind"),
+    [
+        (_truncate_in_buffer, durable.TORN),
+        (_flip_in_buffer, durable.CHECKSUM_MISMATCH),
+        (_flip_in_size_table, durable.TORN),
+        (_old_frame, durable.FORMAT_VERSION),
+        (_short_tuple, durable.FORMAT_VERSION),
+    ],
+    ids=["truncated-buffer", "flipped-buffer", "flipped-size-table",
+         "old-frame", "short-tuple"],
+)
+def test_damaged_item_entry_is_one_recorded_miss_then_recomputed(
+    tiny_spec, tmp_path, damage, kind
+):
+    cache = RunCache(tmp_path)
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(3), 3)
+    clean = execute_runs(model, tiny_spec, seeds, cache=cache)
+    key = item_key(fingerprint_many(model, tiny_spec, seeds))
+    path = cache.path_for(key)
+    damage(path, cache, key, clean)
+
+    with pytest.warns(CacheCorruptionWarning):
+        recovered = execute_runs(model, tiny_spec, seeds, cache=cache)
+    (event,) = cache_corruptions()
+    assert (event.store, event.kind, event.action) == (
+        "RunCache", kind, "removed"
+    )
+    assert _signature(recovered) == _signature(clean)
+    # The recompute wrote a good entry back, which now serves whole.
+    hits = cache.stats.hits
+    assert _signature(
+        execute_runs(model, tiny_spec, seeds, cache=cache)
+    ) == _signature(clean)
+    assert cache.stats.hits == hits + 1

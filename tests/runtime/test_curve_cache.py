@@ -23,12 +23,13 @@ from repro.runtime import (
     CurveCache,
     RunCache,
     RuntimeConfig,
+    cache_corruptions,
+    cell_curve_key,
     curve_key,
     execute_runs,
     execute_sweep,
     fingerprint_many,
     plan_grid,
-    run_curve_key,
     transactions_fingerprint,
 )
 
@@ -48,15 +49,17 @@ def test_fingerprint_ignores_repeated_items():
 
 
 def test_curve_keys_are_pinned():
-    # Recorded before runs carried transaction planes: cached curves
-    # keyed then must still be found.
+    # The fingerprint was recorded before runs carried transaction
+    # planes; the key was recorded at CURVE_FORMAT_VERSION 3.  A change
+    # to either that is not a deliberate format bump loses every
+    # cached curve.
     pool = [{1, 2, 3}, {2, 5}, {7}, {3, 1}, set()]
     fingerprint = transactions_fingerprint(pool)
     assert fingerprint == (
         "963329927f268de11ad00d166f3092f63bcf9c8c62403352400c467b97356fc6"
     )
     assert curve_key(fingerprint, MINING) == (
-        "9dd7f7847cfa792c28df5be9d9918eb1915d79322dd422173eeea2496dc6029b"
+        "6930da1b74e6d379b6717ecaddd865a544128b2519bcaf70b695a0277f617076"
     )
 
 
@@ -154,16 +157,25 @@ def test_bare_pickle_store_is_unusable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Model curves: keyed by run key, never by plane content
+# Model curves: one entry per cell, keyed by run keys, never by content
 # ---------------------------------------------------------------------------
 
 
-def test_run_curve_key_never_aliases_a_content_key():
-    # Same hex string, same config: a run key and a content fingerprint
-    # land under different fields, so the two schemes cannot collide.
+def test_cell_curve_key_never_aliases_a_content_key():
+    # Same hex string, same config: a cell of one run key and a content
+    # fingerprint land under different fields, so the two schemes
+    # cannot collide.
     digest = "d" * 64
-    assert run_curve_key(digest, MINING) != curve_key(digest, MINING)
-    assert run_curve_key(digest, MINING) == run_curve_key(digest, MINING)
+    assert cell_curve_key([digest], MINING) != curve_key(digest, MINING)
+    assert cell_curve_key([digest], MINING) == cell_curve_key([digest], MINING)
+    # The key covers the cell's runs in order.
+    other = "e" * 64
+    assert cell_curve_key([digest, other], MINING) != cell_curve_key(
+        [other, digest], MINING
+    )
+    assert cell_curve_key([digest, other], MINING) != cell_curve_key(
+        [digest], MINING
+    )
 
 
 def _bump_stream_version(monkeypatch):
@@ -172,7 +184,7 @@ def _bump_stream_version(monkeypatch):
 
 
 #: One change to each input of a model curve's key, as keyword overrides
-#: of ``_model_curve_keys`` (built lazily: the stream version needs a
+#: of ``_model_curve_key`` (built lazily: the stream version needs a
 #: patch in place while the keys are computed).
 KEY_CHANGES = {
     "model parameter": lambda _patch: {
@@ -191,19 +203,19 @@ KEY_CHANGES = {
 }
 
 
-def _model_curve_keys(
+def _model_curve_key(
     spec, model=None, seed=3, spec_change=None, engine=None,
     mining=MINING, level="ingredient", kind="frequencies",
 ):
-    """The curve keys of two CM-R runs, from their run keys alone."""
+    """The curve key of a cell of two CM-R runs, from its run keys alone."""
     model = model or create_model("CM-R")
     if spec_change:
         spec = dataclasses.replace(spec, **spec_change)
     seeds = spawn_seeds(ensure_rng(seed), 2)
-    return [
-        run_curve_key(key, mining, level=level, kind=kind)
-        for key in fingerprint_many(model, spec, seeds, engine=engine)
-    ]
+    return cell_curve_key(
+        fingerprint_many(model, spec, seeds, engine=engine), mining,
+        level=level, kind=kind,
+    )
 
 
 @pytest.mark.parametrize("change", sorted(KEY_CHANGES))
@@ -218,13 +230,13 @@ def test_model_curve_misses_when_any_key_input_changes(
         runs, "CM-R", mining=MINING,
         keys=fingerprint_many(model, tiny_spec, seeds), curve_cache=cache,
     )
-    warm = _model_curve_keys(tiny_spec)
-    assert all(cache.get(key) is not None for key in warm)
-    changed = _model_curve_keys(
+    warm = _model_curve_key(tiny_spec)
+    assert cache.get(warm) is not None
+    changed = _model_curve_key(
         tiny_spec, **KEY_CHANGES[change](monkeypatch)
     )
-    assert set(changed).isdisjoint(warm)
-    assert all(cache.get(key) is None for key in changed)
+    assert changed != warm
+    assert cache.get(changed) is None
 
 
 def test_process_sweep_curves_hit_on_a_serial_rerun(
@@ -240,12 +252,13 @@ def test_process_sweep_curves_hit_on_a_serial_rerun(
         runtime=RuntimeConfig(backend="process", jobs=2, cache_dir=tmp_path),
         reduce=reducer,
     )
-    # Every run's curve sits under its run key, whoever mined it.
+    # Every cell's curves sit in one entry under its run keys, whoever
+    # mined them.
     cache = CurveCache(tmp_path)
-    assert len(cache) == plan.total_runs
+    assert len(cache) == plan.n_cells
     for cell in plan.cells:
-        for key in fingerprint_many(cell.model, cell.spec, cell.seeds):
-            assert cache.get(run_curve_key(key, MINING)) is not None
+        keys = fingerprint_many(cell.model, cell.spec, cell.seeds)
+        assert cache.get(cell_curve_key(keys, MINING)) is not None
 
     def _explode(*_args, **_kwargs):
         raise AssertionError("a serial rerun must not mine")
@@ -258,6 +271,30 @@ def test_process_sweep_curves_hit_on_a_serial_rerun(
         assert np.array_equal(
             first.reduction.frequencies, second.reduction.frequencies
         )
+
+
+def test_cell_entry_of_the_wrong_shape_is_one_recorded_miss(tiny_spec, tmp_path):
+    """A cell entry holding fewer curves than the cell has runs is
+    evicted as a ``format-version`` corruption and the cell re-mined,
+    bit-identically."""
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(3), 3)
+    runs = execute_runs(model, tiny_spec, seeds)
+    keys = fingerprint_many(model, tiny_spec, seeds)
+    cache = CurveCache(tmp_path)
+    clean = ensemble_curve(
+        runs, "CM-R", mining=MINING, keys=keys, curve_cache=cache
+    )
+    key = cell_curve_key(keys, MINING)
+    cache.put(key, cache.get(key)[:-1])
+    with pytest.warns(CacheCorruptionWarning):
+        again = ensemble_curve(
+            runs, "CM-R", mining=MINING, keys=keys, curve_cache=cache
+        )
+    (event,) = cache_corruptions()
+    assert (event.store, event.kind) == ("CurveCache", "format-version")
+    assert np.array_equal(clean.frequencies, again.frequencies)
+    assert len(cache.get(key)) == len(runs)  # the re-mined cell's entry
 
 
 def _recategorized(spec, categories):
@@ -288,13 +325,13 @@ def test_category_curves_follow_the_spec_that_keys_them(tiny_spec, tmp_path):
         keys=fingerprint_many(model, one, seeds), spec=one,
         curve_cache=cache,
     )
-    assert cache.stats.misses == 3
+    assert cache.stats.misses == 1
     curve = ensemble_curve(
         runs, "CM-R", level="category",
         keys=fingerprint_many(model, four, seeds), spec=four,
         curve_cache=cache,
     )
-    assert cache.stats.hits == 0 and cache.stats.misses == 6
+    assert cache.stats.hits == 0 and cache.stats.misses == 2
 
     # The curve is the four-category one, mined from the spec's mapping.
     category_of = dict(zip(four.ingredient_ids, four.categories))

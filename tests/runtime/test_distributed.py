@@ -166,16 +166,16 @@ def test_workers_write_runs_into_shared_cache(tiny_spec, tmp_path):
         distributed=fast_distributed(),
     )
     first = execute_runs(model, tiny_spec, seeds, runtime=config)
-    # The workers themselves wrote every run into the cache directory —
-    # the result rendezvous: a resumed (or serial) invocation is served
-    # entirely from disk.
-    assert len(RunCache(tmp_path)) == len(seeds)
+    # The workers themselves wrote the batched cell, as its one entry,
+    # into the cache directory — the result rendezvous: a resumed (or
+    # serial) invocation is served entirely from disk.
+    assert len(RunCache(tmp_path)) == 1
     cache = RunCache(tmp_path)
     serial = execute_runs(
         model, tiny_spec, seeds,
         runtime=RuntimeConfig(cache_dir=tmp_path), cache=cache,
     )
-    assert cache.stats.hits == len(seeds)
+    assert cache.stats.hits == 1
     assert cache.stats.misses == 0
     assert _run_signature(serial) == _run_signature(first)
 

@@ -157,12 +157,13 @@ class Case:
 
 def _prepare_run(directory: Path) -> Path:
     cache = RunCache(directory)
-    cache.put(KEY, OLD)
+    cache.put(KEY, (OLD,))
     return cache.path_for(KEY)
 
 
 def _read_run(directory: Path) -> None:
-    assert _same(RunCache(directory).get(KEY), OLD)
+    (payload,) = RunCache(directory).get(KEY, 1)
+    assert _same(payload, OLD)
 
 
 def _read_curve(directory: Path) -> None:
@@ -223,7 +224,7 @@ def _cases(tiny_dataset) -> dict[str, Case]:
         "run-cache": Case(
             windows=("before-rename",),
             prepare=_prepare_run,
-            write=lambda d: RunCache(d).put(KEY, NEW),
+            write=lambda d: RunCache(d).put(KEY, (NEW,)),
             read=_read_run,
             orphans=lambda d: RunCache(d).orphan_tmp_paths(),
             sweep=lambda d: RunCache(d).clear(),
@@ -346,3 +347,81 @@ def test_failed_write_unlinks_its_temp(tmp_path):
             handle.write(b"partial")
             raise RuntimeError("disk full")
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# The frame layout: header, size table, metadata, out-of-band buffers
+# ---------------------------------------------------------------------------
+
+
+def _framed(tmp_path: Path, payload: object, version: int = 3) -> Path:
+    path = tmp_path / "entry"
+    with durable.atomic_write(path, durable=False) as handle:
+        durable.dump_framed(handle, payload, version)
+    return path
+
+
+def _root(array: np.ndarray) -> object:
+    """The object at the end of an array's ``base`` chain."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, memoryview):
+        base = base.obj
+    return base
+
+
+def test_frame_reads_each_buffer_into_its_own_bytearray(tmp_path):
+    payload = {"a": np.arange(1000), "b": np.linspace(0.0, 1.0, 77), "c": "x"}
+    loaded = durable.load_framed(_framed(tmp_path, payload), 3)
+    assert loaded["c"] == "x"
+    for name in ("a", "b"):
+        assert np.array_equal(loaded[name], payload[name])
+        assert loaded[name].dtype == payload[name].dtype
+    # Each array uses the buffer it was read into, not a copy.
+    roots = [_root(loaded[name]) for name in ("a", "b")]
+    assert all(isinstance(root, bytearray) for root in roots)
+    assert roots[0] is not roots[1]
+
+
+def test_frame_array_data_is_stored_raw(tmp_path):
+    data = np.arange(5000, dtype=np.int64)
+    raw = _framed(tmp_path, (data,)).read_bytes()
+    assert raw.endswith(data.tobytes())
+
+
+def test_frame_of_another_layout_or_version_is_format_version(tmp_path):
+    path = _framed(tmp_path, [1, 2])
+    with pytest.raises(durable.CorruptFileError) as caught:
+        durable.load_framed(path, 4)
+    assert caught.value.kind == durable.FORMAT_VERSION
+    raw = bytearray(path.read_bytes())
+    raw[7] = 1  # the previous frame layout's magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(durable.CorruptFileError) as caught:
+        durable.load_framed(path, 3)
+    assert caught.value.kind == durable.FORMAT_VERSION
+
+
+@pytest.mark.parametrize("offset", [12, 16, 56], ids=["count", "meta", "table"])
+def test_frame_sizes_past_the_file_are_torn_before_allocating(
+    tmp_path, offset
+):
+    """A damaged buffer count, metadata length or size entry declaring
+    far more bytes than the file holds is torn, and nothing of that
+    size is allocated."""
+    path = _framed(tmp_path, (np.arange(100),))
+    raw = bytearray(path.read_bytes())
+    raw[offset + 5] ^= 0x40  # adds 2**46 to a little-endian length
+    path.write_bytes(bytes(raw))
+    with pytest.raises(durable.CorruptFileError) as caught:
+        durable.load_framed(path, 3)
+    assert caught.value.kind == durable.TORN
+
+
+def test_frame_with_trailing_bytes_is_torn(tmp_path):
+    path = _framed(tmp_path, (np.arange(100),))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(durable.CorruptFileError) as caught:
+        durable.load_framed(path, 3)
+    assert caught.value.kind == durable.TORN

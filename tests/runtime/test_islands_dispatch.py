@@ -2,9 +2,9 @@
 
 The §10 dispatch contract: member runs are pure functions of
 ``(simulation, member, seed)``, so every backend produces bit-identical
-results, cache hits may shrink an archipelago item without changing
-any run, and the members of one master seed dispatch as a single
-archipelago execution.
+results, the members of one master seed dispatch as a single
+archipelago execution, and that execution is one run-cache entry,
+served whole or run whole.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from repro.models.params import CuisineSpec
 from repro.runtime import (
     ArchipelagoRequest,
     RunCache,
-    RunRequest,
     RuntimeConfig,
     fingerprint_many,
+    item_key,
 )
 from repro.runtime import runner
-from repro.runtime.runner import _shrink
 
 _CATEGORIES = (Category.VEGETABLE, Category.SPICE, Category.DAIRY)
 
@@ -95,28 +94,6 @@ def test_plan_work_folds_members_into_archipelagos(monkeypatch):
         assert item.seed == seed
 
 
-def _archipelago(simulation, seed):
-    return ArchipelagoRequest(
-        simulation=simulation, members=(0, 1, 2), seed=seed
-    )
-
-
-def test_plan_work_folds_across_cache_gaps():
-    """A cache hit in the middle of an archipelago shrinks it to the
-    remaining members, still one execution."""
-    item = _shrink(_archipelago(_simulation(), 7), [0, 2])  # 1 is cached
-    assert isinstance(item, ArchipelagoRequest)
-    assert item.members == (0, 2)
-
-
-def test_plan_work_keeps_lone_member_single():
-    item = _shrink(_archipelago(_simulation(), 7), [1])
-    assert isinstance(item, RunRequest)
-    assert item.model.member_index == 1
-    assert item.spec == item.model.spec
-    assert item.seed == 7
-
-
 def test_grouped_equals_ungrouped_member_runs():
     simulation = _simulation()
     members = simulation.members()
@@ -162,7 +139,8 @@ def test_ensemble_caches_member_runs(tmp_path):
 
 def test_ensemble_reports_the_member_keys_it_cached_under(tmp_path):
     """The keys an island ensemble hands on (they key the runs' mined
-    curves) are the run-cache keys of its member runs."""
+    curves) are the run-cache keys of its member runs; each
+    archipelago is cached as one entry under its members' keys."""
     simulation = _simulation()
     result = run_island_ensemble(
         simulation, 2, seed=77, runtime=RuntimeConfig(cache_dir=tmp_path)
@@ -171,24 +149,40 @@ def test_ensemble_reports_the_member_keys_it_cached_under(tmp_path):
     for member, code in zip(simulation.members(), result.codes):
         keys = fingerprint_many(member, member.spec, result.seeds)
         assert result.keys[code] == tuple(keys)
-        assert all(cache.get(key) is not None for key in keys)
+    assert len(cache) == 2
+    for position in range(2):
+        members = [result.keys[code][position] for code in result.codes]
+        assert cache.get(item_key(members), len(members)) is not None
     assert run_island_ensemble(simulation, 1, seed=77).keys is None
 
 
 def test_partial_cache_hits_never_change_results(tmp_path):
-    """Warming a single member's cache splits its archipelago group on
-    the next ensemble; results must stay bit-identical anyway."""
+    """A cache warmed by a shorter ensemble serves its archipelagos
+    whole, and the rest run; results stay bit-identical either way."""
     simulation = _simulation()
-    cold = run_island_ensemble(simulation, 2, seed=77)
+    cold = run_island_ensemble(simulation, 3, seed=77)
     cache = RunCache(tmp_path)
-    member = simulation.member(1)
-    warm_seed = cold.seeds[0]
-    key = fingerprint_many(member, member.spec, [warm_seed], False, None)[0]
-    cache.put(key, member.run(member.spec, seed=warm_seed))
-    warmed = run_island_ensemble(
+    run_island_ensemble(
         simulation, 2, seed=77, runtime=RuntimeConfig(), cache=cache
     )
-    assert warmed.executed == 2 * 3 - 1
+    warmed = run_island_ensemble(
+        simulation, 3, seed=77, runtime=RuntimeConfig(), cache=cache
+    )
+    assert warmed.executed == 3  # the third archipelago's members
+    assert _ensemble_payload(cold) == _ensemble_payload(warmed)
+
+
+def test_solo_member_runs_never_serve_an_archipelago(tmp_path):
+    """A member run cached on its own is its own entry: the archipelago
+    that holds it still misses and runs whole, bit-identically."""
+    simulation = _simulation()
+    cold = run_island_ensemble(simulation, 2, seed=77)
+    config = RuntimeConfig(cache_dir=tmp_path)
+    member = simulation.member(1)
+    solo = runner.execute_runs(member, member.spec, [cold.seeds[0]], config)
+    assert _payload(solo[0]) == _payload(cold.runs["B"][0])
+    warmed = run_island_ensemble(simulation, 2, seed=77, runtime=config)
+    assert warmed.executed == 2 * 3
     assert _ensemble_payload(cold) == _ensemble_payload(warmed)
 
 

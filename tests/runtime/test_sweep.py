@@ -32,6 +32,7 @@ from repro.runtime import (
     execute_runs,
     execute_sweep,
     fingerprint_many,
+    item_key,
     plan_cells,
     plan_grid,
     select_regions,
@@ -322,15 +323,15 @@ def test_reduced_sweep_equals_sweep_then_ensemble_curves(
     _assert_curves(cold, expected)
     assert (cold.executed, cold.cached) == (plan.total_runs, 0)
     plain_names = sorted(path.name for path in plain_dir.glob("*.run.pkl"))
-    assert len(plain_names) == plan.total_runs
+    assert len(plain_names) == plan.n_cells  # one entry per batched cell
     assert sorted(
         path.name for path in reduced_dir.glob("*.run.pkl")
     ) == plain_names
     plain_cache, reduced_cache = RunCache(plain_dir), RunCache(reduced_dir)
     for name in plain_names:
         key = name[: -len(".run.pkl")]
-        assert _signature([reduced_cache.get(key)]) == _signature(
-            [plain_cache.get(key)]
+        assert _signature(reduced_cache.get(key)) == _signature(
+            plain_cache.get(key)
         )
 
     # Warm: served and reduced in the caller; nothing simulates or mines.
@@ -341,21 +342,56 @@ def test_reduced_sweep_equals_sweep_then_ensemble_curves(
     _assert_curves(warm, expected)
     assert (warm.executed, warm.cached) == (0, plan.total_runs)
 
-    # Partly cached: half of each cell's runs cached, no curves cached.
+    # Partly cached: every other cell's entry gone, no curves cached.
     partial_dir = tmp_path / "partial"
     execute_sweep(plan, cache=RunCache(partial_dir))
-    for cell in plan.cells:
+    for cell in plan.cells[::2]:
         keys = fingerprint_many(cell.model, cell.spec, cell.seeds)
-        for key in keys[::2]:
-            RunCache(partial_dir).path_for(key).unlink()
+        RunCache(partial_dir).path_for(item_key(keys)).unlink()
     assert not list(partial_dir.glob("*.curve.pkl"))
     partial = execute_sweep(
         plan, runtime=_runtime(backend, partial_dir),
         reduce=CellCurve(mining=mining, cache_dir=str(partial_dir)),
     )
     _assert_curves(partial, expected)
-    assert [cell_runs.cached for cell_runs in partial.cells] == [2] * 4
-    assert len(RunCache(partial_dir)) == plan.total_runs
+    assert [cell_runs.cached for cell_runs in partial.cells] == [0, 4, 0, 4]
+    assert len(RunCache(partial_dir)) == plan.n_cells
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_reduced_sweep_serves_a_reference_cell_item_by_item(
+    backend, tiny_spec, tmp_path
+):
+    """A reference cell is one item per run: with half its entries
+    cached, its task runs the other half and reduces the whole cell to
+    the curve of a plain sweep, bit for bit."""
+    plan = plan_grid(
+        [create_model("CM-R"), create_model("NM")], [tiny_spec],
+        n_runs=4, seed=31, engine="reference",
+    )
+    mining = MiningConfig()
+    expected = ensemble_curves(
+        [
+            (cell_runs.runs, cell_runs.model_name)
+            for cell_runs in execute_sweep(plan).cells
+        ],
+        mining=mining,
+    )
+    execute_sweep(plan, cache=RunCache(tmp_path))
+    assert len(RunCache(tmp_path)) == plan.total_runs
+    for cell in plan.cells:
+        keys = fingerprint_many(
+            cell.model, cell.spec, cell.seeds, engine="reference"
+        )
+        for key in keys[::2]:
+            RunCache(tmp_path).path_for(item_key([key])).unlink()
+    partial = execute_sweep(
+        plan, runtime=_runtime(backend, tmp_path),
+        reduce=CellCurve(mining=mining, cache_dir=str(tmp_path)),
+    )
+    _assert_curves(partial, expected)
+    assert [cell_runs.cached for cell_runs in partial.cells] == [2, 2]
+    assert len(RunCache(tmp_path)) == plan.total_runs
 
 
 class _OneCellAlive:
@@ -388,9 +424,9 @@ def test_serial_reduced_sweep_holds_one_cell_of_runs(
     runtime = RuntimeConfig(cache_dir=tmp_path)
     get = RunCache.get
 
-    def checked_get(self, key):
+    def checked_get(self, key, n_runs=None):
         reducer.assert_earlier_dead()
-        return get(self, key)
+        return get(self, key, n_runs)
 
     monkeypatch.setattr(RunCache, "get", checked_get)
     for expected_cached in (0, plan.total_runs):

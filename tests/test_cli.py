@@ -109,7 +109,8 @@ def test_sweep_cache_warm_second_pass(tmp_path, capsys):
     ]
     assert main(argv) == 0
     cold = capsys.readouterr().out
-    assert f"cache {tmp_path}: 2 runs, 0 curves" in cold
+    # The batched cell is one run entry.
+    assert f"cache {tmp_path}: 1 run entries, 0 curve entries" in cold
 
     assert main(argv) == 0
     warm = capsys.readouterr().out
@@ -124,7 +125,7 @@ def test_sweep_cache_warm_second_pass(tmp_path, capsys):
 def test_sweep_mine_prewarms_experiment_zero_mining(
     tmp_path, capsys, monkeypatch
 ):
-    # `repro sweep --mine` warms both curve kinds (per-run model curves
+    # `repro sweep --mine` warms both curve kinds (per-cell model curves
     # and empirical curves), so a matching `repro experiment fig4`
     # afterwards must reach no miner at all (DESIGN.md §6).
     common = [
@@ -186,11 +187,11 @@ def test_cache_stats_and_clear_roundtrip(tmp_path, capsys):
 
     assert main(["cache", "stats", str(cache_dir)]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"entries\s*\|\s*2\b", out)
+    assert re.search(r"runs\s*\|\s*entries\s*\|\s*1\b", out)  # one cell
     assert "total size" in out
 
     assert main(["cache", "clear", str(cache_dir)]) == 0
-    assert "removed 2 cached runs" in capsys.readouterr().out
+    assert "removed 1 run entries" in capsys.readouterr().out
 
     assert main(["cache", "stats", str(cache_dir)]) == 0
     assert re.search(r"entries\s*\|\s*0\b", capsys.readouterr().out)
@@ -216,7 +217,7 @@ def test_cache_commands_cover_runs_curves_and_debris(tmp_path, capsys):
 
     assert main(["cache", "clear", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "removed 1 cached runs and 1 mined curves" in out
+    assert "removed 1 run entries and 1 curve entries" in out
     assert "removed 1 orphan temp files" in out
     assert list(tmp_path.iterdir()) == []
 
@@ -268,9 +269,10 @@ def test_engine_flag_changes_runs_but_not_structure(tmp_path, capsys):
             "--cache-dir", str(cache_dir),
         ]) == 0
     capsys.readouterr()
-    # 2 runs x 2 engines: different keys, so 4 entries, no sharing.
+    # Different keys, no sharing: two reference runs are two entries,
+    # the batched cell one more.
     assert main(["cache", "stats", str(cache_dir)]) == 0
-    assert "4" in capsys.readouterr().out
+    assert re.search(r"runs\s*\|\s*entries\s*\|\s*3\b", capsys.readouterr().out)
 
 
 def test_engine_flag_rejects_unknown():
@@ -304,11 +306,12 @@ def test_cache_prune_roundtrip(tmp_path, capsys):
     cache_dir = tmp_path / "runs"
     assert main([
         "sweep", "--regions", "KOR", "--models", "NM", "--runs", "2",
-        "--scale", "0.02", "--cache-dir", str(cache_dir),
+        "--scale", "0.02", "--engine", "reference",
+        "--cache-dir", str(cache_dir),
     ]) == 0
     capsys.readouterr()
     entries = sorted(cache_dir.glob("*.run.pkl"))
-    assert len(entries) == 2
+    assert len(entries) == 2  # one per reference run
     stale = time.time() - 30 * 86400
     os.utime(entries[0], (stale, stale))
 
@@ -316,7 +319,7 @@ def test_cache_prune_roundtrip(tmp_path, capsys):
         "cache", "prune", str(cache_dir), "--max-age-days", "7",
     ]) == 0
     out = capsys.readouterr().out
-    assert "pruned 1 cached runs" in out and "(1 kept)" in out
+    assert "pruned 1 run entries" in out and "(1 kept)" in out
     assert len(list(cache_dir.glob("*.run.pkl"))) == 1
 
 
