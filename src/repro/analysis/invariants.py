@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.analysis.itemsets import (
     MiningResult,
     category_transactions,
@@ -23,6 +25,7 @@ from repro.config import DEFAULT_MINING, MiningConfig
 from repro.corpus.dataset import RecipeDataset
 from repro.errors import AnalysisError, RunCacheError
 from repro.lexicon.lexicon import Lexicon
+from repro.runtime import events
 from repro.runtime.curve_cache import (
     CurveCache,
     curve_key,
@@ -69,8 +72,9 @@ def _mine_cached(
     )
     try:
         curve_cache.put(key, result)
-    except RunCacheError:
-        pass  # the cache is an optimization; never fail the analysis
+    except RunCacheError as exc:
+        # The cache is an optimization; never fail the analysis.
+        events.record(events.CacheWriteFailure.of(curve_cache, key, exc))
     return result
 
 
@@ -103,7 +107,7 @@ def _transactions_for(
     region_code: str,
     lexicon: Lexicon,
     level: str,
-) -> list[frozenset[int]]:
+) -> TransactionPlane:
     view = dataset.cuisine(region_code)
     if level == "ingredient":
         return ingredient_transactions(view)
@@ -172,9 +176,15 @@ def analyze_invariants(
         results[code] = result
 
     # Aggregate inset: all recipes pooled into one transaction set.
-    pooled: list[frozenset[int]] = []
+    lengths, items = [], []
     for code in codes:
-        pooled.extend(_transactions_for(dataset, code, lexicon, level))
+        plane = _transactions_for(dataset, code, lexicon, level)
+        row_lengths, positions = plane.csr()
+        lengths.append(row_lengths)
+        items.append(plane.ids[positions])
+    pooled = TransactionPlane.from_csr(
+        np.concatenate(lengths), np.concatenate(items)
+    )
     pooled_result = _mine_cached(pooled, mining, level, curve_cache)
     aggregate = curve_from_mining(pooled_result, "ALL")
 

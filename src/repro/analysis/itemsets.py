@@ -443,23 +443,29 @@ def mine_frequent_itemsets(
 # ---------------------------------------------------------------------------
 
 
-def ingredient_transactions(view: CuisineView) -> list[frozenset[int]]:
-    """Recipes of a cuisine as ingredient-id transactions."""
-    return view.as_id_sets()
+def ingredient_transactions(view: CuisineView) -> TransactionPlane:
+    """Recipes of a cuisine as ingredient-id transactions (its plane)."""
+    return view.transaction_plane()
 
 
 def category_transactions(
     view: CuisineView, lexicon: Lexicon
-) -> list[frozenset[int]]:
-    """Recipes as category-index transactions (Sec. IV category level)."""
-    id_to_category = lexicon.id_to_category_array()
-    return [
-        frozenset(
-            CATEGORY_INDEX[id_to_category[ingredient_id]]
-            for ingredient_id in recipe.ingredient_ids
-        )
-        for recipe in view
-    ]
+) -> TransactionPlane:
+    """Recipes as category-index transactions (Sec. IV category level).
+
+    The cuisine's ingredient plane remapped through one lookup array;
+    the id table is the category indexes that occur, ascending.
+    """
+    plane = view.transaction_plane()
+    category_of = lexicon.id_to_category_array()
+    indexes = np.array(
+        [CATEGORY_INDEX[category_of[i]] for i in plane.ids.tolist()],
+        dtype=np.int64,
+    )
+    present = np.flatnonzero(
+        np.bincount(indexes, minlength=len(CATEGORY_INDEX))
+    )
+    return plane.remap(np.searchsorted(present, indexes), present)
 
 
 def category_from_index(index: int) -> Category:

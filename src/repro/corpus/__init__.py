@@ -6,65 +6,22 @@ views, JSONL/CSV persistence, descriptive statistics and the raw-to-
 standardized compilation pipeline.
 """
 
-from repro.corpus.builder import (
-    CompilationReport,
-    CompilationResult,
-    compile_corpus,
-)
-from repro.corpus.dataset import CuisineView, RecipeDataset
-from repro.corpus.io import (
-    load_csv,
-    load_jsonl,
-    load_raw_jsonl,
-    save_csv,
-    save_jsonl,
-    save_raw_jsonl,
-)
-from repro.corpus.merge import merge_datasets, reassign_ids, subsample_dataset
-from repro.corpus.recipe import RawRecipe, Recipe
-from repro.corpus.regions import (
-    ALL_REGION_CODES,
-    REGIONS,
-    Region,
-    get_region,
-    iter_regions,
-)
-from repro.corpus.sources import (
-    SOURCES,
-    RecipeSource,
-    source_weights,
-    total_source_recipes,
-)
-from repro.corpus.stats import CorpusStats, CuisineStats, corpus_stats, cuisine_stats
+from repro import _lazy_exports
 
-__all__ = [
-    "CompilationReport",
-    "CompilationResult",
-    "compile_corpus",
-    "CuisineView",
-    "RecipeDataset",
-    "load_csv",
-    "load_jsonl",
-    "load_raw_jsonl",
-    "save_csv",
-    "save_jsonl",
-    "save_raw_jsonl",
-    "merge_datasets",
-    "reassign_ids",
-    "subsample_dataset",
-    "RawRecipe",
-    "Recipe",
-    "ALL_REGION_CODES",
-    "REGIONS",
-    "Region",
-    "get_region",
-    "iter_regions",
-    "SOURCES",
-    "RecipeSource",
-    "source_weights",
-    "total_source_recipes",
-    "CorpusStats",
-    "CuisineStats",
-    "corpus_stats",
-    "cuisine_stats",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "builder": ("CompilationReport", "CompilationResult", "compile_corpus"),
+    "dataset": ("CuisineView", "RecipeDataset"),
+    "io": (
+        "load_csv",
+        "load_jsonl",
+        "load_raw_jsonl",
+        "save_csv",
+        "save_jsonl",
+        "save_raw_jsonl",
+    ),
+    "merge": ("merge_datasets", "reassign_ids", "subsample_dataset"),
+    "recipe": ("RawRecipe", "Recipe"),
+    "regions": ("ALL_REGION_CODES", "REGIONS", "Region", "get_region", "iter_regions"),
+    "sources": ("SOURCES", "RecipeSource", "source_weights", "total_source_recipes"),
+    "stats": ("CorpusStats", "CuisineStats", "corpus_stats", "cuisine_stats"),
+})

@@ -1,42 +1,20 @@
 """Experiment drivers regenerating every table and figure of the paper."""
 
-from repro.experiments.ablations import (
-    AblationResult,
-    run_ablation_m,
-    run_ablation_metric,
-    run_ablation_minsup,
-    run_ablation_mutations,
-)
-from repro.experiments.base import ExperimentContext
-from repro.experiments.fig1 import Fig1Result, run_fig1
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import Fig3Result, run_fig3
-from repro.experiments.fig4 import Fig4Result, run_fig4
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    available_experiments,
-    run_experiment,
-)
-from repro.experiments.table1 import Table1Result, run_table1
+from repro import _lazy_exports
 
-__all__ = [
-    "AblationResult",
-    "run_ablation_m",
-    "run_ablation_metric",
-    "run_ablation_minsup",
-    "run_ablation_mutations",
-    "ExperimentContext",
-    "Fig1Result",
-    "run_fig1",
-    "Fig2Result",
-    "run_fig2",
-    "Fig3Result",
-    "run_fig3",
-    "Fig4Result",
-    "run_fig4",
-    "EXPERIMENTS",
-    "available_experiments",
-    "run_experiment",
-    "Table1Result",
-    "run_table1",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "ablations": (
+        "AblationResult",
+        "run_ablation_m",
+        "run_ablation_metric",
+        "run_ablation_minsup",
+        "run_ablation_mutations",
+    ),
+    "base": ("ExperimentContext",),
+    "fig1": ("Fig1Result", "run_fig1"),
+    "fig2": ("Fig2Result", "run_fig2"),
+    "fig3": ("Fig3Result", "run_fig3"),
+    "fig4": ("Fig4Result", "run_fig4"),
+    "registry": ("EXPERIMENTS", "available_experiments", "run_experiment"),
+    "table1": ("Table1Result", "run_table1"),
+})

@@ -33,6 +33,7 @@ from repro.runtime import (
     cell_curve_key,
     parallel_map,
 )
+from repro.runtime import events
 # Kept bound for perfbench/tracing.py, which wraps this name to time
 # plane fingerprinting.  Model curves are keyed by run key and never
 # fingerprint a plane, so that span reads 0.
@@ -272,13 +273,17 @@ def ensemble_curves(
             curves[position] = cell_curves
             if curve_cache is not None and keys[position] is not None:
                 # Same policy as the run cache: a write failure must
-                # never discard mined results; stop writing instead.
+                # never discard mined results; record it and stop
+                # writing instead.
                 try:
                     curve_cache.put(
                         keys[position],
                         tuple(curve.frequencies for curve in cell_curves),
                     )
-                except RunCacheError:
+                except RunCacheError as exc:
+                    events.record(events.CacheWriteFailure.of(
+                        curve_cache, keys[position], exc
+                    ))
                     curve_cache = None
 
     return [

@@ -20,7 +20,8 @@ swappable concern:
   backend degradation, cache corruption and task attempt is a typed
   event appended by one ``record`` (warning once per cause) and read
   back by type (:func:`backend_degradations`,
-  :func:`cache_corruptions`, :func:`task_attempts`).  Events recorded in a pool or spool worker
+  :func:`cache_corruptions`, :func:`cache_write_failures`,
+  :func:`task_attempts`).  Events recorded in a pool or spool worker
   travel back with its result and are replayed into the caller's log;
 * :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
   compaction behind ``repro spool stats|compact``;
@@ -49,131 +50,69 @@ results, because per-run seeds are drawn once in the parent and each
 worker reconstructs its generator from the integer seed alone.
 """
 
-from repro.runtime.cache import (
-    CACHE_FORMAT_VERSION,
-    CacheDiskStats,
-    CacheStats,
-    PickleStore,
-    RunCache,
-    fingerprint_many,
-    item_key,
-    run_fingerprint,
-)
-from repro.runtime.config import BACKENDS, DistributedConfig, RuntimeConfig
-from repro.runtime.curve_cache import (
-    CURVE_FORMAT_VERSION,
-    CurveCache,
-    cell_curve_key,
-    curve_key,
-    transactions_fingerprint,
-)
-from repro.runtime.distributed import (
-    DistributedExecutor,
-    LeaseLedger,
-    Spool,
-    TaskAttempt,
-    WorkerSummary,
-    run_worker,
-    signal_stop,
-    task_attempts,
-)
-from repro.runtime.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    get_executor,
-)
-from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.events import (
-    BackendDegradation,
-    BackendDegradationWarning,
-    CacheCorruption,
-    CacheCorruptionWarning,
-    backend_degradations,
-    cache_corruptions,
-)
-from repro.runtime.runner import (
-    ArchipelagoRequest,
-    BatchRequest,
-    RunRequest,
-    execute_archipelago,
-    execute_batch,
-    execute_request,
-    execute_runs,
-    parallel_map,
-)
-from repro.runtime.sweep import (
-    CellRuns,
-    SweepCell,
-    SweepPlan,
-    SweepResult,
-    execute_sweep,
-    plan_cells,
-    plan_grid,
-    select_regions,
-)
-from repro.runtime.spool_tools import (
-    SpoolCompaction,
-    SpoolStats,
-    compact_spool,
-    spool_stats,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ArchipelagoRequest",
-    "BACKENDS",
-    "BackendDegradation",
-    "BackendDegradationWarning",
-    "BatchRequest",
-    "CACHE_FORMAT_VERSION",
-    "CURVE_FORMAT_VERSION",
-    "CacheCorruption",
-    "CacheCorruptionWarning",
-    "CacheDiskStats",
-    "CacheStats",
-    "CellRuns",
-    "CurveCache",
-    "DistributedConfig",
-    "DistributedExecutor",
-    "Executor",
-    "FaultPlan",
-    "FaultSpec",
-    "LeaseLedger",
-    "PickleStore",
-    "ProcessExecutor",
-    "RunCache",
-    "RunRequest",
-    "RuntimeConfig",
-    "SerialExecutor",
-    "Spool",
-    "SpoolCompaction",
-    "SpoolStats",
-    "SweepCell",
-    "SweepPlan",
-    "SweepResult",
-    "TaskAttempt",
-    "WorkerSummary",
-    "backend_degradations",
-    "cache_corruptions",
-    "cell_curve_key",
-    "compact_spool",
-    "curve_key",
-    "execute_archipelago",
-    "execute_batch",
-    "execute_request",
-    "execute_runs",
-    "execute_sweep",
-    "fingerprint_many",
-    "get_executor",
-    "item_key",
-    "parallel_map",
-    "plan_cells",
-    "plan_grid",
-    "run_fingerprint",
-    "run_worker",
-    "select_regions",
-    "signal_stop",
-    "spool_stats",
-    "task_attempts",
-    "transactions_fingerprint",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "cache": (
+        "CACHE_FORMAT_VERSION",
+        "CacheDiskStats",
+        "CacheStats",
+        "PickleStore",
+        "RunCache",
+        "fingerprint_many",
+        "item_key",
+        "run_fingerprint",
+    ),
+    "config": ("BACKENDS", "DistributedConfig", "RuntimeConfig"),
+    "curve_cache": (
+        "CURVE_FORMAT_VERSION",
+        "CurveCache",
+        "cell_curve_key",
+        "curve_key",
+        "transactions_fingerprint",
+    ),
+    "distributed": (
+        "DistributedExecutor",
+        "LeaseLedger",
+        "Spool",
+        "TaskAttempt",
+        "WorkerSummary",
+        "run_worker",
+        "signal_stop",
+        "task_attempts",
+    ),
+    "executor": ("Executor", "ProcessExecutor", "SerialExecutor", "get_executor"),
+    "faults": ("FaultPlan", "FaultSpec"),
+    "events": (
+        "BackendDegradation",
+        "BackendDegradationWarning",
+        "CacheCorruption",
+        "CacheCorruptionWarning",
+        "CacheWriteFailure",
+        "CacheWriteFailureWarning",
+        "backend_degradations",
+        "cache_corruptions",
+        "cache_write_failures",
+    ),
+    "runner": (
+        "ArchipelagoRequest",
+        "BatchRequest",
+        "RunRequest",
+        "execute_archipelago",
+        "execute_batch",
+        "execute_request",
+        "execute_runs",
+        "parallel_map",
+    ),
+    "sweep": (
+        "CellRuns",
+        "SweepCell",
+        "SweepPlan",
+        "SweepResult",
+        "execute_sweep",
+        "plan_cells",
+        "plan_grid",
+        "select_regions",
+    ),
+    "spool_tools": ("SpoolCompaction", "SpoolStats", "compact_spool", "spool_stats"),
+})

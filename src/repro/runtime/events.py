@@ -3,7 +3,8 @@
 Every runtime observation an operator may need after the fact is one
 typed event appended to one process-wide log: a backend degradation
 (the runtime ran a map on a weaker backend than asked), a cache
-corruption (a store evicted a corrupt file) and a
+corruption (a store evicted a corrupt file), a cache write failure (a
+store could not write an entry, so the next run recomputes it) and a
 distributed task attempt (:class:`~repro.runtime.distributed.
 TaskAttempt`).  Producers call :func:`record`; readers filter the log by
 type with :func:`recorded` (or the one-line queries such as
@@ -17,6 +18,7 @@ and whether a repeat of a seen key is recorded at all
 ``(requested, callable)``; corruptions are recorded every time, so a
 flaky disk shows up as a count, but warn once per ``(store, kind)`` —
 a sweep over a poisoned 10k-entry cache must not print 10k warnings.
+Write failures follow the same rule, once per ``(store, error type)``.
 
 Events recorded inside a worker process must reach the caller.  Each
 process boundary wraps its worker-side call in :func:`shipped`, which
@@ -41,9 +43,12 @@ __all__ = [
     "BackendDegradationWarning",
     "CacheCorruption",
     "CacheCorruptionWarning",
+    "CacheWriteFailure",
+    "CacheWriteFailureWarning",
     "Event",
     "backend_degradations",
     "cache_corruptions",
+    "cache_write_failures",
     "callable_name",
     "clear",
     "record",
@@ -79,6 +84,10 @@ class BackendDegradationWarning(UserWarning):
 
 class CacheCorruptionWarning(UserWarning):
     """Emitted when a store evicts a corrupt entry."""
+
+
+class CacheWriteFailureWarning(UserWarning):
+    """Emitted when a store fails to write an entry."""
 
 
 @dataclass(frozen=True)
@@ -165,6 +174,59 @@ class CacheCorruption(Event):
         )
 
 
+@dataclass(frozen=True)
+class CacheWriteFailure(Event):
+    """One entry a store failed to write (disk full, permissions, a
+    payload that does not pickle).
+
+    The caller keeps its computed result, and the batch that failed
+    stops writing, so nothing is lost but the entry: the next
+    invocation recomputes it.  A sweep whose every write fails would
+    otherwise look like a healthy cold run, so every failure is
+    recorded and the first per ``(store, error)`` warns.
+
+    Attributes:
+        store: Class name of the writing store (``RunCache`` or
+            ``CurveCache``).
+        key: Key of the entry that was not written.
+        error: Type name of the underlying exception.
+        detail: The store's error message, verbatim.
+    """
+
+    store: str
+    key: str
+    error: str
+    detail: str
+
+    warning: ClassVar[type[Warning]] = CacheWriteFailureWarning
+
+    @classmethod
+    def of(
+        cls, store: object, key: str, exc: BaseException
+    ) -> "CacheWriteFailure":
+        """The failure of ``store`` to write ``key``, raised as ``exc``.
+
+        ``error`` names the root cause (the exception the store's own
+        error was raised from), so a full disk and an unpicklable
+        payload warn separately.
+        """
+        cause = exc.__cause__ if exc.__cause__ is not None else exc
+        return cls(type(store).__name__, key, type(cause).__name__, str(exc))
+
+    def once_key(self) -> tuple:
+        """Once per writing store and error type."""
+        return (self.store, self.error)
+
+    def message(self) -> str:
+        """The write-failure warning, pointing at the recorded count."""
+        return (
+            f"{self.store} could not write entry {self.key[:16]} "
+            f"({self.error}: {self.detail}); results are kept but this "
+            "entry will be recomputed next time, and further failures are "
+            "recorded silently — query repro.runtime.cache_write_failures()"
+        )
+
+
 #: Every event recorded in this process, in observation order.
 _LOG: list[Event] = []
 
@@ -235,6 +297,11 @@ def backend_degradations() -> tuple[BackendDegradation, ...]:
 def cache_corruptions() -> tuple[CacheCorruption, ...]:
     """Every cache corruption recorded so far, in observation order."""
     return recorded(CacheCorruption)
+
+
+def cache_write_failures() -> tuple[CacheWriteFailure, ...]:
+    """Every failed cache write recorded so far, in observation order."""
+    return recorded(CacheWriteFailure)
 
 
 def callable_name(fn: Callable) -> str:

@@ -319,14 +319,16 @@ def _write_through(
     """Write one item's fresh runs, as its one entry, into the cache at
     ``cache_dir``, where they ran.
 
-    A write failure is tolerated: the runs (or what they reduce to)
-    still travel back to the caller; the cache is the resumability
-    layer, not the only channel.
+    A write failure is recorded (:class:`~repro.runtime.events.
+    CacheWriteFailure`, shipped back with the result) and tolerated:
+    the runs (or what they reduce to) still travel back to the caller;
+    the cache is the resumability layer, not the only channel.
     """
+    cache, key = RunCache(cache_dir), item_key(keys)
     try:
-        RunCache(cache_dir).put(item_key(keys), runs)
-    except RunCacheError:
-        pass
+        cache.put(key, runs)
+    except RunCacheError as exc:
+        events.record(events.CacheWriteFailure.of(cache, key, exc))
 
 
 @dataclass(frozen=True)
@@ -448,11 +450,13 @@ def dispatch_work(
             if cache is not None and not write_through:
                 # The cache is an optimization: a write failure (disk
                 # full, permissions, unpicklable payload) must never
-                # discard computed results.  Stop writing after the
-                # first failure; lookups already succeeded.
+                # discard computed results.  Record it and stop writing
+                # after the first failure; lookups already succeeded.
+                key = item_key(work[index][1])
                 try:
-                    cache.put(item_key(work[index][1]), runs)
-                except RunCacheError:
+                    cache.put(key, runs)
+                except RunCacheError as exc:
+                    events.record(events.CacheWriteFailure.of(cache, key, exc))
                     cache = None
     return [(list(runs), count) for runs, count in zip(results, cached)]
 

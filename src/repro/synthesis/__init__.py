@@ -1,43 +1,17 @@
 """Synthetic corpus generation (the data substitution; DESIGN.md §2)."""
 
-from repro.synthesis.archetypes import (
-    ARCHETYPES,
-    REGION_PROFILES,
-    CuisineProfile,
-    DishArchetype,
-    validate_archetypes,
-)
-from repro.synthesis.calibration import (
-    CalibrationSummary,
-    RegionCalibration,
-    check_calibration,
-)
-from repro.synthesis.noise import MentionRenderer
-from repro.synthesis.popularity import (
-    gumbel_topk,
-    truncated_normal_sizes,
-    zipf_weights,
-)
-from repro.synthesis.worldgen import (
-    CuisineBlueprint,
-    WorldKitchen,
-    generate_world_corpus,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ARCHETYPES",
-    "REGION_PROFILES",
-    "CuisineProfile",
-    "DishArchetype",
-    "validate_archetypes",
-    "CalibrationSummary",
-    "RegionCalibration",
-    "check_calibration",
-    "MentionRenderer",
-    "gumbel_topk",
-    "truncated_normal_sizes",
-    "zipf_weights",
-    "CuisineBlueprint",
-    "WorldKitchen",
-    "generate_world_corpus",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "archetypes": (
+        "ARCHETYPES",
+        "REGION_PROFILES",
+        "CuisineProfile",
+        "DishArchetype",
+        "validate_archetypes",
+    ),
+    "calibration": ("CalibrationSummary", "RegionCalibration", "check_calibration"),
+    "noise": ("MentionRenderer",),
+    "popularity": ("gumbel_topk", "truncated_normal_sizes", "zipf_weights"),
+    "worldgen": ("CuisineBlueprint", "WorldKitchen", "generate_world_corpus"),
+})

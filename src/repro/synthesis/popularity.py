@@ -15,7 +15,12 @@ import numpy as np
 
 from repro.errors import SynthesisError
 
-__all__ = ["zipf_weights", "gumbel_topk", "truncated_normal_sizes"]
+__all__ = [
+    "zipf_weights",
+    "gumbel_topk",
+    "gumbel_topk_flat",
+    "truncated_normal_sizes",
+]
 
 
 def zipf_weights(n: int, exponent: float = 0.9) -> np.ndarray:
@@ -59,11 +64,35 @@ def gumbel_topk(
         A list of ``G`` index arrays, each of length ``sizes[g]``,
         ordered by descending perturbed score.
     """
+    ranked = _ranked(rng, log_weights, sizes)
+    return [ranked[row, : int(sizes[row])] for row in range(sizes.size)]
+
+
+def gumbel_topk_flat(
+    rng: np.random.Generator,
+    log_weights: np.ndarray,
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """:func:`gumbel_topk` with its rows concatenated in row order.
+
+    Consumes ``rng`` exactly as :func:`gumbel_topk` does, so both give
+    the same draws; this one builds no per-row array.
+    """
+    ranked = _ranked(rng, log_weights, sizes)
+    return ranked[np.arange(ranked.shape[1]) < sizes[:, None]]
+
+
+def _ranked(
+    rng: np.random.Generator,
+    log_weights: np.ndarray,
+    sizes: np.ndarray,
+) -> np.ndarray:
+    """``(G, max(sizes))`` item indexes, each row by descending score."""
     if log_weights.ndim != 1:
         raise SynthesisError("log_weights must be one-dimensional")
     n_rows = int(sizes.size)
     if n_rows == 0:
-        return []
+        return np.empty((0, 0), dtype=np.int64)
     vocabulary = log_weights.size
     max_k = int(sizes.max())
     if max_k > vocabulary:
@@ -77,8 +106,7 @@ def gumbel_topk(
     top = np.argpartition(scores, vocabulary - max_k, axis=1)[:, vocabulary - max_k:]
     top_scores = np.take_along_axis(scores, top, axis=1)
     order = np.argsort(-top_scores, axis=1)
-    ranked = np.take_along_axis(top, order, axis=1)
-    return [ranked[row, : int(sizes[row])] for row in range(n_rows)]
+    return np.take_along_axis(top, order, axis=1)
 
 
 def truncated_normal_sizes(

@@ -17,9 +17,13 @@ recipes (see DESIGN.md §2).  For each of the 25 regions it
 The generator is deliberately **not** the paper's copy-mutate process, so
 the Sec. VI model comparison run against this corpus is not circular.
 
-Outputs come in two forms: standardized :class:`Recipe` datasets (fast
-path used by experiments) and raw website-style records
-(:class:`RawRecipe`, exercising the full ETL pipeline).
+Outputs come in two forms: standardized datasets (the path experiments
+use) and raw website-style records (:class:`RawRecipe`, exercising the
+full ETL pipeline).  A dataset keeps the sampler's CSR arrays as they
+are — per-recipe lengths, sorted ingredient ids, recipe ids — so
+generating one builds no :class:`Recipe` object and no title string;
+titles are formatted from each recipe's archetype when a recipe object
+is asked for.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.synthesis.archetypes import (
 from repro.synthesis.noise import MentionRenderer
 from repro.synthesis.popularity import (
     gumbel_topk,
+    gumbel_topk_flat,
     truncated_normal_sizes,
     zipf_weights,
 )
@@ -255,56 +260,80 @@ class WorldKitchen:
         Returns:
             Recipes in generation order with sequential ids.
         """
-        blueprint = self.blueprint(region_code)
-        region = blueprint.region
-        profile = REGION_PROFILES[region.code]
+        region = get_region(region_code)
         count = region.n_recipes if n_recipes is None else int(n_recipes)
-        if count < 0:
-            raise SynthesisError(f"n_recipes must be >= 0, got {count}")
-        if count == 0:
-            return []
-
-        rng = self._region_rng(region, "recipes")
-        lengths, flat_ids, recipe_ids, titles = self._cuisine_arrays(
-            blueprint, rng, count, start_recipe_id
+        return list(
+            self._dataset_of([(region.code, count)], start_recipe_id).recipes
         )
-        recipes: list[Recipe] = []
-        bounds = np.cumsum(lengths)
-        for row in range(count):
-            ids = flat_ids[int(bounds[row] - lengths[row]):int(bounds[row])]
-            recipes.append(
-                Recipe(
-                    recipe_id=int(recipe_ids[row]),
-                    region_code=region.code,
-                    ingredient_ids=tuple(int(i) for i in ids),
-                    title=titles[row],
-                    source="",
-                )
+
+    def _dataset_of(
+        self, counts: list[tuple[str, int]], start_recipe_id: int
+    ) -> RecipeDataset:
+        """The cuisines ``counts`` names, as one dataset of CSR arrays.
+
+        Each cuisine draws ``count`` recipes from its own stream, and
+        recipe ids run on from ``start_recipe_id`` across them.  Titles
+        are formatted only when a recipe object is asked for.
+        """
+        codes: dict[str, int] = {}
+        labels: list[str] = []
+        region_of, lengths, flat_ids, label_of, ordinal = [], [], [], [], []
+        for code, count in counts:
+            blueprint = self.blueprint(code)
+            if count < 0:
+                raise SynthesisError(f"n_recipes must be >= 0, got {count}")
+            if count == 0:
+                continue
+            rng = self._region_rng(blueprint.region, "recipes")
+            row_lengths, row_ids, assignment = self._cuisine_arrays(
+                blueprint, rng, count
             )
-        return recipes
+            region_of.append(np.full(count, codes.setdefault(code, len(codes))))
+            lengths.append(row_lengths)
+            flat_ids.append(row_ids)
+            label_of.append(assignment + len(labels))
+            ordinal.append(np.arange(count))
+            labels.extend(
+                f"{code} {ARCHETYPES[key].title}"
+                for key in blueprint.archetype_keys
+            )
+
+        def joined(parts: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+        rows = joined(region_of)
+        return RecipeDataset.from_arrays(
+            region_codes=tuple(codes),
+            region_of=rows,
+            lengths=joined(lengths),
+            ingredient_ids=joined(flat_ids),
+            recipe_ids=start_recipe_id + np.arange(rows.size),
+            titles=_ArchetypeTitles(
+                tuple(labels), joined(label_of), joined(ordinal)
+            ),
+        )
 
     def _cuisine_arrays(
         self,
         blueprint: CuisineBlueprint,
         rng: np.random.Generator,
         count: int,
-        start_recipe_id: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampling core, emitting flat arrays instead of objects.
 
         Draws ``count`` recipes from ``rng`` (one archetype assignment,
         then per-archetype size and Gumbel top-k draws) and returns them
         CSR-shaped — per-recipe lengths, concatenated sorted ingredient
-        ids, recipe ids and titles in row order.
+        ids — with each recipe's archetype index, in row order.
         """
-        region = blueprint.region
-        profile = REGION_PROFILES[region.code]
+        profile = REGION_PROFILES[blueprint.region.code]
         assignment = rng.choice(
             len(blueprint.archetype_keys), size=count, p=blueprint.archetype_probs
         )
         vocab = blueprint.vocabulary_ids
-        per_row_ids: list[np.ndarray | None] = [None] * count
-        titles: list[str] = [""] * count
+        lengths = np.zeros(count, dtype=np.int64)
+        rows_of: list[np.ndarray] = []
+        ids_of: list[np.ndarray] = []
         for archetype_row in range(len(blueprint.archetype_keys)):
             rows = np.flatnonzero(assignment == archetype_row)
             if rows.size == 0:
@@ -318,24 +347,16 @@ class WorldKitchen:
                 lower=_SIZE_MIN,
                 upper=min(_SIZE_MAX, vocab.size),
             )
-            draws = gumbel_topk(
+            positions = gumbel_topk_flat(
                 rng, blueprint.archetype_log_weights[archetype_row], sizes
             )
-            for row, positions in zip(rows, draws):
-                per_row_ids[row] = np.sort(vocab[positions])
-                titles[row] = (
-                    f"{region.code} {archetype.title} #{int(row)}"
-                )
-        lengths = np.fromiter(
-            (ids.size for ids in per_row_ids), dtype=np.int64, count=count
-        )
-        flat_ids = (
-            np.concatenate(per_row_ids)
-            if count
-            else np.empty(0, dtype=np.int64)
-        )
-        recipe_ids = start_recipe_id + np.arange(count, dtype=np.int64)
-        return lengths, flat_ids, recipe_ids, titles
+            lengths[rows] = sizes
+            rows_of.append(np.repeat(rows, sizes))
+            ids_of.append(vocab[positions])
+        # One sort orders the rows and each row's ids: keys are row-major.
+        span = int(vocab.max()) + 1
+        keys = np.sort(np.concatenate(rows_of) * span + np.concatenate(ids_of))
+        return lengths, keys % span, assignment
 
     def generate_dataset(
         self,
@@ -358,22 +379,18 @@ class WorldKitchen:
         """
         if scale <= 0:
             raise SynthesisError(f"scale must be > 0, got {scale}")
-        codes = (
-            tuple(region.code for region in REGIONS)
+        regions = (
+            REGIONS
             if region_codes is None
-            else tuple(get_region(code).code for code in region_codes)
+            else tuple(get_region(code) for code in region_codes)
         )
-        recipes: list[Recipe] = []
-        next_id = 0
-        for code in codes:
-            region = get_region(code)
-            count = max(int(round(region.n_recipes * scale)), min_recipes)
-            generated = self.generate_cuisine(
-                code, n_recipes=count, start_recipe_id=next_id
-            )
-            next_id += count
-            recipes.extend(generated)
-        return RecipeDataset(recipes)
+        return self._dataset_of(
+            [
+                (region.code, max(int(round(region.n_recipes * scale)), min_recipes))
+                for region in regions
+            ],
+            start_recipe_id=0,
+        )
 
     # ------------------------------------------------------------------
     # Raw (website-style) generation
@@ -434,3 +451,24 @@ def generate_world_corpus(
     return WorldKitchen(lexicon, seed=seed).generate_dataset(
         region_codes=region_codes, scale=scale
     )
+
+
+class _ArchetypeTitles:
+    """Recipe titles, formatted on request from each recipe's archetype.
+
+    Row ``r`` reads ``"<region> <archetype title> #<k>"``, ``k`` being
+    the recipe's row within its cuisine.
+    """
+
+    def __init__(
+        self, labels: tuple[str, ...], label_of: np.ndarray, ordinal: np.ndarray
+    ):
+        self._labels = labels
+        self._label_of = label_of
+        self._ordinal = ordinal
+
+    def __len__(self) -> int:
+        return self._label_of.size
+
+    def __getitem__(self, row: int) -> str:
+        return f"{self._labels[self._label_of[row]]} #{int(self._ordinal[row])}"

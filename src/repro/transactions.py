@@ -116,9 +116,21 @@ class TransactionPlane(Sequence):
         flat = np.fromiter(
             chain.from_iterable(data), dtype=np.int64, count=int(lengths.sum())
         )
-        ids, positions = np.unique(flat, return_inverse=True)
-        row_of = np.repeat(np.arange(len(data)), lengths)
-        return _pack_rows(len(data), row_of, positions.reshape(-1), ids)
+        return cls.from_csr(lengths, flat)
+
+    @classmethod
+    def from_csr(
+        cls, lengths: np.ndarray, items: np.ndarray
+    ) -> "TransactionPlane":
+        """The plane of CSR-shaped rows: per-row item counts and the rows'
+        items concatenated in row order (each row deduplicated).
+
+        The id table is every item that occurs, ascending, so equal
+        content gives an equal plane however it arrived.
+        """
+        ids, positions = np.unique(items, return_inverse=True)
+        row_of = np.repeat(np.arange(lengths.size), lengths)
+        return _pack_rows(lengths.size, row_of, positions.reshape(-1), ids)
 
     @classmethod
     def from_positions(

@@ -14,9 +14,11 @@ from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
     CacheCorruptionWarning,
+    CacheWriteFailureWarning,
     RunCache,
     RuntimeConfig,
     cache_corruptions,
+    cache_write_failures,
     execute_runs,
     execute_sweep,
     fingerprint_many,
@@ -28,6 +30,12 @@ from repro.runtime import (
 
 def _signature(runs):
     return [(run.transactions, run.trace) for run in runs]
+
+
+def _write_failure_warnings(caught) -> list:
+    return [
+        w for w in caught if issubclass(w.category, CacheWriteFailureWarning)
+    ]
 
 
 def test_cold_cache_misses_then_stores(tiny_spec, tmp_path):
@@ -204,7 +212,13 @@ def test_cache_write_failure_does_not_discard_results(tiny_spec, tmp_path,
     monkeypatch.setattr(cache, "put", broken_put)
     model = create_model("CM-R")
     seeds = spawn_seeds(ensure_rng(1), 3)
-    runs = execute_runs(model, tiny_spec, seeds, cache=cache)
+    with pytest.warns(CacheWriteFailureWarning) as caught:
+        runs = execute_runs(model, tiny_spec, seeds, cache=cache)
+    assert len(_write_failure_warnings(caught)) == 1
+    (failure,) = cache_write_failures()
+    assert (failure.store, failure.error, failure.detail) == (
+        "RunCache", "RunCacheError", "disk full"
+    )
     assert len(runs) == 3 and all(run is not None for run in runs)
     assert _signature(runs) == _signature(
         execute_runs(model, tiny_spec, seeds)
@@ -228,10 +242,13 @@ def test_cache_write_failure_inside_reduced_item_keeps_curves(
     monkeypatch.setattr(RunCache, "put", broken_put)
     plan = plan_grid([create_model("CM-R")], [tiny_spec], n_runs=3, seed=1)
     reducer = CellCurve(mining=MiningConfig())
-    result = execute_sweep(
-        plan, runtime=RuntimeConfig(cache_dir=tmp_path), reduce=reducer
-    )
+    with pytest.warns(CacheWriteFailureWarning) as caught:
+        result = execute_sweep(
+            plan, runtime=RuntimeConfig(cache_dir=tmp_path), reduce=reducer
+        )
     assert calls  # the write-through really failed
+    assert [event.key for event in cache_write_failures()] == calls
+    assert len(_write_failure_warnings(caught)) == 1
     assert len(RunCache(tmp_path)) == 0
     expected = ensemble_curve(execute_sweep(plan).cells[0].runs, "CM-R")
     curve = result.cells[0].reduction
@@ -492,9 +509,14 @@ def test_sweep_with_unpicklable_runs_still_returns_them(
 
     monkeypatch.setattr(runner, "_execute_work", with_lock)
     plan = plan_grid([create_model("CM-R")], [tiny_spec], n_runs=3, seed=4)
-    result = execute_sweep(plan, runtime=RuntimeConfig(cache_dir=tmp_path))
+    with pytest.warns(CacheWriteFailureWarning) as caught:
+        result = execute_sweep(plan, runtime=RuntimeConfig(cache_dir=tmp_path))
     assert result.executed == 3 and len(result.cells[0].runs) == 3
     assert list(tmp_path.iterdir()) == []  # no entry, no temp
+    # The one failed write is recorded, with its cause, and warns once.
+    (failure,) = cache_write_failures()
+    assert (failure.store, failure.error) == ("RunCache", "TypeError")
+    assert len(_write_failure_warnings(caught)) == 1
     monkeypatch.undo()
     assert _signature(result.cells[0].runs) == _signature(
         execute_sweep(plan).cells[0].runs

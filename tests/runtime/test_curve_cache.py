@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.invariants import combination_curve
 from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequencies
 from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
 from repro.config import MiningConfig
@@ -20,10 +21,12 @@ from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
     CacheCorruptionWarning,
+    CacheWriteFailureWarning,
     CurveCache,
     RunCache,
     RuntimeConfig,
     cache_corruptions,
+    cache_write_failures,
     cell_curve_key,
     curve_key,
     execute_runs,
@@ -365,3 +368,60 @@ def test_category_level_rejects_ingredients_outside_the_spec(tiny_spec):
     )
     with pytest.raises(ModelError, match="not in the TST spec"):
         ensemble_curve(runs, "CM-R", level="category", spec=narrow)
+
+
+def _failing_put(calls):
+    def put(self, key, payload):
+        calls.append(key)
+        raise RunCacheError("disk full")
+
+    return put
+
+
+def test_failed_model_curve_put_is_recorded_and_keeps_the_curve(
+    tiny_spec, tmp_path, monkeypatch
+):
+    """A model cell's curve-cache write fails: the curve is still
+    returned, bit-identical, and the failure is one recorded event with
+    one warning."""
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(3), 3)
+    runs = execute_runs(model, tiny_spec, seeds)
+    keys = fingerprint_many(model, tiny_spec, seeds)
+    calls = []
+    monkeypatch.setattr(CurveCache, "put", _failing_put(calls))
+    with pytest.warns(CacheWriteFailureWarning) as caught:
+        curve = ensemble_curve(
+            runs, "CM-R", mining=MINING, keys=keys,
+            curve_cache=CurveCache(tmp_path),
+        )
+    assert calls == [cell_curve_key(keys, MINING)]  # the put really failed
+    (failure,) = cache_write_failures()
+    assert (failure.store, failure.key, failure.error) == (
+        "CurveCache", calls[0], "RunCacheError"
+    )
+    assert sum(
+        issubclass(w.category, CacheWriteFailureWarning) for w in caught
+    ) == 1
+    assert len(CurveCache(tmp_path)) == 0
+    expected = ensemble_curve(runs, "CM-R", mining=MINING)
+    assert np.array_equal(curve.frequencies, expected.frequencies)
+
+
+def test_failed_empirical_curve_put_is_recorded_and_keeps_the_curve(
+    small_corpus, lexicon, tmp_path, monkeypatch
+):
+    """The empirical path's curve-cache write fails: the mined curve is
+    still returned and the failure is one recorded event."""
+    calls = []
+    monkeypatch.setattr(CurveCache, "put", _failing_put(calls))
+    with pytest.warns(CacheWriteFailureWarning):
+        curve, _ = combination_curve(
+            small_corpus, "KOR", lexicon, mining=MINING,
+            curve_cache=CurveCache(tmp_path),
+        )
+    (failure,) = cache_write_failures()
+    assert calls == [failure.key] and failure.store == "CurveCache"
+    assert len(CurveCache(tmp_path)) == 0
+    expected, _ = combination_curve(small_corpus, "KOR", lexicon, mining=MINING)
+    assert np.array_equal(curve.frequencies, expected.frequencies)

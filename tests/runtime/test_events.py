@@ -11,6 +11,7 @@ and one warning.  Each test first proves its corruption actually fired
 from __future__ import annotations
 
 import os
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -20,13 +21,16 @@ import pytest
 from repro.runtime import (
     BACKENDS,
     CacheCorruptionWarning,
+    CacheWriteFailureWarning,
     DistributedConfig,
     RunCache,
     RuntimeConfig,
     cache_corruptions,
+    cache_write_failures,
     events,
     parallel_map,
 )
+from repro.runtime.runner import _write_through
 
 #: Two run-cache keys, one per mapped job.
 KEYS = ("aa" * 32, "bb" * 32)
@@ -121,3 +125,29 @@ def test_two_workers_warn_once_in_the_caller(backend, tmp_path):
     # Both reads ran, in two workers, none in this process.
     assert len(set(pids)) == 2 and os.getpid() not in pids
     _assert_two_evictions_one_warning(paths, caught)
+
+
+def _write_unpicklable(job: tuple[str, str]) -> int:
+    """Write one entry that cannot pickle; the worker's pid."""
+    directory, key = job
+    _write_through(directory, (key,), [threading.Lock()])
+    return os.getpid()
+
+
+@pytest.mark.parametrize("backend", ["process", "distributed"])
+def test_worker_write_failures_reach_the_caller(backend, tmp_path):
+    """Write-through failures in workers are recorded in the caller's
+    log, one per failed entry, with one warning there."""
+    jobs = [(str(tmp_path), key) for key in KEYS]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pids = parallel_map(_write_unpicklable, jobs, runtime=_runtime(backend))
+
+    assert os.getpid() not in pids  # every write ran in a worker
+    assert list(tmp_path.glob("*.run.pkl")) == []  # and failed
+    failures = cache_write_failures()
+    assert len(failures) == 2
+    assert {(f.store, f.error) for f in failures} == {("RunCache", "TypeError")}
+    assert sum(
+        issubclass(w.category, CacheWriteFailureWarning) for w in caught
+    ) == 1
