@@ -95,9 +95,10 @@ def category_usage_matrix(
     for code in dataset.region_codes():
         view = dataset.cuisine(code)
         totals = {category: 0 for category in Category}
-        for recipe in view:
-            for ingredient_id in recipe.ingredient_ids:
-                totals[id_to_category[ingredient_id]] += 1
+        # Rows are duplicate-free, so an ingredient's recipe count is its
+        # number of uses.
+        for ingredient_id, uses in view.ingredient_recipe_counts().items():
+            totals[id_to_category[ingredient_id]] += uses
         n = max(len(view), 1)
         matrix[code] = {
             category: totals[category] / n for category in Category

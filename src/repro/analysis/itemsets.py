@@ -8,18 +8,20 @@ of transaction pools ("runs") in the same passes.
 
 1. each run's position arrays
    (:class:`~repro.transactions.TransactionPlane`; other iterables are
-   converted into one first) are counted with one ``bincount`` and the
-   run's frequent rows packed into a bit matrix (``np.packbits``):
-   row = item, bit = transaction membership;
-2. every run's rows are zero-padded to the widest run, viewed as
-   ``uint64`` words and stacked into one matrix, next to a run id per
-   row and a minimum count per run;
+   converted into one first) are counted with one ``bincount``, every
+   run before any is packed;
+2. one matrix is allocated for every run's frequent rows, each run's
+   zero-padded to the widest run, and each run's rows are packed
+   straight into it as bits (``np.packbits``: row = item, bit =
+   transaction membership), then viewed as ``uint64`` words, next to a
+   run id per row and a minimum count per run;
 3. level k+1 is one pass over every pair of level-k rows that share a
    run and a prefix: an ``AND`` of the two tidsets, and
    ``np.bitwise_count`` summed per row for its support.  A pair whose
    support meets its run's minimum count survives, and its left
    parent becomes its prefix class.  Pairs are evaluated in fixed-size
-   blocks, which bounds the intermediate arrays.
+   blocks, each ANDed into one reused buffer, which bounds the
+   intermediate arrays.
 
 Two entry points share that pass.  :func:`mine_frequencies` returns
 each run's rank-frequency values (descending relative supports) and
@@ -159,15 +161,17 @@ def _check_max_size(max_size: int | None) -> None:
 
 
 class _Run(NamedTuple):
-    """One run's frequent items, ready to stack.
+    """One run's frequent items, counted before anything is packed.
 
-    ``packed`` holds the items' tidsets in ``np.packbits`` layout, one
-    row per entry of ``items`` (ascending ids) and ``supports``.
+    ``items`` are the frequent item ids (ascending) and ``supports``
+    their counts; ``row_of`` maps every position of the run's id table
+    to its item's row among them, infrequent items to a spare row one
+    past the last.
     """
 
     items: np.ndarray
     supports: np.ndarray
-    packed: np.ndarray
+    row_of: np.ndarray
 
 
 class _Level(NamedTuple):
@@ -194,27 +198,36 @@ def _check_cap(totals: np.ndarray) -> None:
 
 
 def _mine_stack(
-    runs: list[_Run], min_counts: np.ndarray, max_size: int | None
+    planes: list[TransactionPlane],
+    runs: list[_Run],
+    min_counts: np.ndarray,
+    max_size: int | None,
 ) -> list[_Level]:
     """Mine every run's frequent items level by level, all runs at once.
 
-    Level k+1 pairs each level-k row with the rows after it in its
-    prefix class (same run, same parent); a class is a contiguous block
-    of rows, so the pairs of a level are numbered ``0..total-1`` and
-    evaluated in blocks of ``_BLOCK_WORDS`` tidset words.  Only the
-    surviving pairs' tidsets are kept, rebuilt once the next level
-    needs them, so the pass holds at most two levels of tidsets.
-    ``MAX_ITEMSETS`` and ``max_size`` apply to each run on its own.
+    ``runs`` are the planes' counted items (:func:`_count_run`).  The
+    stacked tidset matrix is allocated once and each plane packed
+    straight into its rows.  Level k+1 pairs each level-k row with the
+    rows after it in its prefix class (same run, same parent); a class
+    is a contiguous block of rows, so the pairs of a level are numbered
+    ``0..total-1`` and evaluated in blocks of ``_BLOCK_WORDS`` tidset
+    words, each block ANDed into one reused buffer.  Only the surviving
+    pairs' tidsets are kept, rebuilt once the next level needs them, so
+    the pass holds at most two levels of tidsets.  ``MAX_ITEMSETS`` and
+    ``max_size`` apply to each run on its own.
     """
-    words = max((-(-run.packed.shape[1] // 8) for run in runs), default=0)
+    words = max((-(-len(plane) // 64) for plane in planes), default=0)
     counts = [run.items.size for run in runs]
     stacked = np.zeros((sum(counts), 8 * words), dtype=np.uint8)
     offset = 0
-    for run, count in zip(runs, counts):
-        stacked[offset:offset + count, :run.packed.shape[1]] = run.packed
+    for plane, run, count in zip(planes, runs, counts):
+        _pack_into(stacked[offset:offset + count], plane, run)
         offset += count
     rows = stacked.view(np.uint64)
     block = max(1, _BLOCK_WORDS // max(words, 1))
+    both = np.empty((block, words), dtype=np.uint64)
+    right_rows = np.empty_like(both)
+    bit_counts = np.empty(both.shape, dtype=np.uint8)
 
     run_of = np.repeat(np.arange(len(runs)), counts)
     level = _Level(
@@ -236,7 +249,7 @@ def _mine_stack(
         if total == 0:
             break
         if parents is not None:
-            rows = _pair_tidsets(rows, *parents, block)
+            rows = _pair_tidsets(rows, *parents, right_rows)
         pair_start = pair_end - partners
         row_min = min_counts[level.run]
         kept_left, kept_right, kept_support = [], [], []
@@ -244,9 +257,10 @@ def _mine_stack(
             pair = np.arange(start, min(start + block, total))
             left = np.searchsorted(pair_end, pair, side="right")
             right = left + 1 + pair - pair_start[left]
-            support = np.bitwise_count(rows[left] & rows[right]).sum(
-                axis=1, dtype=np.int64
-            )
+            pairs = _and_rows(rows, left, right, both, right_rows)
+            support = np.bitwise_count(
+                pairs, out=bit_counts[: pair.size]
+            ).sum(axis=1, dtype=np.int64)
             keep = np.flatnonzero(support >= row_min[left])
             kept_left.append(left[keep])
             kept_right.append(right[keep])
@@ -271,38 +285,64 @@ def _mine_stack(
     return levels
 
 
-def _pair_tidsets(
-    rows: np.ndarray, left: np.ndarray, right: np.ndarray, block: int
+def _and_rows(
+    rows: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """``rows[left] & rows[right]``, built ``block`` rows at a time."""
+    """``rows[left] & rows[right]`` in the first ``left.size`` rows of
+    ``out``, through ``scratch`` (same shape), with no other array."""
+    pairs = out[: left.size]
+    # Indexes are in range by construction; "clip" lets ``take`` write
+    # into ``out`` directly instead of through a buffer of its own.
+    rows.take(left, axis=0, out=pairs, mode="clip")
+    other = rows.take(right, axis=0, out=scratch[: left.size], mode="clip")
+    return np.bitwise_and(pairs, other, out=pairs)
+
+
+def _pair_tidsets(
+    rows: np.ndarray, left: np.ndarray, right: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """``rows[left] & rows[right]``, built a ``scratch`` of rows at a time."""
     tidsets = np.empty((left.size, rows.shape[1]), dtype=rows.dtype)
+    block = scratch.shape[0]
     for start in range(0, left.size, block):
         stop = start + block
-        np.bitwise_and(
-            rows[left[start:stop]],
-            rows[right[start:stop]],
-            out=tidsets[start:stop],
+        _and_rows(
+            rows, left[start:stop], right[start:stop], tidsets[start:stop],
+            scratch,
         )
     return tidsets
 
 
-def _pack_run(plane: TransactionPlane, min_count: int) -> _Run:
-    """Count ``plane``'s items and pack its frequent rows."""
-    n = len(plane)
-    lengths, flat = plane.csr()
+def _count_run(plane: TransactionPlane, min_count: int) -> _Run:
+    """Count ``plane``'s items and number its frequent ones."""
+    _lengths, flat = plane.csr()
     item_counts = np.bincount(flat, minlength=plane.ids.size)
     frequent = item_counts >= min_count
     n_frequent = int(frequent.sum())
-    # Infrequent items land in a spare last row, dropped after packing.
     row_of = np.full(plane.ids.size, n_frequent, dtype=np.intp)
     row_of[frequent] = np.arange(n_frequent, dtype=np.intp)
+    return _Run(plane.ids[frequent], item_counts[frequent], row_of)
+
+
+def _pack_into(out: np.ndarray, plane: TransactionPlane, run: _Run) -> None:
+    """Pack ``plane``'s frequent rows into ``out`` (``np.packbits`` layout).
+
+    ``out`` has one zeroed row per frequent item and at least
+    ``ceil(len(plane) / 8)`` bytes per row.
+    """
+    n = len(plane)
+    lengths, flat = plane.csr()
+    n_frequent = run.items.size
+    # Infrequent items land in a spare last row, dropped after packing.
     tids = np.repeat(np.arange(n, dtype=np.intp), lengths)
     mask = np.zeros((n_frequent + 1) * n, dtype=bool)
-    mask[row_of[flat] * n + tids] = True
-    return _Run(
-        plane.ids[frequent],
-        item_counts[frequent],
-        np.packbits(mask.reshape(n_frequent + 1, n)[:n_frequent], axis=1),
+    mask[run.row_of[flat] * n + tids] = True
+    out[:, : -(-n // 8)] = np.packbits(
+        mask.reshape(n_frequent + 1, n)[:n_frequent], axis=1
     )
 
 
@@ -325,11 +365,11 @@ def _mine_planes(
     )
     if not planes:
         return [], sizes
-    packed = [
-        _pack_run(plane, int(min_count))
+    counted = [
+        _count_run(plane, int(min_count))
         for plane, min_count in zip(planes, min_counts)
     ]
-    return _mine_stack(packed, min_counts, max_size), sizes
+    return _mine_stack(planes, counted, min_counts, max_size), sizes
 
 
 def _frequencies(levels: list[_Level], sizes: np.ndarray) -> list[np.ndarray]:

@@ -56,12 +56,18 @@ def growth_from_sets(recipe_sets: Iterable[frozenset[int]]) -> np.ndarray:
 
 
 def vocabulary_growth_curve(view: CuisineView) -> np.ndarray:
-    """Vocabulary growth for an empirical cuisine in stored order."""
+    """Vocabulary growth for an empirical cuisine in stored order.
+
+    Read from the cuisine's transaction plane: the vocabulary after
+    recipe ``i`` counts the ingredients whose first recipe is at most
+    ``i``.
+    """
     if not view:
         raise AnalysisError(f"cuisine {view.region_code!r} has no recipes")
-    return growth_from_sets(
-        frozenset(recipe.ingredient_ids) for recipe in view
-    )
+    lengths, positions = view.transaction_plane().csr()
+    row_of = np.repeat(np.arange(lengths.size), lengths)
+    _ids, first = np.unique(positions, return_index=True)
+    return np.cumsum(np.bincount(row_of[first], minlength=lengths.size))
 
 
 def fit_heaps(growth: Sequence[int] | np.ndarray) -> HeapsFit:

@@ -60,7 +60,7 @@ from repro.models.state import (
     CATEGORY_CODES,
     EvolutionTraceCounters,
 )
-from repro.transactions import TransactionPlane
+from repro.transactions import TransactionPlane, position_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -85,6 +85,12 @@ BATCHED_STREAM_VERSION = 1
 #: contract: refills discard any unconsumed tail, so changing the block
 #: size changes the stream (bump :data:`BATCHED_STREAM_VERSION`).
 BLOCK_SIZE = 16384
+
+#: Narrowest window (variates per run) :class:`BatchedStreams` keeps of
+#: each run's block.  A draw fills the window, so small requests reach
+#: a run's generator about once per this many variates; at 100 runs the
+#: window is 1.6 MiB.  Not part of the stream contract.
+_WINDOW_MIN = 2048
 
 #: ``batched_kind`` values the batched engine can stack.
 BATCHED_KINDS = ("pool", "category", "mixture", "null")
@@ -231,29 +237,122 @@ def _initial_recipes(
 class BatchedStreams:
     """Per-run block-buffered uniform streams over stacked generators.
 
-    One block of :data:`BLOCK_SIZE` pre-drawn variates per run, stored
-    as one ``(runs, BLOCK_SIZE)`` matrix with a per-run cursor — the
-    "per-run stream offsets" of DESIGN.md §7.  Per run, the semantics
-    are those of a plain buffered stream: ``one`` serves the next
+    Per run, the semantics are those of a plain buffered stream over
+    blocks of :data:`BLOCK_SIZE` variates, with a per-run cursor — the
+    "per-run stream offsets" of DESIGN.md §7: ``one`` serves the next
     variate, ``take(count)`` the next ``count``; a request that does not
     fit the rest of the block refills it and drops the unconsumed tail;
     a request of at least a full block is drawn straight from the
     generator, bypassing the buffer.  Nothing here depends on the other
     runs, which is what makes batch composition immaterial.
+
+    The block is not held whole.  Each run keeps a *window* of its
+    current block — block positions ``[base, drawn)`` in its row of one
+    ``(runs, width)`` matrix — and draws the block from its generator in
+    chunks as its cursor reaches them: ``Generator.random`` calls of any
+    sizes leave the same values and the same state as one block-sized
+    call.  A draw fills the window up to its width (or the block's
+    end); a request that does not fit the window first moves the unread
+    variates to its front.  The window is :data:`_WINDOW_MIN` wide and
+    widens to the largest request served, at most a block.  The
+    generator therefore stands ``block - drawn`` variates behind the
+    full-block stream, and catches up wherever the stream reads past
+    the block: a refill draws and drops the undrawn tail, and a
+    full-block bypass first draws the rest of the block into the
+    window.  The unused tail of a run's last block is never drawn.
     """
 
-    __slots__ = ("_rngs", "_blocks", "_index", "_size", "_rows")
+    __slots__ = ("_rngs", "_window", "_base", "_drawn", "_index", "_size", "_rows")
 
     def __init__(
         self, rngs: Sequence[np.random.Generator], block: int = BLOCK_SIZE
     ):
         self._rngs = list(rngs)
         self._size = block
-        self._blocks = np.empty((len(self._rngs), block), dtype=np.float64)
-        for row, rng in enumerate(self._rngs):
-            self._blocks[row] = rng.random(block)
-        self._index = np.zeros(len(self._rngs), dtype=np.intp)
-        self._rows = np.arange(len(self._rngs))
+        runs = len(self._rngs)
+        self._window = np.empty((runs, min(block, _WINDOW_MIN)), dtype=np.float64)
+        self._base = np.zeros(runs, dtype=np.intp)
+        self._drawn = np.zeros(runs, dtype=np.intp)
+        self._index = np.zeros(runs, dtype=np.intp)
+        self._rows = np.arange(runs)
+
+    # Window upkeep: per run, block positions [base, drawn) sit in
+    # window columns [0, drawn - base), and base <= index <= drawn.
+
+    def _fill(
+        self, stop: np.ndarray | int, rows: np.ndarray | None = None
+    ) -> None:
+        """Make block positions up to ``stop`` readable for the listed runs.
+
+        ``rows`` lists the runs (``None``: every run) and ``stop`` holds
+        one position per listed run, or one for all; each is at most
+        the block size.  Keeps each run's variates from its cursor on;
+        those before it are consumed and may be overwritten.
+        """
+        short = (self._drawn if rows is None else self._drawn[rows]) < stop
+        if not short.any():
+            return
+        rows = np.flatnonzero(short) if rows is None else rows[short]
+        if isinstance(stop, np.ndarray):
+            stop = stop[short]
+        index = self._index[rows]
+        reach = int((stop - index).max())
+        if reach > self._window.shape[1]:
+            self._widen(reach)
+        width = self._window.shape[1]
+        base = self._base[rows]
+        drawn = self._drawn[rows]
+        move = stop - base > width
+        if move.any():
+            # Move the unread variates to the front of the window.
+            for row, lo, hi in zip(
+                rows[move].tolist(),
+                (index - base)[move].tolist(),
+                (drawn - base)[move].tolist(),
+            ):
+                window = self._window[row]
+                window[: hi - lo] = window[lo:hi]
+            base = np.where(move, index, base)
+            self._base[rows] = base
+        end = np.minimum(self._size, base + width)
+        for row, lo, hi in zip(
+            rows.tolist(), (drawn - base).tolist(), (end - base).tolist()
+        ):
+            self._rngs[row].random(out=self._window[row, lo:hi])
+        self._drawn[rows] = end
+
+    def _widen(self, width: int) -> None:
+        """Widen every run's window to ``width`` columns, keeping them."""
+        window = np.empty((len(self._rngs), width), dtype=np.float64)
+        window[:, : self._window.shape[1]] = self._window
+        self._window = window
+
+    def _refill_row(self, row: int) -> None:
+        """Start run ``row``'s next block, drawing and dropping the tail."""
+        left = self._size - int(self._drawn[row])
+        scratch = self._window[row]
+        rng = self._rngs[row]
+        while left:
+            chunk = min(left, scratch.size)
+            rng.random(out=scratch[:chunk])
+            left -= chunk
+        self._base[row] = self._drawn[row] = self._index[row] = 0
+
+    def _bypass(self, row: int, takes: int, count: int) -> np.ndarray:
+        """``takes`` full-block requests of ``count`` variates for one run.
+
+        Served straight from the generator once the rest of the block is
+        drawn; the cursor does not move.
+        """
+        self._fill(self._size, self._rows[row : row + 1])
+        out = np.empty((takes, count), dtype=np.float64)
+        for take in out:
+            self._rngs[row].random(out=take)
+        return out
+
+    def _columns(self, rows: np.ndarray) -> np.ndarray:
+        """The window columns of the listed runs' cursors."""
+        return self._index[rows] - self._base[rows]
 
     def one_each(self) -> np.ndarray:
         """One variate per run (each run's next buffered variate)."""
@@ -261,9 +360,9 @@ class BatchedStreams:
         size = self._size
         if (index >= size).any():
             for row in np.nonzero(index >= size)[0].tolist():
-                self._blocks[row] = self._rngs[row].random(size)
-                index[row] = 0
-        u = self._blocks[self._rows, index]
+                self._refill_row(row)
+        self._fill(index + 1)
+        u = self._window[self._rows, index - self._base]
         index += 1
         return u
 
@@ -279,26 +378,25 @@ class BatchedStreams:
         if count == 0:
             return np.empty((runs, takes, 0), dtype=np.float64)
         if count >= size:
-            # Full-block bypass: each take comes straight from the
-            # generator and the buffer cursor does not move.
             out = np.empty((runs, takes, count), dtype=np.float64)
-            for row, rng in enumerate(self._rngs):
-                for t in range(takes):
-                    out[row, t] = rng.random(count)
+            for row in range(runs):
+                out[row] = self._bypass(row, takes, count)
             return out
         need = takes * count
         index = self._index
         fits = index <= size - need
         if fits.all():
-            cols = index[:, None] + np.arange(need)
-            out = np.take_along_axis(self._blocks, cols, axis=1)
+            self._fill(index + need)
+            cols = (index - self._base)[:, None] + np.arange(need)
+            out = np.take_along_axis(self._window, cols, axis=1)
             index += need
             return out.reshape(runs, takes, count)
         out = np.empty((runs, need), dtype=np.float64)
         fast = np.nonzero(fits)[0]
         if fast.size:
-            cols = index[fast][:, None] + np.arange(need)
-            out[fast] = self._blocks[fast[:, None], cols]
+            self._fill(index[fast] + need, fast)
+            cols = self._columns(fast)[:, None] + np.arange(need)
+            out[fast] = self._window[fast[:, None], cols]
             index[fast] += need
         for row in np.nonzero(~fits)[0].tolist():
             out[row] = self._walk_run(row, takes, count)
@@ -307,21 +405,22 @@ class BatchedStreams:
     def _walk_run(self, row: int, takes: int, count: int) -> np.ndarray:
         """``takes`` successive ``take(count)`` calls for one run (refill path)."""
         size = self._size
-        rng = self._rngs[row]
-        i = int(self._index[row])
         pieces = []
         done = 0
         while done < takes:
+            i = int(self._index[row])
             avail = (size - i) // count
             if avail == 0:
-                self._blocks[row] = rng.random(size)
+                self._refill_row(row)
                 i = 0
                 avail = size // count
             chunk = min(avail, takes - done)
-            pieces.append(self._blocks[row, i : i + chunk * count].copy())
-            i += chunk * count
+            stop = i + chunk * count
+            self._fill(stop, self._rows[row : row + 1])
+            base = int(self._base[row])
+            pieces.append(self._window[row, i - base : stop - base].copy())
+            self._index[row] = stop
             done += chunk
-        self._index[row] = i
         return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
     def take_run(self, row: int, takes: int, count: int) -> np.ndarray:
@@ -332,8 +431,7 @@ class BatchedStreams:
         cursor).
         """
         if count >= self._size:
-            rng = self._rngs[row]
-            return np.stack([rng.random(count) for _ in range(takes)])
+            return self._bypass(row, takes, count)
         return self._walk_run(row, takes, count).reshape(takes, count)
 
     def take_ragged(
@@ -359,18 +457,20 @@ class BatchedStreams:
             fits[:] = False
         fast = np.nonzero(fits)[0]
         if fast.size:
-            # Output element k of a fitting run sits at flat block
-            # position ``row * size + index[row] + (k - starts[run])``.
             fast_rows = rows[fast]
             fast_need = need[fast]
-            shift = fast_rows * size + index[fast_rows] - starts[fast]
+            self._fill(index[fast_rows] + fast_need, fast_rows)
+            # Output element k of a fitting run sits at flat window
+            # position ``row * width + column[row] + (k - starts[run])``.
+            width = self._window.shape[1]
+            shift = fast_rows * width + self._columns(fast_rows) - starts[fast]
             if fast.size == len(rows):
                 target = np.arange(out.size)
             else:
                 target = np.concatenate(
                     [np.arange(starts[i], ends[i]) for i in fast.tolist()]
                 )
-            out[target] = self._blocks.reshape(-1).take(
+            out[target] = self._window.reshape(-1).take(
                 np.repeat(shift, fast_need) + target
             )
             index[fast_rows] += fast_need
@@ -401,20 +501,25 @@ class BatchedStreams:
         What a request that does not fit the rest of the block does,
         for every run at once.
         """
-        for row, rng in enumerate(self._rngs):
-            self._blocks[row] = rng.random(self._size)
-        self._index[:] = 0
+        for row in range(len(self._rngs)):
+            self._refill_row(row)
 
     def take_lockstep(self, width: int) -> np.ndarray:
         """The next ``width`` variates of every run, as ``(runs, width)``.
 
         Every cursor must stand at :meth:`lockstep_cursor` and the
         ``width`` variates must fit the rest of the block; the result
-        is a view, valid until the next refill.
+        is a view, valid until the next call on these streams.
         """
         start = self.lockstep_cursor()
+        self._fill(start + width)
         self._index += width
-        return self._blocks[:, start : start + width]
+        column = start - self._base
+        if (column == column[0]).all():
+            return self._window[:, column[0] : column[0] + width]
+        return np.take_along_axis(
+            self._window, column[:, None] + np.arange(width), axis=1
+        )
 
 
 def run_batched(
@@ -498,7 +603,11 @@ def run_batched(
     member_width = int(np.bincount(category_codes, minlength=1).max())
     members = np.zeros((runs, n_codes, member_width), dtype=np.intp)
     counts = np.zeros((runs, n_codes), dtype=np.intp)
-    recipes = np.zeros((runs, target, row_width), dtype=np.int32)
+    # Positions into the universe: uint16 wherever the universe allows,
+    # so each run's plane is a view the run cache pickles as it stands.
+    recipes = np.zeros(
+        (runs, target, row_width), dtype=position_dtype(universe_size)
+    )
     lengths = np.empty(target, dtype=np.intp)
     lengths[:n0] = initial_length
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import abc
 import functools
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, ClassVar, Iterable, Sequence, TypeVar
 
 from repro.errors import ExecutionError
@@ -146,6 +145,10 @@ class ProcessExecutor(Executor):
             raise _CannotCross(
                 f"work item does not pickle ({type(exc).__name__}: {exc})"
             ) from None
+        # Imported here, where a pool is made: the import loads
+        # multiprocessing, which serial runs never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             replies = list(
                 pool.map(functools.partial(_call_pickled, fn), payloads)

@@ -31,14 +31,31 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["TransactionPlane"]
+__all__ = ["TransactionPlane", "position_dtype"]
 
-#: Positions and lengths below this bound pickle as ``uint16``.
+#: Positions and lengths below this bound are held and pickled as
+#: ``uint16``.
 _NARROW_BOUND = 1 << 16
 
 
+def position_dtype(n_ids: int) -> type[np.integer]:
+    """The dtype of a position matrix over an id table of ``n_ids``.
+
+    ``uint16`` whenever every position fits — every cuisine of the
+    paper's lexicon does — so engine, miner and cache share one narrow
+    array; ``int32`` otherwise.
+    """
+    return np.uint16 if n_ids <= _NARROW_BOUND else np.int32
+
+
 def _narrow(values: np.ndarray) -> np.ndarray:
-    """``values`` as ``uint16`` when every entry fits, else unchanged."""
+    """``values`` as ``uint16`` when every entry fits, else unchanged.
+
+    An array that is already ``uint16`` is returned as is, not copied,
+    so pickling a narrow plane hands out its own memory.
+    """
+    if values.dtype == np.uint16:
+        return values
     if values.size == 0 or (
         values.min() >= 0 and values.max() < _NARROW_BOUND
     ):
@@ -66,7 +83,7 @@ def _pack_rows(
     width = int(lengths.max()) if n_rows else 0
     starts = np.cumsum(lengths) - lengths
     columns = np.arange(keys.size) - starts[row_of]
-    matrix = np.zeros((n_rows, width), dtype=np.int32)
+    matrix = np.zeros((n_rows, width), dtype=position_dtype(ids.size))
     matrix[row_of, columns] = keys - row_of * span
     full = bool((lengths == width).all())
     return TransactionPlane(matrix, None if full else lengths, ids)
@@ -239,8 +256,8 @@ class TransactionPlane(Sequence):
 
     def __reduce__(self):
         # Pickle as the arrays, narrowed where they fit: a batched run's
-        # positions are a view of its batch's shared matrix, and pickling
-        # copies only this run's rows.
+        # positions are a uint16 view of its batch's shared tensor, so
+        # protocol 5 hands out this run's rows from that memory, uncopied.
         lengths = None if self.lengths is None else _narrow(self.lengths)
         return (
             TransactionPlane,

@@ -31,11 +31,12 @@ from hypothesis import strategies as st
 from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequent_itemsets
 from repro.config import MiningConfig
 from repro.lexicon.categories import Category
+from repro.models.batched import run_batched
 from repro.models.ensemble import _category_transactions, ensemble_curves
 from repro.models.extensions.variable_size import VariableSizeCopyMutate
 from repro.models.params import CuisineSpec, ModelParams
 from repro.models.registry import create_model
-from repro.rng import ensure_rng, spawn_seeds
+from repro.rng import ensure_rng, rng_from_seed, spawn_seeds
 from repro.runtime import CurveCache, RunCache, execute_runs, fingerprint_many
 from repro.runtime.curve_cache import transactions_fingerprint
 from repro.transactions import TransactionPlane, _pack_rows
@@ -221,7 +222,8 @@ def test_unsorted_id_table_is_reindexed():
 
 
 def _pack_rows_with_unique(n_rows, row_of, positions, ids):
-    """``_pack_rows`` as it was, deduplicating keys with ``np.unique``."""
+    """``_pack_rows`` deduplicating keys with ``np.unique``, as it once did
+    (its matrix narrow where the id table fits, as planes now are)."""
     span = max(int(ids.size), 1)
     keys = np.unique(row_of.astype(np.int64) * span + positions)
     row_of = keys // span
@@ -229,7 +231,9 @@ def _pack_rows_with_unique(n_rows, row_of, positions, ids):
     width = int(lengths.max()) if n_rows else 0
     starts = np.cumsum(lengths) - lengths
     columns = np.arange(keys.size) - starts[row_of]
-    matrix = np.zeros((n_rows, width), dtype=np.int32)
+    matrix = np.zeros(
+        (n_rows, width), dtype=np.uint16 if ids.size <= 1 << 16 else np.int32
+    )
     matrix[row_of, columns] = keys - row_of * span
     full = bool((lengths == width).all())
     return TransactionPlane(matrix, None if full else lengths, ids)
@@ -325,6 +329,25 @@ def test_pickle_round_trip_returns_equal_plane(runs, case):
     assert transactions_fingerprint(restored) == transactions_fingerprint(
         plane
     )
+
+
+def test_batched_planes_are_uint16_views_pickled_in_place():
+    """A batched cell's planes are uint16 views of its one recipe
+    tensor, and protocol 5 hands out that memory, not a copy of it."""
+    rngs = [rng_from_seed(seed) for seed in (3, 5, 8)]
+    planes = [
+        run.transactions
+        for run in run_batched(create_model("CM-M"), _spec(), rngs)
+    ]
+    tensor = planes[0].positions.base
+    assert tensor is not None and tensor.dtype == np.uint16
+    for plane in planes:
+        assert plane.positions.dtype == np.uint16
+        assert plane.positions.base is tensor
+        buffers = []
+        pickle.dumps(plane, protocol=5, buffer_callback=buffers.append)
+        handed = [np.frombuffer(buffer.raw(), np.uint8) for buffer in buffers]
+        assert any(np.shares_memory(data, plane.positions) for data in handed)
 
 
 def test_run_cache_entries_hold_no_frozenset(tmp_path):

@@ -134,6 +134,15 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+#: Modules only a process pool needs; a serial fig4 loads none of them.
+POOL_MODULES = ("multiprocessing", "concurrent.futures.process")
+
+_SERIAL_FIG4_MODULES = _FIG4_NEW_MODULES.replace(
+    "print(json.dumps(sorted(set(sys.modules) - before)))",
+    "print(json.dumps(sorted(sys.modules)))",
+)
+
+
 def _run(snippet: str, *args: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -162,6 +171,13 @@ def test_run_fig4_imports_nothing_cold_or_warm(tmp_path):
     assert any(cache.iterdir())
     warm = _run(_FIG4_NEW_MODULES, str(cache))  # reads the caches only
     assert {"cold": cold, "warm": warm} == {"cold": [], "warm": []}
+
+
+def test_serial_fig4_loads_no_process_pool(tmp_path):
+    """Set-up plus a serial ``run_fig4`` never import ``multiprocessing``."""
+    loaded = _run(_SERIAL_FIG4_MODULES, str(tmp_path / "cache"))
+    assert "repro.experiments.fig4" in loaded
+    assert [name for name in POOL_MODULES if name in loaded] == []
 
 
 def test_fig4_setup_loads_only_what_fig4_runs():
