@@ -18,6 +18,7 @@ import numpy as np
 from repro.analysis.least_squares import linear_fit
 from repro.corpus.dataset import CuisineView
 from repro.errors import AnalysisError
+from repro.transactions import TransactionPlane
 
 __all__ = ["HeapsFit", "vocabulary_growth_curve", "fit_heaps", "growth_from_sets"]
 
@@ -37,8 +38,14 @@ class HeapsFit:
     r_squared: float
 
 
-def growth_from_sets(recipe_sets: Iterable[frozenset[int]]) -> np.ndarray:
+def growth_from_sets(
+    recipe_sets: TransactionPlane | Iterable[frozenset[int]],
+) -> np.ndarray:
     """Distinct-ingredient count after each recipe, in given order.
+
+    Read from the recipes' transaction plane (a plane passes through
+    as it is): the vocabulary after recipe ``i`` counts the ingredients
+    whose first recipe is at most ``i``.
 
     Args:
         recipe_sets: Recipes as ingredient-id sets, in arrival order.
@@ -47,27 +54,17 @@ def growth_from_sets(recipe_sets: Iterable[frozenset[int]]) -> np.ndarray:
         ``(n_recipes,)`` int64 array: ``result[i]`` is the vocabulary
         size after the first ``i + 1`` recipes.
     """
-    seen: set[int] = set()
-    growth = []
-    for recipe in recipe_sets:
-        seen.update(recipe)
-        growth.append(len(seen))
-    return np.asarray(growth, dtype=np.int64)
-
-
-def vocabulary_growth_curve(view: CuisineView) -> np.ndarray:
-    """Vocabulary growth for an empirical cuisine in stored order.
-
-    Read from the cuisine's transaction plane: the vocabulary after
-    recipe ``i`` counts the ingredients whose first recipe is at most
-    ``i``.
-    """
-    if not view:
-        raise AnalysisError(f"cuisine {view.region_code!r} has no recipes")
-    lengths, positions = view.transaction_plane().csr()
+    lengths, positions = TransactionPlane.of(recipe_sets).csr()
     row_of = np.repeat(np.arange(lengths.size), lengths)
     _ids, first = np.unique(positions, return_index=True)
     return np.cumsum(np.bincount(row_of[first], minlength=lengths.size))
+
+
+def vocabulary_growth_curve(view: CuisineView) -> np.ndarray:
+    """Vocabulary growth for an empirical cuisine in stored order."""
+    if not view:
+        raise AnalysisError(f"cuisine {view.region_code!r} has no recipes")
+    return growth_from_sets(view.transaction_plane())
 
 
 def fit_heaps(growth: Sequence[int] | np.ndarray) -> HeapsFit:

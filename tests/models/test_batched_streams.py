@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -168,18 +169,25 @@ _OPS = st.lists(
 @given(
     st.integers(1, 4),
     st.integers(1, 24),
+    st.data(),
     st.integers(0, 3),
     _OPS,
 )
-def test_window_serves_and_leaves_what_full_blocks_do(runs, block, words, ops):
+def test_window_serves_and_leaves_what_full_blocks_do(
+    runs, block, data, words, ops
+):
     """Random calls on small blocks: same variates, same generators.
 
-    After every call each run's generator, moved on by the part of its
-    block the window has not drawn yet, stands where the full-block
-    reference's does.
+    The window starts ``narrowest`` variates wide, at most the block:
+    narrower than the block, requests move unread variates to its
+    front and widen it.  After every call each run's generator, moved
+    on by the part of its block the window has not drawn yet, stands
+    where the full-block reference's does.
     """
+    narrowest = data.draw(st.integers(1, block), label="narrowest")
     seeds = SEEDS[:runs]
-    streams = BatchedStreams(_generators(seeds, words), block=block)
+    with mock.patch("repro.models.batched._WINDOW_MIN", narrowest):
+        streams = BatchedStreams(_generators(seeds, words), block=block)
     reference = _FullBlocks(_generators(seeds, words), block)
     for op, *args in ops:
         if op == "one_each":
