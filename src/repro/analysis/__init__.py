@@ -38,6 +38,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "rank_frequency": (
         "RankFrequencyCurve",
         "average_curves",
+        "average_frequencies",
         "curve_from_counts",
         "curve_from_mining",
     ),

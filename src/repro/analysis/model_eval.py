@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from repro.analysis.itemsets import mine_frequencies
 from repro.analysis.mae import curve_distance
-from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
+from repro.analysis.rank_frequency import RankFrequencyCurve, average_frequencies
 from repro.config import DEFAULT_MINING, MiningConfig
 from repro.errors import AnalysisError
 
@@ -42,11 +42,7 @@ def model_curve_from_runs(
     frequencies = mine_frequencies(
         runs, min_support=mining.min_support, max_size=mining.max_size
     )
-    curves = [
-        RankFrequencyCurve(f"{label}#{run_index}", values)
-        for run_index, values in enumerate(frequencies)
-    ]
-    return average_curves(curves, label)
+    return RankFrequencyCurve(label, average_frequencies(frequencies))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ __all__ = [
     "curve_from_mining",
     "curve_from_counts",
     "average_curves",
+    "average_frequencies",
 ]
 
 
@@ -93,29 +94,46 @@ def curve_from_counts(
     return RankFrequencyCurve(label, values / n_transactions)
 
 
+def average_frequencies(runs: Sequence[np.ndarray]) -> np.ndarray:
+    """Rank-aligned mean of several runs' descending frequency arrays.
+
+    Rank ``r`` of the output is the mean frequency at rank ``r`` over
+    the runs that reach that rank.  The runs are laid into a
+    zero-padded ``(runs, max_rank + 1)`` matrix and summed over axis 0,
+    which numpy reduces row after row: each rank's total is the same
+    left-to-right sum, bit for bit, as adding the runs one at a time
+    (adding a padded 0.0 changes no total but a -0.0, which no
+    frequency is).  The spare zero column keeps that so at
+    ``max_rank`` 1, where a lone column would be summed as one
+    contiguous vector, pairwise.
+
+    Raises:
+        AnalysisError: On zero runs.
+    """
+    if not runs:
+        raise AnalysisError("cannot average zero curves")
+    lengths = np.fromiter((len(run) for run in runs), np.intp, len(runs))
+    max_len = int(lengths.max())
+    if max_len == 0:
+        return np.array([])
+    matrix = np.zeros((len(runs), max_len + 1))
+    matrix[np.arange(max_len + 1) < lengths[:, None]] = np.concatenate(runs)
+    # Runs reaching rank r: those longer than r.
+    coverage = np.cumsum(np.bincount(lengths, minlength=max_len + 1)[::-1])
+    mean = matrix.sum(axis=0)[:max_len] / np.maximum(coverage[-2::-1], 1)
+    # Rank-aligned averaging over ragged curves can produce tiny local
+    # inversions where coverage drops; restore monotonicity.
+    return np.minimum.accumulate(mean)
+
+
 def average_curves(
     curves: Sequence[RankFrequencyCurve], label: str
 ) -> RankFrequencyCurve:
-    """Rank-aligned mean of several curves.
+    """Rank-aligned mean of several curves (:func:`average_frequencies`).
 
     Used to aggregate the 100 model runs (Sec. V: "we create 100 such
-    sets ... and study the aggregated statistics").  Rank ``r`` of the
-    output is the mean frequency at rank ``r`` over the curves that reach
-    that rank.
+    sets ... and study the aggregated statistics").
     """
-    if not curves:
-        raise AnalysisError("cannot average zero curves")
-    max_len = max(len(curve) for curve in curves)
-    if max_len == 0:
-        return RankFrequencyCurve(label, np.array([]))
-    totals = np.zeros(max_len)
-    coverage = np.zeros(max_len)
-    for curve in curves:
-        size = len(curve)
-        totals[:size] += curve.frequencies
-        coverage[:size] += 1
-    mean = totals / np.maximum(coverage, 1)
-    # Rank-aligned averaging over ragged curves can produce tiny local
-    # inversions where coverage drops; restore monotonicity.
-    mean = np.minimum.accumulate(mean)
-    return RankFrequencyCurve(label, mean)
+    return RankFrequencyCurve(
+        label, average_frequencies([curve.frequencies for curve in curves])
+    )

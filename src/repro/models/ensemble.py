@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.analysis.itemsets import CATEGORY_INDEX, mine_frequencies
-from repro.analysis.rank_frequency import RankFrequencyCurve, average_curves
+from repro.analysis.rank_frequency import RankFrequencyCurve, average_frequencies
 from repro.config import DEFAULT_MINING, MiningConfig, PAPER
 from repro.errors import ModelError, RunCacheError
 from repro.models.base import CulinaryEvolutionModel, EvolutionRun
@@ -114,8 +114,7 @@ class EnsembleCell(NamedTuple):
 
     Attributes:
         runs: The cell's runs, in run order.
-        label: Label of the averaged curve; per-run curves are
-            ``"<label>#<index>"``.
+        label: Label of the averaged curve.
         keys: The runs' run-cache keys
             (:func:`~repro.runtime.cache.fingerprint_many`), aligned
             with ``runs``.  The cell's curves are cached as one entry
@@ -145,31 +144,25 @@ class CurveMiningTask:
             conversion already applied by the caller); they cross
             process boundaries as their arrays.
         mining: Support/size configuration.
-        labels: Per-run curve labels (``"<model>#<index>"``), aligned
-            with ``transactions``.
     """
 
     transactions: tuple[TransactionPlane, ...]
     mining: MiningConfig
-    labels: tuple[str, ...]
 
 
-def mine_curve_task(task: CurveMiningTask) -> list[RankFrequencyCurve]:
-    """Mine one cell's runs in one stacked pass into per-run curves.
+def mine_curve_task(task: CurveMiningTask) -> list[np.ndarray]:
+    """Mine one cell's runs in one stacked pass into per-run frequency
+    arrays, in descending order.
 
     Module-level by design: the process backend pickles this function by
     reference and the task by value (see
     :func:`~repro.runtime.runner.parallel_map`).
     """
-    frequencies = mine_frequencies(
+    return mine_frequencies(
         task.transactions,
         min_support=task.mining.min_support,
         max_size=task.mining.max_size,
     )
-    return [
-        RankFrequencyCurve(label, values)
-        for label, values in zip(task.labels, frequencies)
-    ]
 
 
 def ensemble_curves(
@@ -189,11 +182,13 @@ def ensemble_curves(
     stacked pass (:func:`~repro.analysis.itemsets.mine_frequencies`),
     and every cell's task goes through a single order-preserving
     :func:`~repro.runtime.runner.parallel_map` call, so one pool (or
-    one distributed spool session) serves the whole grid; the per-cell
-    averages are then assembled locally.  Results are bit-identical to
-    calling :func:`ensemble_curve` per cell, and to mining each run on
-    its own: the stacked pass keeps runs apart, tasks are pure, the
-    map preserves order, and averaging happens per cell either way.
+    one distributed spool session) serves the whole grid; each cell's
+    per-run arrays are then averaged locally, as arrays
+    (:func:`~repro.analysis.rank_frequency.average_frequencies`).
+    Results are bit-identical to calling :func:`ensemble_curve` per
+    cell, and to mining each run on its own: the stacked pass keeps
+    runs apart, tasks are pure, the map preserves order, and averaging
+    happens per cell either way.
 
     When a curve cache is available (explicitly, or built from
     ``runtime.cache_dir``), each cell's per-run frequencies are one
@@ -234,22 +229,18 @@ def ensemble_curves(
     if curve_cache is None and config.cache_dir is not None:
         curve_cache = CurveCache(config.cache_dir)
 
-    # Per cell: its curve key and its per-run curves, served whole or
-    # mined whole.  Only cells left to mine are converted to their level.
+    # Per cell: its curve key and its per-run frequency arrays, served
+    # whole or mined whole.  Only cells left to mine are converted to
+    # their level.
     keys: list[str | None] = [None] * len(cells)
-    curves: list[list[RankFrequencyCurve] | None] = [None] * len(cells)
+    curves: list[Sequence[np.ndarray] | None] = [None] * len(cells)
     for position, cell in enumerate(cells):
         if curve_cache is None or cell.keys is None:
             continue
         keys[position] = cell_curve_key(cell.keys, mining, level=level)
-        cached = curve_cache.get(
+        curves[position] = curve_cache.get(
             keys[position], valid=_frequencies_of(len(cell.runs))
         )
-        if cached is not None:
-            curves[position] = [
-                RankFrequencyCurve(f"{cell.label}#{index}", frequencies)
-                for index, frequencies in enumerate(cached)
-            ]
     pending = [position for position, found in enumerate(curves) if found is None]
 
     if pending:
@@ -261,10 +252,6 @@ def ensemble_curves(
                     for run in cells[position].runs
                 ),
                 mining=mining,
-                labels=tuple(
-                    f"{cells[position].label}#{index}"
-                    for index in range(len(cells[position].runs))
-                ),
             )
             for position in pending
         ]
@@ -276,10 +263,7 @@ def ensemble_curves(
                 # never discard mined results; record it and stop
                 # writing instead.
                 try:
-                    curve_cache.put(
-                        keys[position],
-                        tuple(curve.frequencies for curve in cell_curves),
-                    )
+                    curve_cache.put(keys[position], tuple(cell_curves))
                 except RunCacheError as exc:
                     events.record(events.CacheWriteFailure.of(
                         curve_cache, keys[position], exc
@@ -287,26 +271,42 @@ def ensemble_curves(
                     curve_cache = None
 
     return [
-        average_curves(cell_curves, cell.label)  # type: ignore[arg-type]
+        RankFrequencyCurve(cell.label, average_frequencies(cell_curves))
         for cell, cell_curves in zip(cells, curves)
     ]
 
 
 def _frequencies_of(n_runs: int):
-    """Whether a curve-cache payload is ``n_runs`` 1-D frequency arrays.
+    """Whether a curve-cache payload is ``n_runs`` curves: 1-D float64
+    arrays of finite frequencies, each in descending rank order (within
+    :class:`~repro.analysis.rank_frequency.RankFrequencyCurve`'s
+    tolerance).
 
-    An entry of another shape (layout drift, damaged file) is evicted
-    as corrupt and the cell re-mined, not a crash.
+    An entry of another shape or with values no miner writes (layout
+    drift, damaged file) is evicted as corrupt and the cell re-mined,
+    not a crash.  The values are checked in one pass over the whole
+    cell.
     """
     def valid(payload: object) -> bool:
-        return (
+        if not (
             isinstance(payload, tuple)
             and len(payload) == n_runs
             and all(
-                isinstance(frequencies, np.ndarray) and frequencies.ndim == 1
+                isinstance(frequencies, np.ndarray)
+                and frequencies.ndim == 1
+                and frequencies.dtype == np.float64
                 for frequencies in payload
             )
-        )
+        ):
+            return False
+        values = np.concatenate(payload)
+        steps = np.diff(values)
+        # A step from one run's last rank to the next run's first is
+        # no rank order.
+        starts = np.cumsum([len(frequencies) for frequencies in payload])
+        starts = starts[(starts > 0) & (starts < values.size)]
+        steps[starts - 1] = 0.0
+        return bool(np.isfinite(values).all() and (steps <= 1e-12).all())
 
     return valid
 

@@ -37,6 +37,7 @@ import hashlib
 import json
 import pickle
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, NamedTuple, Sequence
@@ -91,6 +92,10 @@ __all__ = [
 CACHE_FORMAT_VERSION = 7
 
 
+#: Types ``_canonical`` returns as they are; a spec is mostly these.
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
 def _canonical(value: object) -> object:
     """Reduce ``value`` to a JSON-stable structure for fingerprinting.
 
@@ -102,6 +107,8 @@ def _canonical(value: object) -> object:
     address and is different every run).  Mappings are sorted, enums
     use their value, callables their qualified name.
     """
+    if type(value) in _SCALARS:  # exact types: no enum or subclass
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__class__": type(value).__qualname__,
@@ -146,6 +153,36 @@ def _canonical(value: object) -> object:
     return repr(value)
 
 
+#: The canonical JSON of each live spec, by identity.  A spec's entry
+#: leaves with the spec (``weakref.finalize``), so the memo holds only
+#: specs still in use and an id is never served after its object dies.
+_SPEC_ENCODINGS: dict[int, str] = {}
+
+
+def _encode(value: object) -> str:
+    """The canonical JSON text every run key is hashed over."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _spec_encoding(spec: object) -> str:
+    """``_encode(_canonical(spec))``, computed once per live spec.
+
+    Only a frozen dataclass is remembered: its fields cannot be rebound
+    (a :class:`~repro.models.params.CuisineSpec` holds tuples of ints
+    and enums), so its encoding cannot go stale.  Equal but distinct
+    specs each encode once, to the same text.
+    """
+    params = getattr(type(spec), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return _encode(_canonical(spec))
+    key = id(spec)
+    encoded = _SPEC_ENCODINGS.get(key)
+    if encoded is None:
+        encoded = _SPEC_ENCODINGS[key] = _encode(_canonical(spec))
+        weakref.finalize(spec, _SPEC_ENCODINGS.pop, key, None).atexit = False
+    return encoded
+
+
 def fingerprint_many(
     model: "CulinaryEvolutionModel",
     spec: "CuisineSpec",
@@ -155,10 +192,14 @@ def fingerprint_many(
 ) -> list[str]:
     """SHA-256 keys for many runs sharing one (model, spec).
 
-    The model/spec half of the payload — by far the expensive part to
-    canonicalize (a real cuisine spec holds hundreds of ingredient ids)
-    — is encoded once and reused for every seed, so keying a 100-run
-    ensemble costs one canonicalization, not a hundred.
+    A run key hashes ``{"base":<base>,"seed":<seed>}``, where the base
+    is the canonical JSON of the model, its resolved engine, the spec
+    and ``record_history`` (keys sorted, no spaces).  The base is
+    encoded once per call and its spec part once per live spec — by
+    far the expensive part to canonicalize (a real cuisine spec holds
+    hundreds of ingredient ids), and a grid reuses each cuisine's spec
+    across its models.  Each seed's key then continues a SHA-256 state
+    primed with everything before the seed.
 
     Args:
         model: The configured model.
@@ -173,9 +214,11 @@ def fingerprint_many(
             whose stream contract changed — never collide (DESIGN.md
             §5).
     """
-    base = {
-        "version": CACHE_FORMAT_VERSION,
-        "model": {
+    # The fields of the base in sorted order, each encoded as
+    # ``_encode`` would encode it inside the whole dict.
+    fields = {
+        "engine": _encode(_canonical(model.engine_contract(engine))),
+        "model": _encode({
             "class": type(model).__qualname__,
             "name": model.name,
             # Full instance state, not just params/fitness: models may
@@ -184,18 +227,21 @@ def fingerprint_many(
             # two configurations that run differently must never share
             # a cache key.
             "state": _canonical(vars(model)),
-        },
-        "engine": _canonical(model.engine_contract(engine)),
-        "spec": _canonical(spec),
-        "record_history": bool(record_history),
+        }),
+        "record_history": _encode(bool(record_history)),
+        "spec": _spec_encoding(spec),
+        "version": _encode(CACHE_FORMAT_VERSION),
     }
-    encoded_base = json.dumps(base, sort_keys=True, separators=(",", ":"))
-    return [
-        hashlib.sha256(
-            f'{{"base":{encoded_base},"seed":{int(seed)}}}'.encode("utf-8")
-        ).hexdigest()
-        for seed in seeds
-    ]
+    encoded_base = "{" + ",".join(
+        f"{_encode(name)}:{text}" for name, text in sorted(fields.items())
+    ) + "}"
+    primed = hashlib.sha256(f'{{"base":{encoded_base},"seed":'.encode("utf-8"))
+    keys = []
+    for seed in seeds:
+        digest = primed.copy()
+        digest.update(f"{int(seed)}}}".encode("utf-8"))
+        keys.append(digest.hexdigest())
+    return keys
 
 
 def run_fingerprint(

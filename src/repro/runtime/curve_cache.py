@@ -198,9 +198,9 @@ class CurveCache(PickleStore):
     (model cells) or :func:`curve_key` (empirical curves).
 
     Payloads are either tuples of 1-D float arrays of descending
-    normalized frequencies, one per run of an ensemble cell (labels are
-    reattached by the caller, so one entry serves every labeling), or
-    full
+    normalized frequencies, one per run of an ensemble cell (unlabelled:
+    the caller averages them as arrays and labels only the average, so
+    one entry serves every labeling), or full
     :class:`~repro.analysis.itemsets.MiningResult` objects (empirical
     curves, whose callers also need the itemsets).  Shares its directory
     with :class:`~repro.runtime.cache.RunCache` — entries are

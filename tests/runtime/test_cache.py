@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,9 @@ from repro import durable
 from repro.config import MiningConfig
 from repro.errors import ModelError, ParameterError, RunCacheError
 from repro.experiments.fig4 import CellCurve
+from repro.lexicon.categories import Category
 from repro.models.ensemble import ensemble_curve, run_ensemble
+from repro.models.params import CuisineSpec
 from repro.models.registry import create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
@@ -19,6 +25,7 @@ from repro.runtime import (
     RuntimeConfig,
     cache_corruptions,
     cache_write_failures,
+    cell_curve_key,
     execute_runs,
     execute_sweep,
     fingerprint_many,
@@ -26,6 +33,7 @@ from repro.runtime import (
     plan_grid,
     run_fingerprint,
 )
+from repro.runtime import cache as cache_module
 
 
 def _signature(runs):
@@ -199,6 +207,69 @@ def test_fingerprint_many_matches_single(tiny_spec):
         run_fingerprint(model, tiny_spec, seed) for seed in seeds
     ]
     assert len(set(batch)) == len(batch)
+
+
+#: A fixed tiny cell for the key pins below; its keys were recorded
+#: at CACHE_FORMAT_VERSION 7 and CURVE_FORMAT_VERSION 3.
+PIN_SPEC = CuisineSpec(
+    region_code="PIN",
+    ingredient_ids=(2, 3, 5, 7, 11, 13),
+    categories=(Category.VEGETABLE, Category.SPICE, Category.DAIRY) * 2,
+    avg_recipe_size=3.0,
+    n_recipes=12,
+    phi=0.5,
+)
+PIN_SEEDS = (0, 1, 2**40 + 7)
+
+
+def test_run_keys_are_pinned():
+    # Every cached run and curve is found by these keys; a change to
+    # the canonical encoding that is not a deliberate format bump
+    # loses them all.  The curve-key scheme itself is pinned in
+    # test_curve_cache.py.
+    keys = fingerprint_many(create_model("CM-C"), PIN_SPEC, PIN_SEEDS)
+    assert keys[0] == (
+        "96248111fd488121fbbca5a432c24e6d2b20e801005216ed8d06db58073766dd"
+    )
+    assert item_key(keys) == (
+        "1a4be8b6f613c05eb4b4ad4293e762cad4587237763fbc01b6967ccc843f55d8"
+    )
+    assert cell_curve_key(keys, MiningConfig(min_support=0.05)) == (
+        "c9a2c95f19492fa69b6706a97eded8f6a837f588161897f5795a105f3b216a70"
+    )
+
+
+def test_run_keys_follow_the_spec_value_not_its_object():
+    """A spec's encoding is computed once per spec object and reused;
+    equal specs must still share keys and changed specs never."""
+    model = create_model("CM-C")
+
+    def keyed(spec):
+        return fingerprint_many(model, spec, PIN_SEEDS)
+
+    pinned = keyed(PIN_SPEC)
+    assert keyed(PIN_SPEC) == pinned  # the reused encoding
+    assert keyed(dataclasses.replace(PIN_SPEC)) == pinned
+    assert keyed(copy.deepcopy(PIN_SPEC)) == pinned
+    assert keyed(PIN_SPEC.scaled(13)) != pinned
+    recategorized = dataclasses.replace(
+        PIN_SPEC, categories=(Category.MEAT,) * PIN_SPEC.n_ingredients
+    )
+    assert keyed(recategorized) != pinned
+    # Short-lived specs free their ids for the next one; a reused id
+    # must never serve the dead spec's encoding.
+    fresh = [keyed(PIN_SPEC.scaled(n))[0] for n in range(20, 60)]
+    assert len(set(fresh)) == len(fresh)
+
+
+def test_spec_encodings_leave_with_their_spec():
+    before = len(cache_module._SPEC_ENCODINGS)
+    spec = PIN_SPEC.scaled(99)
+    fingerprint_many(create_model("CM-R"), spec, [1])
+    assert len(cache_module._SPEC_ENCODINGS) == before + 1
+    del spec
+    gc.collect()
+    assert len(cache_module._SPEC_ENCODINGS) == before
 
 
 def test_cache_write_failure_does_not_discard_results(tiny_spec, tmp_path,

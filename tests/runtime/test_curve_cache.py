@@ -300,6 +300,60 @@ def test_cell_entry_of_the_wrong_shape_is_one_recorded_miss(tiny_spec, tmp_path)
     assert len(cache.get(key)) == len(runs)  # the re-mined cell's entry
 
 
+def _out_of_order(entry):
+    return (entry[0][::-1].copy(),) + entry[1:]
+
+
+def _with_value(value):
+    def plant(entry):
+        first = entry[0].copy()
+        first[0] = value
+        return (first,) + entry[1:]
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [_out_of_order, _with_value(np.nan), _with_value(np.inf)],
+    ids=["out of rank order", "nan", "inf"],
+)
+def test_cell_entry_with_values_no_miner_writes_is_one_recorded_miss(
+    plant, tiny_spec, tmp_path
+):
+    """An entry of the right shape whose values are out of rank order
+    or not finite is quarantined as a ``format-version`` corruption and
+    the cell re-mined, bit-identically to a cold run; it never reaches
+    the averaging as a crash."""
+    model = create_model("CM-R")
+    seeds = spawn_seeds(ensure_rng(3), 3)
+    runs = execute_runs(model, tiny_spec, seeds)
+    keys = fingerprint_many(model, tiny_spec, seeds)
+    cache = CurveCache(tmp_path)
+    cold = ensemble_curve(
+        runs, "CM-R", mining=MINING, keys=keys, curve_cache=cache
+    )
+    key = cell_curve_key(keys, MINING)
+    entry = cache.get(key)
+    planted = plant(entry)
+    # The fault is real: the planted run is no descending finite curve.
+    bad = planted[0]
+    assert not np.isfinite(bad).all() or (np.diff(bad) > 1e-12).any()
+    cache.put(key, planted)
+    with pytest.warns(CacheCorruptionWarning):
+        again = ensemble_curve(
+            runs, "CM-R", mining=MINING, keys=keys, curve_cache=cache
+        )
+    (event,) = cache_corruptions()
+    assert (event.store, event.kind) == ("CurveCache", "format-version")
+    assert (event.path, event.action) == (str(cache.path_for(key)), "removed")
+    assert again.frequencies.tobytes() == cold.frequencies.tobytes()
+    # The re-mined cell wrote its entry back, equal to the cold one.
+    assert all(
+        a.tobytes() == b.tobytes() for a, b in zip(cache.get(key), entry)
+    )
+
+
 def _recategorized(spec, categories):
     return dataclasses.replace(
         spec,
