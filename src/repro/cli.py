@@ -12,26 +12,18 @@ Subcommands::
     repro sweep       — execute the model×cuisine run grid in one
                         pass (and warm the run cache; ``--mine``
                         also warms the mined-curve cache)
-    repro worker      — serve a distributed work-queue spool directory
-                        (claim tasks, heartbeat, write results) until
-                        stopped; pairs with ``--backend distributed``
     repro cache       — inspect (`stats`), empty (`clear`), or age-out
                         (`prune`) a cache directory (runs, mined curves
                         and orphan temps)
-    repro spool       — inspect (`stats`) or sweep the dead debris out
-                        of (`compact`) a work-queue spool directory
 
 Every stochastic command accepts ``--seed`` for exact reproducibility.
 Commands that execute model ensembles (``experiment``, ``evolve``,
 ``report``, ``sweep``) also accept ``--backend
-{serial,process,distributed}``, ``--jobs N`` (0 = all cores),
+{serial,process}``, ``--jobs N`` (0 = all cores),
 ``--cache-dir PATH`` and ``--engine {reference,batched}`` — results
 are bit-identical across backends for a fixed seed (per engine, see
 DESIGN.md §5/§7), and the run cache lets repeated invocations reuse
-completed runs.  The distributed backend additionally honors ``--spool-dir PATH``
-(the shared work-queue directory that external ``repro worker``
-processes serve) and ``--local-workers N`` (worker processes the
-coordinator spawns itself; 0 = external only) — see DESIGN.md §8.
+completed runs.
 Mining commands accept ``--min-support X`` (paper: 0.05); there is one
 miner, the packed-bit search of DESIGN.md §6.
 """
@@ -61,17 +53,12 @@ from repro.rng import DEFAULT_SEED
 from repro.runtime import (
     BACKENDS,
     CurveCache,
-    DistributedConfig,
-    FaultPlan,
     PickleStore,
     RunCache,
     RuntimeConfig,
-    compact_spool,
     execute_sweep,
     plan_grid,
-    run_worker,
     select_regions,
-    spool_stats,
 )
 from repro.synthesis.worldgen import WorldKitchen
 from repro.viz.ascii import render_table
@@ -101,35 +88,12 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
             "scalar executable-spec loop — CM-V always runs there)"
         ),
     )
-    parser.add_argument(
-        "--spool-dir", type=Path, default=None,
-        help=(
-            "distributed backend: shared work-queue directory served "
-            "by `repro worker` processes (default: a private temp "
-            "spool per map, local workers only)"
-        ),
-    )
-    parser.add_argument(
-        "--local-workers", type=int, default=None,
-        help=(
-            "distributed backend: worker processes the coordinator "
-            "spawns itself (default: --jobs; 0 = rely entirely on "
-            "external `repro worker` processes)"
-        ),
-    )
 
 
 def _runtime_from_args(args: argparse.Namespace) -> RuntimeConfig:
     """Build the RuntimeConfig a command's flags describe."""
-    distributed = None
-    if args.backend == "distributed":
-        distributed = DistributedConfig(
-            spool_dir=args.spool_dir,
-            local_workers=args.local_workers,
-        )
     return RuntimeConfig(
-        backend=args.backend, jobs=args.jobs, cache_dir=args.cache_dir,
-        distributed=distributed,
+        backend=args.backend, jobs=args.jobs, cache_dir=args.cache_dir
     )
 
 
@@ -267,55 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mining_flags(sweep)
     _add_runtime_flags(sweep)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve a distributed work-queue spool directory",
-        description=(
-            "Attach to a spool directory and serve it: claim tasks by "
-            "atomic rename, heartbeat while executing, write results "
-            "back.  Any `repro ... --backend distributed --spool-dir "
-            "DIR` coordinator sharing the directory (typically on a "
-            "shared filesystem) will use this worker.  Exits when the "
-            "spool's `stop` sentinel appears and the queue is empty "
-            "(create it with `touch DIR/stop`), after --idle-timeout "
-            "seconds without work, or after --max-tasks claims."
-        ),
-    )
-    worker.add_argument(
-        "--spool", type=Path, required=True,
-        help="the work-queue directory to serve",
-    )
-    worker.add_argument(
-        "--worker-id", default=None,
-        help="stable worker id for claims/heartbeats (default: w<pid>)",
-    )
-    worker.add_argument(
-        "--poll-interval", type=float, default=0.2,
-        help="seconds between queue scans when idle (default: 0.2)",
-    )
-    worker.add_argument(
-        "--heartbeat-interval", type=float, default=1.0,
-        help=(
-            "seconds between heartbeat touches; keep well under the "
-            "coordinator's lease timeout (default: 1.0)"
-        ),
-    )
-    worker.add_argument(
-        "--idle-timeout", type=float, default=None,
-        help="exit after this much idle time (default: wait for stop)",
-    )
-    worker.add_argument(
-        "--max-tasks", type=int, default=None,
-        help="exit after claiming this many tasks (default: unlimited)",
-    )
-    worker.add_argument(
-        "--fault-plan", type=Path, default=None,
-        help=(
-            "JSON fault-injection plan to obey (testing; default: the "
-            "spool's faults.json when present)"
-        ),
-    )
-
     cache = sub.add_parser(
         "cache",
         help=(
@@ -333,33 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune: remove entries older than this many days",
     )
 
-    spool = sub.add_parser(
-        "spool",
-        help="inspect or compact a work-queue spool directory",
-        description=(
-            "`stats` prints one read-only snapshot of a spool: queue "
-            "depth, claimed/stale leases, worker liveness, per-outcome "
-            "attempt counts and debris.  `compact` removes exactly the "
-            "dead debris — stale claims and heartbeats, long-gone "
-            "worker markers, orphaned results and stranded atomic-write "
-            "temps — judged by age against --stale-after; live state "
-            "and pending tasks are never touched.  Both run safely "
-            "beside an active map."
-        ),
-    )
-    spool.add_argument("action", choices=("stats", "compact"))
-    spool.add_argument(
-        "--spool", type=Path, required=True, dest="spool_dir",
-        help="the work-queue directory to inspect or compact",
-    )
-    spool.add_argument(
-        "--stale-after", type=float, default=60.0,
-        help=(
-            "seconds without a heartbeat/mtime touch before state "
-            "counts as dead (default: 60; keep well above the fleet's "
-            "heartbeat interval)"
-        ),
-    )
     return parser
 
 
@@ -683,67 +571,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = FaultPlan.load(args.fault_plan)
-    summary = run_worker(
-        args.spool,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        heartbeat_interval=args.heartbeat_interval,
-        idle_timeout=args.idle_timeout,
-        max_tasks=args.max_tasks,
-        fault_plan=fault_plan,
-    )
-    print(
-        f"worker {summary.worker_id} done: {summary.claimed} claimed, "
-        f"{summary.completed} completed, {summary.failed} failed"
-    )
-    return 0
-
-
-def _cmd_spool(args: argparse.Namespace) -> int:
-    if args.action == "compact":
-        removed = compact_spool(args.spool_dir, stale_after=args.stale_after)
-        print(render_table(
-            ("Debris", "Removed"),
-            [
-                ("stale claims", removed.stale_claims),
-                ("orphan heartbeats", removed.orphan_heartbeats),
-                ("dead worker markers", removed.dead_workers),
-                ("stale results", removed.stale_results),
-                ("orphan temp files", removed.orphan_tmp),
-                ("total", removed.total),
-            ],
-            title=(
-                f"Compacted {args.spool_dir} "
-                f"(stale after {args.stale_after:g}s)"
-            ),
-        ))
-        return 0
-    stats = spool_stats(args.spool_dir, stale_after=args.stale_after)
-    rows: list[tuple[str, object]] = [
-        ("pending tasks", stats.pending_tasks),
-        ("claimed", stats.claimed),
-        ("stale claims", stats.stale_claims),
-        ("results waiting", stats.results),
-        ("live workers", stats.live_workers),
-        ("dead workers", stats.dead_workers),
-        ("orphan temp files", stats.orphan_tmp),
-        ("stop signaled", "yes" if stats.stop_signaled else "no"),
-    ]
-    for outcome in sorted(stats.attempts):
-        rows.append((f"attempts[{outcome}]", stats.attempts[outcome]))
-    print(render_table(
-        ("Quantity", "Value"), rows,
-        title=(
-            f"Spool {args.spool_dir} (stale after {args.stale_after:g}s)"
-        ),
-    ))
-    return 0
-
-
 _COMMANDS = {
     "generate": _cmd_generate,
     "stats": _cmd_stats,
@@ -752,9 +579,7 @@ _COMMANDS = {
     "resolve": _cmd_resolve,
     "report": _cmd_report,
     "sweep": _cmd_sweep,
-    "worker": _cmd_worker,
     "cache": _cmd_cache,
-    "spool": _cmd_spool,
 }
 
 

@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "save_jsonl",
         "save_raw_jsonl",
     ),
-    "merge": ("merge_datasets", "reassign_ids", "subsample_dataset"),
     "recipe": ("RawRecipe", "Recipe"),
     "regions": ("ALL_REGION_CODES", "REGIONS", "Region", "get_region", "iter_regions"),
     "sources": ("SOURCES", "RecipeSource", "source_weights", "total_source_recipes"),

@@ -1,13 +1,12 @@
 """How a file reaches disk: the one primitive under every on-disk store.
 
-Caches (DESIGN.md §5, §6), the spool (§8) and JSONL corpora all write
+Caches (DESIGN.md §5, §6) and JSONL corpora both write
 through :func:`atomic_write`: bytes go to ``<final name>.tmp.<pid>``
 and land by :func:`os.replace`, so a reader sees the old file, the new
 one or none.  A failed write unlinks its temp; a killed writer strands
 it for :func:`orphan_temps` and :func:`sweep`.  Whether a write is
 fsynced (file before the rename, directory after it) is a fixed fact
-about each store: corpora are; caches (recomputable) and the spool
-(recovered by leases) are not.
+about each store: corpora are; caches (recomputable) are not.
 
 Pickled store entries sit in a SHA-256 frame (:func:`dump_framed` /
 :func:`load_framed`).  The payload is pickled at protocol 5 with its

@@ -27,7 +27,6 @@ __all__ = [
     "ParameterError",
     "ExperimentError",
     "ExecutionError",
-    "TaskRetryExhaustedError",
     "RunCacheError",
 ]
 
@@ -162,16 +161,6 @@ class ExperimentError(ReproError):
 
 class ExecutionError(ReproError):
     """A problem in the parallel execution runtime (backends, jobs)."""
-
-
-class TaskRetryExhaustedError(ExecutionError):
-    """A distributed task failed on every allowed attempt.
-
-    Raised by the distributed backend when a task has been retried
-    ``max_attempts`` times (worker crashes, timeouts, or deterministic
-    task errors) without completing; carries the failing task indices
-    and their last recorded errors in the message.
-    """
 
 
 class RunCacheError(ExecutionError):

@@ -46,7 +46,7 @@ class CellCurve:
     cell's planes.  The cell's curves are cached as one entry under the
     run keys the sweep handed over — the keys the run cache used — so
     they are never derived a second time.  Its state is picklable, which keeps it on
-    the process and distributed backends.
+    the process backend.
 
     Attributes:
         mining: Support/size configuration.

@@ -35,5 +35,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "params": ("ENGINES", "CuisineSpec", "ModelParams"),
     "registry": ("PAPER_MODELS", "available_models", "create_model", "register_model"),
     "state": ("EvolutionState", "EvolutionTraceCounters"),
-    "statistics": ("EnsembleStatistics", "summarize_ensemble"),
 })

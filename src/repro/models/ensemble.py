@@ -181,8 +181,8 @@ def ensemble_curves(
     uncached cell becomes one :class:`CurveMiningTask`, mined in one
     stacked pass (:func:`~repro.analysis.itemsets.mine_frequencies`),
     and every cell's task goes through a single order-preserving
-    :func:`~repro.runtime.runner.parallel_map` call, so one pool (or
-    one distributed spool session) serves the whole grid; each cell's
+    :func:`~repro.runtime.runner.parallel_map` call, so one pool
+    serves the whole grid; each cell's
     per-run arrays are then averaged locally, as arrays
     (:func:`~repro.analysis.rank_frequency.average_frequencies`).
     Results are bit-identical to calling :func:`ensemble_curve` per

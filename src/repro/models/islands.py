@@ -34,8 +34,8 @@ dispatchable model: its result is a pure function of
 ``(simulation, member, seed)``, keyed per island under the versioned
 :data:`ISLANDS_STREAM_VERSION` contract, and
 :func:`run_island_ensemble` fans whole archipelago ensembles out
-through :func:`~repro.runtime.runner.dispatch_work` (process /
-distributed backends) as one archipelago execution per master seed,
+through :func:`~repro.runtime.runner.dispatch_work` (serial or
+process backend) as one archipelago execution per master seed,
 cached as one :class:`~repro.runtime.cache.RunCache` entry.
 """
 
@@ -732,8 +732,8 @@ def run_island_ensemble(
     master seed, so each uncached archipelago executes exactly once and
     is cached as one :class:`~repro.runtime.cache.RunCache` entry
     holding every member's run; a cached archipelago is served whole.
-    Bit-identical across serial/process/distributed backends for a
-    fixed ``seed``.
+    Bit-identical across the serial and process backends for a fixed
+    ``seed``.
 
     Args:
         simulation: The configured archipelago.

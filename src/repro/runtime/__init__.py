@@ -6,25 +6,15 @@ statistics"), and every experiment driver bottlenecks on executing those
 independent runs.  This subsystem makes that fan-out a first-class,
 swappable concern:
 
-* :class:`RuntimeConfig` — backend ("serial" / "process" /
-  "distributed"), worker count, optional cache directory, and the
-  distributed backend's :class:`DistributedConfig` policy;
+* :class:`RuntimeConfig` — backend ("serial" / "process"), worker
+  count and optional cache directory;
 * :mod:`~repro.runtime.executor` — order-preserving map backends;
-* :mod:`~repro.runtime.distributed` — the file-based work-queue
-  backend: a spool directory, lease-based fault tolerance (bounded
-  retries, heartbeats, per-task timeouts), ``repro worker`` processes,
-  and structured :class:`TaskAttempt` records (DESIGN.md §8);
-* :mod:`~repro.runtime.faults` — fault injection (kill / hang / delay)
-  for proving the sweep survives worker failure bit-identically;
 * :mod:`~repro.runtime.events` — the one runtime event log: every
-  backend degradation, cache corruption and task attempt is a typed
-  event appended by one ``record`` (warning once per cause) and read
-  back by type (:func:`backend_degradations`,
-  :func:`cache_corruptions`, :func:`cache_write_failures`,
-  :func:`task_attempts`).  Events recorded in a pool or spool worker
+  backend degradation, cache corruption and cache write failure is a
+  typed event appended by one ``record`` (warning once per cause) and
+  read back by type (:func:`backend_degradations`,
+  :func:`cache_corruptions`, :func:`cache_write_failures`).  Events recorded in a pool worker
   travel back with its result and are replayed into the caller's log;
-* :mod:`~repro.runtime.spool_tools` — spool telemetry and debris
-  compaction behind ``repro spool stats|compact``;
 * :mod:`~repro.runtime.runner` — deterministic run execution
   (:func:`execute_runs`) built on per-run integer seed streams: the
   cell is the unit of dispatch, so an ``engine="batched"`` cell runs
@@ -63,7 +53,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "item_key",
         "run_fingerprint",
     ),
-    "config": ("BACKENDS", "DistributedConfig", "RuntimeConfig"),
+    "config": ("BACKENDS", "RuntimeConfig"),
     "curve_cache": (
         "CURVE_FORMAT_VERSION",
         "CurveCache",
@@ -71,18 +61,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "curve_key",
         "transactions_fingerprint",
     ),
-    "distributed": (
-        "DistributedExecutor",
-        "LeaseLedger",
-        "Spool",
-        "TaskAttempt",
-        "WorkerSummary",
-        "run_worker",
-        "signal_stop",
-        "task_attempts",
-    ),
     "executor": ("Executor", "ProcessExecutor", "SerialExecutor", "get_executor"),
-    "faults": ("FaultPlan", "FaultSpec"),
     "events": (
         "BackendDegradation",
         "BackendDegradationWarning",
@@ -114,5 +93,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "plan_grid",
         "select_regions",
     ),
-    "spool_tools": ("SpoolCompaction", "SpoolStats", "compact_spool", "spool_stats"),
 })

@@ -3,10 +3,9 @@
 Every runtime observation an operator may need after the fact is one
 typed event appended to one process-wide log: a backend degradation
 (the runtime ran a map on a weaker backend than asked), a cache
-corruption (a store evicted a corrupt file), a cache write failure (a
-store could not write an entry, so the next run recomputes it) and a
-distributed task attempt (:class:`~repro.runtime.distributed.
-TaskAttempt`).  Producers call :func:`record`; readers filter the log by
+corruption (a store evicted a corrupt file) and a cache write failure
+(a store could not write an entry, so the next run recomputes it).
+Producers call :func:`record`; readers filter the log by
 type with :func:`recorded` (or the one-line queries such as
 :func:`cache_corruptions`); :func:`clear` resets it.
 
@@ -95,9 +94,8 @@ class BackendDegradation(Event):
     """The runtime ran a map on a weaker backend than the caller asked.
 
     A ``process`` map over an unpicklable callable, item or result runs
-    serially in-process (:func:`~repro.runtime.runner.parallel_map`); a
-    ``distributed`` map no worker attaches to runs on the local process
-    pool.  Results still arrive bit-identical, but throughput collapses,
+    serially in-process (:func:`~repro.runtime.runner.parallel_map`).
+    Results still arrive bit-identical, but throughput collapses,
     so the first occurrence per ``(requested, callable)`` warns.
 
     Attributes:

@@ -9,7 +9,7 @@ leak into results; output order must not either).
 
 Backend selection notes:
 
-* ``serial`` — no pools, no overhead; also what every other backend
+* ``serial`` — no pools, no overhead; also what the process backend
   degrades to at ``jobs=1``.
 * ``process`` — true parallelism for the simulation loop.  Both the
   callable and the items must be picklable; the run-execution layer
@@ -19,11 +19,6 @@ Backend selection notes:
   pickles the result together with the runtime events the call
   recorded, and the parent replays those events into its own log
   (:mod:`repro.runtime.events`).
-* ``distributed`` — a file-based work queue served by local and/or
-  externally attached ``repro worker`` processes, with lease-based
-  fault tolerance (:mod:`repro.runtime.distributed`, DESIGN.md §8).
-  Same pickling constraints as ``process``; constructed lazily here so
-  the executor layer stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -168,9 +163,7 @@ def get_executor(config: RuntimeConfig | None = None) -> Executor:
     ``jobs=1`` (the default) degrades the process backend to
     :class:`SerialExecutor` — a pool with one worker would pay pool
     overhead for serial semantics, so the fallback is both the safe and
-    the fast choice.  The distributed backend is exempt: even
-    a one-worker queue changes *where* work runs (external workers, a
-    shared spool), so it is built whenever requested.
+    the fast choice.
 
     Args:
         config: Runtime configuration; ``None`` means serial.
@@ -180,13 +173,6 @@ def get_executor(config: RuntimeConfig | None = None) -> Executor:
             :class:`~repro.runtime.config.RuntimeConfig` construction).
     """
     config = config if config is not None else RuntimeConfig()
-    if config.backend == "distributed":
-        # Imported lazily: distributed builds *on* this module's
-        # Executor ABC and fallback pools, so a top-level import would
-        # cycle.
-        from repro.runtime.distributed import DistributedExecutor
-
-        return DistributedExecutor(config)
     jobs = config.resolve_jobs()
     if config.backend == "serial" or jobs <= 1:
         return SerialExecutor()

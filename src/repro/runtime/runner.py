@@ -12,7 +12,7 @@ front).  Determinism is structural rather than incidental:
    :func:`repro.rng.rng_from_seed` — so a run's result is a pure
    function of ``(model, spec, seed)``;
 3. executors preserve input order — so the assembled ensemble is
-   bit-identical across serial, process and distributed execution.
+   bit-identical across serial and process execution.
 """
 
 from __future__ import annotations
@@ -279,40 +279,6 @@ def _plan_cell(
     ]
 
 
-@dataclass(frozen=True)
-class _CacheThroughWork:
-    """A work item bundled with its cache destination and run keys.
-
-    The distributed backend's unit of dispatch: the worker that computes
-    the runs also writes them into the shared
-    :class:`~repro.runtime.cache.RunCache` as the item's one entry,
-    making the cache directory the result rendezvous — an interrupted
-    sweep resumes from whatever any worker finished, even if the
-    coordinator never saw it.
-    """
-
-    item: "RunRequest | BatchRequest | ArchipelagoRequest"
-    cache_dir: str
-    keys: tuple[str, ...]
-
-
-def _execute_work_write_through(
-    work: _CacheThroughWork,
-) -> list["EvolutionRun"]:
-    """Execute one work item and write its runs straight into the cache.
-
-    Module-level so the distributed workers can pickle it.  A cache
-    write failure on the worker is tolerated — results still travel
-    back through the spool; the cache is the resumability layer, not
-    the only channel.  Re-executed attempts (a reclaimed task) simply
-    overwrite with bit-identical payloads: runs are pure functions of
-    their request, and cache puts are atomic.
-    """
-    runs = _execute_work(work.item)
-    _write_through(work.cache_dir, work.keys, runs)
-    return runs
-
-
 def _write_through(
     cache_dir: str, keys: Sequence[str], runs: Sequence["EvolutionRun"]
 ) -> None:
@@ -362,7 +328,7 @@ class _ReducedCell:
 def _execute_reduced(work: _ReducedCell) -> object:
     """Run a cell's uncached items, cache them, return the cell's reduction.
 
-    Module-level so the process and distributed backends can pickle it.
+    Module-level so the process backend can pickle it.
     """
     served = work.served or (None,) * len(work.work)
     runs: list["EvolutionRun"] = []
@@ -404,8 +370,10 @@ def dispatch_work(
     order, and is one cache entry (:func:`~repro.runtime.cache.item_key`):
     lookups happen up front, an item is served whole or runs whole, and
     the items left reach the backend in one order-preserving map, in
-    plan order.  A cache *write* failure disables further writes rather
-    than discarding computed results.
+    plan order.  Their entries are put here, after the map returns, so
+    a crash during the map loses its fresh runs (DESIGN.md §9).  A
+    cache *write* failure disables further writes rather than
+    discarding computed results.
 
     Args:
         work: ``(item, keys)`` pairs in result order; ``keys`` may be
@@ -424,30 +392,12 @@ def dispatch_work(
     pending = [index for index, runs in enumerate(results) if runs is None]
 
     if pending:
-        executor = get_executor(config)
-        # Under the distributed backend the *workers* write fresh runs
-        # into the shared cache directory (the result rendezvous,
-        # DESIGN.md §8) and the coordinator skips its own puts; every
-        # other backend writes back here, after the map.
-        write_through = config.backend == "distributed" and cache is not None
-        if write_through:
-            computed = executor.map(
-                _execute_work_write_through,
-                [
-                    _CacheThroughWork(
-                        item=work[index][0], cache_dir=str(cache.directory),
-                        keys=tuple(work[index][1]),
-                    )
-                    for index in pending
-                ],
-            )
-        else:
-            computed = executor.map(
-                _execute_work, [work[index][0] for index in pending]
-            )
+        computed = get_executor(config).map(
+            _execute_work, [work[index][0] for index in pending]
+        )
         for index, runs in zip(pending, computed):
             results[index] = runs
-            if cache is not None and not write_through:
+            if cache is not None:
                 # The cache is an optimization: a write failure (disk
                 # full, permissions, unpicklable payload) must never
                 # discard computed results.  Record it and stop writing
@@ -496,7 +446,7 @@ def dispatch_reduced(
         reduce: ``(cell, runs, keys) -> value``, given the cell's runs
             and run-cache keys in run order (``keys`` is ``None``
             without a cache).  Must be module-level (and its state
-            picklable) to run on a process or distributed backend;
+            picklable) to run on the process backend;
             otherwise ``parallel_map`` runs the tasks serially.
         config: Backend/jobs selection.
         cache: Cache instance; ``None`` disables lookups and writes.
@@ -595,13 +545,11 @@ def parallel_map(
     items: Sequence[T] | Iterable[T],
     runtime: RuntimeConfig | None = None,
 ) -> list[R]:
-    """Order-preserving map honoring ``process``/``distributed`` for
-    picklable work.
+    """Order-preserving map honoring ``process`` for picklable work.
 
     Module-level callables over picklable payloads — e.g. the per-cell
     mining tasks of :func:`~repro.models.ensemble.ensemble_curve` — run
-    truly process-parallel under ``backend="process"`` and through the
-    work queue under ``backend="distributed"``.  Work that cannot
+    truly process-parallel under ``backend="process"``.  Work that cannot
     cross a process boundary (closure/lambda callables — probed up
     front together with the first item — or, on the process backend, a
     later item or a result that fails to pickle) runs serially

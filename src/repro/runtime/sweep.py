@@ -38,8 +38,10 @@ seed, on every backend (see DESIGN.md §5).
 
 The on-disk run cache is consulted per work item (a batched cell is
 one item and one entry), so a warm cell costs zero worker time and a
-sweep interrupted halfway resumes where it stopped — which is what
-bounds a crash to the cells in flight (DESIGN.md §9).
+rerun serves whatever an interrupted sweep cached.  A reduced sweep
+writes each item through where it ran, so a crash costs only the cells
+in flight; an unreduced one puts its items after the map, so a crash
+loses that map's fresh runs (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -387,8 +389,8 @@ def execute_sweep(
         reduce: Optional per-cell reduction ``(cell, runs, keys) ->
             value``, given the cell's runs and their run-cache keys in
             seed order (``keys`` is ``None`` without a cache).  It must
-            be module-level with picklable state for the process and
-            distributed backends.
+            be module-level with picklable state for the process
+            backend.
 
     Returns:
         A :class:`SweepResult` with per-cell runs, or per-cell

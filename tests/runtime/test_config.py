@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ExecutionError
-from repro.runtime import BACKENDS, DistributedConfig, RuntimeConfig
+from repro.runtime import BACKENDS, RuntimeConfig
 
 
 def test_defaults_are_serial_and_uncached():
@@ -15,11 +16,13 @@ def test_defaults_are_serial_and_uncached():
     assert config.backend == "serial"
     assert config.jobs == 1
     assert config.cache_dir is None
-    assert config.distributed is None
+    assert [field.name for field in fields(RuntimeConfig)] == [
+        "backend", "jobs", "cache_dir",
+    ]
 
 
 def test_backends_constant_covers_all():
-    assert BACKENDS == ("serial", "process", "distributed")
+    assert BACKENDS == ("serial", "process")
     for backend in BACKENDS:
         assert RuntimeConfig(backend=backend).backend == backend
 
@@ -64,43 +67,9 @@ def test_config_is_hashable_and_frozen():
         config.jobs = 4  # type: ignore[misc]
 
 
-def test_resolve_distributed_defaults_when_unset():
-    config = RuntimeConfig(backend="distributed")
-    resolved = config.resolve_distributed()
-    assert resolved == DistributedConfig()
-    assert resolved.spool_dir is None
-    assert resolved.max_attempts >= 1
-
-
-def test_distributed_config_coerces_spool_dir(tmp_path):
-    config = DistributedConfig(spool_dir=str(tmp_path))
-    assert isinstance(config.spool_dir, Path)
-
-
-def test_distributed_config_is_hashable_and_frozen():
-    config = DistributedConfig()
-    assert hash(config) == hash(DistributedConfig())
-    with pytest.raises(Exception):
-        config.max_attempts = 5  # type: ignore[misc]
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"local_workers": -1},
-        {"task_timeout": 0.0},
-        {"lease_timeout": -1.0},
-        {"heartbeat_interval": 0.0},
-        {"max_attempts": 0},
-        {"backoff_base": 0.0},
-        {"attach_deadline": 0.0},
-        {"poll_interval": 0.0},
-        {"max_worker_restarts": -1},
-        # A lease timeout at or below the heartbeat interval would
-        # declare every healthy worker dead between beats.
-        {"lease_timeout": 1.0, "heartbeat_interval": 1.0},
-    ],
-)
-def test_distributed_config_rejects_invalid(kwargs):
-    with pytest.raises(ExecutionError):
-        DistributedConfig(**kwargs)
+def test_retired_distributed_backend_is_refused():
+    """The distributed backend is retired (DESIGN.md §8): asking for it
+    fails at construction and names the two backends that remain."""
+    with pytest.raises(ExecutionError) as caught:
+        RuntimeConfig(backend="distributed")
+    assert "('serial', 'process')" in str(caught.value)

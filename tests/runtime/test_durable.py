@@ -9,8 +9,8 @@ one point of the write, selected by patching ``os.fsync`` or
 * ``after-fsync``: the file fsync ran, the rename has not;
 * ``before-rename``: everything but the rename.
 
-Only the durable store (JSONL corpora) reaches an fsync, so caches and
-the spool are killed in the last window only.  The parent then
+Only the durable store (JSONL corpora) reaches an fsync, so caches are
+killed in the last window only.  The parent then
 asserts that the fault fired (the child's exit code), that a reader
 sees the previous value or a miss and never a partial payload, and
 that the stranded temp is listed and then swept.  The last test pins
@@ -20,9 +20,7 @@ the fsync policy itself.
 from __future__ import annotations
 
 import os
-import pickle
 import stat
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,26 +30,7 @@ import pytest
 
 from repro import durable
 from repro.corpus.io import load_jsonl, save_jsonl
-from repro.runtime import (
-    CurveCache,
-    DistributedConfig,
-    FaultPlan,
-    FaultSpec,
-    RunCache,
-    RuntimeConfig,
-    Spool,
-    cache_corruptions,
-    compact_spool,
-    run_worker,
-    spool_stats,
-)
-from repro.runtime.distributed import (
-    RESULT_SUFFIX,
-    TASK_SUFFIX,
-    DistributedExecutor,
-    SpoolTask,
-    _MapSession,
-)
+from repro.runtime import CurveCache, RunCache, cache_corruptions
 
 #: Exit code of a child killed inside its crash window.
 KILLED = 97
@@ -112,32 +91,6 @@ def _temp_of(final: Path, pid: int) -> Path:
     return final.with_name(f"{final.name}.tmp.{pid}")
 
 
-def _spool_config(root: Path) -> RuntimeConfig:
-    return RuntimeConfig(
-        backend="distributed",
-        distributed=DistributedConfig(spool_dir=root, local_workers=0),
-    )
-
-
-def _spool_tasks(root: Path) -> None:
-    session = _MapSession(abs, [-1], DistributedExecutor(_spool_config(root)))
-    session._serialize()
-    session._respool_ready(time.time())
-
-
-def _spool_one_task(root: Path) -> Path:
-    spool = Spool(root).ensure()
-    task = SpoolTask(index=0, fn=abs, item=-3)
-    (spool.tasks / f"abcd1234-00000.a01{TASK_SUFFIX}").write_bytes(
-        pickle.dumps(task)
-    )
-    return spool.results / f"abcd1234-00000{RESULT_SUFFIX}"
-
-
-def _serve_one_task(root: Path) -> None:
-    run_worker(root, worker_id="w1", max_tasks=1, idle_timeout=5.0)
-
-
 @dataclass(frozen=True)
 class Case:
     """One store under a crash: set up, write, then read and sweep."""
@@ -168,29 +121,6 @@ def _read_run(directory: Path) -> None:
 
 def _read_curve(directory: Path) -> None:
     assert CurveCache(directory).get(KEY) is None
-
-
-def _read_spool_tasks(directory: Path) -> None:
-    assert list(Spool(directory).tasks.glob(f"*{TASK_SUFFIX}")) == []
-
-
-def _read_spool_results(directory: Path) -> None:
-    assert list(Spool(directory).results.glob(f"*{RESULT_SUFFIX}")) == []
-
-
-def _compact(directory: Path) -> None:
-    compact_spool(directory, stale_after=1.0, now=time.time() + 3600.0)
-
-
-def _spool_orphans(directory: Path) -> list[Path]:
-    spool = Spool(directory)
-    orphans = [
-        path
-        for folder in (spool.tasks, spool.results)
-        for path in durable.orphan_temps(folder)
-    ]
-    assert spool_stats(directory).orphan_tmp == len(orphans)
-    return orphans
 
 
 CORPUS = "victim.jsonl"
@@ -237,22 +167,6 @@ def _cases(tiny_dataset) -> dict[str, Case]:
             orphans=lambda d: CurveCache(d).orphan_tmp_paths(),
             sweep=lambda d: CurveCache(d).clear(),
         ),
-        "spool-task": Case(
-            windows=("before-rename",),
-            prepare=lambda d: Spool(d).ensure().tasks,
-            write=_spool_tasks,
-            read=_read_spool_tasks,
-            orphans=_spool_orphans,
-            sweep=_compact,
-        ),
-        "spool-result": Case(
-            windows=("before-rename",),
-            prepare=_spool_one_task,
-            write=_serve_one_task,
-            read=_read_spool_results,
-            orphans=_spool_orphans,
-            sweep=_compact,
-        ),
         "jsonl": _jsonl_case(tiny_dataset),
     }
 
@@ -260,8 +174,6 @@ def _cases(tiny_dataset) -> dict[str, Case]:
 CRASHES = [
     ("run-cache", "before-rename"),
     ("curve-cache", "before-rename"),
-    ("spool-task", "before-rename"),
-    ("spool-result", "before-rename"),
     *(("jsonl", window) for window in WINDOWS),
 ]
 
@@ -282,10 +194,7 @@ def test_killed_writer_leaves_previous_value_and_a_sweepable_orphan(
     orphans = case.orphans(tmp_path)
     assert orphans
     assert all(path.name.endswith(f".tmp.{pid}") for path in orphans)
-    if final.is_dir():  # spool tasks: the name carries a session nonce
-        assert [path.parent for path in orphans] == [final]
-    else:
-        assert _temp_of(final, pid) in orphans
+    assert _temp_of(final, pid) in orphans
     case.sweep(tmp_path)
     assert case.orphans(tmp_path) == []
 
@@ -313,8 +222,6 @@ DURABLE_WRITE = ["fsync-file", "replace", "fsync-dir"]
 POLICY = {
     "run-cache": ["replace"],
     "curve-cache": ["replace"],
-    "spool-task": ["replace"],
-    "spool-result": ["replace"],
     "jsonl": DURABLE_WRITE,
 }
 
@@ -324,20 +231,12 @@ def test_fsync_policy_is_fixed_per_store(
     store, tmp_path, tiny_dataset, monkeypatch
 ):
     """The durable store fsyncs the file before the rename and the
-    directory after it; caches and the spool never fsync."""
+    directory after it; caches never fsync."""
     case = _cases(tiny_dataset)[store]
     case.prepare(tmp_path)
     calls = _record_disk_calls(monkeypatch)
     case.write(tmp_path)
     assert calls == POLICY[store]
-
-
-def test_fault_plan_save_is_atomic_without_fsync(tmp_path, monkeypatch):
-    calls = _record_disk_calls(monkeypatch)
-    plan = FaultPlan(faults=(FaultSpec(action="kill"),))
-    path = plan.save(tmp_path / "faults.json")
-    assert calls == ["replace"]
-    assert FaultPlan.load(path) == plan
 
 
 def test_failed_write_unlinks_its_temp(tmp_path):

@@ -1,8 +1,7 @@
 """The runtime event log across process boundaries.
 
-An event recorded inside a pool or spool worker (here: a torn run-cache
-entry evicted by a read in a mapped job) must reach the caller's log on
-every backend, and replaying it there must pass through the caller's
+An event recorded inside a pool worker (here: a torn run-cache entry
+evicted by a read in a mapped job) must reach the caller's log, and replaying it there must pass through the caller's
 warn-once gate: two workers that hit the same cause give two records
 and one warning.  Each test first proves its corruption actually fired
 (the torn file is gone), so none can pass as a happy-path run.
@@ -22,7 +21,6 @@ from repro.runtime import (
     BACKENDS,
     CacheCorruptionWarning,
     CacheWriteFailureWarning,
-    DistributedConfig,
     RunCache,
     RuntimeConfig,
     cache_corruptions,
@@ -37,15 +35,8 @@ KEYS = ("aa" * 32, "bb" * 32)
 
 
 def _runtime(backend: str) -> RuntimeConfig:
-    """Two workers on every parallel backend, with test-sized timings."""
-    distributed = None
-    if backend == "distributed":
-        distributed = DistributedConfig(
-            local_workers=2, poll_interval=0.01, heartbeat_interval=0.05,
-            lease_timeout=0.5, task_timeout=30.0, backoff_base=0.02,
-            backoff_cap=0.1,
-        )
-    return RuntimeConfig(backend=backend, jobs=2, distributed=distributed)
+    """Two workers on the given backend."""
+    return RuntimeConfig(backend=backend, jobs=2)
 
 
 def _corruption_warnings(caught) -> list:
@@ -114,7 +105,7 @@ def _read_beside_peer(job: tuple[str, int]) -> int:
     return _read_entry((str(root / "cache"), KEYS[index]))
 
 
-@pytest.mark.parametrize("backend", ["process", "distributed"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_two_workers_warn_once_in_the_caller(backend, tmp_path):
     paths = _plant_torn_entries(tmp_path / "cache")
     jobs = [(str(tmp_path), 0), (str(tmp_path), 1)]
@@ -134,7 +125,7 @@ def _write_unpicklable(job: tuple[str, str]) -> int:
     return os.getpid()
 
 
-@pytest.mark.parametrize("backend", ["process", "distributed"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_worker_write_failures_reach_the_caller(backend, tmp_path):
     """Write-through failures in workers are recorded in the caller's
     log, one per failed entry, with one warning there."""

@@ -26,7 +26,6 @@ from repro.models.registry import PAPER_MODELS, create_model
 from repro.rng import ensure_rng, spawn_seeds
 from repro.runtime import (
     BACKENDS,
-    DistributedConfig,
     RunCache,
     RuntimeConfig,
     execute_runs,
@@ -271,17 +270,8 @@ def test_sweep_cache_dir_via_runtime_config(tiny_spec, tmp_path):
 
 
 def _runtime(backend: str, cache_dir) -> RuntimeConfig:
-    """Two workers on every parallel backend, with test-sized timings."""
-    distributed = None
-    if backend == "distributed":
-        distributed = DistributedConfig(
-            local_workers=2, poll_interval=0.01, heartbeat_interval=0.05,
-            lease_timeout=0.5, task_timeout=30.0, backoff_base=0.02,
-            backoff_cap=0.1,
-        )
-    return RuntimeConfig(
-        backend=backend, jobs=2, cache_dir=cache_dir, distributed=distributed
-    )
+    """Two workers on the process backend."""
+    return RuntimeConfig(backend=backend, jobs=2, cache_dir=cache_dir)
 
 
 def _assert_curves(result, expected):

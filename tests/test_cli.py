@@ -381,6 +381,25 @@ def test_retired_corpus_options_are_usage_errors(argv, capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worker", "--spool", "x"],
+        ["spool", "stats", "--spool", "x"],
+        ["sweep", "--backend", "distributed"],
+        ["sweep", "--spool-dir", "x"],
+        ["evolve", "CM-R", "KOR", "--local-workers", "2"],
+    ],
+)
+def test_retired_distributed_options_are_usage_errors(argv, capsys):
+    """The distributed backend, its commands and its flags are gone:
+    each fails at argument parsing, before any work."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["experiment", "fig4"], ["sweep"]])
 @pytest.mark.parametrize("value", ["1.5", "0", "-0.1", "lots"])
 def test_min_support_out_of_range_is_usage_error(command, value, capsys):

@@ -49,14 +49,11 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 #: The most ``repro`` modules fig4's set-up may load.
-FIG4_SETUP_MODULES = 55
+FIG4_SETUP_MODULES = 54
 
 #: Modules fig4 never runs, so its set-up must not load them.
 NOT_IN_FIG4 = (
-    "repro.runtime.distributed",
-    "repro.runtime.spool_tools",
     "repro.models.islands",
-    "repro.models.statistics",
     "repro.experiments.ablations",
     "repro.experiments.fig1",
     "repro.experiments.fig2",
@@ -66,7 +63,6 @@ NOT_IN_FIG4 = (
     "repro.experiments.registry",
     "repro.experiments.table1",
     "repro.corpus.builder",
-    "repro.corpus.merge",
     "repro.corpus.stats",
     "repro.analysis.category_usage",
     "repro.analysis.ingredient_usage",
